@@ -1,0 +1,116 @@
+"""Command-line entry point.
+
+    ndnshield run <scenario.json> [--seed N] [--replicates K] [--out DIR]
+    ndnshield validate <scenario.json>
+    ndnshield suite [pytest args...]
+    ndnshield bench-crypto [--size BYTES]
+
+The output directory can also be set with the NDNSHIELD_OUT environment
+variable, which overrides --out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+from pathlib import Path
+
+from .experiment import bench_crypto, load_scenario_file, run_experiment
+from .scenario import ScenarioError
+
+
+def _cmd_run(args) -> int:
+    scenario = load_scenario_file(args.scenario)
+    if args.seed is not None:
+        base_seed = args.seed
+    else:
+        base_seed = None
+    summary = run_experiment(
+        scenario, replicates=args.replicates, out_dir=args.out, base_seed=base_seed
+    )
+    for arm, block in summary["arms"].items():
+        agg = block["aggregate"]
+        ratio = agg.get("honest_satisfaction_ratio", {}).get("mean")
+        print(f"{scenario.name} [{arm}] replicates={agg['replicates']}", end="")
+        if ratio is not None:
+            print(f" honest_satisfaction_ratio={ratio:.4f}", end="")
+        print()
+    print(f"metrics written under {Path(args.out).resolve()}")
+    return 0
+
+
+def _cmd_validate(args) -> int:
+    try:
+        scenario = load_scenario_file(args.scenario)
+    except ScenarioError as exc:
+        print(f"{args.scenario}: INVALID")
+        for violation in exc.violations:
+            print(f"  {violation}")
+        return 1
+    nodes = len(scenario.doc["nodes"])
+    arms = ", ".join(scenario.arm_names()) or "-"
+    print(f"{args.scenario}: OK ({nodes} nodes, duration {scenario.duration_ms} ms, arms: {arms})")
+    return 0
+
+
+def _cmd_suite(args) -> int:
+    """Run the acceptance test module with pytest (requires the source tree)."""
+    here = Path(__file__).resolve()
+    for parent in here.parents:
+        candidate = parent / "tests" / "test_acceptance.py"
+        if candidate.exists():
+            cmd = [sys.executable, "-m", "pytest", str(candidate), "-v"] + args.pytest_args
+            return subprocess.call(cmd, cwd=str(parent))
+    print("tests/test_acceptance.py not found; run from a source checkout", file=sys.stderr)
+    return 2
+
+
+def _cmd_bench_crypto(args) -> int:
+    result = bench_crypto(packet_size=args.size)
+    print(f"packet size:            {result['packet_size_bytes']} bytes")
+    print(
+        f"content-hash verify:    {result['hash_verify_mbps']:10.1f} Mbps"
+        f"  ({result['hash_verify_ops_per_s']:10.0f} pkt/s)"
+    )
+    print(
+        f"RSA-1024(e=3) verify:   {result['rsa1024_verify_mbps']:10.1f} Mbps"
+        f"  ({result['rsa1024_verify_ops_per_s']:10.0f} pkt/s)"
+    )
+    print(f"throughput ratio:       {result['throughput_ratio']:10.1f}x")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="ndnshield", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="run a scenario and write metrics CSVs")
+    p_run.add_argument("scenario")
+    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--replicates", type=int, default=1)
+    p_run.add_argument("--out", default="out", help="output directory")
+    p_run.set_defaults(fn=_cmd_run)
+
+    p_val = sub.add_parser("validate", help="schema-check a scenario file")
+    p_val.add_argument("scenario")
+    p_val.set_defaults(fn=_cmd_validate)
+
+    p_suite = sub.add_parser("suite", help="run the acceptance suite")
+    p_suite.set_defaults(fn=_cmd_suite)
+
+    p_bench = sub.add_parser("bench-crypto", help="hash vs signature verification throughput")
+    p_bench.add_argument("--size", type=int, default=1500)
+    p_bench.set_defaults(fn=_cmd_bench_crypto)
+
+    # Everything after `suite` goes straight to pytest.
+    args, extras = parser.parse_known_args(argv)
+    if args.command == "suite":
+        args.pytest_args = extras
+    elif extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args.fn(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

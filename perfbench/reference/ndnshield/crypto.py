@@ -1,0 +1,250 @@
+"""Cryptographic primitives: RSA-1024/e=3 signatures, SHA-256, HMAC.
+
+Signatures use the smallest RSA public exponent (3) so verification costs
+only two modular multiplications; the signer protocol is small enough that
+a cheaper scheme can be dropped in for very large scenarios.
+
+Key generation is deterministic from a seeded generator. Nothing here
+calls an OS entropy source, which is what makes whole simulation traces
+replayable from a scenario seed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import hmac as _hmac
+from dataclasses import dataclass, field
+
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import padding, rsa
+
+from .packets import (
+    DataPacket,
+    EmbeddedKey,
+    KeyLocator,
+    Name,
+    canonical_serialize,
+    compute_content_hash,
+    digest_component,
+)
+from .rand import Rng
+
+RSA_BITS = 1024
+RSA_EXPONENT = 3
+
+_PKCS1 = padding.PKCS1v15()
+_SHA256 = hashes.SHA256()
+
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+)
+
+
+def sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+def hmac_sha256(key: bytes, data: bytes) -> bytes:
+    return _hmac.new(key, data, hashlib.sha256).digest()
+
+
+def constant_time_equal(a: bytes, b: bytes) -> bool:
+    return _hmac.compare_digest(a, b)
+
+
+def ls32(digest: bytes) -> int:
+    """Least-significant 32 bits of a digest, as an unsigned integer."""
+    return int.from_bytes(digest[-4:], "big")
+
+
+def _is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = 2 + rng.randrange(n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _generate_prime(bits: int, rng: Rng, exponent: int) -> int:
+    while True:
+        cand = int.from_bytes(rng.bytes(bits // 8), "big")
+        cand |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        if cand % exponent == 1:
+            continue  # gcd(e, p-1) must be 1
+        if _is_probable_prime(cand, rng):
+            return cand
+
+
+@dataclass(frozen=True)
+class KeyPair:
+    """An RSA signing identity; digest identifies the producer on the wire."""
+
+    public_der: bytes
+    digest: bytes
+    _private: rsa.RSAPrivateKey = field(repr=False, compare=False)
+
+    @classmethod
+    def generate(cls, rng: Rng, bits: int = RSA_BITS, exponent: int = RSA_EXPONENT) -> "KeyPair":
+        p = _generate_prime(bits // 2, rng, exponent)
+        q = _generate_prime(bits // 2, rng, exponent)
+        while q == p:
+            q = _generate_prime(bits // 2, rng, exponent)
+        if p < q:
+            p, q = q, p
+        n = p * q
+        phi = (p - 1) * (q - 1)
+        d = pow(exponent, -1, phi)
+        private = rsa.RSAPrivateNumbers(
+            p=p,
+            q=q,
+            d=d,
+            dmp1=d % (p - 1),
+            dmq1=d % (q - 1),
+            iqmp=pow(q, -1, p),
+            public_numbers=rsa.RSAPublicNumbers(e=exponent, n=n),
+        ).private_key()
+        public_der = private.public_key().public_bytes(
+            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+        )
+        return cls(public_der=public_der, digest=sha256(public_der), _private=private)
+
+    def sign(self, message: bytes) -> bytes:
+        return self._private.sign(message, _PKCS1, _SHA256)
+
+
+def verify_bytes(public_der: bytes, signature: bytes, message: bytes) -> bool:
+    """True iff the signature is valid; malformed keys count as failures."""
+    try:
+        key = serialization.load_der_public_key(public_der)
+        key.verify(signature, message, _PKCS1, _SHA256)
+        return True
+    except (InvalidSignature, ValueError, TypeError, AttributeError):
+        return False
+
+
+def signing_image(pkt: DataPacket) -> bytes:
+    """The byte image a signature covers: everything but the signature and
+    the trailing hash component (which cannot exist before signing)."""
+    return canonical_serialize(pkt, include_hash_component=False, include_signature=False)
+
+
+def sign_packet(
+    name: Name,
+    payload: bytes,
+    key: KeyPair,
+    key_locator: KeyLocator | None = None,
+    *,
+    poisoned: bool = False,
+) -> DataPacket:
+    """Sign a packet and append its digest-typed name component.
+
+    Every data packet on the wire carries its content hash as the final
+    name component, so the full name self-certifies the bytes it names.
+    """
+    locator = key_locator if key_locator is not None else EmbeddedKey(key.public_der)
+    unsigned = DataPacket(
+        name=name,
+        payload=payload,
+        signature=b"",
+        key_locator=locator,
+        publisher_key_digest=key.digest,
+        poisoned=poisoned,
+    )
+    # The hash component does not exist yet, so the image keeps the whole
+    # name here; verifiers strip the appended component to reproduce it.
+    signature = key.sign(
+        canonical_serialize(unsigned, include_hash_component=True, include_signature=False)
+    )
+    # The content hash goes over the signed image plus the signature, i.e.
+    # the packet with its final (about to be appended) component omitted.
+    sans_hash = DataPacket(
+        name=name,
+        payload=payload,
+        signature=signature,
+        key_locator=locator,
+        publisher_key_digest=key.digest,
+        poisoned=poisoned,
+    )
+    content_hash = hashlib.sha256(encode_for_hash(sans_hash)).digest()
+    return DataPacket(
+        name=name.child(digest_component(content_hash)),
+        payload=payload,
+        signature=signature,
+        key_locator=locator,
+        publisher_key_digest=key.digest,
+        poisoned=poisoned,
+    )
+
+
+def encode_for_hash(pkt: DataPacket) -> bytes:
+    """The image the content hash covers, for a packet not yet carrying
+    its hash component."""
+    return canonical_serialize(pkt, include_hash_component=True, include_signature=True)
+
+
+def assemble_packet(
+    name: Name,
+    payload: bytes,
+    signature: bytes,
+    key_locator: KeyLocator,
+    publisher_key_digest: bytes,
+    *,
+    poisoned: bool = False,
+) -> DataPacket:
+    """Raw constructor for packets that do not follow honest construction
+    (garbage signatures, mismatched hash components, lying digests)."""
+    return DataPacket(
+        name=name,
+        payload=payload,
+        signature=signature,
+        key_locator=key_locator,
+        publisher_key_digest=publisher_key_digest,
+        poisoned=poisoned,
+    )
+
+
+def verify_signature(pkt: DataPacket, public_der: bytes) -> bool:
+    """Check the packet signature over its to-be-signed image."""
+    return verify_bytes(public_der, pkt.signature, signing_image(pkt))
+
+
+def packet_is_self_consistent(pkt: DataPacket) -> bool:
+    """For an embedded key: the advertised producer digest must be the
+    digest of the embedded key. Honest producers always satisfy this."""
+    if isinstance(pkt.key_locator, EmbeddedKey):
+        return sha256(pkt.key_locator.key_der) == pkt.publisher_key_digest
+    return True
+
+
+__all__ = [
+    "KeyPair",
+    "assemble_packet",
+    "compute_content_hash",
+    "constant_time_equal",
+    "encode_for_hash",
+    "hmac_sha256",
+    "ls32",
+    "packet_is_self_consistent",
+    "sha256",
+    "sign_packet",
+    "signing_image",
+    "verify_bytes",
+    "verify_signature",
+]

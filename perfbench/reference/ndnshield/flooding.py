@@ -1,0 +1,429 @@
+"""Interest-flooding countermeasures.
+
+Three statistical limiters plus a hop-by-hop push-back protocol:
+
+* per-egress quota:   never keep more interests pending on an interface
+                      than its link can answer before they time out;
+* per-ingress limit:  the mirror bound for what a downstream link owes us;
+* namespace quota:    a hard cap on pending interests per configured
+                       prefix, refined by a per-ingress admission fraction
+                       driven by each ingress's recent satisfaction ratio.
+
+When the namespace quota trips, the router advises its offending
+neighbours of a sustainable rate; they install a per-ingress token-bucket
+cap and push the advice further toward the sources.
+
+The composition of the limiters (rejection order, window length, clamp
+floor, cooldown, TTL, fair-share rule) is this artifact's own; every
+constant is a configuration knob.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .crypto import constant_time_equal, hmac_sha256
+from .packets import Interest, Name
+
+PUSHBACK_PREFIX = Name((b"ndn", b"pushback"))
+
+MS = 1000  # microseconds per millisecond
+
+REJ_EGRESS_QUOTA = "egress-quota"
+REJ_INGRESS_LIMIT = "ingress-limit"
+REJ_NAMESPACE_QUOTA = "namespace-quota"
+REJ_THROTTLED = "throttled"
+REJ_RATE_CAP = "rate-cap"
+
+
+def compute_outgoing_quota(
+    bandwidth_bps: float, avg_content_size_bytes: int, interest_timeout_s: float
+) -> int:
+    """Most data packets the link can return before pending interests expire."""
+    if bandwidth_bps <= 0 or avg_content_size_bytes <= 0 or interest_timeout_s <= 0:
+        raise ValueError("quota inputs must be positive")
+    quota = math.ceil(bandwidth_bps * interest_timeout_s / (avg_content_size_bytes * 8))
+    return max(1, quota)
+
+
+@dataclass
+class FloodingConfig:
+    namespace_quotas: dict[Name, int] = field(default_factory=dict)
+    # Prefixes tracked for throttling and push-back even where no hard
+    # quota is enforced (quota keys are always watched).
+    watched_prefixes: tuple[Name, ...] = ()
+    window_ms: int = 10_000
+    min_throttle: float = 0.05
+    pushback_cooldown_ms: int = 1000
+    pushback_ttl: int = 8
+    fair_share_factor: float = 2.0
+    # An ingress is anomalous while its satisfaction ratio sits below this.
+    # Throttling and rate caps bind only on anomalous ingresses; a healthy
+    # ingress always admits at fraction 1.0. Without the dead zone, every
+    # throttled interest expires upstream and re-depresses the very ratio
+    # that caused the throttling.
+    anomaly_ratio: float = 0.5
+    interest_timeout_ms: int = 4000
+    avg_content_size_bytes: int = 1500
+    min_advised_rate: float = 1.0  # interests/s floor for push-back advice
+    outgoing_quota_override: Optional[int] = None
+    incoming_limit_override: Optional[int] = None
+    cap_burst_s: float = 1.0  # token bucket depth, in seconds of advised rate
+
+
+class TokenBucket:
+    """Token bucket over simulated time with probabilistic admission in the
+    fractional-token regime. The soft edge matters: two deterministic
+    buckets at equal rates on adjacent routers phase-lock, and whichever
+    flow is paced to the refill period then captures every token. Partial
+    tokens instead admit with matching probability, so competing flows
+    share the rate in proportion to their arrival share. Draws come from
+    the caller's seeded stream; behavior stays reproducible."""
+
+    def __init__(self, rate_per_s: float, burst: float, now: int):
+        self.rate = rate_per_s
+        self.base_rate = rate_per_s
+        self.burst = max(1.0, burst)
+        self.tokens = self.burst
+        self.last = now
+
+    def refill(self, now: int) -> None:
+        self.tokens = min(self.burst, self.tokens + self.rate * (now - self.last) / 1e6)
+        self.last = now
+
+    def take(self, now: int, rng=None, rate_per_s: Optional[float] = None) -> bool:
+        self.refill(now)
+        if rate_per_s is not None:
+            self.rate = rate_per_s
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
+            return True
+        p = max(0.0, self.tokens)
+        if rng is not None and p > 0.0 and rng.random() < p:
+            self.tokens -= 1.0
+            return True
+        return False
+
+
+class _Window:
+    """Per-(prefix, ingress) counts of resolved interests over a sliding
+    window; 'forwarded' here means resolved (satisfied or expired), so
+    in-flight interests do not count against an ingress."""
+
+    def __init__(self, window_us: int):
+        self.window_us = window_us
+        self.events: deque[tuple[int, bool]] = deque()  # (time, satisfied?)
+        self.satisfied = 0
+        self.resolved = 0
+
+    def add(self, now: int, satisfied: bool) -> None:
+        self.events.append((now, satisfied))
+        self.resolved += 1
+        if satisfied:
+            self.satisfied += 1
+        self.prune(now)
+
+    def prune(self, now: int) -> None:
+        cutoff = now - self.window_us
+        while self.events and self.events[0][0] < cutoff:
+            _, sat = self.events.popleft()
+            self.resolved -= 1
+            if sat:
+                self.satisfied -= 1
+
+
+class FloodingDefense:
+    """Admission state for one router; bound to it at construction."""
+
+    def __init__(self, config: FloodingConfig, rng):
+        self.config = config
+        self.rng = rng
+        self.router = None
+        self._watched: list[Name] = sorted(
+            set(config.watched_prefixes) | set(config.namespace_quotas), key=str
+        )
+        self.pending_out: dict[int, int] = defaultdict(int)
+        self.pending_in: dict[int, int] = defaultdict(int)
+        self.ns_pending: dict[Name, int] = defaultdict(int)
+        # Pending attribution per (namespace, ingress): lets push-back name
+        # its offenders immediately instead of waiting a lifetime for the
+        # first expiries to surface.
+        self.ns_pending_in: dict[tuple[Name, int], int] = defaultdict(int)
+        self.quota_out: dict[int, int] = {}
+        self.limit_in: dict[int, int] = {}
+        self._windows: dict[tuple[Name, int], _Window] = {}
+        self._caps: dict[tuple[Name, int], TokenBucket] = {}
+        self._quota_hit_at: dict[Name, int] = {}
+        self._last_pushback: dict[tuple[Name, int], int] = {}
+
+    def bind(self, router) -> None:
+        self.router = router
+
+    def on_iface_attached(self, info) -> None:
+        quota = self.config.outgoing_quota_override or compute_outgoing_quota(
+            info.bandwidth_bps,
+            self.config.avg_content_size_bytes,
+            self.config.interest_timeout_ms / 1000.0,
+        )
+        self.quota_out[info.iface] = quota
+        self.limit_in[info.iface] = self.config.incoming_limit_override or quota
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def _namespace(self, name: Name) -> Optional[Name]:
+        best = None
+        for prefix in self._watched:
+            if prefix.is_prefix_of(name) and (best is None or len(prefix) > len(best)):
+                best = prefix
+        return best
+
+    def _window(self, ns: Name, iface: int) -> _Window:
+        key = (ns, iface)
+        win = self._windows.get(key)
+        if win is None:
+            win = _Window(self.config.window_ms * MS)
+            self._windows[key] = win
+        return win
+
+    def note_forwarded(self, entry, now: int) -> None:
+        for iface in entry.outgoing:
+            self.pending_out[iface] += 1
+        for iface in entry.incoming:
+            self.pending_in[iface] += 1
+        ns = self._namespace(entry.name)
+        if ns is not None:
+            self.ns_pending[ns] += 1
+            for iface in entry.incoming:
+                self.ns_pending_in[(ns, iface)] += 1
+
+    def note_collapsed(self, entry, iface: int, now: int) -> None:
+        self.pending_in[iface] += 1
+        ns = self._namespace(entry.name)
+        if ns is not None:
+            self.ns_pending_in[(ns, iface)] += 1
+
+    def _resolve(self, entry, now: int, satisfied: bool) -> None:
+        for iface in entry.outgoing:
+            self.pending_out[iface] = max(0, self.pending_out[iface] - 1)
+        for iface in entry.incoming:
+            self.pending_in[iface] = max(0, self.pending_in[iface] - 1)
+        ns = self._namespace(entry.name)
+        if ns is not None:
+            self.ns_pending[ns] = max(0, self.ns_pending[ns] - 1)
+            for iface in entry.incoming:
+                key = (ns, iface)
+                self.ns_pending_in[key] = max(0, self.ns_pending_in[key] - 1)
+                self._window(ns, iface).add(now, satisfied)
+
+    def note_satisfied(self, entry, now: int) -> None:
+        self._resolve(entry, now, satisfied=True)
+
+    def note_expired(self, entry, now: int) -> None:
+        self._resolve(entry, now, satisfied=False)
+
+    # -- admission -------------------------------------------------------------
+
+    def throttle_fraction(self, ns: Name, iface: int, now: int) -> float:
+        """Admission fraction for an ingress: 1.0 while healthy, the clamped
+        satisfaction ratio once the ingress turns anomalous."""
+        win = self._windows.get((ns, iface))
+        if win is None:
+            return 1.0
+        win.prune(now)
+        if win.resolved == 0:
+            return 1.0
+        frac = win.satisfied / win.resolved
+        if frac >= self.config.anomaly_ratio:
+            return 1.0
+        return max(self.config.min_throttle, frac)
+
+    def admit(
+        self, ingress: int, interest: Interest, candidates: list[int], now: int
+    ) -> tuple[list[int], Optional[str]]:
+        """Filter candidate egresses; empty result carries a reason code."""
+        usable = [i for i in candidates if self.pending_out[i] < self.quota_out.get(i, 1 << 30)]
+        if not usable:
+            return [], REJ_EGRESS_QUOTA
+        if self.pending_in[ingress] >= self.limit_in.get(ingress, 1 << 30):
+            return [], REJ_INGRESS_LIMIT
+        ns = self._namespace(interest.name)
+        if ns is not None:
+            quota = self.config.namespace_quotas.get(ns)
+            if quota is not None:
+                if self.ns_pending[ns] >= quota:
+                    self._quota_hit_at[ns] = now
+                    return [], REJ_NAMESPACE_QUOTA
+                # The per-ingress throttle protects the quota; where no
+                # quota is enforced it would only compound losses for
+                # honest traffic sharing a path with the attack.
+                frac = self.throttle_fraction(ns, ingress, now)
+                if frac < 1.0 and self.rng.random() >= frac:
+                    return [], REJ_THROTTLED
+        cap = self._matching_cap(interest.name, ingress)
+        if cap is not None and self._cap_active(interest.name, ingress, now):
+            rate = self._cap_rate(cap, interest.name, ingress, now)
+            if not cap.take(now, rng=self.rng, rate_per_s=rate):
+                return [], REJ_RATE_CAP
+        return usable, None
+
+    def _ingress_ratio(self, name: Name, ingress: int, now: int) -> Optional[float]:
+        ns = self._namespace(name)
+        if ns is None:
+            return None
+        win = self._windows.get((ns, ingress))
+        if win is None:
+            return None
+        win.prune(now)
+        if win.resolved == 0:
+            return None
+        return win.satisfied / win.resolved
+
+    def _cap_active(self, name: Name, ingress: int, now: int) -> bool:
+        """An installed cap binds until the ingress proves itself healthy:
+        a recent record dominated by satisfied interests lifts it."""
+        ratio = self._ingress_ratio(name, ingress, now)
+        if ratio is None:
+            return True  # no statistics to exonerate the ingress
+        return ratio < self.config.anomaly_ratio
+
+    def _cap_rate(self, cap: TokenBucket, name: Name, ingress: int, now: int) -> float:
+        """Effective rate of a binding cap: the advised rate scaled by the
+        ingress's own satisfaction evidence, so a provably useless ingress
+        leaks only the floor fraction of the advice."""
+        ratio = self._ingress_ratio(name, ingress, now)
+        if ratio is None:
+            ratio = 0.0
+        return cap.base_rate * max(self.config.min_throttle, ratio)
+
+    def _matching_cap(self, name: Name, ingress: int) -> Optional[TokenBucket]:
+        best = None
+        best_len = -1
+        for (prefix, iface), bucket in self._caps.items():
+            if iface == ingress and prefix.is_prefix_of(name) and len(prefix) > best_len:
+                best, best_len = bucket, len(prefix)
+        return best
+
+    # -- push-back ---------------------------------------------------------------
+
+    def _offending_ingresses(self, ns: Name, now: int) -> list[int]:
+        """Ingresses whose unresolved-plus-expired volume dwarfs their
+        peers'. Pending counts make attribution immediate; window expiries
+        keep it honest over time.
+
+        A sole contributor is the offender by definition; otherwise an
+        ingress offends when its count exceeds the configured factor times
+        the mean of the other contributors.
+        """
+        counts: dict[int, int] = {}
+        for (prefix, iface), win in self._windows.items():
+            if prefix != ns:
+                continue
+            win.prune(now)
+            unsatisfied = win.resolved - win.satisfied
+            if unsatisfied > 0:
+                counts[iface] = counts.get(iface, 0) + unsatisfied
+        for (prefix, iface), pending in self.ns_pending_in.items():
+            if prefix == ns and pending > 0:
+                counts[iface] = counts.get(iface, 0) + pending
+        if not counts:
+            return []
+        if len(counts) == 1:
+            return list(counts)
+        offenders = []
+        for iface in sorted(counts):
+            others = [c for i, c in counts.items() if i != iface]
+            if counts[iface] > self.config.fair_share_factor * (sum(others) / len(others)):
+                offenders.append(iface)
+        return offenders
+
+    def _advised_rate(self, ns: Name, now: int) -> float:
+        """Rate advice carried by push-back: the recently satisfied rate,
+        floored by what the namespace quota can absorb per interest
+        lifetime. Without the sustainability floor, a fully starved
+        namespace would advise (almost) zero and deadlock honest traffic
+        sharing the capped ingress."""
+        total = 0
+        for (prefix, _), win in self._windows.items():
+            if prefix == ns:
+                win.prune(now)
+                total += win.satisfied
+        satisfied_rate = total / (self.config.window_ms / 1000.0)
+        quota = self.config.namespace_quotas.get(ns)
+        sustainable = (
+            quota / (self.config.interest_timeout_ms / 1000.0) if quota is not None else 0.0
+        )
+        return max(self.config.min_advised_rate, sustainable, satisfied_rate)
+
+    def build_pushback(self, prefix: Name, rate_per_s: float, ttl: int, iface: int) -> Interest:
+        rate_milli = int(round(rate_per_s * 1000))
+        body = PUSHBACK_PREFIX.join(prefix).child(b"%d" % rate_milli).child(b"%d" % ttl)
+        key = self.router.ifaces[iface].link_key
+        mac = hmac_sha256(key, str(body).encode())
+        return Interest(name=body.child(mac), nonce=self.rng.u64(), scope=2, lifetime_ms=1000)
+
+    @staticmethod
+    def parse_pushback(interest: Interest) -> tuple[Name, float, int, bytes]:
+        comps = interest.name.components
+        if len(comps) < 6:
+            raise ValueError("malformed push-back name")
+        prefix = Name(comps[2:-3])
+        rate = int(comps[-3]) / 1000.0
+        ttl = int(comps[-2])
+        mac = comps[-1]
+        return prefix, rate, ttl, mac
+
+    def on_expiry_feedback(self, expired_entries, now: int) -> list[tuple[int, Interest]]:
+        """Emit push-back toward offenders for namespaces whose quota tripped
+        within the statistics window (offender attribution needs expiry
+        evidence, which lags a full interest lifetime behind the first hit);
+        emission is rate-limited per (prefix, ingress) by the cooldown."""
+        out: list[tuple[int, Interest]] = []
+        cooldown = self.config.pushback_cooldown_ms * MS
+        for ns in sorted(self._quota_hit_at, key=str):
+            if now - self._quota_hit_at[ns] > self.config.window_ms * MS:
+                continue
+            advised = self._advised_rate(ns, now)
+            for iface in self._offending_ingresses(ns, now):
+                last = self._last_pushback.get((ns, iface))
+                if last is not None and now - last < cooldown:
+                    continue
+                self._last_pushback[(ns, iface)] = now
+                out.append((iface, self.build_pushback(ns, advised, self.config.pushback_ttl, iface)))
+        return out
+
+    def handle_pushback(self, iface: int, interest: Interest, now: int) -> list[tuple[int, Interest]]:
+        """Verify, install a cap against our own offenders, and propagate."""
+        try:
+            prefix, rate, ttl, mac = self.parse_pushback(interest)
+        except (ValueError, IndexError):
+            self.router.stats["pushback_bad_mac"] += 1
+            return []
+        key = self.router.ifaces[iface].link_key
+        expected = hmac_sha256(key, str(Name(interest.name.components[:-1])).encode())
+        if not constant_time_equal(mac, expected):
+            self.router.stats["pushback_bad_mac"] += 1
+            return []
+        if ttl <= 0:
+            return []
+        self.router.stats["pushback_received"] += 1
+        out: list[tuple[int, Interest]] = []
+        cooldown = self.config.pushback_cooldown_ms * MS
+        for offender in self._offending_ingresses(prefix, now):
+            if offender == iface:
+                continue
+            self._caps[(prefix, offender)] = TokenBucket(
+                rate, rate * self.config.cap_burst_s, now
+            )
+            last = self._last_pushback.get((prefix, offender))
+            if ttl > 1 and (last is None or now - last >= cooldown):
+                self._last_pushback[(prefix, offender)] = now
+                out.append((offender, self.build_pushback(prefix, rate, ttl - 1, offender)))
+        return out
+
+    # -- introspection -------------------------------------------------------------
+
+    def rate_caps(self) -> dict[tuple[Name, int], float]:
+        return {key: bucket.rate for key, bucket in self._caps.items()}

@@ -1,0 +1,212 @@
+"""Per-tick observables, CSV persistence, and cross-replicate summaries.
+
+The column set is fixed: every row carries every counter, zero-filled
+where a role does not produce it, so downstream scripts never deal with
+ragged schemas or NaNs. Counters are cumulative within a run; *_size
+columns and satisfaction_ratio are instantaneous gauges.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+COUNTER_COLUMNS = [
+    # router pipeline
+    "interests_received",
+    "interests_forwarded",
+    "interests_collapsed",
+    "interests_satisfied",
+    "interests_expired",
+    "interests_admitted_attack",
+    "rej_egress-quota",
+    "rej_ingress-limit",
+    "rej_namespace-quota",
+    "rej_throttled",
+    "rej_rate-cap",
+    "drop_pit_full",
+    "drop_no_route",
+    "drop_duplicate_nonce",
+    "drop_unsolicited",
+    "drop_scid_s",
+    "drop_scid_d",
+    "drop_scope",
+    "cs_hits",
+    "cs_misses",
+    "data_received",
+    "data_forwarded",
+    "poisoned_cached",
+    "poisoned_forwarded",
+    "overheard_suppressions",
+    # verification / cooperation
+    "verifications",
+    "verify_invalid",
+    "verify_unresolvable",
+    "warnings_sent",
+    "warnings_received",
+    "warnings_suppressed",
+    "warnings_bad_mac",
+    "feedback_received",
+    "pushback_sent",
+    "pushback_received",
+    "pushback_bad_mac",
+    # consumer side
+    "interests_sent",
+    "requests_satisfied",
+    "requests_failed",
+    "retries",
+    "received_valid",
+    "received_corrupted",
+    "received_fake",
+    "received_unverifiable",
+    "received_hash_mismatch",
+    "poisoned_received",
+    "accepted_poisoned",
+    "copies_received",
+    "fragments_completed",
+    "fragments_failed",
+    "feedback_sent",
+    "key_interests_sent",
+    "key_fetch_timeouts",
+    # producer side
+    "produced_served",
+    "producer_busy_us",
+    "interests_ignored",
+    "poison_injected",
+]
+
+GAUGE_COLUMNS = ["pit_size", "pit_attack_size", "cs_size", "satisfaction_ratio"]
+
+COLUMNS = ["time_ms", "node", "role"] + GAUGE_COLUMNS + COUNTER_COLUMNS
+
+
+@dataclass
+class MetricsRow:
+    time_ms: int
+    node: str
+    role: str
+    values: dict[str, float]
+
+    def as_list(self) -> list:
+        out: list = [self.time_ms, self.node, self.role]
+        for col in GAUGE_COLUMNS:
+            v = self.values.get(col, 1.0 if col == "satisfaction_ratio" else 0)
+            out.append(f"{v:.6f}" if col == "satisfaction_ratio" else int(v))
+        for col in COUNTER_COLUMNS:
+            out.append(int(self.values.get(col, 0)))
+        return out
+
+
+class MetricsCollector:
+    """Samples every node's counters and gauges on a fixed tick."""
+
+    def __init__(self, net, tick_ms: int):
+        self.net = net
+        self.tick_ms = tick_ms
+        self.rows: list[MetricsRow] = []
+        self._last_sample_us = -1
+
+    def install(self) -> None:
+        self.net.every(self.tick_ms * 1000, self.sample, "wakeup")
+
+    def sample(self, now_us: int) -> None:
+        if now_us == self._last_sample_us:
+            return  # the closing sample coincides with a regular tick
+        self._last_sample_us = now_us
+        time_ms = now_us // 1000
+        for node_id in sorted(self.net.nodes):
+            node = self.net.nodes[node_id]
+            values: dict[str, float] = dict(node.stats)
+            values.update(node.gauges())
+            self.rows.append(MetricsRow(time_ms, node_id, node.role(), values))
+
+    # -- persistence ---------------------------------------------------------
+
+    def csv_bytes(self) -> bytes:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(COLUMNS)
+        for row in self.rows:
+            writer.writerow(row.as_list())
+        return out.getvalue().encode()
+
+    def write_csv(self, path) -> None:
+        with open(path, "wb") as fh:
+            fh.write(self.csv_bytes())
+
+    # -- convenient views ------------------------------------------------------
+
+    def series(self, node: str, column: str) -> list[tuple[int, float]]:
+        idx = COLUMNS.index(column)
+        out = []
+        for row in self.rows:
+            if row.node == node:
+                out.append((row.time_ms, float(row.as_list()[idx])))
+        return out
+
+    def final(self, node: str, column: str) -> float:
+        series = self.series(node, column)
+        return series[-1][1] if series else 0.0
+
+    def mean_over(self, node: str, column: str, t_from_ms: int, t_to_ms: int) -> float:
+        points = [v for t, v in self.series(node, column) if t_from_ms <= t <= t_to_ms]
+        if not points:
+            raise ValueError(f"no samples for {node}/{column} in window")
+        return float(np.mean(points))
+
+    def max_over(self, node: str, column: str) -> float:
+        return max(v for _, v in self.series(node, column))
+
+
+def load_csv(path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return header, list(reader)
+
+
+def summarize_run(collector: MetricsCollector) -> dict:
+    """Headline numbers for one replicate, recomputable from its CSV."""
+    by_role: dict[str, list[str]] = {}
+    for row in collector.rows:
+        by_role.setdefault(row.role, [])
+        if row.node not in by_role[row.role]:
+            by_role[row.role].append(row.node)
+    consumers = by_role.get("consumer", [])
+    sent = sum(collector.final(c, "interests_sent") for c in consumers)
+    satisfied = sum(collector.final(c, "requests_satisfied") for c in consumers)
+    summary = {
+        "honest_satisfaction_ratio": (satisfied / sent) if sent else 1.0,
+        "poisoned_accepted": sum(collector.final(c, "accepted_poisoned") for c in consumers),
+        "poisoned_received": sum(collector.final(c, "poisoned_received") for c in consumers),
+        "pit_peak": {
+            r: collector.max_over(r, "pit_size") for r in by_role.get("router", [])
+        },
+        "poisoned_cached": {
+            r: collector.final(r, "poisoned_cached") for r in by_role.get("router", [])
+        },
+        "producer_served": {
+            p: collector.final(p, "produced_served") for p in by_role.get("producer", [])
+        },
+    }
+    return summary
+
+
+def aggregate_replicates(per_replicate: list[dict]) -> dict:
+    """Means and normal-approximation 95% confidence intervals across
+    replicates for every scalar metric in the per-replicate summaries."""
+    out: dict = {"replicates": len(per_replicate)}
+    scalars = [k for k, v in per_replicate[0].items() if isinstance(v, (int, float))]
+    for key in scalars:
+        values = np.array([rep[key] for rep in per_replicate], dtype=float)
+        mean = float(values.mean())
+        if len(values) > 1:
+            half = 1.96 * float(values.std(ddof=1)) / math.sqrt(len(values))
+        else:
+            half = 0.0
+        out[key] = {"mean": mean, "ci95": [mean - half, mean + half]}
+    return out

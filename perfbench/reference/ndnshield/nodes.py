@@ -1,0 +1,860 @@
+"""Behavioral node models: consumers, producers, and compromised routers.
+
+Consumers verify every delivered packet, re-request around bad copies via
+the exclude filter, and (in the self-certifying modes) walk hash-linked
+fragment chains with a bounded window of concurrently pending interests.
+Producers serve a pre-signed static catalog plus an optional dynamic
+handler whose responses are signed per request at a configurable
+simulated cost. A compromised router answers interests under a target
+prefix with freshly minted poisoned content instead of forwarding them.
+"""
+
+from __future__ import annotations
+
+import struct
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+from .crypto import (
+    KeyPair,
+    assemble_packet,
+    compute_content_hash,
+    encode_for_hash,
+    sha256,
+    sign_packet,
+    verify_signature,
+)
+from .packets import (
+    BloomExclude,
+    DataPacket,
+    EmbeddedKey,
+    ExplicitExclude,
+    Interest,
+    KeyName,
+    Name,
+    digest_component,
+    interest_matches,
+    is_digest_component,
+)
+from .poisoning import feedback_interest
+from .router import Action, Router, SendData
+
+MS = 1000
+
+VALID = "valid"
+CORRUPTED = "corrupted"
+FAKE = "fake"
+HASH_MISMATCH = "hash-mismatch"
+PENDING_KEY = "pending-key"
+
+MODE_PLAIN = "plain"
+MODE_SSCID = "s-scid"
+MODE_DSCID = "d-scid"
+MODE_COMBINED = "combined"
+
+CONSUMER_MODES = (MODE_PLAIN, MODE_SSCID, MODE_DSCID, MODE_COMBINED)
+
+
+class CatalogError(ValueError):
+    """Raised for impossible static catalogs, e.g. cyclic hash links."""
+
+
+# ---------------------------------------------------------------------------
+# Static collections with forward hash links
+# ---------------------------------------------------------------------------
+
+
+def encode_fragment_payload(link_hashes: list[bytes], body: bytes) -> bytes:
+    out = bytearray(struct.pack(">I", len(link_hashes)))
+    for h in link_hashes:
+        out += h
+    out += body
+    return bytes(out)
+
+
+def decode_fragment_links(payload: bytes) -> list[bytes]:
+    (count,) = struct.unpack_from(">I", payload, 0)
+    if 4 + count * 32 > len(payload):
+        raise ValueError("truncated link table")
+    return [payload[4 + 32 * i : 4 + 32 * (i + 1)] for i in range(count)]
+
+
+def build_collection(
+    base: Name,
+    bodies: list[bytes],
+    window: int,
+    key: KeyPair,
+    links: Optional[dict[int, tuple[int, ...]]] = None,
+) -> list[DataPacket]:
+    """Build fragments CO_1..CO_m where each packet embeds the hashes of the
+    packets it links to. Linked packets must be built first, so the link
+    graph must be acyclic; the default is forward links to the next
+    `window` fragments, which always is.
+
+    Fragment i is named base/<i> (1-based decimal component).
+    """
+    m = len(bodies)
+    if links is None:
+        links = {i: tuple(range(i + 1, min(i + window, m) + 1)) for i in range(1, m + 1)}
+    # A packet can only embed the hash of an already-built packet; an order
+    # exists iff the link graph is acyclic.
+    order: list[int] = []
+    state: dict[int, int] = {}  # 0 visiting, 1 done
+
+    def visit(i: int, stack: tuple[int, ...]) -> None:
+        if state.get(i) == 1:
+            return
+        if state.get(i) == 0:
+            cycle = " -> ".join(str(x) for x in stack + (i,))
+            raise CatalogError(f"cyclic fragment links: {cycle}")
+        state[i] = 0
+        for j in links.get(i, ()):
+            if not 1 <= j <= m:
+                raise CatalogError(f"fragment {i} links to nonexistent fragment {j}")
+            visit(j, stack + (i,))
+        state[i] = 1
+        order.append(i)
+
+    for i in range(1, m + 1):
+        visit(i, ())
+
+    packets: dict[int, DataPacket] = {}
+    hashes: dict[int, bytes] = {}
+    for i in order:
+        link_hashes = [hashes[j] for j in links.get(i, ())]
+        payload = encode_fragment_payload(link_hashes, bodies[i - 1])
+        pkt = sign_packet(base.child(b"%d" % i), payload, key)
+        packets[i] = pkt
+        hashes[i] = compute_content_hash(pkt)
+    return [packets[i] for i in range(1, m + 1)]
+
+
+@dataclass
+class StaticCollection:
+    base: Name
+    window: int
+    packets: list[DataPacket]
+
+    @property
+    def fragment_count(self) -> int:
+        return len(self.packets)
+
+    def first_hash(self) -> bytes:
+        return compute_content_hash(self.packets[0])
+
+
+# ---------------------------------------------------------------------------
+# Node base
+# ---------------------------------------------------------------------------
+
+
+class NodeBase:
+    def __init__(self, node_id: str):
+        self.id = node_id
+        self.stats: Counter = Counter()
+        self.ifaces: dict[int, object] = {}
+        self.net = None
+
+    def attach_iface(self, info) -> None:
+        self.ifaces[info.iface] = info
+
+    def role(self) -> str:
+        raise NotImplementedError
+
+    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+        return []
+
+    def start(self) -> None:
+        pass
+
+    def gauges(self) -> dict[str, float]:
+        return {}
+
+    def default_iface(self) -> int:
+        return min(self.ifaces)
+
+
+# ---------------------------------------------------------------------------
+# Producer
+# ---------------------------------------------------------------------------
+
+
+class Producer(NodeBase):
+    """Serves a pre-signed static catalog and optionally signs dynamic
+    content on demand. Unsatisfiable interests are ignored outright; they
+    cost the producer nothing."""
+
+    def __init__(
+        self,
+        node_id: str,
+        prefix: Name,
+        key: KeyPair,
+        *,
+        dynamic_prefix: Optional[Name] = None,
+        dynamic_handler: Optional[Callable[[Name], bytes]] = None,
+        payload_size: int = 1024,
+        sign_service_us: int = 800,
+        static_service_us: int = 10,
+    ):
+        super().__init__(node_id)
+        self.prefix = prefix
+        self.key = key
+        self.dynamic_prefix = dynamic_prefix
+        self.payload_size = payload_size
+        self.sign_service_us = sign_service_us
+        self.static_service_us = static_service_us
+        self._dynamic_handler = dynamic_handler or self._default_dynamic_payload
+        self._by_base: dict[Name, DataPacket] = {}
+        self._by_full: dict[Name, DataPacket] = {}
+        self.collections: dict[bytes, StaticCollection] = {}
+        self._busy_until = 0
+
+    def role(self) -> str:
+        return "producer"
+
+    # -- catalog -----------------------------------------------------------
+
+    def add_static_packet(self, pkt: DataPacket) -> None:
+        self._by_base[pkt.base_name()] = pkt
+        self._by_full[pkt.name] = pkt
+
+    def add_static_item(self, name: Name, payload: bytes) -> DataPacket:
+        pkt = sign_packet(name, payload, self.key)
+        self.add_static_packet(pkt)
+        return pkt
+
+    def add_collection(self, collection: bytes, bodies: list[bytes], window: int) -> StaticCollection:
+        base = self.prefix.child(collection)
+        packets = build_collection(base, bodies, window, self.key)
+        col = StaticCollection(base, window, packets)
+        self.collections[collection] = col
+        for pkt in packets:
+            self.add_static_packet(pkt)
+        return col
+
+    def _default_dynamic_payload(self, name: Name) -> bytes:
+        seed = sha256(str(name).encode())
+        reps = self.payload_size // 32 + 1
+        return (seed * reps)[: self.payload_size]
+
+    # -- serving ---------------------------------------------------------------
+
+    def serve(self, interest: Interest, now: int) -> Optional[tuple[DataPacket, int]]:
+        """A packet and its service cost, or None for unsatisfiable names."""
+        if not self.prefix.is_prefix_of(interest.name):
+            return None
+        pkt = self._by_full.get(interest.name) or self._by_base.get(
+            Name(interest.name.components[:-1])
+            if interest.name.components and is_digest_component(interest.name.components[-1])
+            else interest.name
+        )
+        if pkt is not None and interest_matches(pkt, interest):
+            return pkt, self.static_service_us
+        if interest.publisher_key_digest is not None and (
+            interest.publisher_key_digest != self.key.digest
+        ):
+            return None  # no key of ours can match; ignored without cost
+        if self.dynamic_prefix is not None and self.dynamic_prefix.is_prefix_of(interest.name):
+            base = (
+                Name(interest.name.components[:-1])
+                if interest.name.components and is_digest_component(interest.name.components[-1])
+                else interest.name
+            )
+            fresh = sign_packet(base, self._dynamic_handler(base), self.key)
+            if interest_matches(fresh, interest):
+                return fresh, self.sign_service_us
+        return None
+
+    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+        if not isinstance(pkt, Interest):
+            return []
+        self.stats["interests_received"] += 1
+        result = self.serve(pkt, now)
+        if result is None:
+            self.stats["interests_ignored"] += 1
+            return []
+        data, service_us = result
+        # Single-server queue: expensive signing backs up under load.
+        depart = max(now, self._busy_until) + service_us
+        self._busy_until = depart
+        self.stats["produced_served"] += 1
+        self.stats["producer_busy_us"] += service_us
+        self.net.after(depart - now, lambda: self.net.send_from(self.id, iface, data))
+        return []
+
+    def gauges(self) -> dict[str, float]:
+        return {"producer_queue_us": max(0, self._busy_until - self.net.now) if self.net else 0}
+
+
+# ---------------------------------------------------------------------------
+# Consumer machinery
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _PendingKeyFetch:
+    packets: list[tuple[DataPacket, Callable[[str, DataPacket], None]]] = field(
+        default_factory=list
+    )
+
+
+class ConsumerBase(NodeBase):
+    """Shared verification, feedback, and key-fetch machinery."""
+
+    def __init__(
+        self,
+        node_id: str,
+        rng,
+        *,
+        trusted_key_digest: Optional[bytes] = None,
+        lifetime_ms: int = 4000,
+        emit_feedback: bool = True,
+    ):
+        super().__init__(node_id)
+        self.rng = rng
+        self.trusted_key_digest = trusted_key_digest
+        self.lifetime_ms = lifetime_ms
+        self.emit_feedback = emit_feedback
+        self.copies_by_iface: Counter = Counter()
+        self._key_cache: dict[Name, bytes] = {}
+        self._key_fetches: dict[Name, _PendingKeyFetch] = {}
+
+    def role(self) -> str:
+        return "consumer"
+
+    def _nonce(self) -> int:
+        return self.rng.u64()
+
+    # -- verification -------------------------------------------------------
+
+    def classify(self, pkt: DataPacket, key_der: bytes) -> str:
+        if sha256(key_der) != pkt.publisher_key_digest:
+            return CORRUPTED  # identity claim inconsistent with the key
+        if not verify_signature(pkt, key_der):
+            return CORRUPTED
+        if self.trusted_key_digest is not None and (
+            pkt.publisher_key_digest != self.trusted_key_digest
+        ):
+            return FAKE
+        return VALID
+
+    def verify_delivery(
+        self,
+        pkt: DataPacket,
+        expected_hash: Optional[bytes],
+        done: Callable[[str, DataPacket], None],
+        now: int,
+    ) -> None:
+        """Classify a delivered packet, fetching the verification key first
+        when the packet names one; `done(status, pkt)` runs exactly once."""
+        if expected_hash is not None and compute_content_hash(pkt) != expected_hash:
+            done(HASH_MISMATCH, pkt)
+            return
+        locator = pkt.key_locator
+        if isinstance(locator, EmbeddedKey):
+            done(self.classify(pkt, locator.key_der), pkt)
+            return
+        key_name = locator.name
+        cached = self._key_cache.get(key_name)
+        if cached is not None:
+            done(self.classify(pkt, cached), pkt)
+            return
+        fetch = self._key_fetches.get(key_name)
+        if fetch is not None:
+            fetch.packets.append((pkt, done))
+            return
+        fetch = _PendingKeyFetch(packets=[(pkt, done)])
+        self._key_fetches[key_name] = fetch
+        interest = Interest(key_name, self._nonce(), lifetime_ms=self.lifetime_ms)
+        self.stats["key_interests_sent"] += 1
+        self.net.send_from(self.id, self.default_iface(), interest)
+        self.net.after(self.lifetime_ms * MS, lambda: self._key_timeout(key_name))
+
+    def _key_timeout(self, key_name: Name) -> None:
+        fetch = self._key_fetches.pop(key_name, None)
+        if fetch is None:
+            return
+        self.stats["key_fetch_timeouts"] += 1
+        for pkt, done in fetch.packets:
+            self.stats["received_unverifiable"] += 1
+            done(PENDING_KEY, pkt)
+
+    def _maybe_resolve_key(self, pkt: DataPacket, now: int) -> bool:
+        """Treat arriving data as a verification key if one is awaited."""
+        for key_name in list(self._key_fetches):
+            if key_name.is_prefix_of(pkt.name):
+                fetch = self._key_fetches.pop(key_name)
+                self._key_cache[key_name] = pkt.payload
+                for parked, done in fetch.packets:
+                    done(self.classify(parked, pkt.payload), parked)
+                return True
+        return False
+
+    # -- feedback ------------------------------------------------------------
+
+    def send_feedback(self, iface: int, pkt: DataPacket) -> None:
+        if not self.emit_feedback:
+            return
+        self.stats["feedback_sent"] += 1
+        self.net.send_from(self.id, iface, feedback_interest(compute_content_hash(pkt), self._nonce()))
+
+    def record_outcome(self, status: str, pkt: DataPacket) -> None:
+        if pkt.poisoned:
+            self.stats["poisoned_received"] += 1
+        if status == VALID:
+            self.stats["received_valid"] += 1
+            if pkt.poisoned:
+                self.stats["accepted_poisoned"] += 1
+        elif status == CORRUPTED:
+            self.stats["received_corrupted"] += 1
+        elif status == FAKE:
+            self.stats["received_fake"] += 1
+        elif status == HASH_MISMATCH:
+            self.stats["received_hash_mismatch"] += 1
+
+
+# ---------------------------------------------------------------------------
+# Request consumer: fixed schedule of one-shot fetches
+# ---------------------------------------------------------------------------
+
+
+class RequestConsumer(ConsumerBase):
+    """Issues interests on a schedule: either explicit send times or a
+    fixed rate between start and stop. Names come from a cycled list or a
+    generator of unique names (to defeat caching when measuring network
+    health)."""
+
+    def __init__(
+        self,
+        node_id: str,
+        rng,
+        *,
+        names: Optional[list[Name]] = None,
+        unique_under: Optional[Name] = None,
+        rate_per_s: float = 0.0,
+        start_ms: int = 0,
+        stop_ms: int = 0,
+        at_ms: Optional[list[int]] = None,
+        retries: int = 0,
+        mode: str = MODE_PLAIN,
+        trusted_key_digest: Optional[bytes] = None,
+        lifetime_ms: int = 4000,
+        send_on_all_interfaces: bool = False,
+        emit_feedback: bool = True,
+    ):
+        super().__init__(
+            node_id,
+            rng,
+            trusted_key_digest=trusted_key_digest,
+            lifetime_ms=lifetime_ms,
+            emit_feedback=emit_feedback,
+        )
+        if mode not in (MODE_PLAIN, MODE_DSCID):
+            raise ValueError("request consumers support plain and d-scid modes")
+        if (names is None) == (unique_under is None):
+            raise ValueError("provide exactly one of names / unique_under")
+        self.names = names
+        self.unique_under = unique_under
+        self.rate_per_s = rate_per_s
+        self.start_ms = start_ms
+        self.stop_ms = stop_ms
+        self.at_ms = at_ms
+        self.retries = retries
+        self.mode = mode
+        self.send_on_all_interfaces = send_on_all_interfaces
+        self._seq = 0
+        self._pending: dict[Name, dict] = {}
+        self._past: set[Name] = set()
+
+    def start(self) -> None:
+        if self.at_ms is not None:
+            for t in self.at_ms:
+                self.net.at(t * MS, self._fire, "wakeup")
+        elif self.rate_per_s > 0:
+            period = 1e6 / self.rate_per_s
+            phase = self.rng.uniform(0, period)
+            t = self.start_ms * MS + phase
+            while t < self.stop_ms * MS:
+                self.net.at(int(t), self._fire, "wakeup")
+                t += period
+
+    def _next_name(self) -> Name:
+        if self.names is not None:
+            name = self.names[self._seq % len(self.names)]
+        else:
+            name = self.unique_under.child(f"{self.id}-{self._seq}".encode())
+        self._seq += 1
+        return name
+
+    def _fire(self) -> None:
+        self._issue(self._next_name(), retries_left=self.retries)
+
+    def _issue(self, name: Name, retries_left: int) -> None:
+        digest = self.trusted_key_digest if self.mode == MODE_DSCID else None
+        interest = Interest(name, self._nonce(), publisher_key_digest=digest,
+                            lifetime_ms=self.lifetime_ms)
+        token = object()
+        self._pending[name] = {"token": token, "retries_left": retries_left,
+                               "interest": interest, "sent": self.net.now}
+        self.stats["interests_sent"] += 1
+        targets = sorted(self.ifaces) if self.send_on_all_interfaces else [self.default_iface()]
+        for iface in targets:
+            self.net.send_from(self.id, iface, interest)
+        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(name, token))
+
+    def _timeout(self, name: Name, token) -> None:
+        pending = self._pending.get(name)
+        if pending is None or pending["token"] is not token:
+            return
+        del self._pending[name]
+        if pending["retries_left"] > 0:
+            self.stats["retries"] += 1
+            self._issue(name, pending["retries_left"] - 1)
+        else:
+            self.stats["requests_failed"] += 1
+
+    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+        if not isinstance(pkt, DataPacket):
+            return []
+        if self._maybe_resolve_key(pkt, now):
+            return []
+        matched_name = None
+        for name, pending in self._pending.items():
+            if interest_matches(pkt, pending["interest"]):
+                matched_name = name
+                break
+        if matched_name is None:
+            for name in self._past:
+                if name.is_prefix_of(pkt.name):
+                    self.copies_by_iface[iface] += 1
+                    self.stats["copies_received"] += 1
+                    break
+            return []
+        self.copies_by_iface[iface] += 1
+        self.stats["copies_received"] += 1
+        pending = self._pending.pop(matched_name)
+        self._past.add(matched_name)
+
+        def done(status: str, packet: DataPacket, _iface=iface) -> None:
+            self.record_outcome(status, packet)
+            if status == VALID:
+                self.stats["requests_satisfied"] += 1
+            elif status == PENDING_KEY:
+                self.stats["requests_satisfied"] += 1  # delivered, key unresolvable
+            else:
+                self.send_feedback(_iface, packet)
+                self.stats["requests_failed"] += 1
+
+        self.verify_delivery(pkt, None, done, now)
+        return []
+
+    def gauges(self) -> dict[str, float]:
+        sent = self.stats["interests_sent"]
+        ratio = self.stats["requests_satisfied"] / sent if sent else 1.0
+        return {"satisfaction_ratio": ratio, "pending_requests": len(self._pending)}
+
+
+# ---------------------------------------------------------------------------
+# Collection consumer: windowed chained fetch
+# ---------------------------------------------------------------------------
+
+
+class CollectionConsumer(ConsumerBase):
+    """Fetches fragments base/1..base/m with at most `window` concurrently
+    pending interests. In the hash-chained modes each fragment's interest
+    carries the digest learned from an earlier fragment's forward links."""
+
+    def __init__(
+        self,
+        node_id: str,
+        rng,
+        *,
+        base: Name,
+        fragment_count: int,
+        window: int,
+        mode: str = MODE_PLAIN,
+        trusted_key_digest: Optional[bytes] = None,
+        first_hash: Optional[bytes] = None,
+        start_ms: int = 0,
+        lifetime_ms: int = 4000,
+        max_retries: int = 3,
+        exclude_cap: int = 16,
+        emit_feedback: bool = True,
+    ):
+        super().__init__(
+            node_id,
+            rng,
+            trusted_key_digest=trusted_key_digest,
+            lifetime_ms=lifetime_ms,
+            emit_feedback=emit_feedback,
+        )
+        if mode not in CONSUMER_MODES:
+            raise ValueError(f"unknown consumer mode {mode!r}")
+        if mode == MODE_SSCID and first_hash is None:
+            raise ValueError("s-scid mode needs the first fragment's hash out of band")
+        if mode in (MODE_DSCID, MODE_COMBINED) and trusted_key_digest is None:
+            raise ValueError("d-scid modes need a trusted producer key digest")
+        self.base = base
+        self.m = fragment_count
+        self.window = window
+        self.mode = mode
+        self.first_hash = first_hash
+        self.start_ms = start_ms
+        self.max_retries = max_retries
+        self.exclude_cap = exclude_cap
+        self.known_hashes: dict[int, bytes] = {}
+        if first_hash is not None:
+            self.known_hashes[1] = first_hash
+        self._pending: dict[int, dict] = {}
+        self._done: dict[int, str] = {}  # fragment -> "ok" | "failed"
+        self._next = 1
+
+    @property
+    def uses_hashes(self) -> bool:
+        return self.mode in (MODE_SSCID, MODE_COMBINED)
+
+    @property
+    def uses_digest(self) -> bool:
+        return self.mode in (MODE_DSCID, MODE_COMBINED)
+
+    def start(self) -> None:
+        self.net.at(self.start_ms * MS, self._advance, "wakeup")
+
+    def _fragment_name(self, i: int) -> Name:
+        return self.base.child(b"%d" % i)
+
+    def _can_request(self, i: int) -> bool:
+        if not self.uses_hashes:
+            return True
+        if i in self.known_hashes:
+            return True
+        # Combined mode bootstraps the collection head on the key digest.
+        return i == 1 and self.mode == MODE_COMBINED
+
+    def _advance(self) -> None:
+        while (
+            len(self._pending) < self.window
+            and self._next <= self.m
+            and self._can_request(self._next)
+        ):
+            i = self._next
+            self._next += 1
+            self._issue(i, retries_left=self.max_retries, exclude=frozenset())
+        if not self._pending and self._next > self.m:
+            self._finish()
+
+    def _finish(self) -> None:
+        if "session_done" in self.stats:
+            return
+        self.stats["session_done"] = 1
+        self.stats["fragments_completed"] = sum(1 for s in self._done.values() if s == "ok")
+        self.stats["fragments_failed"] = sum(1 for s in self._done.values() if s == "failed")
+
+    def _issue(self, i: int, retries_left: int, exclude: frozenset[bytes]) -> None:
+        name = self._fragment_name(i)
+        expected = self.known_hashes.get(i) if self.uses_hashes else None
+        if expected is not None:
+            name = name.child(digest_component(expected))
+        exclude_filter = None
+        if exclude:
+            if len(exclude) > self.exclude_cap:
+                # Retry chain exhausted its exclude budget: one final interest
+                # that excludes everything, then give up on the fragment.
+                exclude_filter = BloomExclude.all_ones()
+                retries_left = 0
+            else:
+                exclude_filter = ExplicitExclude(frozenset(exclude))
+        interest = Interest(
+            name,
+            self._nonce(),
+            publisher_key_digest=self.trusted_key_digest if self.uses_digest else None,
+            exclude=exclude_filter,
+            lifetime_ms=self.lifetime_ms,
+        )
+        token = object()
+        self._pending[i] = {
+            "token": token,
+            "interest": interest,
+            "retries_left": retries_left,
+            "exclude": exclude,
+            "expected": expected,
+            "sent": self.net.now,
+        }
+        self.stats["interests_sent"] += 1
+        self.net.send_from(self.id, self.default_iface(), interest)
+        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(i, token))
+
+    def _timeout(self, i: int, token) -> None:
+        pending = self._pending.get(i)
+        if pending is None or pending["token"] is not token:
+            return
+        del self._pending[i]
+        if pending["retries_left"] > 0:
+            self.stats["retries"] += 1
+            self._issue(i, pending["retries_left"] - 1, pending["exclude"])
+        else:
+            self._done[i] = "failed"
+            self.stats["requests_failed"] += 1
+            self._advance()
+
+    def _learn_links(self, i: int, pkt: DataPacket) -> None:
+        try:
+            hashes = decode_fragment_links(pkt.payload)
+        except (ValueError, struct.error):
+            return
+        for offset, h in enumerate(hashes, start=1):
+            j = i + offset
+            if j <= self.m:
+                self.known_hashes.setdefault(j, h)
+
+    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+        if not isinstance(pkt, DataPacket):
+            return []
+        if self._maybe_resolve_key(pkt, now):
+            return []
+        matched = None
+        for i, pending in self._pending.items():
+            if interest_matches(pkt, pending["interest"]):
+                matched = i
+                break
+        self.copies_by_iface[iface] += 1
+        self.stats["copies_received"] += 1
+        if matched is None:
+            return []
+        pending = self._pending.pop(matched)
+
+        def accept(i=matched) -> None:
+            self._done[i] = "ok"
+            self.stats["requests_satisfied"] += 1
+            self._learn_links(i, pkt)
+            self._advance()
+
+        def reject(packet: DataPacket, i=matched, _iface=iface) -> None:
+            # Bad copy: exclude its distinguishing component and re-request.
+            self.send_feedback(_iface, packet)
+            prefix_len = len(self.base) + 1  # base/<i>
+            distinguishing = (
+                packet.name.components[prefix_len]
+                if len(packet.name) > prefix_len
+                else packet.name.components[-1]
+            )
+            exclude = pending["exclude"] | {distinguishing}
+            if pending["retries_left"] > 0:
+                self.stats["retries"] += 1
+                self._issue(i, pending["retries_left"] - 1, exclude)
+            else:
+                self._done[i] = "failed"
+                self.stats["requests_failed"] += 1
+                self._advance()
+
+        if isinstance(pkt.key_locator, KeyName) and pkt.key_locator.name not in self._key_cache:
+            # Named keys resolve (or time out) asynchronously; the window
+            # advances on delivery so a slow key chain cannot stall the
+            # whole fetch. The verdict still lands in the counters.
+            accept()
+            self.verify_delivery(pkt, pending["expected"], lambda s, p: self.record_outcome(s, p), now)
+            return []
+
+        def done(status: str, packet: DataPacket) -> None:
+            self.record_outcome(status, packet)
+            if status in (VALID, PENDING_KEY):
+                accept()
+            else:
+                reject(packet)
+
+        self.verify_delivery(pkt, pending["expected"], done, now)
+        return []
+
+    def gauges(self) -> dict[str, float]:
+        sent = self.stats["interests_sent"]
+        ratio = self.stats["requests_satisfied"] / sent if sent else 1.0
+        return {
+            "satisfaction_ratio": ratio,
+            "pending_requests": len(self._pending),
+            "fragments_ok": sum(1 for s in self._done.values() if s == "ok"),
+        }
+
+
+# ---------------------------------------------------------------------------
+# Compromised router
+# ---------------------------------------------------------------------------
+
+
+class CompromisedRouter(Router):
+    """A router that answers interests under a target prefix with poisoned
+    content instead of forwarding them. In corrupted mode the packets carry
+    the honest producer's identity but a garbage signature; in fake mode
+    they are validly signed under the adversary's own key."""
+
+    def __init__(
+        self,
+        node_id: str,
+        *,
+        poison_mode: str,
+        target_prefix: Name,
+        adversary_key: KeyPair,
+        honest_key_der: bytes = b"",
+        honest_key_digest: bytes = b"",
+        rng=None,
+        config=None,
+    ):
+        super().__init__(node_id, config=config, rng=rng)
+        if poison_mode not in ("corrupted", "fake"):
+            raise ValueError("poison mode must be corrupted or fake")
+        if poison_mode == "corrupted" and not (honest_key_der and honest_key_digest):
+            raise ValueError("corrupted mode impersonates an honest producer key")
+        self.poison_mode = poison_mode
+        self.target_prefix = target_prefix
+        self.adversary_key = adversary_key
+        self.honest_key_der = honest_key_der
+        self.honest_key_digest = honest_key_digest
+
+    def role(self) -> str:
+        return "compromised-router"
+
+    def make_poison(self, interest: Interest) -> DataPacket:
+        requested_hash = interest.requested_hash()
+        base = (
+            Name(interest.name.components[:-1]) if requested_hash is not None else interest.name
+        )
+        payload = self.rng.bytes(max(64, len(interest.name.components) * 8))
+        if self.poison_mode == "fake":
+            pkt = sign_packet(base, payload, self.adversary_key, poisoned=True)
+        else:
+            draft = assemble_packet(
+                base,
+                payload,
+                signature=self.rng.bytes(128),
+                key_locator=EmbeddedKey(self.honest_key_der),
+                publisher_key_digest=self.honest_key_digest,
+                poisoned=True,
+            )
+            pkt = assemble_packet(
+                base.child(digest_component(sha256(encode_for_hash(draft)))),
+                draft.payload,
+                draft.signature,
+                draft.key_locator,
+                draft.publisher_key_digest,
+                poisoned=True,
+            )
+        if requested_hash is not None:
+            # Mimic the requested name exactly; the bytes cannot hash to it.
+            pkt = assemble_packet(
+                Name(pkt.name.components[:-1] + (digest_component(requested_hash),)),
+                pkt.payload,
+                pkt.signature,
+                pkt.key_locator,
+                pkt.publisher_key_digest,
+                poisoned=True,
+            )
+        return pkt
+
+    def on_interest(self, iface: int, interest: Interest, now: int) -> list[Action]:
+        if self.target_prefix.is_prefix_of(interest.name) and not self._is_control_name(
+            interest.name
+        ):
+            self.stats["interests_received"] += 1
+            self.stats["poison_injected"] += 1
+            return [SendData(iface, self.make_poison(interest))]
+        return super().on_interest(iface, interest, now)

@@ -1,0 +1,515 @@
+"""Packet types, hierarchical names, wire encoding and the matching predicate.
+
+Interests and data packets are the only two packet kinds on the wire.
+Everything here is an immutable value: safe to share across simulation
+instances and cheap to use as dict keys.
+
+The wire encoding is deliberately simple (32-bit big-endian counts and
+lengths throughout) so that signatures and content hashes are bit-exact
+and can be checked against golden vectors.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Iterator, Optional, Union
+
+MAX_COMPONENT_LEN = 255
+MAX_COMPONENTS = 33  # 32 ordinary components plus an appended digest component
+
+# A digest-typed component is a 1-byte type tag followed by a 32-byte digest.
+DIGEST_COMPONENT_TAG = 0x01
+DIGEST_COMPONENT_LEN = 33
+
+_ESCAPED_BYTES = frozenset(range(0x20)) | {0x2F, 0x25}  # control bytes, '/', '%'
+
+
+class NameParseError(ValueError):
+    """Raised for malformed textual names or oversized components."""
+
+
+class WireFormatError(ValueError):
+    """Raised when decoding malformed wire bytes."""
+
+
+def _escape_component(component: bytes) -> str:
+    out = []
+    for b in component:
+        if b in _ESCAPED_BYTES:
+            out.append("%%%02X" % b)
+        else:
+            out.append(chr(b))
+    return "".join(out)
+
+
+def _unescape_component(text: str) -> bytes:
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "%":
+            if i + 3 > len(text):
+                raise NameParseError(f"truncated escape in component {text!r}")
+            try:
+                out.append(int(text[i + 1 : i + 3], 16))
+            except ValueError:
+                raise NameParseError(f"malformed escape in component {text!r}") from None
+            i += 3
+        else:
+            code = ord(ch)
+            if code > 0xFF:
+                raise NameParseError(f"non-byte character {ch!r} in component")
+            out.append(code)
+            i += 1
+    return bytes(out)
+
+
+@dataclass(frozen=True)
+class Name:
+    """An ordered list of opaque byte-string components."""
+
+    components: tuple[bytes, ...] = ()
+
+    def __post_init__(self):
+        if len(self.components) > MAX_COMPONENTS:
+            raise NameParseError(f"too many components ({len(self.components)})")
+        for comp in self.components:
+            if not comp:
+                raise NameParseError("empty name component")
+            if len(comp) > MAX_COMPONENT_LEN:
+                raise NameParseError(f"component longer than {MAX_COMPONENT_LEN} bytes")
+
+    @classmethod
+    def parse(cls, text: str) -> "Name":
+        """Parse the textual form; '' and '/' both denote the empty name."""
+        if text in ("", "/"):
+            return cls(())
+        if not text.startswith("/"):
+            raise NameParseError(f"name must start with '/': {text!r}")
+        parts = text[1:].split("/")
+        comps = tuple(_unescape_component(p) for p in parts)
+        return cls(comps)
+
+    @classmethod
+    def of(cls, *components: bytes | str) -> "Name":
+        return cls(tuple(c.encode() if isinstance(c, str) else c for c in components))
+
+    def __str__(self) -> str:
+        if not self.components:
+            return "/"
+        return "/" + "/".join(_escape_component(c) for c in self.components)
+
+    def __len__(self) -> int:
+        return len(self.components)
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self.components)
+
+    def is_prefix_of(self, other: "Name") -> bool:
+        return self.components == other.components[: len(self.components)]
+
+    def child(self, component: bytes | str) -> "Name":
+        comp = component.encode() if isinstance(component, str) else component
+        return Name(self.components + (comp,))
+
+    def join(self, other: "Name") -> "Name":
+        return Name(self.components + other.components)
+
+    def prefix(self, length: int) -> "Name":
+        return Name(self.components[:length])
+
+    def prefixes(self) -> Iterator["Name"]:
+        """All prefixes of this name, shortest first, including itself."""
+        for i in range(len(self.components) + 1):
+            yield Name(self.components[:i])
+
+    @property
+    def last(self) -> bytes:
+        return self.components[-1]
+
+
+def parse_name(text: str) -> Name:
+    return Name.parse(text)
+
+
+def format_name(name: Name) -> str:
+    return str(name)
+
+
+def is_prefix_of(prefix: Name, name: Name) -> bool:
+    return prefix.is_prefix_of(name)
+
+
+def digest_component(digest: bytes) -> bytes:
+    """Wrap a 32-byte digest as a digest-typed name component."""
+    if len(digest) != 32:
+        raise ValueError("digest component requires a 32-byte digest")
+    return bytes([DIGEST_COMPONENT_TAG]) + digest
+
+
+def is_digest_component(component: bytes) -> bool:
+    return len(component) == DIGEST_COMPONENT_LEN and component[0] == DIGEST_COMPONENT_TAG
+
+
+def component_digest(component: bytes) -> bytes:
+    if not is_digest_component(component):
+        raise ValueError("not a digest-typed component")
+    return component[1:]
+
+
+class AnswerOrigin(Enum):
+    ANY = 0
+    PRODUCER_ONLY = 1
+
+
+# ---------------------------------------------------------------------------
+# Exclude filters
+# ---------------------------------------------------------------------------
+
+BLOOM_BITS = 256
+BLOOM_HASHES = 4
+
+
+def bloom_probe_indices(component: bytes) -> tuple[int, ...]:
+    """The k bit positions probed for a component (first 8 digest bytes)."""
+    h = hashlib.sha256(component).digest()
+    return tuple(
+        int.from_bytes(h[2 * i : 2 * i + 2], "big") % BLOOM_BITS for i in range(BLOOM_HASHES)
+    )
+
+
+@dataclass(frozen=True)
+class ExplicitExclude:
+    """Excludes exactly the listed components."""
+
+    components: frozenset[bytes]
+
+    def excludes(self, component: bytes) -> bool:
+        return component in self.components
+
+    def with_component(self, component: bytes) -> "ExplicitExclude":
+        return ExplicitExclude(self.components | {component})
+
+
+@dataclass(frozen=True)
+class BloomExclude:
+    """Fixed-geometry Bloom filter over components (m=256 bits, k=4)."""
+
+    bits: bytes  # 32 bytes, bit i = byte i//8, mask 1 << (i % 8)
+
+    def __post_init__(self):
+        if len(self.bits) != BLOOM_BITS // 8:
+            raise ValueError("bloom filter must be exactly 256 bits")
+
+    @classmethod
+    def from_components(cls, components) -> "BloomExclude":
+        bits = bytearray(BLOOM_BITS // 8)
+        for comp in components:
+            for idx in bloom_probe_indices(comp):
+                bits[idx // 8] |= 1 << (idx % 8)
+        return cls(bytes(bits))
+
+    @classmethod
+    def all_ones(cls) -> "BloomExclude":
+        return cls(b"\xff" * (BLOOM_BITS // 8))
+
+    def excludes(self, component: bytes) -> bool:
+        return all(self.bits[i // 8] & (1 << (i % 8)) for i in bloom_probe_indices(component))
+
+
+Exclude = Union[ExplicitExclude, BloomExclude]
+
+
+# ---------------------------------------------------------------------------
+# Key locators and packets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EmbeddedKey:
+    key_der: bytes
+
+
+@dataclass(frozen=True)
+class KeyName:
+    name: Name
+
+
+KeyLocator = Union[EmbeddedKey, KeyName]
+
+
+@dataclass(frozen=True)
+class Interest:
+    name: Name
+    nonce: int
+    publisher_key_digest: Optional[bytes] = None
+    exclude: Optional[Exclude] = None
+    answer_origin: AnswerOrigin = AnswerOrigin.ANY
+    scope: Optional[int] = None  # None means unlimited propagation
+    lifetime_ms: int = 4000
+    # Ground-truth provenance for metrics; never serialized to the wire.
+    attack: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.nonce < 2 ** 64:
+            raise ValueError("nonce must fit in 64 bits")
+        if self.scope is not None and not 0 <= self.scope <= 255:
+            raise ValueError("scope must be in 0..255")
+        if self.publisher_key_digest is not None and len(self.publisher_key_digest) != 32:
+            raise ValueError("publisher key digest must be 32 bytes")
+
+    def requested_hash(self) -> Optional[bytes]:
+        """The content digest demanded by a trailing digest-typed component."""
+        if self.name.components and is_digest_component(self.name.components[-1]):
+            return component_digest(self.name.components[-1])
+        return None
+
+
+@dataclass(frozen=True)
+class DataPacket:
+    name: Name
+    payload: bytes
+    signature: bytes
+    key_locator: KeyLocator
+    publisher_key_digest: bytes
+    # Ground-truth provenance for metrics; never serialized to the wire.
+    poisoned: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.publisher_key_digest) != 32:
+            raise ValueError("publisher key digest must be 32 bytes")
+
+    def base_name(self) -> Name:
+        """The name without the trailing digest-typed component, if present."""
+        if self.name.components and is_digest_component(self.name.components[-1]):
+            return self.name.prefix(len(self.name) - 1)
+        return self.name
+
+
+# ---------------------------------------------------------------------------
+# Canonical serialization
+# ---------------------------------------------------------------------------
+
+
+def _pack_bytes(out: bytearray, data: bytes) -> None:
+    out += struct.pack(">I", len(data))
+    out += data
+
+
+def _pack_name(out: bytearray, components) -> None:
+    out += struct.pack(">I", len(components))
+    for comp in components:
+        _pack_bytes(out, comp)
+
+
+def canonical_serialize(
+    pkt: DataPacket, *, include_hash_component: bool = True, include_signature: bool = True
+) -> bytes:
+    """Deterministic byte image of a data packet.
+
+    With ``include_hash_component=False`` the final name component is
+    omitted: that image is "name up to the hash itself" and is what the
+    content hash and the signature are computed over.
+    """
+    out = bytearray()
+    comps = pkt.name.components
+    if not include_hash_component and comps:
+        comps = comps[:-1]
+    _pack_name(out, comps)
+    _pack_bytes(out, pkt.payload)
+    if isinstance(pkt.key_locator, EmbeddedKey):
+        out.append(0)
+        _pack_bytes(out, pkt.key_locator.key_der)
+    else:
+        out.append(1)
+        _pack_name(out, pkt.key_locator.name.components)
+    _pack_bytes(out, pkt.publisher_key_digest)
+    if include_signature:
+        _pack_bytes(out, pkt.signature)
+    return bytes(out)
+
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def u8(self) -> int:
+        if self.pos + 1 > len(self.data):
+            raise WireFormatError("truncated packet")
+        v = self.data[self.pos]
+        self.pos += 1
+        return v
+
+    def u32(self) -> int:
+        if self.pos + 4 > len(self.data):
+            raise WireFormatError("truncated packet")
+        v = struct.unpack_from(">I", self.data, self.pos)[0]
+        self.pos += 4
+        return v
+
+    def u64(self) -> int:
+        if self.pos + 8 > len(self.data):
+            raise WireFormatError("truncated packet")
+        v = struct.unpack_from(">Q", self.data, self.pos)[0]
+        self.pos += 8
+        return v
+
+    def raw(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise WireFormatError("truncated packet")
+        v = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return v
+
+    def block(self) -> bytes:
+        return self.raw(self.u32())
+
+    def name(self) -> Name:
+        count = self.u32()
+        if count > MAX_COMPONENTS:
+            raise WireFormatError("component count out of range")
+        return Name(tuple(self.block() for _ in range(count)))
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise WireFormatError("trailing bytes after packet")
+
+
+def encode_data(pkt: DataPacket) -> bytes:
+    return canonical_serialize(pkt)
+
+
+def decode_data(data: bytes) -> DataPacket:
+    rd = _Reader(data)
+    name = rd.name()
+    payload = rd.block()
+    tag = rd.u8()
+    if tag == 0:
+        locator: KeyLocator = EmbeddedKey(rd.block())
+    elif tag == 1:
+        locator = KeyName(rd.name())
+    else:
+        raise WireFormatError(f"unknown key locator tag {tag}")
+    digest = rd.block()
+    signature = rd.block()
+    rd.done()
+    return DataPacket(name, payload, signature, locator, digest)
+
+
+_FLAG_KEY_DIGEST = 0x01
+_FLAG_EXCLUDE = 0x02
+_FLAG_SCOPE = 0x04
+
+
+def encode_interest(interest: Interest) -> bytes:
+    out = bytearray()
+    _pack_name(out, interest.name.components)
+    out += struct.pack(">Q", interest.nonce)
+    flags = 0
+    if interest.publisher_key_digest is not None:
+        flags |= _FLAG_KEY_DIGEST
+    if interest.exclude is not None:
+        flags |= _FLAG_EXCLUDE
+    if interest.scope is not None:
+        flags |= _FLAG_SCOPE
+    out.append(flags)
+    if interest.publisher_key_digest is not None:
+        _pack_bytes(out, interest.publisher_key_digest)
+    if interest.exclude is not None:
+        if isinstance(interest.exclude, ExplicitExclude):
+            out.append(0)
+            _pack_name(out, sorted(interest.exclude.components))
+        else:
+            out.append(1)
+            out += interest.exclude.bits
+    out.append(interest.answer_origin.value)
+    if interest.scope is not None:
+        out.append(interest.scope)
+    out += struct.pack(">I", interest.lifetime_ms)
+    return bytes(out)
+
+
+def decode_interest(data: bytes) -> Interest:
+    rd = _Reader(data)
+    name = rd.name()
+    nonce = rd.u64()
+    flags = rd.u8()
+    key_digest = rd.block() if flags & _FLAG_KEY_DIGEST else None
+    exclude: Optional[Exclude] = None
+    if flags & _FLAG_EXCLUDE:
+        tag = rd.u8()
+        if tag == 0:
+            count = rd.u32()
+            exclude = ExplicitExclude(frozenset(rd.block() for _ in range(count)))
+        elif tag == 1:
+            exclude = BloomExclude(rd.raw(BLOOM_BITS // 8))
+        else:
+            raise WireFormatError(f"unknown exclude tag {tag}")
+    origin = AnswerOrigin(rd.u8())
+    scope = rd.u8() if flags & _FLAG_SCOPE else None
+    lifetime = rd.u32()
+    rd.done()
+    return Interest(name, nonce, key_digest, exclude, origin, scope, lifetime)
+
+
+def wire_size(pkt: Union[Interest, DataPacket]) -> int:
+    """Byte size charged against link bandwidth."""
+    if isinstance(pkt, Interest):
+        return len(encode_interest(pkt))
+    return len(encode_data(pkt))
+
+
+# ---------------------------------------------------------------------------
+# Matching
+# ---------------------------------------------------------------------------
+
+
+def compute_content_hash(pkt: DataPacket) -> bytes:
+    """SHA-256 over payload, name up to the hash itself, and the signature."""
+    if not pkt.signature:
+        raise ValueError("content hash requires a signed packet")
+    return hashlib.sha256(
+        canonical_serialize(pkt, include_hash_component=False, include_signature=True)
+    ).digest()
+
+
+def excluded_by(data: DataPacket, interest: Interest) -> bool:
+    """True when the interest's exclude filter rules this packet out."""
+    if interest.exclude is None:
+        return False
+    if len(data.name) <= len(interest.name):
+        return False  # no component beyond the prefix to test
+    return interest.exclude.excludes(data.name.components[len(interest.name)])
+
+
+def matches_base(data: DataPacket, interest: Interest) -> bool:
+    """Prefix and exclude clauses only; what a lazy forwarder checks."""
+    return interest.name.is_prefix_of(data.name) and not excluded_by(data, interest)
+
+
+def publisher_digest_matches(data: DataPacket, interest: Interest) -> bool:
+    """The dynamic self-certifying clause: requested key digest must agree."""
+    if interest.publisher_key_digest is None:
+        return True
+    return interest.publisher_key_digest == data.publisher_key_digest
+
+
+def content_hash_matches(data: DataPacket, interest: Interest) -> bool:
+    """The static self-certifying clause: trailing digest component must agree."""
+    wanted = interest.requested_hash()
+    if wanted is None:
+        return True
+    return wanted == compute_content_hash(data)
+
+
+def interest_matches(data: DataPacket, interest: Interest) -> bool:
+    """Full matching predicate: prefix, key digest, exclude, content hash."""
+    return (
+        matches_base(data, interest)
+        and publisher_digest_matches(data, interest)
+        and content_hash_matches(data, interest)
+    )

@@ -1,0 +1,308 @@
+"""Content-poisoning countermeasures.
+
+Routers enforce the two self-certifying clauses of the matching predicate
+(trailing content hash for static content, publisher key digest for
+dynamic content), sample cached packets for real signature verification
+under one of three strategies, gossip one-hop authenticated warnings when
+a cached packet turns out corrupted, and track a per-entry trust value
+fed by scope-limited consumer feedback.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .crypto import (
+    constant_time_equal,
+    hmac_sha256,
+    ls32,
+    packet_is_self_consistent,
+    verify_signature,
+)
+from .packets import (
+    DataPacket,
+    EmbeddedKey,
+    Interest,
+    Name,
+    content_hash_matches,
+    publisher_digest_matches,
+)
+
+WARNING_PREFIX = Name((b"ndn", b"warning"))
+FEEDBACK_PREFIX = Name((b"ndn", b"feedback"))
+
+MS = 1000
+
+MODE_OFF = "off"
+MODE_INDEPENDENT = "independent"
+MODE_DISJOINT_PLAIN = "disjoint-plain"
+MODE_DISJOINT_HMAC = "disjoint-hmac"
+
+VERIFIER_MODES = (MODE_OFF, MODE_INDEPENDENT, MODE_DISJOINT_PLAIN, MODE_DISJOINT_HMAC)
+
+
+def coverage_probability(mode: str, n: int, v: list[float]) -> float:
+    """Probability that at least one of n routers checks a packet held in
+    all their caches, with per-router sampling denominators v."""
+    if len(v) != n or n < 1:
+        raise ValueError("need one sampling denominator per router")
+    if mode == MODE_INDEPENDENT:
+        if any(vi < 1 for vi in v):
+            raise ValueError("independent mode requires v >= 1")
+        return 1.0 - math.prod(1.0 - 1.0 / vi for vi in v)
+    if mode in (MODE_DISJOINT_PLAIN, MODE_DISJOINT_HMAC):
+        # The published expression is only a probability when every v_i >= n;
+        # smaller denominators are rejected rather than silently clamped.
+        if any(vi < n for vi in v):
+            raise ValueError("disjoint modes require v >= n for every router")
+        return 1.0 - math.prod(1.0 - n / vi for vi in v)
+    raise ValueError(f"unknown verification mode {mode!r}")
+
+
+def disjoint_residue(mode: str, content_hash: bytes, group_key: bytes, n: int) -> int:
+    """Which group member a content hash lands on under disjoint assignment."""
+    if mode == MODE_DISJOINT_PLAIN:
+        return ls32(content_hash) % n
+    if mode == MODE_DISJOINT_HMAC:
+        return ls32(hmac_sha256(group_key, content_hash)) % n
+    raise ValueError("residues apply to disjoint modes only")
+
+
+@dataclass
+class VerifierConfig:
+    mode: str = MODE_OFF
+    v: float = 1.0
+    group: tuple[str, ...] = ()
+    group_key: bytes = b""
+    scan_interval_ms: int = 1000
+
+    def __post_init__(self):
+        if self.mode not in VERIFIER_MODES:
+            raise ValueError(f"unknown verification mode {self.mode!r}")
+        if self.mode == MODE_INDEPENDENT and self.v < 1:
+            raise ValueError("independent mode requires v >= 1")
+        if self.mode in (MODE_DISJOINT_PLAIN, MODE_DISJOINT_HMAC):
+            if not self.group:
+                raise ValueError("disjoint modes require a router group")
+            if self.v < len(self.group):
+                raise ValueError("disjoint modes require v >= group size")
+            if self.mode == MODE_DISJOINT_HMAC and not self.group_key:
+                raise ValueError("keyed mode requires a shared group key")
+
+
+@dataclass
+class NeighborFeedbackConfig:
+    enabled: bool = False
+    p: float = 0.5  # probability of acting on a received warning
+    cooldown_ms: int = 10_000
+
+
+@dataclass
+class ConsumerFeedbackConfig:
+    enabled: bool = False
+    alpha: float = 0.05  # trust gain per positive retrieval
+    beta: float = 0.5  # trust multiplier per negative report
+    threshold: int = 3  # distinct reports within window forcing verification
+    window_ms: int = 10_000
+
+
+@dataclass
+class PoisoningConfig:
+    enforce_dscid: bool = False
+    enforce_sscid: bool = False
+    verifier: VerifierConfig = field(default_factory=VerifierConfig)
+    neighbor: NeighborFeedbackConfig = field(default_factory=NeighborFeedbackConfig)
+    consumer: ConsumerFeedbackConfig = field(default_factory=ConsumerFeedbackConfig)
+    verify_service_us: int = 80
+
+
+class PoisoningGuard:
+    """Per-router poisoning defense state; bound to its router at creation."""
+
+    def __init__(self, config: PoisoningConfig, rng):
+        self.config = config
+        self.rng = rng
+        self.router = None
+        self._inflight: set[bytes] = set()
+        self._suppressed: dict[tuple[int, bytes], int] = {}  # (iface, hash) -> until
+        self._negative_reports: dict[bytes, deque[int]] = {}
+
+    def bind(self, router) -> None:
+        self.router = router
+
+    # -- self-certifying admission ------------------------------------------
+
+    def scid_check(self, data: DataPacket, interest: Interest) -> Optional[str]:
+        """None to pass, otherwise the clause that rejects the packet.
+        Neither check verifies a signature; both are hash comparisons."""
+        if self.config.enforce_dscid and not publisher_digest_matches(data, interest):
+            return "d-scid"
+        if self.config.enforce_sscid and not content_hash_matches(data, interest):
+            return "s-scid"
+        return None
+
+    # -- sampling selection -----------------------------------------------------
+
+    def _group_index(self) -> int:
+        return self.config.verifier.group.index(self.router.id)
+
+    def _trust_factor(self, trust: float) -> float:
+        """Feedback-driven scaling: selection probability proportional to
+        1 - T, normalised so the initial trust of 0.5 keeps the base rate."""
+        if not self.config.consumer.enabled:
+            return 1.0
+        return 2.0 * (1.0 - trust)
+
+    def select_for_verification(self, content_hash: bytes, trust: float) -> bool:
+        cfg = self.config.verifier
+        if cfg.mode == MODE_OFF:
+            return False
+        if cfg.mode == MODE_INDEPENDENT:
+            prob = (1.0 / cfg.v) * self._trust_factor(trust)
+            return self.rng.random() < min(1.0, prob)
+        n = len(cfg.group)
+        if disjoint_residue(cfg.mode, content_hash, cfg.group_key, n) != self._group_index():
+            return False
+        prob = (n / cfg.v) * self._trust_factor(trust)
+        return self.rng.random() < min(1.0, prob)
+
+    # -- verification lifecycle ----------------------------------------------------
+
+    def on_inserted(self, entry, now: int) -> None:
+        if entry.verified or entry.content_hash in self._inflight:
+            return
+        if self.select_for_verification(entry.content_hash, entry.trust):
+            self._schedule_verification(entry.content_hash)
+
+    def scan(self, now: int) -> None:
+        """Periodic pass over unverified cached packets; keeps long-lived
+        entries inside the sampling pool."""
+        for entry in self.router.cs.entries():
+            if entry.verified or entry.content_hash in self._inflight:
+                continue
+            if self.select_for_verification(entry.content_hash, entry.trust):
+                self._schedule_verification(entry.content_hash)
+
+    def force_verification(self, content_hash: bytes) -> None:
+        if content_hash not in self._inflight:
+            self._schedule_verification(content_hash)
+
+    def _schedule_verification(self, content_hash: bytes, on_valid=None) -> None:
+        self._inflight.add(content_hash)
+        self.router.after(
+            self.config.verify_service_us,
+            lambda: self._complete_verification(content_hash, on_valid),
+        )
+
+    def _verify_packet(self, packet: DataPacket) -> Optional[bool]:
+        """True/False for a definite verdict, None when the designated key
+        is not locally available (named keys are content we do not fetch)."""
+        if isinstance(packet.key_locator, EmbeddedKey):
+            return packet_is_self_consistent(packet) and verify_signature(
+                packet, packet.key_locator.key_der
+            )
+        return None
+
+    def _complete_verification(self, content_hash: bytes, on_valid=None) -> None:
+        self._inflight.discard(content_hash)
+        entry = self.router.cs.get(content_hash)
+        if entry is None or entry.verified:
+            return
+        self.router.stats["verifications"] += 1
+        self.router.stats["verify_busy_us"] += self.config.verify_service_us
+        verdict = self._verify_packet(entry.packet)
+        if verdict is None:
+            self.router.stats["verify_unresolvable"] += 1
+            return
+        if verdict:
+            entry.verified = True
+            entry.trust = 1.0
+            if on_valid is not None:
+                on_valid()
+        else:
+            self.router.stats["verify_invalid"] += 1
+            self.router.cs.remove(content_hash)
+            self._negative_reports.pop(content_hash, None)
+            if self.config.neighbor.enabled:
+                self._emit_warnings(content_hash)
+
+    # -- neighbour warnings -----------------------------------------------------------
+
+    def _warning_interest(self, content_hash: bytes, iface: int) -> Interest:
+        body = WARNING_PREFIX.child(content_hash)  # raw 32-byte digest component
+        mac = hmac_sha256(self.router.ifaces[iface].link_key, str(body).encode())
+        return Interest(name=body.child(mac), nonce=self.rng.u64(), scope=2, lifetime_ms=1000)
+
+    def _emit_warnings(self, content_hash: bytes) -> None:
+        for iface in sorted(self.router.ifaces):
+            self.router.emit(iface, self._warning_interest(content_hash, iface))
+            self.router.stats["warnings_sent"] += 1
+
+    def handle_warning(self, iface: int, interest: Interest, now: int) -> None:
+        comps = interest.name.components
+        if len(comps) != 4 or len(comps[2]) != 32:
+            self.router.stats["warnings_bad_mac"] += 1
+            return
+        body = Name(comps[:3])
+        mac = comps[3]
+        expected = hmac_sha256(self.router.ifaces[iface].link_key, str(body).encode())
+        if not constant_time_equal(mac, expected):
+            self.router.stats["warnings_bad_mac"] += 1
+            return
+        content_hash = comps[2]
+        self.router.stats["warnings_received"] += 1
+        until = self._suppressed.get((iface, content_hash))
+        if until is not None and now < until:
+            self.router.stats["warnings_suppressed"] += 1
+            return
+        entry = self.router.cs.get(content_hash)
+        if entry is None or entry.verified:
+            return  # nothing cached (or already known good): discard
+        if self.rng.random() < self.config.neighbor.p:
+            cooldown = self.config.neighbor.cooldown_ms * MS
+
+            def suppress(iface=iface, h=content_hash):
+                self._suppressed[(iface, h)] = now + cooldown
+
+            if content_hash not in self._inflight:
+                self._schedule_verification(content_hash, on_valid=suppress)
+
+    # -- consumer feedback ----------------------------------------------------------------
+
+    def on_positive_retrieval(self, entry) -> None:
+        if self.config.consumer.enabled and not entry.verified:
+            alpha = self.config.consumer.alpha
+            entry.trust = min(1.0, entry.trust + alpha * (1.0 - entry.trust))
+
+    def handle_feedback(self, iface: int, interest: Interest, now: int) -> None:
+        comps = interest.name.components
+        if len(comps) != 3 or len(comps[2]) != 32:
+            return
+        if not self.config.consumer.enabled:
+            return
+        content_hash = comps[2]
+        self.router.stats["feedback_received"] += 1
+        entry = self.router.cs.get(content_hash)
+        if entry is None or entry.verified:
+            return  # a checked-good packet outranks any consumer report
+        entry.trust = max(0.0, entry.trust * self.config.consumer.beta)
+        window = self.config.consumer.window_ms * MS
+        reports = self._negative_reports.setdefault(content_hash, deque())
+        reports.append(now)
+        while reports and reports[0] < now - window:
+            reports.popleft()
+        if len(reports) >= self.config.consumer.threshold and not entry.verified:
+            self.force_verification(content_hash)
+
+
+def feedback_interest(content_hash: bytes, nonce: int) -> Interest:
+    """The scope-2 interest a consumer sends after rejecting a packet."""
+    return Interest(
+        name=FEEDBACK_PREFIX.child(content_hash),
+        nonce=nonce,
+        scope=2,
+        lifetime_ms=1000,
+    )
