@@ -15,7 +15,7 @@ from typing import Optional
 
 from .crypto import KeyPair, sign_packet
 from .nodes import NodeBase, encode_fragment_payload
-from .packets import BloomExclude, DataPacket, Interest, KeyName, Name
+from .packets import INTEREST_LIFETIME_MS, BloomExclude, DataPacket, Interest, KeyName, Name
 
 MS = 1000
 
@@ -68,7 +68,7 @@ class AttackSpec:
 
 
 def gen_flood_interest(
-    spec: AttackSpec, rng, seq: int, zombie_id: str = "z", lifetime_ms: int = 4000
+    spec: AttackSpec, rng, seq: int, zombie_id: str = "z", lifetime_ms: int = INTEREST_LIFETIME_MS
 ) -> Interest:
     """The seq-th interest a zombie emits for a flooding spec."""
     lifetime = spec.lifetime_ms if spec.lifetime_ms is not None else lifetime_ms
@@ -129,7 +129,10 @@ class Zombie(NodeBase):
     interests go out near-simultaneously inside the jitter window.
     """
 
-    def __init__(self, node_id: str, rng, specs: list[AttackSpec], default_lifetime_ms: int = 4000):
+    def __init__(
+        self, node_id: str, rng, specs: list[AttackSpec],
+        default_lifetime_ms: int = INTEREST_LIFETIME_MS,
+    ):
         super().__init__(node_id)
         self.rng = rng
         self.specs = specs

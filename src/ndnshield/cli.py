@@ -12,6 +12,7 @@ variable, which overrides --out.
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,13 +23,8 @@ from .scenario import ScenarioError
 
 def _cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    if args.seed is not None:
-        base_seed = args.seed
-    else:
-        base_seed = None
-    summary = run_experiment(
-        scenario, replicates=args.replicates, out_dir=args.out, base_seed=base_seed
-    )
+    out = Path(os.environ.get("NDNSHIELD_OUT", args.out))
+    summary = run_experiment(scenario, replicates=args.replicates, out_dir=out, base_seed=args.seed)
     for arm, block in summary["arms"].items():
         agg = block["aggregate"]
         ratio = agg.get("honest_satisfaction_ratio", {}).get("mean")
@@ -36,7 +32,7 @@ def _cmd_run(args) -> int:
         if ratio is not None:
             print(f" honest_satisfaction_ratio={ratio:.4f}", end="")
         print()
-    print(f"metrics written under {Path(args.out).resolve()}")
+    print(f"metrics written under {out.resolve()}")
     return 0
 
 

@@ -220,6 +220,25 @@ def assemble_packet(
     )
 
 
+def forge_packet(
+    name: Name, payload: bytes, signature: bytes, key_der: bytes, key_digest: bytes
+) -> DataPacket:
+    """A poisoned packet that claims the producer key `key_der` (whose
+    digest is `key_digest`) but carries `signature` bytes no key made. Like
+    an honest packet, its name ends in the digest of its own bytes."""
+    draft = assemble_packet(
+        name, payload, signature, EmbeddedKey(key_der), key_digest, poisoned=True
+    )
+    return assemble_packet(
+        name.child(digest_component(sha256(encode_for_hash(draft)))),
+        payload,
+        signature,
+        draft.key_locator,
+        key_digest,
+        poisoned=True,
+    )
+
+
 def verify_signature(pkt: DataPacket, public_der: bytes) -> bool:
     """Check the packet signature over its to-be-signed image."""
     return verify_bytes(public_der, pkt.signature, signing_image(pkt))
@@ -239,6 +258,7 @@ __all__ = [
     "compute_content_hash",
     "constant_time_equal",
     "encode_for_hash",
+    "forge_packet",
     "hmac_sha256",
     "ls32",
     "packet_is_self_consistent",

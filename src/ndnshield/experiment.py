@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Optional
@@ -30,7 +29,7 @@ def run_experiment(
     """Run every arm of a scenario `replicates` times (seed = base + index),
     write one metrics CSV per (arm, replicate) and a summary.json with
     means and 95% confidence intervals across replicates."""
-    out = Path(os.environ.get("NDNSHIELD_OUT", str(out_dir)))
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed0 = scenario.seed if base_seed is None else base_seed
     arms = scenario.arm_names() or [None]

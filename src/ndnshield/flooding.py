@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .crypto import constant_time_equal, hmac_sha256
-from .packets import Interest, Name
+from .packets import INTEREST_LIFETIME_MS, Interest, Name
 
 PUSHBACK_PREFIX = Name((b"ndn", b"pushback"))
 
@@ -66,7 +66,7 @@ class FloodingConfig:
     # throttled interest expires upstream and re-depresses the very ratio
     # that caused the throttling.
     anomaly_ratio: float = 0.5
-    interest_timeout_ms: int = 4000
+    interest_timeout_ms: int = INTEREST_LIFETIME_MS
     avg_content_size_bytes: int = 1500
     min_advised_rate: float = 1.0  # interests/s floor for push-back advice
     outgoing_quota_override: Optional[int] = None

@@ -152,12 +152,6 @@ class MetricsCollector:
         series = self.series(node, column)
         return series[-1][1] if series else 0.0
 
-    def mean_over(self, node: str, column: str, t_from_ms: int, t_to_ms: int) -> float:
-        points = [v for t, v in self.series(node, column) if t_from_ms <= t <= t_to_ms]
-        if not points:
-            raise ValueError(f"no samples for {node}/{column} in window")
-        return float(np.mean(points))
-
     def max_over(self, node: str, column: str) -> float:
         return max(v for _, v in self.series(node, column))
 

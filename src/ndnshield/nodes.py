@@ -20,12 +20,13 @@ from .crypto import (
     KeyPair,
     assemble_packet,
     compute_content_hash,
-    encode_for_hash,
+    forge_packet,
     sha256,
     sign_packet,
     verify_signature,
 )
 from .packets import (
+    INTEREST_LIFETIME_MS,
     BloomExclude,
     DataPacket,
     EmbeddedKey,
@@ -35,7 +36,6 @@ from .packets import (
     Name,
     digest_component,
     interest_matches,
-    is_digest_component,
 )
 from .poisoning import feedback_interest
 from .router import Action, Router, SendData
@@ -244,11 +244,7 @@ class Producer(NodeBase):
         """A packet and its service cost, or None for unsatisfiable names."""
         if not self.prefix.is_prefix_of(interest.name):
             return None
-        pkt = self._by_full.get(interest.name) or self._by_base.get(
-            Name(interest.name.components[:-1])
-            if interest.name.components and is_digest_component(interest.name.components[-1])
-            else interest.name
-        )
+        pkt = self._by_full.get(interest.name) or self._by_base.get(interest.name.strip_digest())
         if pkt is not None and interest_matches(pkt, interest):
             return pkt, self.static_service_us
         if interest.publisher_key_digest is not None and (
@@ -256,11 +252,7 @@ class Producer(NodeBase):
         ):
             return None  # no key of ours can match; ignored without cost
         if self.dynamic_prefix is not None and self.dynamic_prefix.is_prefix_of(interest.name):
-            base = (
-                Name(interest.name.components[:-1])
-                if interest.name.components and is_digest_component(interest.name.components[-1])
-                else interest.name
-            )
+            base = interest.name.strip_digest()
             fresh = sign_packet(base, self._dynamic_handler(base), self.key)
             if interest_matches(fresh, interest):
                 return fresh, self.sign_service_us
@@ -308,7 +300,7 @@ class ConsumerBase(NodeBase):
         rng,
         *,
         trusted_key_digest: Optional[bytes] = None,
-        lifetime_ms: int = 4000,
+        lifetime_ms: int = INTEREST_LIFETIME_MS,
         emit_feedback: bool = True,
     ):
         super().__init__(node_id)
@@ -439,7 +431,7 @@ class RequestConsumer(ConsumerBase):
         retries: int = 0,
         mode: str = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
-        lifetime_ms: int = 4000,
+        lifetime_ms: int = INTEREST_LIFETIME_MS,
         send_on_all_interfaces: bool = False,
         emit_feedback: bool = True,
     ):
@@ -577,7 +569,7 @@ class CollectionConsumer(ConsumerBase):
         trusted_key_digest: Optional[bytes] = None,
         first_hash: Optional[bytes] = None,
         start_ms: int = 0,
-        lifetime_ms: int = 4000,
+        lifetime_ms: int = INTEREST_LIFETIME_MS,
         max_retries: int = 3,
         exclude_cap: int = 16,
         emit_feedback: bool = True,
@@ -815,28 +807,14 @@ class CompromisedRouter(Router):
 
     def make_poison(self, interest: Interest) -> DataPacket:
         requested_hash = interest.requested_hash()
-        base = (
-            Name(interest.name.components[:-1]) if requested_hash is not None else interest.name
-        )
+        base = interest.name.strip_digest()
         payload = self.rng.bytes(max(64, len(interest.name.components) * 8))
         if self.poison_mode == "fake":
             pkt = sign_packet(base, payload, self.adversary_key, poisoned=True)
         else:
-            draft = assemble_packet(
-                base,
-                payload,
-                signature=self.rng.bytes(128),
-                key_locator=EmbeddedKey(self.honest_key_der),
-                publisher_key_digest=self.honest_key_digest,
-                poisoned=True,
-            )
-            pkt = assemble_packet(
-                base.child(digest_component(sha256(encode_for_hash(draft)))),
-                draft.payload,
-                draft.signature,
-                draft.key_locator,
-                draft.publisher_key_digest,
-                poisoned=True,
+            signature = self.rng.bytes(128)
+            pkt = forge_packet(
+                base, payload, signature, self.honest_key_der, self.honest_key_digest
             )
         if requested_hash is not None:
             # Mimic the requested name exactly; the bytes cannot hash to it.

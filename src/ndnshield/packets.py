@@ -20,6 +20,8 @@ from typing import Iterator, Optional, Union
 MAX_COMPONENT_LEN = 255
 MAX_COMPONENTS = 33  # 32 ordinary components plus an appended digest component
 
+INTEREST_LIFETIME_MS = 4000  # the default lifetime of every interest sent
+
 # A digest-typed component is a 1-byte type tag followed by a 32-byte digest.
 DIGEST_COMPONENT_TAG = 0x01
 DIGEST_COMPONENT_LEN = 33
@@ -130,13 +132,15 @@ class Name:
     def last(self) -> bytes:
         return self.components[-1]
 
+    def strip_digest(self) -> "Name":
+        """The name without its trailing digest-typed component, if present."""
+        if self.components and is_digest_component(self.components[-1]):
+            return Name(self.components[:-1])
+        return self
+
 
 def parse_name(text: str) -> Name:
     return Name.parse(text)
-
-
-def format_name(name: Name) -> str:
-    return str(name)
 
 
 def is_prefix_of(prefix: Name, name: Name) -> bool:
@@ -249,7 +253,7 @@ class Interest:
     exclude: Optional[Exclude] = None
     answer_origin: AnswerOrigin = AnswerOrigin.ANY
     scope: Optional[int] = None  # None means unlimited propagation
-    lifetime_ms: int = 4000
+    lifetime_ms: int = INTEREST_LIFETIME_MS
     # Ground-truth provenance for metrics; never serialized to the wire.
     attack: bool = field(default=False, compare=False)
 
@@ -284,9 +288,7 @@ class DataPacket:
 
     def base_name(self) -> Name:
         """The name without the trailing digest-typed component, if present."""
-        if self.name.components and is_digest_component(self.name.components[-1]):
-            return self.name.prefix(len(self.name) - 1)
-        return self.name
+        return self.name.strip_digest()
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,6 @@ class IfaceInfo:
 class RouterConfig:
     pit_capacity: int = 0  # 0 = unbounded
     cs_capacity: int = 256
-    interest_lifetime_ms: int = 4000
 
 
 class Router:

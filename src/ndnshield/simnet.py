@@ -89,7 +89,6 @@ class Network:
         # Flow-balance audit: per (node, iface) interests in and data out.
         self.audit_interests_in: Counter = Counter()
         self.audit_data_out: Counter = Counter()
-        self.tick_hooks: list[Callable[[int], None]] = []
 
     # -- topology wiring -------------------------------------------------------
 

@@ -57,12 +57,14 @@ def test_run_writes_outputs(tmp_path, capsys, monkeypatch):
     assert summary["arms"]["base"]["aggregate"]["honest_satisfaction_ratio"]["mean"] == 1.0
 
 
-def test_run_env_override(tmp_path, monkeypatch):
+def test_run_env_override(tmp_path, capsys, monkeypatch):
     scenario = small_scenario(tmp_path)
     env_dir = tmp_path / "env-out"
     monkeypatch.setenv("NDNSHIELD_OUT", str(env_dir))
     assert main(["run", str(scenario), "--out", str(tmp_path / "ignored")]) == 0
     assert env_dir.exists() and any(env_dir.iterdir())
+    assert not (tmp_path / "ignored").exists()
+    assert f"metrics written under {env_dir.resolve()}" in capsys.readouterr().out
 
 
 def test_bench_crypto_runs(capsys):

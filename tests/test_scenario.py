@@ -140,3 +140,78 @@ def test_empty_scenario_terminates_with_header_only():
     sim = build_sim(load_scenario(doc), seed=1).run()
     csv = sim.collector.csv_bytes().decode().strip().splitlines()
     assert len(csv) == 1  # header only: no nodes, no rows
+
+
+@pytest.mark.parametrize(
+    "section, selector",
+    [
+        ("flooding_defense", "routers"),
+        ("flooding_defense", "quota_routers"),
+        ("poisoning_defense", "routers"),
+    ],
+)
+def test_router_selector_is_all_or_a_list(section, selector):
+    # A string other than "all" must not select routers by substring.
+    errs = violations(minimal_doc(**{section: {selector: "rr"}}))
+    assert errs == [f"$.{section}.{selector}: must be \"all\" or a list of router ids"]
+    assert load_scenario(minimal_doc(**{section: {selector: ["r"]}}))
+
+
+def _with_node(index, **keys):
+    doc = minimal_doc()
+    doc["nodes"][index].update(keys)
+    return doc
+
+
+def _with_nodes(*nodes, links=()):
+    doc = minimal_doc()
+    doc["nodes"].extend(nodes)
+    doc["links"].extend({"endpoints": list(ends), "bandwidth_mbps": 1, "delay_ms": 1}
+                        for ends in links)
+    return doc
+
+
+def _with_attack(**keys):
+    attack = {"kind": "flood-static", "zombies": ["z"], "target_prefix": "/v",
+              "name_pool": ["/v/a"], "rate_per_s": 5, "start_ms": 0, "stop_ms": 50}
+    doc = _with_nodes({"id": "z", "role": "zombie"}, links=[("z", "r")])
+    doc["attacks"] = [{**attack, **keys}]
+    return doc
+
+
+def _consumer_of(collection):
+    doc = _with_node(0, collections=[{"name": "file", "fragments": 2, "window": 1}])
+    doc["nodes"][2] = {"id": "c", "role": "consumer",
+                       "collection": {"producer": "p", "collection": collection}}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (minimal_doc(poisoning_defense={"verification": {"mode": "independent", "v": 0.5}}),
+         "$.poisoning_defense.verification"),
+        (_consumer_of("nope"), "$.nodes[2].collection.collection"),
+        (_with_nodes({"id": "x", "role": "compromised-router", "poison_mode": "corrupted",
+                      "target_prefix": "/v", "impersonate": "ghost"}), "$.nodes[3].impersonate"),
+        (_with_node(0, abuse={"target_producer": "ghost", "count": 3, "collection": "k"}),
+         "$.nodes[0].abuse.target_producer"),
+        (_with_node(0, dynamic_prefix=5), "$.nodes[0].dynamic_prefix"),
+        (_with_attack(name_pool=[5]), "$.attacks[0].name_pool[0]"),
+        (_with_attack(rate_per_s="9"), "$.attacks[0].rate_per_s"),
+        (minimal_doc(flooding_defense={"window_ms": "10"}), "$.flooding_defense.window_ms"),
+        (_with_node(1, pit_capacity="10"), "$.nodes[1].pit_capacity"),
+        (minimal_doc(preseed_cache=[{"routers": ["r"], "producer": "p", "name": "/v/a",
+                                     "trust": "high"}]), "$.preseed_cache[0].trust"),
+        (minimal_doc(defaults={"cs_capacity": "big"}), "$.defaults.cs_capacity"),
+        (_with_nodes({"id": "q", "role": "router"},
+                     links=[("q", "r")]) | {"fib": {"q": [{"prefix": "/v", "next_hops": ["p"]}]}},
+         "$.fib.q[0].next_hops"),
+    ],
+    ids=["verifier-v", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
+         "name-pool", "attack-rate", "window-ms", "pit-capacity", "trust", "defaults",
+         "fib-hop-unlinked"],
+)
+def test_bad_input_rejected_at_its_path(doc, path):
+    errs = violations(doc)
+    assert [e.split(": ")[0] for e in errs] == [path], errs
