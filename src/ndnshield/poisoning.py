@@ -219,7 +219,7 @@ class PoisoningGuard:
             return
         if verdict:
             entry.verified = True
-            entry.trust = 1.0
+            self.router.cs.set_trust(entry, 1.0)
             if on_valid is not None:
                 on_valid()
         else:
@@ -275,7 +275,7 @@ class PoisoningGuard:
     def on_positive_retrieval(self, entry) -> None:
         if self.config.consumer.enabled and not entry.verified:
             alpha = self.config.consumer.alpha
-            entry.trust = min(1.0, entry.trust + alpha * (1.0 - entry.trust))
+            self.router.cs.set_trust(entry, min(1.0, entry.trust + alpha * (1.0 - entry.trust)))
 
     def handle_feedback(self, iface: int, interest: Interest, now: int) -> None:
         comps = interest.name.components
@@ -288,7 +288,7 @@ class PoisoningGuard:
         entry = self.router.cs.get(content_hash)
         if entry is None or entry.verified:
             return  # a checked-good packet outranks any consumer report
-        entry.trust = max(0.0, entry.trust * self.config.consumer.beta)
+        self.router.cs.set_trust(entry, max(0.0, entry.trust * self.config.consumer.beta))
         window = self.config.consumer.window_ms * MS
         reports = self._negative_reports.setdefault(content_hash, deque())
         reports.append(now)

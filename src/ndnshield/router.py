@@ -8,6 +8,7 @@ them out. That keeps every pipeline step unit-testable without a network.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -164,12 +165,35 @@ class CsEntry:
 
 
 class ContentStore:
-    """Bounded cache; eviction prefers low trust, then stale entries."""
+    """Bounded cache; eviction prefers low trust, then stale entries.
+
+    The victim is always the entry with the least (trust, last_access,
+    content_hash). A bounded store finds it in amortised O(log n) through a
+    lazily invalidated heap of (trust, last_access, content_hash, seq, entry)
+    records, which holds for every entry a record whose key is no greater
+    than the entry's current key:
+
+    * keys that rise (every lookup hit or refresh moves last_access forward,
+      verification and positive retrieval raise trust) push nothing; a
+      record found on top with an outdated key is pushed again with the
+      entry's current key;
+    * a trust drop pushes a fresh record, so trust must only be changed
+      through `set_trust`;
+    * records of removed entries, and records an entry has since replaced,
+      are dropped when they reach the top, and the heap is rebuilt from the
+      live entries once it holds more than twice as many records.
+
+    An unbounded store (capacity 0) never evicts and keeps no heap.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity  # 0 means unbounded
         self._by_hash: dict[bytes, CsEntry] = {}
-        self._by_prefix: dict[Name, set[bytes]] = {}
+        self._by_prefix: dict[tuple[bytes, ...], set[bytes]] = {}
+        self._heap: list[tuple] = []
+        self._seq = 0
+        self._record_seq: dict[bytes, int] = {}  # live hash -> seq of its newest record
+        self.newest: Optional[CsEntry] = None  # entry the last insert created
 
     def __len__(self) -> int:
         return len(self._by_hash)
@@ -181,38 +205,78 @@ class ContentStore:
         return self._by_hash.get(content_hash)
 
     def insert(self, packet: DataPacket, now: int, trust: float = 0.5) -> Optional[CsEntry]:
-        """Insert a packet; returns the evicted entry, if any."""
+        """Insert a packet; returns the evicted entry, if any. `newest` is
+        the created entry, or None when the packet was already cached."""
         h = compute_content_hash(packet)
         existing = self._by_hash.get(h)
         if existing is not None:
             existing.last_access = now
+            self.newest = None
             return None
         evicted = None
         if self.capacity and len(self._by_hash) >= self.capacity:
             evicted = self._evict_one()
         entry = CsEntry(packet, h, trust, False, now, now)
         self._by_hash[h] = entry
-        for prefix in packet.name.prefixes():
-            self._by_prefix.setdefault(prefix, set()).add(h)
+        comps = packet.name.components
+        for i in range(len(comps) + 1):
+            self._by_prefix.setdefault(comps[:i], set()).add(h)
+        if self.capacity:
+            self._push(entry)
+        self.newest = entry
         return evicted
 
+    def set_trust(self, entry: CsEntry, trust: float) -> None:
+        """Set a cached entry's trust; the only way trust may change."""
+        dropped = trust < entry.trust
+        entry.trust = trust
+        if dropped and self.capacity and self._by_hash.get(entry.content_hash) is entry:
+            self._push(entry)
+
+    def _record(self, entry: CsEntry) -> tuple:
+        """A heap record of the entry's current key; it replaces the entry's
+        earlier records."""
+        self._seq += 1
+        self._record_seq[entry.content_hash] = self._seq
+        return (entry.trust, entry.last_access, entry.content_hash, self._seq, entry)
+
+    def _push(self, entry: CsEntry) -> None:
+        heapq.heappush(self._heap, self._record(entry))
+        if len(self._heap) > 2 * len(self._by_hash):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap with one current record per live entry."""
+        self._heap = [self._record(entry) for entry in self._by_hash.values()]
+        heapq.heapify(self._heap)
+
     def _evict_one(self) -> CsEntry:
-        victim_hash = min(
-            self._by_hash,
-            key=lambda h: (self._by_hash[h].trust, self._by_hash[h].last_access, h),
-        )
-        return self.remove(victim_hash)
+        heap = self._heap
+        while True:
+            trust, last_access, h, seq, entry = heap[0]
+            if self._record_seq.get(h) != seq:
+                heapq.heappop(heap)  # entry removed, or a newer record exists
+            elif trust != entry.trust or last_access != entry.last_access:
+                heapq.heapreplace(heap, self._record(entry))
+            else:
+                heapq.heappop(heap)
+                return self.remove(h)
 
     def remove(self, content_hash: bytes) -> Optional[CsEntry]:
         entry = self._by_hash.pop(content_hash, None)
         if entry is None:
             return None
-        for prefix in entry.packet.name.prefixes():
+        self._record_seq.pop(content_hash, None)
+        comps = entry.packet.name.components
+        for i in range(len(comps) + 1):
+            prefix = comps[:i]
             bucket = self._by_prefix.get(prefix)
             if bucket is not None:
                 bucket.discard(content_hash)
                 if not bucket:
                     del self._by_prefix[prefix]
+        if len(self._heap) > 2 * len(self._by_hash):
+            self._compact()
         return entry
 
     def lookup(
@@ -222,7 +286,7 @@ class ContentStore:
         match: Callable[[DataPacket, Interest], bool],
     ) -> Optional[CsEntry]:
         """Deterministic lookup: lowest content hash among matching entries."""
-        candidates = self._by_prefix.get(interest.name)
+        candidates = self._by_prefix.get(interest.name.components)
         if not candidates:
             return None
         for h in sorted(candidates):
@@ -543,8 +607,7 @@ class Router:
             if data.poisoned:
                 self.stats["poisoned_cached"] += 1
             if self.poisoning is not None:
-                entry = self.cs.get(compute_content_hash(data))
-                self.poisoning.on_inserted(entry, now)
+                self.poisoning.on_inserted(self.cs.newest, now)
 
     def _satisfy(
         self, entry: PitEntry, data: DataPacket, arrival_iface: Optional[int], now: int

@@ -86,6 +86,7 @@ class Network:
         self._ifaces: dict[tuple[str, int], Link] = {}
         self._iface_count: dict[str, int] = {}
         self._cancel_registry: dict[tuple[str, tuple], list[SendHandle]] = {}
+        self._started = False
         # Flow-balance audit: per (node, iface) interests in and data out.
         self.audit_interests_in: Counter = Counter()
         self.audit_data_out: Counter = Counter()
@@ -213,6 +214,11 @@ class Network:
     # -- main loop -------------------------------------------------------------------------
 
     def run(self, until_us: int) -> None:
+        """Start every node and process events up to `until_us`. A network
+        runs once: a second call would start every node again."""
+        if self._started:
+            raise RuntimeError("Network.run called twice; build a new network instead")
+        self._started = True
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if hasattr(node, "start"):

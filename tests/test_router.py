@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -375,3 +377,70 @@ def test_cs_verified_flag_monotone():
     entry.trust = 1.0
     store.insert(pkt, now=5)  # duplicate insert refreshes, never resets
     assert store.entries()[0].verified
+
+
+_CS_NAMES = 10
+
+
+@functools.cache
+def cs_packets() -> tuple:
+    return tuple(make_packet(f"/cs/{i}") for i in range(_CS_NAMES))
+
+
+_PACKET = st.integers(0, _CS_NAMES - 1)
+_TRUST = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+CS_OPS = st.one_of(
+    st.tuples(st.just("insert"), _PACKET, _TRUST),
+    st.tuples(st.just("lookup"), _PACKET, st.none()),
+    st.tuples(st.just("raise"), _PACKET, st.sampled_from([0.05, 0.5, 1.0])),
+    st.tuples(st.just("drop"), _PACKET, st.sampled_from([0.0, 0.5, 0.9])),
+    st.tuples(st.just("remove"), _PACKET, st.none()),
+)
+
+
+@given(
+    st.integers(2, 8),
+    st.lists(st.tuples(CS_OPS, st.integers(0, 2)), min_size=1, max_size=80),
+)
+@settings(max_examples=300, deadline=None)
+def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
+    """Whatever the history of inserts, hits and trust changes, the victim
+    is the least (trust, last_access, content_hash) among cached entries."""
+    from ndnshield.packets import compute_content_hash
+
+    packets = cs_packets()
+    store = ContentStore(capacity)
+    now = 0
+    for (op, index, value), tick in ops:
+        now += tick
+        pkt = packets[index]
+        entry = store.get(compute_content_hash(pkt))
+        if op == "insert":
+            expected = None
+            if entry is None and len(store) >= capacity:
+                expected = min(store.entries(),
+                               key=lambda e: (e.trust, e.last_access, e.content_hash))
+            assert store.insert(pkt, now, trust=value) is expected
+            assert store.newest is (None if entry is not None
+                                    else store.get(compute_content_hash(pkt)))
+            assert len(store) <= capacity
+        elif op == "lookup":
+            hit = store.lookup(interest(f"/cs/{index}"), now, match=lambda d, i: True)
+            assert hit is entry
+            if hit is not None:
+                assert hit.last_access == now
+        elif op == "remove":
+            assert store.remove(compute_content_hash(pkt)) is entry
+        elif entry is not None:
+            trust = min(1.0, entry.trust + value) if op == "raise" else entry.trust * value
+            store.set_trust(entry, trust)
+            assert entry.trust == trust
+        assert len(store._heap) <= 2 * len(store)
+
+
+def test_unbounded_cs_keeps_no_heap():
+    store = ContentStore(capacity=0)
+    for pkt in cs_packets():
+        assert store.insert(pkt, now=0) is None
+    store.set_trust(store.entries()[0], 0.0)
+    assert len(store) == _CS_NAMES and store._heap == []

@@ -150,6 +150,16 @@ def test_cannot_schedule_into_past():
         net.at(5 * MS, lambda: None)
 
 
+def test_second_run_rejected():
+    net, a, b, _ = two_nodes()
+    starts = []
+    a.start = lambda: starts.append(net.now)
+    net.run(until_us=10 * MS)
+    with pytest.raises(RuntimeError):
+        net.run(until_us=20 * MS)
+    assert starts == [0]  # the node was started once, by the first run
+
+
 def test_rng_streams_independent():
     root = Rng(42)
     a1 = root.spawn("a")
