@@ -13,6 +13,16 @@ pass: a mismatch means the simulator's behaviour changed.
     evictions coincide with verification, consumer feedback and positive
     retrieval changing the trust of cached entries. This is the scenario
     that catches a wrong victim order.
+  * broadcast: two shared segments whose endpoints are listed out of
+    sorted order, a consumer and a router on both, a slow upstream and
+    2-entry caches, so receiver order, each receiver's own interface on
+    the segment, overhear suppression and CancelSends all shape the output.
+  * pushback: two zombies and two honest consumers whose interests live
+    700, 1500 and 2500 ms, so PIT entries expire out of insertion order
+    while the namespace quota trips and push-back travels up the chain.
+
+The last two were recorded before the event loop, the delivery path and
+the PIT's expiry index were reworked.
 
 The cross-process test runs the CLI under two hash seeds and compares the
 bytes, so no output depends on set or dict iteration over hashed keys.
@@ -110,13 +120,91 @@ def poisoned_cs_doc() -> dict:
     }
 
 
+def broadcast_doc() -> dict:
+    names = [f"/victim/s{i}" for i in range(12)]
+    segment = {"bandwidth_mbps": 20, "delay_ms": 1, "kind": "broadcast"}
+    return {
+        "name": "golden-broadcast", "duration_ms": 1500, "seed": 202,
+        "defaults": {"cs_capacity": 2},
+        "nodes": [
+            {"id": "p", "role": "producer", "prefix": "/victim",
+             "static_names": [f"s{i}" for i in range(12)]},
+            *({"id": r, "role": "router"} for r in ("a1", "a2", "b1", "b2")),
+            {"id": "v1", "role": "consumer",
+             "requests": {"names": names, "rate_per_s": 40, "start_ms": 0, "stop_ms": 1200,
+                          "retries": 1, "send_on_all_interfaces": True}},
+            {"id": "v2", "role": "consumer",
+             "requests": {"names": names[::-1], "rate_per_s": 30, "start_ms": 5,
+                          "stop_ms": 1200, "retries": 0}},
+            {"id": "v3", "role": "consumer",
+             "requests": {"names": names[3:], "rate_per_s": 25, "start_ms": 0,
+                          "stop_ms": 1200, "retries": 0}},
+        ],
+        "links": [
+            {"endpoints": ["v2", "a2", "v1", "a1"], **segment},
+            {"endpoints": ["b1", "v1", "v3", "b2", "a1"], **segment, "delay_ms": 2},
+            _link("a1", "p"),
+            {"endpoints": ["a2", "p"], "bandwidth_mbps": 100, "delay_ms": 4},
+            {"endpoints": ["b1", "p"], "bandwidth_mbps": 100, "delay_ms": 2},
+            {"endpoints": ["p", "b2"], "bandwidth_mbps": 100, "delay_ms": 2},
+        ],
+        "fib": {r: [{"prefix": "/victim", "next_hops": ["p"]}] for r in ("a1", "a2", "b1", "b2")},
+    }
+
+
+def pushback_doc() -> dict:
+    def consumer(rate: int, retries: int, lifetime_ms: int) -> dict:
+        return {"unique_under": "/victim/live", "rate_per_s": rate, "start_ms": 0,
+                "stop_ms": 5000, "retries": retries, "lifetime_ms": lifetime_ms}
+
+    chain = {"r3": "r2", "r2": "r1", "r1": "p"}
+    return {
+        "name": "golden-pushback", "duration_ms": 5000, "seed": 303,
+        "defaults": {"pit_capacity": 400, "interest_lifetime_ms": 1500},
+        "nodes": [
+            {"id": "p", "role": "producer", "prefix": "/victim", "dynamic_prefix": "live"},
+            *({"id": r, "role": "router"} for r in chain),
+            {"id": "h1", "role": "consumer", "requests": consumer(20, 1, 700)},
+            {"id": "h2", "role": "consumer", "requests": consumer(15, 0, 2500)},
+            {"id": "z1", "role": "zombie"},
+            {"id": "z2", "role": "zombie"},
+        ],
+        "links": ([_link("z1", "r3"), _link("h1", "r3"), _link("z2", "r2"), _link("h2", "r2")]
+                  + [_link(r, up) for r, up in chain.items()]),
+        "fib": {r: [{"prefix": "/victim", "next_hops": [up]}] for r, up in chain.items()},
+        "attacks": [
+            {"kind": "flood-unsat-nonce", "zombies": ["z1"], "target_prefix": "/victim",
+             "rate_per_s": 300, "start_ms": 0, "stop_ms": 5000},
+            {"kind": "flood-unsat-nonce", "zombies": ["z2"], "target_prefix": "/victim",
+             "rate_per_s": 200, "start_ms": 200, "stop_ms": 4000},
+        ],
+        "flooding_defense": {"namespace_quotas": {"/victim": 150}, "quota_routers": ["r1"],
+                             "window_ms": 2000, "pushback_cooldown_ms": 500,
+                             "pushback_ttl": 4},
+    }
+
+
 DOCS = {
+    "broadcast": broadcast_doc,
+    "pushback": pushback_doc,
     "chain_flood": chain_flood_doc,
     "dynamic_flood": dynamic_flood_doc,
     "poisoned_cs": poisoned_cs_doc,
 }
 
 GOLDEN = {
+    "broadcast": {
+        "golden-broadcast_base_rep0.csv":
+            "89e637ec59928b8a2eb4a6425ca30350217d7f1e8bd03e72ae32b5ad3f5e853c",
+        "golden-broadcast_summary.json":
+            "8043c9e973f167666adcb6f1dd4358560bada2860deb52d7a2cdc5a37bdcaee7",
+    },
+    "pushback": {
+        "golden-pushback_base_rep0.csv":
+            "c1780eeb8ef9ec583418b09a389f8f387250d1d99119a743f126741f463c39e0",
+        "golden-pushback_summary.json":
+            "8e46b25ab5da09d59a394175f92af493de7da3484a0892eca832275134a3483a",
+    },
     "chain_flood": {
         "chain-flood_defended_rep0.csv":
             "212ee5bbb05a2544a121e2f01aef5cad3fad17552bc69b9ab8eb2515484fc3b4",
