@@ -156,7 +156,7 @@ class Zombie(NodeBase):
         t = spec.start_ms * MS + phase
         seq = 0
         while t < spec.stop_ms * MS:
-            self.net.at(int(t), self._make_sender(spec, seq), "wakeup")
+            self.net.at(int(t), self._make_sender(spec, seq))
             seq += 1
             t += period
 
@@ -184,7 +184,7 @@ class Zombie(NodeBase):
                 self.stats["interests_sent"] += 1
                 self.net.send_from(self.id, self.default_iface(), interest)
 
-            self.net.at(spec.start_ms * MS + int(delay), send, "wakeup")
+            self.net.at(spec.start_ms * MS + int(delay), send)
 
     def on_packet(self, iface: int, pkt, now: int) -> list:
         if isinstance(pkt, DataPacket):

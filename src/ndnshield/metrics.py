@@ -111,7 +111,7 @@ class MetricsCollector:
         self._last_sample_us = -1
 
     def install(self) -> None:
-        self.net.every(self.tick_ms * 1000, self.sample, "wakeup")
+        self.net.every(self.tick_ms * 1000, self.sample)
 
     def sample(self, now_us: int) -> None:
         if now_us == self._last_sample_us:

@@ -462,13 +462,13 @@ class RequestConsumer(ConsumerBase):
     def start(self) -> None:
         if self.at_ms is not None:
             for t in self.at_ms:
-                self.net.at(t * MS, self._fire, "wakeup")
+                self.net.at(t * MS, self._fire)
         elif self.rate_per_s > 0:
             period = 1e6 / self.rate_per_s
             phase = self.rng.uniform(0, period)
             t = self.start_ms * MS + phase
             while t < self.stop_ms * MS:
-                self.net.at(int(t), self._fire, "wakeup")
+                self.net.at(int(t), self._fire)
                 t += period
 
     def _next_name(self) -> Name:
@@ -611,7 +611,7 @@ class CollectionConsumer(ConsumerBase):
         return self.mode in (MODE_DSCID, MODE_COMBINED)
 
     def start(self) -> None:
-        self.net.at(self.start_ms * MS, self._advance, "wakeup")
+        self.net.at(self.start_ms * MS, self._advance)
 
     def _fragment_name(self, i: int) -> Name:
         return self.base.child(b"%d" % i)

@@ -2,7 +2,10 @@
 
 Interests and data packets are the only two packet kinds on the wire.
 Everything here is an immutable value: safe to share across simulation
-instances and cheap to use as dict keys.
+instances and cheap to use as dict keys. Values derived from a packet and
+needed on every hop (`wire_size`, the router's option fingerprint) are
+computed once and kept in the packet's `__dict__`, outside its fields, so
+they take no part in equality, hashing or repr.
 
 The wire encoding is deliberately simple (32-bit big-endian counts and
 lengths throughout) so that signatures and content hashes are bit-exact
@@ -48,6 +51,19 @@ def _escape_component(component: bytes) -> str:
 
 
 def _unescape_component(text: str) -> bytes:
+    if "%" not in text:
+        # No escapes: every character must be a byte, and latin-1 maps
+        # exactly the characters 0..255 to those bytes.
+        try:
+            return text.encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise NameParseError(
+                f"non-byte character {text[exc.start]!r} in component"
+            ) from None
+    return _unescape_escaped(text)
+
+
+def _unescape_escaped(text: str) -> bytes:
     out = bytearray()
     i = 0
     while i < len(text):
@@ -122,11 +138,6 @@ class Name:
 
     def prefix(self, length: int) -> "Name":
         return Name(self.components[:length])
-
-    def prefixes(self) -> Iterator["Name"]:
-        """All prefixes of this name, shortest first, including itself."""
-        for i in range(len(self.components) + 1):
-            yield Name(self.components[:i])
 
     @property
     def last(self) -> bytes:
@@ -459,10 +470,16 @@ def decode_interest(data: bytes) -> Interest:
 
 
 def wire_size(pkt: Union[Interest, DataPacket]) -> int:
-    """Byte size charged against link bandwidth."""
-    if isinstance(pkt, Interest):
-        return len(encode_interest(pkt))
-    return len(encode_data(pkt))
+    """Byte size charged against link bandwidth. Packets are immutable, so
+    the size is encoded once and kept on the packet."""
+    size = pkt.__dict__.get("_wire_size")
+    if size is None:
+        if isinstance(pkt, Interest):
+            size = len(encode_interest(pkt))
+        else:
+            size = len(encode_data(pkt))
+        object.__setattr__(pkt, "_wire_size", size)
+    return size
 
 
 # ---------------------------------------------------------------------------

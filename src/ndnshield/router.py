@@ -103,26 +103,27 @@ class FibEntry:
 
 class Fib:
     def __init__(self):
-        self._entries: dict[Name, FibEntry] = {}
+        self._entries: dict[tuple[bytes, ...], FibEntry] = {}  # by prefix components
 
     def add(self, prefix: Name, interfaces: list[int]) -> FibEntry:
         entry = FibEntry(prefix, list(interfaces))
-        self._entries[prefix] = entry
+        self._entries[prefix.components] = entry
         return entry
 
     def get(self, prefix: Name) -> Optional[FibEntry]:
-        return self._entries.get(prefix)
+        return self._entries.get(prefix.components)
 
     def entries(self) -> list[FibEntry]:
         return list(self._entries.values())
 
     def longest_prefix_match(self, name: Name) -> Optional[FibEntry]:
-        best: Optional[FibEntry] = None
-        for prefix in name.prefixes():
-            entry = self._entries.get(prefix)
+        comps = name.components
+        entries = self._entries
+        for i in range(len(comps), -1, -1):
+            entry = entries.get(comps[:i])
             if entry is not None:
-                best = entry  # prefixes() yields shortest first
-        return best
+                return entry
+        return None
 
 
 def longest_prefix_match(fib: Fib, name: Name) -> Optional[FibEntry]:
@@ -133,8 +134,8 @@ def strategy_choose(entry: FibEntry, exclude: frozenset[int] = frozenset()) -> l
     """Rank interfaces by smoothed satisfaction ratio; probe a second path
     when even the best choice is failing more often than not."""
     usable = [i for i in entry.interfaces if i not in exclude]
-    if not usable:
-        return []
+    if len(usable) <= 1:
+        return usable  # nothing to rank, and no second path to probe
     ranked = sorted(
         usable,
         key=lambda i: (
@@ -304,7 +305,17 @@ class ContentStore:
 
 def option_fingerprint(interest: Interest) -> bytes:
     """Digest of (exclude, publisher key digest, answer origin); interests
-    that differ in these may need different answers and must not collapse."""
+    that differ in these may need different answers and must not collapse.
+    Interests are immutable, so the digest is computed once and kept on the
+    interest."""
+    digest = interest.__dict__.get("_option_fingerprint")
+    if digest is None:
+        digest = _option_digest(interest)
+        object.__setattr__(interest, "_option_fingerprint", digest)
+    return digest
+
+
+def _option_digest(interest: Interest) -> bytes:
     out = bytearray()
     out.append(interest.answer_origin.value)
     if interest.publisher_key_digest is not None:
@@ -331,8 +342,7 @@ class PitEntry:
     outgoing: dict[int, int]  # iface -> forward time
     expiry: int
     fib_prefix: Optional[Name]
-    attack: bool
-    created_at: int
+    attack: bool  # change only through Pit.mark_attack once inserted
 
     @property
     def name(self) -> Name:
@@ -340,9 +350,29 @@ class PitEntry:
 
 
 class Pit:
+    """Pending interests by key, with an index by name components, a count
+    of attack entries, and expiry through a lazily invalidated heap of
+    (expiry, insertion seq, entry) records:
+
+    * every live entry has exactly one record, pushed on insert (an entry's
+      expiry never changes);
+    * records of removed entries are dropped when they reach the top, and
+      the heap is rebuilt from the live entries once it holds more than
+      twice as many records;
+    * `pop_expired` returns what it takes out in insertion order, the order
+      of a scan over the entries.
+    """
+
     def __init__(self):
         self._entries: dict[tuple, PitEntry] = {}
-        self._by_name: dict[Name, dict[tuple, PitEntry]] = {}
+        self._by_name: dict[tuple[bytes, ...], dict[tuple, PitEntry]] = {}
+        self._attack = 0
+        self._heap: list[tuple[int, int, PitEntry]] = []
+        self._seq = 0
+        # id(entry) -> seq of the record of every live entry. Records and
+        # the PIT hold their entries, so no other object can take an id
+        # while it is in use here.
+        self._live_seq: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -354,34 +384,78 @@ class Pit:
         return list(self._entries.values())
 
     def attack_count(self) -> int:
-        return sum(1 for e in self._entries.values() if e.attack)
+        return self._attack
 
-    def count_under(self, prefix: Name) -> int:
-        return sum(1 for e in self._entries.values() if prefix.is_prefix_of(e.name))
+    def mark_attack(self, entry: PitEntry) -> None:
+        """Flag a pending entry as (also) carrying attack traffic."""
+        if not entry.attack:
+            entry.attack = True
+            if id(entry) in self._live_seq:
+                self._attack += 1
 
     def insert(self, entry: PitEntry) -> None:
+        if entry.key in self._entries:
+            raise KeyError(f"PIT already holds an entry for {entry.key!r}")
         self._entries[entry.key] = entry
-        self._by_name.setdefault(entry.name, {})[entry.key] = entry
+        self._by_name.setdefault(entry.name.components, {})[entry.key] = entry
+        if entry.attack:
+            self._attack += 1
+        self._seq += 1
+        self._live_seq[id(entry)] = self._seq
+        heapq.heappush(self._heap, (entry.expiry, self._seq, entry))
+        self._bound_heap()
 
     def remove(self, entry: PitEntry) -> None:
-        self._entries.pop(entry.key, None)
-        bucket = self._by_name.get(entry.name)
-        if bucket is not None:
-            bucket.pop(entry.key, None)
-            if not bucket:
-                del self._by_name[entry.name]
+        if id(entry) not in self._live_seq:
+            return
+        self._unlink(entry)
+        self._bound_heap()
+
+    def _unlink(self, entry: PitEntry) -> None:
+        del self._entries[entry.key]
+        del self._live_seq[id(entry)]
+        if entry.attack:
+            self._attack -= 1
+        comps = entry.name.components
+        bucket = self._by_name[comps]
+        del bucket[entry.key]
+        if not bucket:
+            del self._by_name[comps]
+
+    def _bound_heap(self) -> None:
+        if len(self._heap) > 2 * len(self._entries):
+            self._heap = [
+                (e.expiry, self._live_seq[id(e)], e) for e in self._entries.values()
+            ]
+            heapq.heapify(self._heap)
 
     def match_data(self, data: DataPacket) -> list[PitEntry]:
         """Entries whose interest name is a prefix of the data name."""
         found: list[PitEntry] = []
-        for prefix in data.name.prefixes():
-            bucket = self._by_name.get(prefix)
+        comps = data.name.components
+        by_name = self._by_name
+        for i in range(len(comps) + 1):
+            bucket = by_name.get(comps[:i])
             if bucket:
                 found.extend(bucket.values())
         return found
 
-    def expired(self, now: int) -> list[PitEntry]:
-        return [e for e in self._entries.values() if e.expiry <= now]
+    def pop_expired(self, now: int) -> list[PitEntry]:
+        """Remove and return every entry whose expiry is <= now, in
+        insertion order."""
+        heap = self._heap
+        expired: list[tuple[int, PitEntry]] = []
+        while heap and heap[0][0] <= now:
+            _, seq, entry = heapq.heappop(heap)
+            if self._live_seq.get(id(entry)) == seq:
+                expired.append((seq, entry))
+        if not expired:
+            return []
+        expired.sort()  # by seq, which is unique
+        for _, entry in expired:
+            self._unlink(entry)
+        self._bound_heap()
+        return [entry for _, entry in expired]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +559,7 @@ class Router:
         key = (interest.name, option_fingerprint(interest))
         entry = self.pit.get(key)
         if entry is not None and entry.expiry <= now:
+            self.pit.remove(entry)
             self._expire_entry(entry, now)
             entry = None
 
@@ -503,7 +578,7 @@ class Router:
             entry.incoming.setdefault(iface, now)
             entry.nonces.add(interest.nonce)
             if interest.attack:
-                entry.attack = True
+                self.pit.mark_attack(entry)
             if self.flooding is not None:
                 self.flooding.note_collapsed(entry, iface, now)
             self.stats["interests_collapsed"] += 1
@@ -538,7 +613,6 @@ class Router:
             expiry=now + interest.lifetime_ms * 1000,
             fib_prefix=fib_entry.prefix,
             attack=interest.attack,
-            created_at=now,
         )
         self.pit.insert(entry)
         for u in upstreams:
@@ -670,12 +744,13 @@ class Router:
     # -- expiry ---------------------------------------------------------------
 
     def expire_pit(self, now: int) -> list[PitEntry]:
-        expired = self.pit.expired(now)
+        expired = self.pit.pop_expired(now)
         for entry in expired:
             self._expire_entry(entry, now)
         return expired
 
     def _expire_entry(self, entry: PitEntry, now: int) -> None:
+        """Bookkeeping for an entry that expired and has left the PIT."""
         fib_entry = self.fib.get(entry.fib_prefix) if entry.fib_prefix is not None else None
         if fib_entry is not None:
             for out_iface in entry.outgoing:
@@ -683,7 +758,6 @@ class Router:
                     fib_entry.stats[out_iface].expired += 1
         if self.flooding is not None:
             self.flooding.note_expired(entry, now)
-        self.pit.remove(entry)
         self.stats["interests_expired"] += 1
 
     def pit_sweep(self, now: int) -> list[Action]:

@@ -2,9 +2,12 @@
 
 Time is integer microseconds. Events execute in (time, sequence) order
 where sequence is a global scheduling counter, so a (scenario, seed) pair
-fully determines the trace. Links are lossless store-and-forward queues;
-on shared segments transmissions serialize and every other endpoint hears
-each frame, which is what the overhear-suppression rule needs.
+fully determines the trace. The heap holds plain (time, seq, fn) tuples;
+an event due after the end of the run is never queued (its sequence
+number is still taken, so the order of the events that run is the same).
+Links are lossless store-and-forward queues; on shared segments
+transmissions serialize and every other endpoint hears each frame, which
+is what the overhear-suppression rule needs.
 """
 
 from __future__ import annotations
@@ -12,21 +15,14 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .packets import DataPacket, Interest, wire_size
 from .router import CancelSends, Drop, IfaceInfo, Router, SendData, SendInterest
 
 MS = 1000
-
-
-@dataclass(order=True)
-class Event:
-    time: int
-    seq: int
-    kind: str = field(compare=False)
-    fn: Callable[[], None] = field(compare=False)
 
 
 @dataclass
@@ -80,10 +76,14 @@ class Network:
         self.rng = rng
         self.now = 0
         self._seq = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._until: float = math.inf  # end of the run; later events are never queued
         self.nodes: dict[str, object] = {}
         self.links: list[Link] = []
-        self._ifaces: dict[tuple[str, int], Link] = {}
+        # (node, iface) -> (link, receivers): every other endpoint of the
+        # link in sorted order, as (node id, node, its own iface on the link).
+        self._ports: dict[tuple[str, int], tuple[Link, tuple]] = {}
+        self._iface_to: dict[tuple[str, str], int] = {}  # (node, peer) -> lowest iface
         self._iface_count: dict[str, int] = {}
         self._cancel_registry: dict[tuple[str, tuple], list[SendHandle]] = {}
         self._started = False
@@ -106,11 +106,16 @@ class Network:
     def add_link(self, spec: LinkSpec) -> Link:
         link = Link(len(self.links), spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
         self.links.append(link)
+        ifaces = []
+        own_iface: dict[str, int] = {}  # an endpoint's first iface on this link
         for endpoint in spec.endpoints:
             node = self.nodes[endpoint]
             iface = self._iface_count[endpoint]
             self._iface_count[endpoint] = iface + 1
-            self._ifaces[(endpoint, iface)] = link
+            ifaces.append(iface)
+            own_iface.setdefault(endpoint, iface)
+            for peer in spec.endpoints:
+                self._iface_to.setdefault((endpoint, peer), iface)
             info = IfaceInfo(
                 iface=iface,
                 link_id=link.id,
@@ -121,39 +126,47 @@ class Network:
                 peers=tuple(e for e in spec.endpoints if e != endpoint),
             )
             node.attach_iface(info)
+        for sender, iface in zip(spec.endpoints, ifaces):
+            receivers = tuple(
+                (r, self.nodes[r], own_iface[r]) for r in sorted(spec.endpoints) if r != sender
+            )
+            self._ports[(sender, iface)] = (link, receivers)
         return link
 
     def iface_to(self, node_id: str, peer_id: str) -> int:
         """The lowest-numbered interface of node_id on a link shared with peer."""
-        for (nid, iface), link in self._ifaces.items():
-            if nid == node_id and peer_id in link.spec.endpoints:
-                return iface
-        raise KeyError(f"{node_id} has no link to {peer_id}")
+        iface = self._iface_to.get((node_id, peer_id))
+        if iface is None:
+            raise KeyError(f"{node_id} has no link to {peer_id}")
+        return iface
 
     # -- clock -------------------------------------------------------------------
 
-    def at(self, time_us: int, fn: Callable[[], None], kind: str = "timer") -> None:
+    def at(self, time_us: int, fn: Callable[[], None]) -> None:
+        """Schedule fn at time_us; the single entry point of every event."""
         if time_us < self.now:
             raise ValueError("cannot schedule into the past")
         self._seq += 1
-        heapq.heappush(self._heap, Event(time_us, self._seq, kind, fn))
+        if time_us <= self._until:
+            heapq.heappush(self._heap, (time_us, self._seq, fn))
 
-    def after(self, delay_us: int, fn: Callable[[], None], kind: str = "timer") -> None:
-        self.at(self.now + delay_us, fn, kind)
+    def after(self, delay_us: int, fn: Callable[[], None]) -> None:
+        self.at(self.now + delay_us, fn)
 
-    def every(self, interval_us: int, fn: Callable[[int], None], kind: str = "wakeup") -> None:
+    def every(self, interval_us: int, fn: Callable[[int], None]) -> None:
         def tick():
             fn(self.now)
-            self.after(interval_us, tick, kind)
+            self.after(interval_us, tick)
 
-        self.after(interval_us, tick, kind)
+        self.after(interval_us, tick)
 
     # -- transmission ---------------------------------------------------------------
 
     def send_from(self, sender: str, iface: int, pkt) -> Optional[SendHandle]:
-        link = self._ifaces.get((sender, iface))
-        if link is None:
+        port = self._ports.get((sender, iface))
+        if port is None:
             raise KeyError(f"node {sender!r} has no interface {iface}")
+        link, receivers = port
         if isinstance(pkt, Interest) and pkt.scope is not None and pkt.scope <= 1:
             raise ValueError("scope 0/1 interests never leave the originating host")
         ser_us = int(math.ceil(wire_size(pkt) * 8 * 1e6 / link.spec.bandwidth_bps))
@@ -161,31 +174,27 @@ class Network:
         handle = SendHandle()
         if isinstance(pkt, DataPacket):
             self.audit_data_out[(sender, iface)] += 1
-        receivers = tuple(e for e in sorted(link.spec.endpoints) if e != sender)
-        self.at(arrival, lambda: self._deliver(link, sender, receivers, pkt, handle), "deliver")
+        self.at(arrival, partial(self._deliver, link, receivers, pkt, handle))
         return handle
 
-    def _deliver(self, link: Link, sender: str, receivers: tuple[str, ...], pkt, handle) -> None:
+    def _deliver(self, link: Link, receivers: tuple, pkt, handle: SendHandle) -> None:
         if handle.cancelled:
             return
         handle.delivered = True
-        for receiver in receivers:
-            node = self.nodes[receiver]
-            iface = self._iface_of(receiver, link)
-            if isinstance(pkt, Interest):
-                self.audit_interests_in[(receiver, iface)] += 1
-                actions = node.on_packet(iface, pkt, self.now)
-            elif link.spec.broadcast and hasattr(node, "on_broadcast_packet"):
-                actions = node.on_broadcast_packet(iface, pkt, self.now)
+        now = self.now
+        if isinstance(pkt, Interest):
+            audit = self.audit_interests_in
+            for receiver, node, iface in receivers:
+                audit[(receiver, iface)] += 1
+                self.apply(receiver, node.on_packet(iface, pkt, now))
+            return
+        broadcast = link.spec.broadcast
+        for receiver, node, iface in receivers:
+            if broadcast and hasattr(node, "on_broadcast_packet"):
+                actions = node.on_broadcast_packet(iface, pkt, now)
             else:
-                actions = node.on_packet(iface, pkt, self.now)
+                actions = node.on_packet(iface, pkt, now)
             self.apply(receiver, actions)
-
-    def _iface_of(self, node_id: str, link: Link) -> int:
-        for (nid, iface), lk in self._ifaces.items():
-            if nid == node_id and lk is link:
-                return iface
-        raise KeyError(f"{node_id} not on link {link.id}")
 
     # -- actions -----------------------------------------------------------------------
 
@@ -197,7 +206,7 @@ class Network:
                 self.send_from(node_id, action.iface, action.interest)
             elif isinstance(action, SendData):
                 handle = self.send_from(node_id, action.iface, action.data)
-                link = self._ifaces[(node_id, action.iface)]
+                link = self._ports[(node_id, action.iface)][0]
                 if action.entry_key is not None and link.spec.broadcast and handle:
                     self._cancel_registry.setdefault(
                         (node_id, action.entry_key), []
@@ -215,18 +224,23 @@ class Network:
 
     def run(self, until_us: int) -> None:
         """Start every node and process events up to `until_us`. A network
-        runs once: a second call would start every node again."""
+        runs once: a second call would start every node again. Events due
+        after `until_us` are dropped: those already queued now, later ones
+        as they are scheduled."""
         if self._started:
             raise RuntimeError("Network.run called twice; build a new network instead")
         self._started = True
+        self._until = until_us
+        heap = self._heap = [event for event in self._heap if event[0] <= until_us]
+        heapq.heapify(heap)
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if hasattr(node, "start"):
-                self.at(self.now, node.start, "wakeup")
-        while self._heap and self._heap[0].time <= until_us:
-            event = heapq.heappop(self._heap)
-            self.now = event.time
-            event.fn()
+                self.at(self.now, node.start)
+        pop = heapq.heappop
+        while heap:
+            self.now, _, fn = pop(heap)
+            fn()
         self.now = until_us
 
     # -- invariants -------------------------------------------------------------------------

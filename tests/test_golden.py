@@ -15,14 +15,18 @@ pass: a mismatch means the simulator's behaviour changed.
     that catches a wrong victim order.
   * broadcast: two shared segments whose endpoints are listed out of
     sorted order, a consumer and a router on both, a slow upstream and
-    2-entry caches, so receiver order, each receiver's own interface on
-    the segment, overhear suppression and CancelSends all shape the output.
+    2-entry caches, so each receiver's own interface on the segment,
+    overhear suppression and CancelSends shape the output. Two routers on
+    one segment forward each interest to one shared router, which drops
+    the later copy as a duplicate nonce, so which of them is served and
+    which overhears depends on the order the segment delivers to them.
   * pushback: two zombies and two honest consumers whose interests live
     700, 1500 and 2500 ms, so PIT entries expire out of insertion order
     while the namespace quota trips and push-back travels up the chain.
 
-The last two were recorded before the event loop, the delivery path and
-the PIT's expiry index were reworked.
+The digests of the last two were taken from the code as it was before
+the event loop, the delivery path and the PIT's expiry index were
+reworked.
 
 The cross-process test runs the CLI under two hash seeds and compares the
 bytes, so no output depends on set or dict iteration over hashed keys.
@@ -129,7 +133,7 @@ def broadcast_doc() -> dict:
         "nodes": [
             {"id": "p", "role": "producer", "prefix": "/victim",
              "static_names": [f"s{i}" for i in range(12)]},
-            *({"id": r, "role": "router"} for r in ("a1", "a2", "b1", "b2")),
+            *({"id": r, "role": "router"} for r in ("a1", "a2", "b1", "b2", "x")),
             {"id": "v1", "role": "consumer",
              "requests": {"names": names, "rate_per_s": 40, "start_ms": 0, "stop_ms": 1200,
                           "retries": 1, "send_on_all_interfaces": True}},
@@ -142,13 +146,15 @@ def broadcast_doc() -> dict:
         ],
         "links": [
             {"endpoints": ["v2", "a2", "v1", "a1"], **segment},
-            {"endpoints": ["b1", "v1", "v3", "b2", "a1"], **segment, "delay_ms": 2},
+            {"endpoints": ["b2", "v1", "v3", "b1", "a1"], **segment, "delay_ms": 2},
             _link("a1", "p"),
             {"endpoints": ["a2", "p"], "bandwidth_mbps": 100, "delay_ms": 4},
-            {"endpoints": ["b1", "p"], "bandwidth_mbps": 100, "delay_ms": 2},
-            {"endpoints": ["p", "b2"], "bandwidth_mbps": 100, "delay_ms": 2},
+            _link("b1", "x"),
+            _link("x", "b2"),
+            _link("x", "p"),
         ],
-        "fib": {r: [{"prefix": "/victim", "next_hops": ["p"]}] for r in ("a1", "a2", "b1", "b2")},
+        "fib": {r: [{"prefix": "/victim", "next_hops": [up]}]
+                for r, up in (("a1", "p"), ("a2", "p"), ("b1", "x"), ("b2", "x"), ("x", "p"))},
     }
 
 
@@ -195,9 +201,9 @@ DOCS = {
 GOLDEN = {
     "broadcast": {
         "golden-broadcast_base_rep0.csv":
-            "89e637ec59928b8a2eb4a6425ca30350217d7f1e8bd03e72ae32b5ad3f5e853c",
+            "fed9e391bbc1bbcfbcab318a18b78be8eb6c28f5c98dd43cbcd22d5ee10ca850",
         "golden-broadcast_summary.json":
-            "8043c9e973f167666adcb6f1dd4358560bada2860deb52d7a2cdc5a37bdcaee7",
+            "97b046861b4fb4a1f9be5bf9335d8fae402add955a69f5d4bb6543cbb232fca5",
     },
     "pushback": {
         "golden-pushback_base_rep0.csv":

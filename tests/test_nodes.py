@@ -76,10 +76,10 @@ class StubNet:
         self.sent = []
         self.timers = []
 
-    def at(self, time_us, fn, kind="timer"):
+    def at(self, time_us, fn):
         self.timers.append((time_us, fn))
 
-    def after(self, delay_us, fn, kind="timer"):
+    def after(self, delay_us, fn):
         self.timers.append((self.now + delay_us, fn))
 
     def send_from(self, node_id, iface, pkt):
@@ -249,7 +249,7 @@ def chained_consumer(mode="combined", m=10, u=4, **kw):
     class NetWithAt(StubNet):
         pass
 
-    consumer.net.at = lambda t, fn, kind="t": fn()
+    consumer.net.at = lambda t, fn: fn()
     return consumer, packets, net
 
 

@@ -31,6 +31,7 @@ from ndnshield.packets import (
     parse_name,
     wire_size,
 )
+from ndnshield.packets import _unescape_component, _unescape_escaped
 
 components = st.binary(min_size=1, max_size=32)
 names = st.lists(components, min_size=0, max_size=8).map(lambda cs: Name(tuple(cs)))
@@ -373,3 +374,34 @@ def test_matching_monotone_in_options(name, digest, exclude, strip_hash):
             Interest(interest_name, 1, None, None),
         ):
             assert interest_matches(data, relaxed)
+
+
+_NAME_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("%0123456789abcdefABCDEFgz/ \x7f"),
+                       st.characters(max_codepoint=0x2FF)),
+    max_size=12,
+)
+
+
+@given(_NAME_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_unescape_fast_path_matches_escape_loop(text):
+    """A component without '%' skips the per-character loop; both paths
+    give the same bytes, or the same NameParseError."""
+
+    def outcome(fn):
+        try:
+            return fn(text)
+        except NameParseError as exc:
+            return str(exc)
+
+    assert outcome(_unescape_component) == outcome(_unescape_escaped)
+
+
+def test_wire_size_memo_leaves_packet_value_alone():
+    """The size kept on a packet is its encoded length, and the packet
+    still equals and hashes like one never measured."""
+    measured, fresh = Interest(Name.parse("/m/1"), 7), Interest(Name.parse("/m/1"), 7)
+    assert wire_size(measured) == wire_size(measured) == len(encode_interest(fresh))
+    assert measured == fresh and hash(measured) == hash(fresh)
+    assert repr(measured) == repr(fresh)

@@ -16,6 +16,8 @@ from ndnshield.router import (
     Fib,
     FibEntry,
     FibStats,
+    Pit,
+    PitEntry,
     SendData,
     SendInterest,
     CancelSends,
@@ -444,3 +446,86 @@ def test_unbounded_cs_keeps_no_heap():
         assert store.insert(pkt, now=0) is None
     store.set_trust(store.entries()[0], 0.0)
     assert len(store) == _CS_NAMES and store._heap == []
+
+
+# ---------------------------------------------------------------------------
+# PIT index: expiry order, attack count, heap bound
+# ---------------------------------------------------------------------------
+
+_PIT_NAMES = ("/p", "/p/a", "/p/a/b", "/p/a/b/c", "/p/x", "/q")
+_PIT_LIFETIMES_US = (700 * MS, 1500 * MS, 4000 * MS)
+PIT_OPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(_PIT_NAMES) - 1), st.integers(0, 2),
+              st.sampled_from(_PIT_LIFETIMES_US), st.booleans()),
+    st.tuples(st.just("remove"), st.integers(0, 63), st.booleans(), st.none(), st.none()),
+    st.tuples(st.just("mark"), st.integers(0, 63), st.booleans(), st.none(), st.none()),
+    st.tuples(st.just("sweep"), st.none(), st.none(), st.none(), st.none()),
+    st.tuples(st.just("match"), st.none(), st.none(), st.none(), st.none()),
+)
+
+
+@functools.cache
+def pit_data_packet():
+    return make_packet("/p/a/b/c/d")
+
+
+def _pit_entry(name: str, variant: int, now: int, lifetime_us: int, attack: bool):
+    return PitEntry(key=(n(name), bytes([variant])), interest=interest(name),
+                    nonces={1}, incoming={0: now}, outgoing={1: now},
+                    expiry=now + lifetime_us, fib_prefix=None, attack=attack)
+
+
+# Steps as long as a lifetime let one sweep find entries that expire out
+# of insertion order.
+_PIT_TICKS_US = st.sampled_from((0, 1, 350 * MS, *_PIT_LIFETIMES_US))
+
+
+@given(st.lists(st.tuples(PIT_OPS, _PIT_TICKS_US), min_size=1, max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_pit_index_matches_scan_oracle(ops):
+    """Whatever the history of inserts, removals, attack marks and sweeps,
+    a sweep returns exactly the scan [e for e in entries if e.expiry <= now]
+    in insertion order, attack_count() equals a recount, and the expiry
+    heap holds at most twice as many records as live entries."""
+    pit = Pit()
+    live: list = []  # the oracle: live entries in insertion order
+    gone: list = []  # removed entries, which must stay inert
+    now = 0
+    for (op, a, b, lifetime, attack), tick in ops:
+        now += tick
+        if op == "insert":
+            entry = _pit_entry(_PIT_NAMES[a], b, now, lifetime, attack)
+            if any(e.key == entry.key for e in live):
+                with pytest.raises(KeyError):
+                    pit.insert(entry)
+            else:
+                pit.insert(entry)
+                live.append(entry)
+        elif op in ("remove", "mark"):
+            pool = live if b or not gone else gone
+            if pool:
+                entry = pool[a % len(pool)]
+                if op == "mark":
+                    pit.mark_attack(entry)
+                    assert entry.attack
+                else:
+                    pit.remove(entry)
+                    if entry in live:
+                        live.remove(entry)
+                        gone.append(entry)
+        elif op == "sweep":
+            expected = [e for e in live if e.expiry <= now]
+            got = pit.pop_expired(now)
+            assert len(got) == len(expected) and all(g is e for g, e in zip(got, expected))
+            live = [e for e in live if e.expiry > now]
+            gone.extend(expected)
+        else:
+            comps = pit_data_packet().name.components
+            expected = [e for i in range(len(comps) + 1) for e in live
+                        if e.name.components == comps[:i]]
+            got = pit.match_data(pit_data_packet())
+            assert len(got) == len(expected) and all(g is e for g, e in zip(got, expected))
+        assert len(pit) == len(live)
+        assert all(g is e for g, e in zip(pit.entries(), live))
+        assert pit.attack_count() == sum(1 for e in live if e.attack)
+        assert len(pit._heap) <= 2 * len(pit)

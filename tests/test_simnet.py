@@ -142,6 +142,55 @@ def test_event_causality_and_order():
     assert log == ["a", "b", "c"]
 
 
+def test_parallel_links_iface_lookup_and_delivery():
+    """Two links join a and b; b also has an earlier link to c. iface_to
+    returns the lowest interface, and every delivery reports the receiving
+    link's own interface."""
+    net = Network(Rng(5, "net"))
+    a, b, c = Recorder("a"), Recorder("b"), Recorder("c")
+    for node in (a, b, c):
+        net.add_node(node)
+    for endpoints in (("b", "c"), ("a", "b"), ("b", "a")):
+        net.add_link(LinkSpec(endpoints=endpoints, bandwidth_bps=1e8, delay_us=1000))
+    # a: iface 0 and 1 to b. b: iface 0 to c, 1 and 2 to a.
+    assert net.iface_to("a", "b") == 0
+    assert net.iface_to("b", "a") == 1
+    assert net.iface_to("b", "c") == 0
+    with pytest.raises(KeyError):
+        net.iface_to("a", "c")
+    packets = [make_packet(f"/t/{i}") for i in range(4)]
+    for (sender, iface), pkt in zip((("a", 0), ("a", 1), ("b", 2), ("b", 1)), packets):
+        net.send_from(sender, iface, pkt)
+    net.run(until_us=10 * MS)
+    assert [(iface, packets.index(pkt)) for _, iface, pkt in b.received] == [(1, 0), (2, 1)]
+    assert [(iface, packets.index(pkt)) for _, iface, pkt in a.received] == [(1, 2), (0, 3)]
+    assert c.received == []
+
+
+def test_events_past_the_end_never_run():
+    """Events due after until_us never run, whether queued before the run
+    or scheduled during it, and dropping them leaves the order of the
+    events that do run, same-time ones included, as scheduled."""
+    net = Network(Rng(3, "net"))
+    log = []
+
+    def first():
+        log.append("a")
+        net.at(5 * MS, lambda: log.append("c"))
+        net.at(10 * MS + 1, lambda: log.append("late"))
+        net.at(10 * MS, lambda: log.append("d"))
+
+    net.at(5 * MS, first)
+    net.at(11 * MS, lambda: log.append("queued-late"))
+    net.at(5 * MS, lambda: log.append("b"))
+    ticks = []
+    net.every(4 * MS, ticks.append)
+    net.run(until_us=10 * MS)
+    assert log == ["a", "b", "c", "d"]
+    assert ticks == [4 * MS, 8 * MS]
+    assert net.now == 10 * MS and net._heap == []
+
+
 def test_cannot_schedule_into_past():
     net = Network(Rng(3, "net"))
     net.at(5 * MS, lambda: None)
