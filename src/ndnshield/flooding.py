@@ -15,7 +15,8 @@ cap and push the advice further toward the sources.
 
 The composition of the limiters (rejection order, window length, clamp
 floor, cooldown, TTL, fair-share rule) is this artifact's own; every
-constant is a configuration knob.
+constant but the anomaly threshold and the cap's burst depth is a
+configuration knob.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ REJ_INGRESS_LIMIT = "ingress-limit"
 REJ_NAMESPACE_QUOTA = "namespace-quota"
 REJ_THROTTLED = "throttled"
 REJ_RATE_CAP = "rate-cap"
+
+# An ingress is anomalous while its satisfaction ratio sits below this.
+# Throttling and rate caps bind only on anomalous ingresses; a healthy
+# ingress always admits at fraction 1.0. Without the dead zone, every
+# throttled interest expires upstream and re-depresses the very ratio
+# that caused the throttling.
+ANOMALY_RATIO = 0.5
+CAP_BURST_S = 1.0  # token bucket depth, in seconds of advised rate
 
 
 def compute_outgoing_quota(
@@ -60,18 +69,11 @@ class FloodingConfig:
     pushback_cooldown_ms: int = 1000
     pushback_ttl: int = 8
     fair_share_factor: float = 2.0
-    # An ingress is anomalous while its satisfaction ratio sits below this.
-    # Throttling and rate caps bind only on anomalous ingresses; a healthy
-    # ingress always admits at fraction 1.0. Without the dead zone, every
-    # throttled interest expires upstream and re-depresses the very ratio
-    # that caused the throttling.
-    anomaly_ratio: float = 0.5
     interest_timeout_ms: int = INTEREST_LIFETIME_MS
     avg_content_size_bytes: int = 1500
     min_advised_rate: float = 1.0  # interests/s floor for push-back advice
     outgoing_quota_override: Optional[int] = None
     incoming_limit_override: Optional[int] = None
-    cap_burst_s: float = 1.0  # token bucket depth, in seconds of advised rate
 
 
 class TokenBucket:
@@ -236,7 +238,7 @@ class FloodingDefense:
         if win.resolved == 0:
             return 1.0
         frac = win.satisfied / win.resolved
-        if frac >= self.config.anomaly_ratio:
+        if frac >= ANOMALY_RATIO:
             return 1.0
         return max(self.config.min_throttle, frac)
 
@@ -287,7 +289,7 @@ class FloodingDefense:
         ratio = self._ingress_ratio(name, ingress, now)
         if ratio is None:
             return True  # no statistics to exonerate the ingress
-        return ratio < self.config.anomaly_ratio
+        return ratio < ANOMALY_RATIO
 
     def _cap_rate(self, cap: TokenBucket, name: Name, ingress: int, now: int) -> float:
         """Effective rate of a binding cap: the advised rate scaled by the
@@ -414,9 +416,7 @@ class FloodingDefense:
         for offender in self._offending_ingresses(prefix, now):
             if offender == iface:
                 continue
-            self._caps[(prefix, offender)] = TokenBucket(
-                rate, rate * self.config.cap_burst_s, now
-            )
+            self._caps[(prefix, offender)] = TokenBucket(rate, rate * CAP_BURST_S, now)
             last = self._last_pushback.get((prefix, offender))
             if ttl > 1 and (last is None or now - last >= cooldown):
                 self._last_pushback[(prefix, offender)] = now

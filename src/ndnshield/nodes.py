@@ -4,7 +4,7 @@ Consumers verify every delivered packet, re-request around bad copies via
 the exclude filter, and (in the self-certifying modes) walk hash-linked
 fragment chains with a bounded window of concurrently pending interests.
 Producers serve a pre-signed static catalog plus an optional dynamic
-handler whose responses are signed per request at a configurable
+prefix whose responses are signed per request at a configurable
 simulated cost. A compromised router answers interests under a target
 prefix with freshly minted poisoned content instead of forwarding them.
 """
@@ -192,7 +192,6 @@ class Producer(NodeBase):
         key: KeyPair,
         *,
         dynamic_prefix: Optional[Name] = None,
-        dynamic_handler: Optional[Callable[[Name], bytes]] = None,
         payload_size: int = 1024,
         sign_service_us: int = 800,
         static_service_us: int = 10,
@@ -204,7 +203,6 @@ class Producer(NodeBase):
         self.payload_size = payload_size
         self.sign_service_us = sign_service_us
         self.static_service_us = static_service_us
-        self._dynamic_handler = dynamic_handler or self._default_dynamic_payload
         self._by_base: dict[Name, DataPacket] = {}
         self._by_full: dict[Name, DataPacket] = {}
         self.collections: dict[bytes, StaticCollection] = {}
@@ -233,7 +231,7 @@ class Producer(NodeBase):
             self.add_static_packet(pkt)
         return col
 
-    def _default_dynamic_payload(self, name: Name) -> bytes:
+    def _dynamic_payload(self, name: Name) -> bytes:
         seed = sha256(str(name).encode())
         reps = self.payload_size // 32 + 1
         return (seed * reps)[: self.payload_size]
@@ -253,7 +251,7 @@ class Producer(NodeBase):
             return None  # no key of ours can match; ignored without cost
         if self.dynamic_prefix is not None and self.dynamic_prefix.is_prefix_of(interest.name):
             base = interest.name.strip_digest()
-            fresh = sign_packet(base, self._dynamic_handler(base), self.key)
+            fresh = sign_packet(base, self._dynamic_payload(base), self.key)
             if interest_matches(fresh, interest):
                 return fresh, self.sign_service_us
         return None
@@ -488,7 +486,7 @@ class RequestConsumer(ConsumerBase):
                             lifetime_ms=self.lifetime_ms)
         token = object()
         self._pending[name] = {"token": token, "retries_left": retries_left,
-                               "interest": interest, "sent": self.net.now}
+                               "interest": interest}
         self.stats["interests_sent"] += 1
         targets = sorted(self.ifaces) if self.send_on_all_interfaces else [self.default_iface()]
         for iface in targets:
@@ -671,7 +669,6 @@ class CollectionConsumer(ConsumerBase):
             "retries_left": retries_left,
             "exclude": exclude,
             "expected": expected,
-            "sent": self.net.now,
         }
         self.stats["interests_sent"] += 1
         self.net.send_from(self.id, self.default_iface(), interest)
@@ -791,11 +788,12 @@ class CompromisedRouter(Router):
         rng=None,
         config=None,
     ):
-        super().__init__(node_id, config=config, rng=rng)
+        super().__init__(node_id, config=config)
         if poison_mode not in ("corrupted", "fake"):
             raise ValueError("poison mode must be corrupted or fake")
         if poison_mode == "corrupted" and not (honest_key_der and honest_key_digest):
             raise ValueError("corrupted mode impersonates an honest producer key")
+        self.rng = rng
         self.poison_mode = poison_mode
         self.target_prefix = target_prefix
         self.adversary_key = adversary_key

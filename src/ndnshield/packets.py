@@ -111,10 +111,6 @@ class Name:
         comps = tuple(_unescape_component(p) for p in parts)
         return cls(comps)
 
-    @classmethod
-    def of(cls, *components: bytes | str) -> "Name":
-        return cls(tuple(c.encode() if isinstance(c, str) else c for c in components))
-
     def __str__(self) -> str:
         if not self.components:
             return "/"
@@ -135,9 +131,6 @@ class Name:
 
     def join(self, other: "Name") -> "Name":
         return Name(self.components + other.components)
-
-    def prefix(self, length: int) -> "Name":
-        return Name(self.components[:length])
 
     @property
     def last(self) -> bytes:
@@ -204,9 +197,6 @@ class ExplicitExclude:
 
     def excludes(self, component: bytes) -> bool:
         return component in self.components
-
-    def with_component(self, component: bytes) -> "ExplicitExclude":
-        return ExplicitExclude(self.components | {component})
 
 
 @dataclass(frozen=True)

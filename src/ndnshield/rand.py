@@ -58,17 +58,8 @@ class Rng:
             if v < n:
                 return v
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b] inclusive."""
-        return a + self.randrange(b - a + 1)
-
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()
-
-    def choice(self, seq):
-        if not seq:
-            raise IndexError("choice() from empty sequence")
-        return seq[self.randrange(len(seq))]
 
     def bytes(self, n: int) -> bytes:
         out = bytearray()

@@ -1,8 +1,8 @@
 """The forwarding engine: content store, PIT, FIB, strategy, suppression.
 
 A router is a passive state machine: packet handlers return lists of
-actions (sends, drops, cancellations) and the owning event loop carries
-them out. That keeps every pipeline step unit-testable without a network.
+actions (sends and drops) and the owning event loop carries them out.
+That keeps every pipeline step unit-testable without a network.
 """
 
 from __future__ import annotations
@@ -51,17 +51,11 @@ class SendInterest:
 class SendData:
     iface: int
     data: DataPacket
-    entry_key: Optional[tuple] = None  # lets broadcast sends be cancelled
 
 
 @dataclass(frozen=True)
 class Drop:
     reason: str
-
-
-@dataclass(frozen=True)
-class CancelSends:
-    entry_key: tuple
 
 
 Action = object
@@ -76,7 +70,6 @@ Action = object
 class FibStats:
     forwarded: int = 0
     satisfied: int = 0
-    expired: int = 0
     srtt_us: Optional[float] = None
 
     def smoothed_ratio(self) -> float:
@@ -162,7 +155,6 @@ class CsEntry:
     trust: float
     verified: bool
     last_access: int
-    inserted_at: int
 
 
 class ContentStore:
@@ -217,7 +209,7 @@ class ContentStore:
         evicted = None
         if self.capacity and len(self._by_hash) >= self.capacity:
             evicted = self._evict_one()
-        entry = CsEntry(packet, h, trust, False, now, now)
+        entry = CsEntry(packet, h, trust, False, now)
         self._by_hash[h] = entry
         comps = packet.name.components
         for i in range(len(comps) + 1):
@@ -466,12 +458,8 @@ class Pit:
 @dataclass
 class IfaceInfo:
     iface: int
-    link_id: int
     bandwidth_bps: float
-    delay_us: int
-    broadcast: bool
     link_key: bytes
-    peers: tuple[str, ...]
 
 
 @dataclass
@@ -489,7 +477,6 @@ class Router:
         config: RouterConfig | None = None,
         flooding=None,
         poisoning=None,
-        rng=None,
     ):
         self.id = node_id
         self.config = config or RouterConfig()
@@ -499,7 +486,6 @@ class Router:
         self.stats: Counter = Counter()
         self.flooding = flooding
         self.poisoning = poisoning
-        self.rng = rng
         self.ifaces: dict[int, IfaceInfo] = {}
         # Injected on attach; defaults let the router run stand-alone in tests.
         self.after: Callable[[int, Callable[[], None]], None] = lambda delay, fn: None
@@ -575,12 +561,15 @@ class Router:
 
         if entry is not None:
             # Collapse: remember the interface, nothing new goes upstream.
-            entry.incoming.setdefault(iface, now)
+            # An interface counts as pending once per entry, as resolving
+            # the entry releases it once.
+            if iface not in entry.incoming:
+                entry.incoming[iface] = now
+                if self.flooding is not None:
+                    self.flooding.note_collapsed(entry, iface, now)
             entry.nonces.add(interest.nonce)
             if interest.attack:
                 self.pit.mark_attack(entry)
-            if self.flooding is not None:
-                self.flooding.note_collapsed(entry, iface, now)
             self.stats["interests_collapsed"] += 1
             return []
 
@@ -657,12 +646,9 @@ class Router:
             if verdict is None:
                 admitted.append(entry)
             else:
+                # Entry stays pending so an honest copy can still satisfy it;
+                # the upstream that sent the bad copy gets no satisfaction credit.
                 reject_reason = verdict
-                # Entry stays pending so an honest copy can still satisfy it,
-                # but the upstream that produced the bad copy loses standing.
-                fib_entry = self.fib.get(entry.fib_prefix) if entry.fib_prefix else None
-                if fib_entry is not None and iface in fib_entry.stats:
-                    fib_entry.stats[iface].expired += 1
         if not admitted:
             reason = DROP_SCID_S if reject_reason == "s-scid" else DROP_SCID_D
             self.stats["drop_scid_s" if reason == DROP_SCID_S else "drop_scid_d"] += 1
@@ -691,7 +677,7 @@ class Router:
         for in_iface in entry.incoming:
             if in_iface == arrival_iface:
                 continue
-            actions.append(SendData(in_iface, data, entry_key=entry.key))
+            actions.append(SendData(in_iface, data))
             self.stats["data_forwarded"] += 1
             if data.poisoned:
                 self.stats["poisoned_forwarded"] += 1
@@ -737,7 +723,6 @@ class Router:
         self._cache(data, now)
         actions: list[Action] = []
         for entry in matched:
-            actions.append(CancelSends(entry.key))
             actions.extend(self._satisfy(entry, data, iface, now))
         return actions
 
@@ -751,11 +736,6 @@ class Router:
 
     def _expire_entry(self, entry: PitEntry, now: int) -> None:
         """Bookkeeping for an entry that expired and has left the PIT."""
-        fib_entry = self.fib.get(entry.fib_prefix) if entry.fib_prefix is not None else None
-        if fib_entry is not None:
-            for out_iface in entry.outgoing:
-                if out_iface in fib_entry.stats:
-                    fib_entry.stats[out_iface].expired += 1
         if self.flooding is not None:
             self.flooding.note_expired(entry, now)
         self.stats["interests_expired"] += 1

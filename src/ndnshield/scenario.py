@@ -349,7 +349,7 @@ def _flooding(chk: Check, block, inherited: dict):
     """node id -> the FloodingConfig that router runs, or None."""
     path = "$.flooding_defense"
     kwargs = None if block is None else chk.fields(
-        block, path, FloodingConfig, hidden=("watched_prefixes", "anomaly_ratio", "cap_burst_s"),
+        block, path, FloodingConfig, hidden=("watched_prefixes",),
         extra={"routers": Any, "quota_routers": Any}, base=_inherit(inherited, FloodingConfig),
     )
     if kwargs is None:
@@ -466,7 +466,6 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
                 config=config,
                 flooding=flooding and FloodingDefense(flooding, rng.spawn(f"flood:{node_id}")),
                 poisoning=poisoning and guard(poisoning, node_id),
-                rng=rng.spawn(f"router:{node_id}"),
             )
         elif role == "compromised-router":
             honest = producers.get(spec.get("impersonate"))

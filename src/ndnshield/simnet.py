@@ -17,10 +17,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from .packets import DataPacket, Interest, wire_size
-from .router import CancelSends, Drop, IfaceInfo, Router, SendData, SendInterest
+from .router import Drop, IfaceInfo, Router, SendData, SendInterest
 
 MS = 1000
 
@@ -34,13 +34,12 @@ class LinkSpec:
 
 
 class Link:
-    def __init__(self, link_id: int, spec: LinkSpec, key: bytes):
+    def __init__(self, spec: LinkSpec, key: bytes):
         if spec.broadcast:
             if len(spec.endpoints) < 2:
                 raise ValueError("broadcast link needs at least 2 endpoints")
         elif len(spec.endpoints) != 2:
             raise ValueError("point-to-point link needs exactly 2 endpoints")
-        self.id = link_id
         self.spec = spec
         self.key = key
         self._busy: dict[str, int] = {}  # per-sender for p2p
@@ -61,14 +60,6 @@ class Link:
         return start, arrival
 
 
-class SendHandle:
-    __slots__ = ("cancelled", "delivered")
-
-    def __init__(self):
-        self.cancelled = False
-        self.delivered = False
-
-
 class Network:
     """One simulation instance: topology, clock, event queue, audit trail."""
 
@@ -85,7 +76,6 @@ class Network:
         self._ports: dict[tuple[str, int], tuple[Link, tuple]] = {}
         self._iface_to: dict[tuple[str, str], int] = {}  # (node, peer) -> lowest iface
         self._iface_count: dict[str, int] = {}
-        self._cancel_registry: dict[tuple[str, tuple], list[SendHandle]] = {}
         self._started = False
         # Flow-balance audit: per (node, iface) interests in and data out.
         self.audit_interests_in: Counter = Counter()
@@ -104,7 +94,7 @@ class Network:
             node.emit = lambda iface, pkt, _id=node.id: self.send_from(_id, iface, pkt)
 
     def add_link(self, spec: LinkSpec) -> Link:
-        link = Link(len(self.links), spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
+        link = Link(spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
         self.links.append(link)
         ifaces = []
         own_iface: dict[str, int] = {}  # an endpoint's first iface on this link
@@ -116,16 +106,7 @@ class Network:
             own_iface.setdefault(endpoint, iface)
             for peer in spec.endpoints:
                 self._iface_to.setdefault((endpoint, peer), iface)
-            info = IfaceInfo(
-                iface=iface,
-                link_id=link.id,
-                bandwidth_bps=spec.bandwidth_bps,
-                delay_us=spec.delay_us,
-                broadcast=spec.broadcast,
-                link_key=link.key,
-                peers=tuple(e for e in spec.endpoints if e != endpoint),
-            )
-            node.attach_iface(info)
+            node.attach_iface(IfaceInfo(iface, spec.bandwidth_bps, link.key))
         for sender, iface in zip(spec.endpoints, ifaces):
             receivers = tuple(
                 (r, self.nodes[r], own_iface[r]) for r in sorted(spec.endpoints) if r != sender
@@ -162,7 +143,7 @@ class Network:
 
     # -- transmission ---------------------------------------------------------------
 
-    def send_from(self, sender: str, iface: int, pkt) -> Optional[SendHandle]:
+    def send_from(self, sender: str, iface: int, pkt) -> None:
         port = self._ports.get((sender, iface))
         if port is None:
             raise KeyError(f"node {sender!r} has no interface {iface}")
@@ -171,16 +152,11 @@ class Network:
             raise ValueError("scope 0/1 interests never leave the originating host")
         ser_us = int(math.ceil(wire_size(pkt) * 8 * 1e6 / link.spec.bandwidth_bps))
         _, arrival = link.reserve(sender, ser_us, self.now)
-        handle = SendHandle()
         if isinstance(pkt, DataPacket):
             self.audit_data_out[(sender, iface)] += 1
-        self.at(arrival, partial(self._deliver, link, receivers, pkt, handle))
-        return handle
+        self.at(arrival, partial(self._deliver, link, receivers, pkt))
 
-    def _deliver(self, link: Link, receivers: tuple, pkt, handle: SendHandle) -> None:
-        if handle.cancelled:
-            return
-        handle.delivered = True
+    def _deliver(self, link: Link, receivers: tuple, pkt) -> None:
         now = self.now
         if isinstance(pkt, Interest):
             audit = self.audit_interests_in
@@ -205,16 +181,7 @@ class Network:
             if isinstance(action, SendInterest):
                 self.send_from(node_id, action.iface, action.interest)
             elif isinstance(action, SendData):
-                handle = self.send_from(node_id, action.iface, action.data)
-                link = self._ports[(node_id, action.iface)][0]
-                if action.entry_key is not None and link.spec.broadcast and handle:
-                    self._cancel_registry.setdefault(
-                        (node_id, action.entry_key), []
-                    ).append(handle)
-            elif isinstance(action, CancelSends):
-                for handle in self._cancel_registry.pop((node_id, action.entry_key), []):
-                    if not handle.delivered:
-                        handle.cancelled = True
+                self.send_from(node_id, action.iface, action.data)
             elif isinstance(action, Drop):
                 pass  # already counted by the node that dropped it
             else:

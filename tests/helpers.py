@@ -20,20 +20,12 @@ def make_packet(name: str, key: KeyPair | None = None, payload: bytes = b"data")
     return sign_packet(parse_name(name), payload, key or make_key())
 
 
-def iface_info(iface: int, broadcast: bool = False, bandwidth: float = 1e8) -> IfaceInfo:
-    return IfaceInfo(
-        iface=iface,
-        link_id=iface,
-        bandwidth_bps=bandwidth,
-        delay_us=1000,
-        broadcast=broadcast,
-        link_key=bytes([iface]) * 32,
-        peers=(),
-    )
+def iface_info(iface: int, bandwidth: float = 1e8) -> IfaceInfo:
+    return IfaceInfo(iface=iface, bandwidth_bps=bandwidth, link_key=bytes([iface]) * 32)
 
 
 def make_router(n_ifaces: int = 3, **kwargs) -> Router:
-    router = Router("r", rng=Rng(7, "router"), **kwargs)
+    router = Router("r", **kwargs)
     for i in range(n_ifaces):
         router.attach_iface(iface_info(i))
     return router

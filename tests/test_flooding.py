@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import iface_info, n
+from helpers import iface_info, make_packet, n
 from ndnshield.flooding import (
     FloodingConfig,
     FloodingDefense,
@@ -24,7 +24,7 @@ def make_defended_router(quotas=None, **config_kw):
         namespace_quotas={n(p): q for p, q in (quotas or {}).items()}, **config_kw
     )
     defense = FloodingDefense(config, Rng(11, "flood"))
-    router = Router("r", config=RouterConfig(), flooding=defense, rng=Rng(12, "r"))
+    router = Router("r", config=RouterConfig(), flooding=defense)
     for i in range(4):
         router.attach_iface(iface_info(i, bandwidth=12e6))
     router.fib.add(n("/victim"), [3])
@@ -95,6 +95,23 @@ def test_namespace_quota_rejects_when_full():
     # Non-matching prefixes are untouched (push-back locality).
     admitted, reason = defense.admit(0, interest("/other/a", 1), [3], now=0)
     assert reason is None
+
+
+@pytest.mark.parametrize("outcome", ["satisfied", "expired"])
+def test_same_iface_collapse_counts_one_pending_interest(outcome):
+    router, defense = make_defended_router(quotas={"/victim": 100})
+    ns = n("/victim")
+    router.on_interest(0, interest("/victim/x", 1), now=0)
+    router.on_interest(0, interest("/victim/x", 2), now=MS)  # collapses on the same iface
+    assert router.stats["interests_collapsed"] == 1
+    assert (defense.pending_in[0], defense.ns_pending_in[(ns, 0)]) == (1, 1)
+    if outcome == "satisfied":
+        router.on_data(3, make_packet("/victim/x"), now=2 * MS)
+    else:
+        router.expire_pit(now=4000 * MS)
+    assert len(router.pit) == 0
+    assert (defense.pending_in[0], defense.ns_pending_in[(ns, 0)]) == (0, 0)
+    assert (defense.pending_out[3], defense.ns_pending[ns]) == (0, 0)
 
 
 def _resolve_synthetic(defense, router, ns, iface, satisfied, expired, now):

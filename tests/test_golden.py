@@ -15,11 +15,11 @@ pass: a mismatch means the simulator's behaviour changed.
     that catches a wrong victim order.
   * broadcast: two shared segments whose endpoints are listed out of
     sorted order, a consumer and a router on both, a slow upstream and
-    2-entry caches, so each receiver's own interface on the segment,
-    overhear suppression and CancelSends shape the output. Two routers on
-    one segment forward each interest to one shared router, which drops
-    the later copy as a duplicate nonce, so which of them is served and
-    which overhears depends on the order the segment delivers to them.
+    2-entry caches, so each receiver's own interface on the segment and
+    overhear suppression shape the output. Two routers on one segment
+    forward each interest to one shared router, which drops the later
+    copy as a duplicate nonce, so which of them is served and which
+    overhears depends on the order the segment delivers to them.
   * pushback: two zombies and two honest consumers whose interests live
     700, 1500 and 2500 ms, so PIT entries expire out of insertion order
     while the namespace quota trips and push-back travels up the chain.

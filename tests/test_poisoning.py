@@ -56,7 +56,7 @@ def guarded_router(
         consumer=consumer or ConsumerFeedbackConfig(),
     )
     guard = PoisoningGuard(config, Rng(5, f"guard:{router_id}"))
-    router = Router(router_id, config=RouterConfig(), poisoning=guard, rng=Rng(6, router_id))
+    router = Router(router_id, config=RouterConfig(), poisoning=guard)
     for i in range(3):
         router.attach_iface(iface_info(i))
     timers = ManualTimers()

@@ -20,7 +20,6 @@ from ndnshield.router import (
     PitEntry,
     SendData,
     SendInterest,
-    CancelSends,
     longest_prefix_match,
     option_fingerprint,
     strategy_choose,
@@ -212,14 +211,12 @@ def test_satisfaction_updates_fib_stats():
 # ---------------------------------------------------------------------------
 
 
-def test_overheard_data_flushes_and_cancels():
+def test_overheard_data_flushes_without_sending():
     router = setup_router()
     router.on_interest(2, interest("/victim/x"), now=0)  # incoming=2, outgoing=5
     pkt = make_packet("/victim/x")
-    actions = router.on_overheard_data(2, pkt, now=MS)
-    kinds = [type(a) for a in actions]
-    assert CancelSends in kinds
-    assert SendData not in kinds  # the overheard segment already has the copy
+    # The overheard segment already has the copy: nothing goes back onto it.
+    assert router.on_overheard_data(2, pkt, now=MS) == []
     assert len(router.pit) == 0
     assert len(router.cs) == 1
     # The copy later arriving on the outgoing interface is now unsolicited.
@@ -276,7 +273,9 @@ def test_expiry_updates_fib_stats():
     router = setup_router()
     router.on_interest(0, interest("/victim/x"), now=0)
     router.expire_pit(now=LIFETIME_US + 1)
-    assert router.fib.get(n("/victim")).stats[5].expired == 1
+    stats = router.fib.get(n("/victim")).stats[5]
+    assert (stats.forwarded, stats.satisfied) == (1, 0)
+    assert stats.smoothed_ratio() < FibStats().smoothed_ratio()
 
 
 # ---------------------------------------------------------------------------
