@@ -186,7 +186,6 @@ class Zombie(NodeBase):
 
             self.net.at(spec.start_ms * MS + int(delay), send)
 
-    def on_packet(self, iface: int, pkt, now: int) -> list:
+    def on_packet(self, iface: int, pkt, now: int) -> None:
         if isinstance(pkt, DataPacket):
             self.stats["data_received"] += 1
-        return []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,21 +83,20 @@ GAUGE_COLUMNS = ["pit_size", "pit_attack_size", "cs_size", "satisfaction_ratio"]
 COLUMNS = ["time_ms", "node", "role"] + GAUGE_COLUMNS + COUNTER_COLUMNS
 
 
-@dataclass
-class MetricsRow:
-    time_ms: int
-    node: str
-    role: str
-    values: dict[str, float]
+_NODE = COLUMNS.index("node")
+_ROLE = COLUMNS.index("role")
 
-    def as_list(self) -> list:
-        out: list = [self.time_ms, self.node, self.role]
-        for col in GAUGE_COLUMNS:
-            v = self.values.get(col, 1.0 if col == "satisfaction_ratio" else 0)
-            out.append(f"{v:.6f}" if col == "satisfaction_ratio" else int(v))
-        for col in COUNTER_COLUMNS:
-            out.append(int(self.values.get(col, 0)))
-        return out
+
+def _row(time_ms: int, node: str, role: str, values: dict) -> tuple:
+    """One CSV row in COLUMNS order, as written: integers, except the
+    satisfaction ratio, kept as its 6-decimal string."""
+    out: list = [time_ms, node, role]
+    for col in GAUGE_COLUMNS:
+        v = values.get(col, 1.0 if col == "satisfaction_ratio" else 0)
+        out.append(f"{v:.6f}" if col == "satisfaction_ratio" else int(v))
+    for col in COUNTER_COLUMNS:
+        out.append(int(values.get(col, 0)))
+    return tuple(out)
 
 
 class MetricsCollector:
@@ -107,7 +105,7 @@ class MetricsCollector:
     def __init__(self, net, tick_ms: int):
         self.net = net
         self.tick_ms = tick_ms
-        self.rows: list[MetricsRow] = []
+        self.rows: list[tuple] = []  # see _row
         self._last_sample_us = -1
 
     def install(self) -> None:
@@ -122,7 +120,7 @@ class MetricsCollector:
             node = self.net.nodes[node_id]
             values: dict[str, float] = dict(node.stats)
             values.update(node.gauges())
-            self.rows.append(MetricsRow(time_ms, node_id, node.role(), values))
+            self.rows.append(_row(time_ms, node_id, node.role(), values))
 
     # -- persistence ---------------------------------------------------------
 
@@ -130,8 +128,7 @@ class MetricsCollector:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(COLUMNS)
-        for row in self.rows:
-            writer.writerow(row.as_list())
+        writer.writerows(self.rows)
         return out.getvalue().encode()
 
     def write_csv(self, path) -> None:
@@ -142,11 +139,7 @@ class MetricsCollector:
 
     def series(self, node: str, column: str) -> list[tuple[int, float]]:
         idx = COLUMNS.index(column)
-        out = []
-        for row in self.rows:
-            if row.node == node:
-                out.append((row.time_ms, float(row.as_list()[idx])))
-        return out
+        return [(row[0], float(row[idx])) for row in self.rows if row[_NODE] == node]
 
     def final(self, node: str, column: str) -> float:
         series = self.series(node, column)
@@ -167,9 +160,9 @@ def summarize_run(collector: MetricsCollector) -> dict:
     """Headline numbers for one replicate, recomputable from its CSV."""
     by_role: dict[str, list[str]] = {}
     for row in collector.rows:
-        by_role.setdefault(row.role, [])
-        if row.node not in by_role[row.role]:
-            by_role[row.role].append(row.node)
+        nodes = by_role.setdefault(row[_ROLE], [])
+        if row[_NODE] not in nodes:
+            nodes.append(row[_NODE])
     consumers = by_role.get("consumer", [])
     sent = sum(collector.final(c, "interests_sent") for c in consumers)
     satisfied = sum(collector.final(c, "requests_satisfied") for c in consumers)

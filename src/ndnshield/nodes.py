@@ -38,7 +38,7 @@ from .packets import (
     interest_matches,
 )
 from .poisoning import feedback_interest
-from .router import Action, Router, SendData
+from .router import Router
 
 MS = 1000
 
@@ -162,8 +162,8 @@ class NodeBase:
     def role(self) -> str:
         raise NotImplementedError
 
-    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
-        return []
+    def on_packet(self, iface: int, pkt, now: int) -> None:
+        pass
 
     def start(self) -> None:
         pass
@@ -256,14 +256,14 @@ class Producer(NodeBase):
                 return fresh, self.sign_service_us
         return None
 
-    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+    def on_packet(self, iface: int, pkt, now: int) -> None:
         if not isinstance(pkt, Interest):
-            return []
+            return
         self.stats["interests_received"] += 1
         result = self.serve(pkt, now)
         if result is None:
             self.stats["interests_ignored"] += 1
-            return []
+            return
         data, service_us = result
         # Single-server queue: expensive signing backs up under load.
         depart = max(now, self._busy_until) + service_us
@@ -271,7 +271,6 @@ class Producer(NodeBase):
         self.stats["produced_served"] += 1
         self.stats["producer_busy_us"] += service_us
         self.net.after(depart - now, lambda: self.net.send_from(self.id, iface, data))
-        return []
 
     def gauges(self) -> dict[str, float]:
         return {"producer_queue_us": max(0, self._busy_until - self.net.now) if self.net else 0}
@@ -504,11 +503,11 @@ class RequestConsumer(ConsumerBase):
         else:
             self.stats["requests_failed"] += 1
 
-    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+    def on_packet(self, iface: int, pkt, now: int) -> None:
         if not isinstance(pkt, DataPacket):
-            return []
+            return
         if self._maybe_resolve_key(pkt, now):
-            return []
+            return
         matched_name = None
         for name, pending in self._pending.items():
             if interest_matches(pkt, pending["interest"]):
@@ -520,7 +519,7 @@ class RequestConsumer(ConsumerBase):
                     self.copies_by_iface[iface] += 1
                     self.stats["copies_received"] += 1
                     break
-            return []
+            return
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
         pending = self._pending.pop(matched_name)
@@ -537,7 +536,6 @@ class RequestConsumer(ConsumerBase):
                 self.stats["requests_failed"] += 1
 
         self.verify_delivery(pkt, None, done, now)
-        return []
 
     def gauges(self) -> dict[str, float]:
         sent = self.stats["interests_sent"]
@@ -697,11 +695,11 @@ class CollectionConsumer(ConsumerBase):
             if j <= self.m:
                 self.known_hashes.setdefault(j, h)
 
-    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+    def on_packet(self, iface: int, pkt, now: int) -> None:
         if not isinstance(pkt, DataPacket):
-            return []
+            return
         if self._maybe_resolve_key(pkt, now):
-            return []
+            return
         matched = None
         for i, pending in self._pending.items():
             if interest_matches(pkt, pending["interest"]):
@@ -710,7 +708,7 @@ class CollectionConsumer(ConsumerBase):
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
         if matched is None:
-            return []
+            return
         pending = self._pending.pop(matched)
 
         def accept(i=matched) -> None:
@@ -743,7 +741,7 @@ class CollectionConsumer(ConsumerBase):
             # whole fetch. The verdict still lands in the counters.
             accept()
             self.verify_delivery(pkt, pending["expected"], lambda s, p: self.record_outcome(s, p), now)
-            return []
+            return
 
         def done(status: str, packet: DataPacket) -> None:
             self.record_outcome(status, packet)
@@ -753,7 +751,6 @@ class CollectionConsumer(ConsumerBase):
                 reject(packet)
 
         self.verify_delivery(pkt, pending["expected"], done, now)
-        return []
 
     def gauges(self) -> dict[str, float]:
         sent = self.stats["interests_sent"]
@@ -826,11 +823,12 @@ class CompromisedRouter(Router):
             )
         return pkt
 
-    def on_interest(self, iface: int, interest: Interest, now: int) -> list[Action]:
+    def on_interest(self, iface: int, interest: Interest, now: int) -> None:
         if self.target_prefix.is_prefix_of(interest.name) and not self._is_control_name(
             interest.name
         ):
             self.stats["interests_received"] += 1
             self.stats["poison_injected"] += 1
-            return [SendData(iface, self.make_poison(interest))]
-        return super().on_interest(iface, interest, now)
+            self.emit(iface, self.make_poison(interest))
+            return
+        super().on_interest(iface, interest, now)

@@ -1,8 +1,11 @@
 """The forwarding engine: content store, PIT, FIB, strategy, suppression.
 
-A router is a passive state machine: packet handlers return lists of
-actions (sends and drops) and the owning event loop carries them out.
-That keeps every pipeline step unit-testable without a network.
+A router sends the moment it decides to, through its `emit(iface, pkt)`
+callable, and a drop is a counter increment in `stats` and nothing else.
+The network binds `emit` to `Network.send_from`, which only reserves the
+link and schedules the delivery, so no handler is re-entered from inside
+another; a router built without a network gets an `emit` that discards
+the packet, and tests substitute one that records it.
 """
 
 from __future__ import annotations
@@ -25,40 +28,6 @@ from .packets import (
 
 SRTT_GAIN = 0.125
 PROBE_RATIO_THRESHOLD = 0.5
-
-# Drop reason codes surfaced in metrics.
-DROP_DUPLICATE = "duplicate-nonce"
-DROP_NO_ROUTE = "no-route"
-DROP_PIT_FULL = "pit-full"
-DROP_SCOPE = "scope-limited"
-DROP_UNSOLICITED = "unsolicited"
-DROP_SCID_S = "scid-s"
-DROP_SCID_D = "scid-d"
-
-
-# ---------------------------------------------------------------------------
-# Actions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SendInterest:
-    iface: int
-    interest: Interest
-
-
-@dataclass(frozen=True)
-class SendData:
-    iface: int
-    data: DataPacket
-
-
-@dataclass(frozen=True)
-class Drop:
-    reason: str
-
-
-Action = object
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +86,6 @@ class Fib:
             if entry is not None:
                 return entry
         return None
-
-
-def longest_prefix_match(fib: Fib, name: Name) -> Optional[FibEntry]:
-    return fib.longest_prefix_match(name)
 
 
 def strategy_choose(entry: FibEntry, exclude: frozenset[int] = frozenset()) -> list[int]:
@@ -507,15 +472,17 @@ class Router:
 
     # -- engine dispatch ------------------------------------------------------
 
-    def on_packet(self, iface: int, pkt, now: int) -> list[Action]:
+    def on_packet(self, iface: int, pkt, now: int) -> None:
         if isinstance(pkt, Interest):
-            return self.on_interest(iface, pkt, now)
-        return self.on_data(iface, pkt, now)
+            self.on_interest(iface, pkt, now)
+        else:
+            self.on_data(iface, pkt, now)
 
-    def on_broadcast_packet(self, iface: int, pkt, now: int) -> list[Action]:
+    def on_broadcast_packet(self, iface: int, pkt, now: int) -> None:
         if isinstance(pkt, Interest):
-            return self.on_interest(iface, pkt, now)
-        return self.on_broadcast_data(iface, pkt, now)
+            self.on_interest(iface, pkt, now)
+        else:
+            self.on_broadcast_data(iface, pkt, now)
 
     # -- matching policy ----------------------------------------------------
 
@@ -529,18 +496,20 @@ class Router:
 
     # -- interest pipeline ----------------------------------------------------
 
-    def on_interest(self, iface: int, interest: Interest, now: int) -> list[Action]:
+    def on_interest(self, iface: int, interest: Interest, now: int) -> None:
         self.stats["interests_received"] += 1
         if self._is_control_name(interest.name):
-            return self._on_control_interest(iface, interest, now)
+            self._on_control_interest(iface, interest, now)
+            return
         if interest.scope is not None and interest.scope <= 2:
             # Reached us over a link: may be answered locally, never forwarded.
             if interest.answer_origin is AnswerOrigin.ANY:
                 hit = self.cs.lookup(interest, now, self._match_full)
                 if hit is not None:
-                    return self._serve_from_cache(iface, hit)
+                    self._serve_from_cache(iface, hit)
+                    return
             self.stats["drop_scope"] += 1
-            return [Drop(DROP_SCOPE)]
+            return
 
         key = (interest.name, option_fingerprint(interest))
         entry = self.pit.get(key)
@@ -551,12 +520,13 @@ class Router:
 
         if entry is not None and interest.nonce in entry.nonces:
             self.stats["drop_duplicate_nonce"] += 1
-            return [Drop(DROP_DUPLICATE)]
+            return
 
         if interest.answer_origin is AnswerOrigin.ANY:
             hit = self.cs.lookup(interest, now, self._match_full)
             if hit is not None:
-                return self._serve_from_cache(iface, hit)
+                self._serve_from_cache(iface, hit)
+                return
         self.stats["cs_misses"] += 1
 
         if entry is not None:
@@ -571,27 +541,27 @@ class Router:
             if interest.attack:
                 self.pit.mark_attack(entry)
             self.stats["interests_collapsed"] += 1
-            return []
+            return
 
         fib_entry = self.fib.longest_prefix_match(interest.name)
         if fib_entry is None:
             self.stats["drop_no_route"] += 1
-            return [Drop(DROP_NO_ROUTE)]
+            return
 
         upstreams = strategy_choose(fib_entry, exclude=frozenset({iface}))
         if not upstreams:
             self.stats["drop_no_route"] += 1
-            return [Drop(DROP_NO_ROUTE)]
+            return
 
         if self.flooding is not None:
             upstreams, reason = self.flooding.admit(iface, interest, upstreams, now)
             if reason is not None:
                 self.stats[f"rej_{reason}"] += 1
-                return [Drop(reason)]
+                return
 
         if self.config.pit_capacity and len(self.pit) >= self.config.pit_capacity:
             self.stats["drop_pit_full"] += 1
-            return [Drop(DROP_PIT_FULL)]
+            return
 
         entry = PitEntry(
             key=key,
@@ -611,20 +581,21 @@ class Router:
         self.stats["interests_forwarded"] += len(upstreams)
         if interest.attack:
             self.stats["interests_admitted_attack"] += 1
-        return [SendInterest(u, interest) for u in upstreams]
+        for u in upstreams:
+            self.emit(u, interest)
 
-    def _serve_from_cache(self, iface: int, hit: CsEntry) -> list[Action]:
+    def _serve_from_cache(self, iface: int, hit: CsEntry) -> None:
         self.stats["cs_hits"] += 1
         if self.poisoning is not None:
             self.poisoning.on_positive_retrieval(hit)
         if hit.packet.poisoned:
             self.stats["poisoned_forwarded"] += 1
         self.stats["data_forwarded"] += 1
-        return [SendData(iface, hit.packet)]
+        self.emit(iface, hit.packet)
 
     # -- data pipeline --------------------------------------------------------
 
-    def on_data(self, iface: int, data: DataPacket, now: int) -> list[Action]:
+    def on_data(self, iface: int, data: DataPacket, now: int) -> None:
         self.stats["data_received"] += 1
         candidates = [
             e
@@ -633,7 +604,7 @@ class Router:
         ]
         if not candidates:
             self.stats["drop_unsolicited"] += 1
-            return [Drop(DROP_UNSOLICITED)]
+            return
 
         admitted: list[PitEntry] = []
         reject_reason: Optional[str] = None
@@ -650,15 +621,12 @@ class Router:
                 # the upstream that sent the bad copy gets no satisfaction credit.
                 reject_reason = verdict
         if not admitted:
-            reason = DROP_SCID_S if reject_reason == "s-scid" else DROP_SCID_D
-            self.stats["drop_scid_s" if reason == DROP_SCID_S else "drop_scid_d"] += 1
-            return [Drop(reason)]
+            self.stats["drop_scid_s" if reject_reason == "s-scid" else "drop_scid_d"] += 1
+            return
 
         self._cache(data, now)
-        actions: list[Action] = []
         for entry in admitted:
-            actions.extend(self._satisfy(entry, data, iface, now))
-        return actions
+            self._satisfy(entry, data, iface, now)
 
     def _cache(self, data: DataPacket, now: int) -> None:
         before = len(self.cs)
@@ -671,13 +639,12 @@ class Router:
 
     def _satisfy(
         self, entry: PitEntry, data: DataPacket, arrival_iface: Optional[int], now: int
-    ) -> list[Action]:
+    ) -> None:
         """Forward data to all waiting interfaces and flush the entry."""
-        actions: list[Action] = []
         for in_iface in entry.incoming:
             if in_iface == arrival_iface:
                 continue
-            actions.append(SendData(in_iface, data))
+            self.emit(in_iface, data)
             self.stats["data_forwarded"] += 1
             if data.poisoned:
                 self.stats["poisoned_forwarded"] += 1
@@ -696,19 +663,19 @@ class Router:
             self.flooding.note_satisfied(entry, now)
         self.pit.remove(entry)
         self.stats["interests_satisfied"] += 1
-        return actions
 
     # -- broadcast ------------------------------------------------------------
 
-    def on_broadcast_data(self, iface: int, data: DataPacket, now: int) -> list[Action]:
+    def on_broadcast_data(self, iface: int, data: DataPacket, now: int) -> None:
         """Dispatch for data heard on a shared segment: it either answers
         an interest we forwarded onto the segment, or we merely overhear it."""
         for entry in self.pit.match_data(data):
             if iface in entry.outgoing and entry.expiry > now:
-                return self.on_data(iface, data, now)
-        return self.on_overheard_data(iface, data, now)
+                self.on_data(iface, data, now)
+                return
+        self.on_overheard_data(iface, data, now)
 
-    def on_overheard_data(self, iface: int, data: DataPacket, now: int) -> list[Action]:
+    def on_overheard_data(self, iface: int, data: DataPacket, now: int) -> None:
         matched = [
             e
             for e in self.pit.match_data(data)
@@ -718,13 +685,11 @@ class Router:
             and (self.poisoning is None or self.poisoning.scid_check(data, e.interest) is None)
         ]
         if not matched:
-            return []
+            return
         self.stats["overheard_suppressions"] += len(matched)
         self._cache(data, now)
-        actions: list[Action] = []
         for entry in matched:
-            actions.extend(self._satisfy(entry, data, iface, now))
-        return actions
+            self._satisfy(entry, data, iface, now)
 
     # -- expiry ---------------------------------------------------------------
 
@@ -740,15 +705,13 @@ class Router:
             self.flooding.note_expired(entry, now)
         self.stats["interests_expired"] += 1
 
-    def pit_sweep(self, now: int) -> list[Action]:
+    def pit_sweep(self, now: int) -> None:
         """Periodic maintenance: expiry plus any push-back the defense owes."""
         expired = self.expire_pit(now)
-        actions: list[Action] = []
         if self.flooding is not None:
             for iface, interest in self.flooding.on_expiry_feedback(expired, now):
-                actions.append(SendInterest(iface, interest))
+                self.emit(iface, interest)
                 self.stats["pushback_sent"] += 1
-        return actions
 
     # -- control namespace ------------------------------------------------------
 
@@ -760,18 +723,16 @@ class Router:
             b"pushback",
         )
 
-    def _on_control_interest(self, iface: int, interest: Interest, now: int) -> list[Action]:
+    def _on_control_interest(self, iface: int, interest: Interest, now: int) -> None:
         kind = interest.name.components[1]
-        actions: list[Action] = []
         if kind == b"pushback" and self.flooding is not None:
             for out_iface, msg in self.flooding.handle_pushback(iface, interest, now):
-                actions.append(SendInterest(out_iface, msg))
+                self.emit(out_iface, msg)
                 self.stats["pushback_sent"] += 1
         elif kind == b"warning" and self.poisoning is not None:
             self.poisoning.handle_warning(iface, interest, now)
         elif kind == b"feedback" and self.poisoning is not None:
             self.poisoning.handle_feedback(iface, interest, now)
-        return actions
 
     # -- gauges -----------------------------------------------------------------
 

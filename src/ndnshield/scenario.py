@@ -505,7 +505,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
     for node_id in sorted(net.nodes):
         node = net.nodes[node_id]
         if isinstance(node, Router):
-            net.every(sweep_us, lambda now, r=node: net.apply(r.id, r.pit_sweep(now)))
+            net.every(sweep_us, node.pit_sweep)
             poisoning = node.poisoning
             if poisoning is not None and poisoning.config.verifier.mode != MODE_OFF:
                 net.every(

@@ -8,6 +8,12 @@ number is still taken, so the order of the events that run is the same).
 Links are lossless store-and-forward queues; on shared segments
 transmissions serialize and every other endpoint hears each frame, which
 is what the overhear-suppression rule needs.
+
+Nodes transmit through `send_from` (a router through its `emit`, bound
+here to it). `send_from` only reserves the link and schedules the
+delivery; it never calls a handler, so a node may send at the point it
+decides to without another node's handler running in between. A
+delivery calls the receiving node's handler and nothing else.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import partial
 from typing import Callable
 
 from .packets import DataPacket, Interest, wire_size
-from .router import Drop, IfaceInfo, Router, SendData, SendInterest
+from .router import IfaceInfo, Router
 
 MS = 1000
 
@@ -91,7 +97,7 @@ class Network:
         self._iface_count[node.id] = 0
         if isinstance(node, Router):
             node.after = self.after
-            node.emit = lambda iface, pkt, _id=node.id: self.send_from(_id, iface, pkt)
+            node.emit = partial(self.send_from, node.id)
 
     def add_link(self, spec: LinkSpec) -> Link:
         link = Link(spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
@@ -162,30 +168,14 @@ class Network:
             audit = self.audit_interests_in
             for receiver, node, iface in receivers:
                 audit[(receiver, iface)] += 1
-                self.apply(receiver, node.on_packet(iface, pkt, now))
+                node.on_packet(iface, pkt, now)
             return
         broadcast = link.spec.broadcast
-        for receiver, node, iface in receivers:
+        for _, node, iface in receivers:
             if broadcast and hasattr(node, "on_broadcast_packet"):
-                actions = node.on_broadcast_packet(iface, pkt, now)
+                node.on_broadcast_packet(iface, pkt, now)
             else:
-                actions = node.on_packet(iface, pkt, now)
-            self.apply(receiver, actions)
-
-    # -- actions -----------------------------------------------------------------------
-
-    def apply(self, node_id: str, actions) -> None:
-        if not actions:
-            return
-        for action in actions:
-            if isinstance(action, SendInterest):
-                self.send_from(node_id, action.iface, action.interest)
-            elif isinstance(action, SendData):
-                self.send_from(node_id, action.iface, action.data)
-            elif isinstance(action, Drop):
-                pass  # already counted by the node that dropped it
-            else:
-                raise TypeError(f"unknown action {action!r}")
+                node.on_packet(iface, pkt, now)
 
     # -- main loop -------------------------------------------------------------------------
 

@@ -24,8 +24,16 @@ def iface_info(iface: int, bandwidth: float = 1e8) -> IfaceInfo:
     return IfaceInfo(iface=iface, bandwidth_bps=bandwidth, link_key=bytes([iface]) * 32)
 
 
+def record_sends(router: Router) -> Router:
+    """Replace the router's `emit` with one that appends each (iface, pkt)
+    it is given to `router.sent`."""
+    router.sent = []
+    router.emit = lambda iface, pkt: router.sent.append((iface, pkt))
+    return router
+
+
 def make_router(n_ifaces: int = 3, **kwargs) -> Router:
-    router = Router("r", **kwargs)
+    router = record_sends(Router("r", **kwargs))
     for i in range(n_ifaces):
         router.attach_iface(iface_info(i))
     return router

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import math
+import re
 
-from ndnshield.metrics import COLUMNS, aggregate_replicates, load_csv
+from ndnshield import flooding, router
+from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, aggregate_replicates, load_csv
 from ndnshield.scenario import build_sim, load_scenario
 
 
@@ -83,3 +86,14 @@ def test_aggregate_replicates_ci():
     block = agg["honest_satisfaction_ratio"]
     assert block["mean"] == 0.95
     assert block["ci95"][0] < 0.95 < block["ci95"][1]
+
+
+def test_every_drop_and_reject_counter_has_a_column():
+    """A counter the router increments but the CSV lacks would vanish from
+    every output, so each reject reason and drop counter needs a column."""
+    reasons = [v for k, v in vars(flooding).items() if k.startswith("REJ_")]
+    assert len(reasons) == 5
+    drops = set(re.findall(r'"(drop_\w+)"', inspect.getsource(router)))
+    assert {"drop_scid_s", "drop_scid_d", "drop_unsolicited"} <= drops
+    for counter in sorted(drops) + [f"rej_{reason}" for reason in reasons]:
+        assert counter in COUNTER_COLUMNS, counter

@@ -360,18 +360,18 @@ def make_compromised(mode="fake"):
         honest_key_digest=honest.digest,
         rng=Rng(13, "evil"),
     )
-    from helpers import iface_info
+    from helpers import iface_info, record_sends
 
     for i in range(2):
         node.attach_iface(iface_info(i))
-    return node
+    return record_sends(node)
 
 
 def test_fake_mode_packet_properties():
     node = make_compromised("fake")
-    actions = node.on_interest(0, Interest(n("/victim/x"), 1), now=0)
-    (send,) = actions
-    pkt = send.data
+    node.on_interest(0, Interest(n("/victim/x"), 1), now=0)
+    ((iface, pkt),) = node.sent
+    assert iface == 0
     assert verify_signature(pkt, make_key("adversary").public_der)
     assert pkt.publisher_key_digest != make_key("honest").digest
     assert pkt.poisoned
@@ -379,8 +379,9 @@ def test_fake_mode_packet_properties():
 
 def test_corrupted_mode_packet_properties():
     node = make_compromised("corrupted")
-    (send,) = node.on_interest(0, Interest(n("/victim/x"), 1), now=0)
-    pkt = send.data
+    node.on_interest(0, Interest(n("/victim/x"), 1), now=0)
+    ((iface, pkt),) = node.sent
+    assert iface == 0
     assert not verify_signature(pkt, make_key("honest").public_der)
     assert not verify_signature(pkt, make_key("adversary").public_der)
     assert pkt.publisher_key_digest == make_key("honest").digest  # stolen identity
@@ -393,8 +394,9 @@ def test_poison_mimics_requested_hash():
     node = make_compromised("fake")
     wanted_hash = b"\x17" * 32
     wanted = Interest(n("/victim/x").child(digest_component(wanted_hash)), 1)
-    (send,) = node.on_interest(0, wanted, now=0)
-    pkt = send.data
+    node.on_interest(0, wanted, now=0)
+    ((iface, pkt),) = node.sent
+    assert iface == 0
     assert pkt.name == wanted.name  # name matches the request...
     assert compute_content_hash(pkt) != wanted_hash  # ...but the bytes cannot
 
@@ -402,8 +404,7 @@ def test_poison_mimics_requested_hash():
 def test_non_target_interest_forwarded_normally():
     node = make_compromised("fake")
     node.fib.add(n("/other"), [1])
-    actions = node.on_interest(0, Interest(n("/other/x"), 1), now=0)
-    from ndnshield.router import SendInterest
-
-    assert any(isinstance(a, SendInterest) for a in actions)
+    other = Interest(n("/other/x"), 1)
+    node.on_interest(0, other, now=0)
+    assert node.sent == [(1, other)]
     assert node.stats["poison_injected"] == 0

@@ -132,14 +132,15 @@ def test_enforcement_flags_gate_checks():
 
 
 def test_scid_reject_keeps_pit_entry():
-    router, guard, timers, _ = guarded_router()
+    router, guard, timers, emitted = guarded_router()
     router.fib.add(n("/victim"), [2])
     trusted = make_key("honest").digest
     router.on_interest(0, Interest(n("/victim/x"), 1, publisher_key_digest=trusted), now=0)
-    actions = router.on_data(2, fake_packet(), now=MS)
-    from ndnshield.router import Drop
-
-    assert actions == [Drop("scid-d")]
+    emitted.clear()
+    router.on_data(2, fake_packet(), now=MS)
+    assert router.stats["drop_scid_d"] == 1
+    assert router.stats["drop_scid_s"] == 0
+    assert emitted == []
     assert len(router.pit) == 1  # an honest copy can still satisfy it
     assert len(router.cs) == 0
 

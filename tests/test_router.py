@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_packet, make_router, n
+from helpers import make_key, make_packet, make_router, n
 from ndnshield.packets import AnswerOrigin, Interest, Name
 from ndnshield.router import (
     ContentStore,
-    Drop,
     Fib,
     FibEntry,
     FibStats,
     Pit,
     PitEntry,
-    SendData,
-    SendInterest,
-    longest_prefix_match,
     option_fingerprint,
     strategy_choose,
 )
@@ -42,13 +38,13 @@ def test_lpm_picks_longest():
     fib = Fib()
     fib.add(n("/ndn"), [0])
     fib.add(n("/ndn/cnn"), [1])
-    assert longest_prefix_match(fib, n("/ndn/cnn/news")).prefix == n("/ndn/cnn")
+    assert fib.longest_prefix_match(n("/ndn/cnn/news")).prefix == n("/ndn/cnn")
 
 
 def test_lpm_no_match():
     fib = Fib()
     fib.add(n("/ndn/cnn"), [0])
-    assert longest_prefix_match(fib, n("/bbc")) is None
+    assert fib.longest_prefix_match(n("/bbc")) is None
 
 
 @given(
@@ -71,7 +67,7 @@ def test_lpm_matches_linear_scan_oracle(prefixes, name_comps):
         if entry.prefix.is_prefix_of(name):
             if best is None or len(entry.prefix) > len(best.prefix):
                 best = entry
-    got = longest_prefix_match(fib, name)
+    got = fib.longest_prefix_match(name)
     if best is None:
         assert got is None
     else:
@@ -91,11 +87,9 @@ def setup_router():
 
 def test_collapsing_five_interests_one_upstream():
     router = setup_router()
-    sends = []
     for i in range(5):
-        actions = router.on_interest(i, interest("/victim/x", nonce=100 + i), now=i * MS)
-        sends += [a for a in actions if isinstance(a, SendInterest)]
-    assert len(sends) == 1
+        router.on_interest(i, interest("/victim/x", nonce=100 + i), now=i * MS)
+    assert [(iface, pkt.nonce) for iface, pkt in router.sent] == [(5, 100)]
     entry = next(iter(router.pit.entries()))
     assert set(entry.incoming) == {0, 1, 2, 3, 4}
     assert router.stats["interests_collapsed"] == 4
@@ -104,32 +98,35 @@ def test_collapsing_five_interests_one_upstream():
 def test_duplicate_nonce_dropped():
     router = setup_router()
     router.on_interest(0, interest("/victim/x", nonce=42), now=0)
-    actions = router.on_interest(1, interest("/victim/x", nonce=42), now=10)
-    assert actions == [Drop("duplicate-nonce")]
+    router.sent.clear()
+    router.on_interest(1, interest("/victim/x", nonce=42), now=10)
+    assert router.stats["drop_duplicate_nonce"] == 1
+    assert router.sent == []
 
 
 def test_cache_hit_answers_without_pit_entry():
     router = setup_router()
     pkt = make_packet("/victim/x")
     router.cs.insert(pkt, now=0)
-    actions = router.on_interest(0, interest("/victim/x"), now=10)
-    assert actions == [SendData(0, pkt)]
+    router.on_interest(0, interest("/victim/x"), now=10)
+    assert router.sent == [(0, pkt)]
     assert len(router.pit) == 0
 
 
 def test_producer_only_bypasses_cache():
     router = setup_router()
     router.cs.insert(make_packet("/victim/x"), now=0)
-    actions = router.on_interest(
-        0, interest("/victim/x", answer_origin=AnswerOrigin.PRODUCER_ONLY), now=10
-    )
-    assert [type(a) for a in actions] == [SendInterest]
+    wanted = interest("/victim/x", answer_origin=AnswerOrigin.PRODUCER_ONLY)
+    router.on_interest(0, wanted, now=10)
+    assert router.sent == [(5, wanted)]
     assert len(router.pit) == 1
 
 
 def test_no_route_drop():
     router = setup_router()
-    assert router.on_interest(0, interest("/elsewhere/x"), now=0) == [Drop("no-route")]
+    router.on_interest(0, interest("/elsewhere/x"), now=0)
+    assert router.stats["drop_no_route"] == 1
+    assert router.sent == []
 
 
 def test_pit_capacity_drop():
@@ -138,17 +135,20 @@ def test_pit_capacity_drop():
     router = make_router(n_ifaces=2, config=RouterConfig(pit_capacity=1))
     router.fib.add(n("/victim"), [1])
     router.on_interest(0, interest("/victim/a"), now=0)
-    actions = router.on_interest(0, interest("/victim/b", nonce=2), now=1)
-    assert actions == [Drop("pit-full")]
+    router.sent.clear()
+    router.on_interest(0, interest("/victim/b", nonce=2), now=1)
+    assert router.stats["drop_pit_full"] == 1
+    assert router.sent == []
 
 
 def test_option_fingerprint_separates_entries():
     router = setup_router()
     router.on_interest(0, interest("/victim/x", nonce=1), now=0)
     digest_variant = interest("/victim/x", nonce=2, publisher_key_digest=b"\x01" * 32)
-    actions = router.on_interest(0, digest_variant, now=1)
+    router.sent.clear()
+    router.on_interest(0, digest_variant, now=1)
     # Different options: not collapsed, forwarded separately.
-    assert any(isinstance(a, SendInterest) for a in actions)
+    assert router.sent == [(5, digest_variant)]
     assert len(router.pit) == 2
     assert option_fingerprint(interest("/a")) != option_fingerprint(
         interest("/a", publisher_key_digest=b"\x01" * 32)
@@ -158,9 +158,9 @@ def test_option_fingerprint_separates_entries():
 def test_incoming_outgoing_disjoint_at_forward():
     router = setup_router()
     router.fib.add(n("/loop"), [0, 1])
-    actions = router.on_interest(0, interest("/loop/x"), now=0)
-    (send,) = [a for a in actions if isinstance(a, SendInterest)]
-    assert send.iface == 1  # the ingress interface is never chosen upstream
+    router.on_interest(0, interest("/loop/x"), now=0)
+    ((iface, _),) = router.sent
+    assert iface == 1  # the ingress interface is never chosen upstream
     entry = next(iter(router.pit.entries()))
     assert not set(entry.incoming) & set(entry.outgoing)
 
@@ -172,8 +172,9 @@ def test_incoming_outgoing_disjoint_at_forward():
 
 def test_unsolicited_data_dropped_not_cached():
     router = setup_router()
-    actions = router.on_data(5, make_packet("/victim/x"), now=0)
-    assert actions == [Drop("unsolicited")]
+    router.on_data(5, make_packet("/victim/x"), now=0)
+    assert router.stats["drop_unsolicited"] == 1
+    assert router.sent == []
     assert len(router.cs) == 0
 
 
@@ -182,18 +183,53 @@ def test_collapsed_entry_fanout_and_flush():
     for i in range(3):
         router.on_interest(i, interest("/victim/x", nonce=i), now=0)
     pkt = make_packet("/victim/x")
-    actions = router.on_data(5, pkt, now=2 * MS)
-    sends = [a for a in actions if isinstance(a, SendData)]
-    assert sorted(s.iface for s in sends) == [0, 1, 2]
+    router.sent.clear()
+    router.on_data(5, pkt, now=2 * MS)
+    assert router.sent == [(0, pkt), (1, pkt), (2, pkt)]
     assert len(router.pit) == 0
     assert len(router.cs) == 1
+
+
+@pytest.mark.parametrize("keyed_first", [False, True])
+def test_satisfy_sends_in_entry_then_incoming_order(keyed_first):
+    """Data satisfying two entries of one name with different options goes
+    out in PIT insertion order, each entry's waiters in arrival order, never
+    back onto the interface it came in on; it is cached before any send."""
+    router = make_router(n_ifaces=6)
+    router.fib.add(n("/victim"), [2])
+    pkt = make_packet("/victim/x")
+    plain = [(3, interest("/victim/x", nonce=1)), (1, interest("/victim/x", nonce=3))]
+    keyed = [
+        (iface, interest("/victim/x", nonce=nonce, publisher_key_digest=make_key().digest))
+        for iface, nonce in ((4, 2), (2, 4), (0, 5))
+    ]
+    first, second = (keyed, plain) if keyed_first else (plain, keyed)
+    for iface, wanted in first[:1] + second[:1] + first[1:] + second[1:]:
+        router.on_interest(iface, wanted, now=0)
+    assert len(router.pit) == 2 and [i for i, _ in router.sent] == [2, 2]
+    router.sent.clear()
+    cached_at_send = []
+    record = router.emit
+
+    def emit(iface, sent):
+        cached_at_send.append(len(router.cs))
+        record(iface, sent)
+
+    router.emit = emit
+    router.on_data(2, pkt, now=MS)
+    expected = [i for i, _ in first] + [i for i, _ in second]
+    assert router.sent == [(i, pkt) for i in expected if i != 2]
+    assert cached_at_send == [1] * len(router.sent)
+    assert len(router.pit) == 0
 
 
 def test_data_from_wrong_iface_is_unsolicited():
     router = setup_router()
     router.on_interest(0, interest("/victim/x"), now=0)
-    actions = router.on_data(3, make_packet("/victim/x"), now=10)
-    assert actions == [Drop("unsolicited")]
+    router.sent.clear()
+    router.on_data(3, make_packet("/victim/x"), now=10)
+    assert router.stats["drop_unsolicited"] == 1
+    assert router.sent == []
     assert len(router.pit) == 1
 
 
@@ -215,18 +251,24 @@ def test_overheard_data_flushes_without_sending():
     router = setup_router()
     router.on_interest(2, interest("/victim/x"), now=0)  # incoming=2, outgoing=5
     pkt = make_packet("/victim/x")
+    router.sent.clear()
     # The overheard segment already has the copy: nothing goes back onto it.
-    assert router.on_overheard_data(2, pkt, now=MS) == []
+    router.on_overheard_data(2, pkt, now=MS)
+    assert router.sent == []
     assert len(router.pit) == 0
     assert len(router.cs) == 1
     # The copy later arriving on the outgoing interface is now unsolicited.
-    assert router.on_data(5, pkt, now=2 * MS) == [Drop("unsolicited")]
+    router.on_data(5, pkt, now=2 * MS)
+    assert router.stats["drop_unsolicited"] == 1
+    assert router.sent == []
 
 
 def test_overheard_data_without_entry_ignored():
     router = setup_router()
     pkt = make_packet("/victim/x")
-    assert router.on_overheard_data(2, pkt, now=0) == []
+    router.on_overheard_data(2, pkt, now=0)
+    assert router.sent == []
+    assert not any(key.startswith(("drop_", "rej_")) for key in router.stats)
     assert len(router.cs) == 0
 
 
@@ -234,9 +276,10 @@ def test_overhear_still_forwards_to_other_waiters():
     router = setup_router()
     router.on_interest(2, interest("/victim/x", nonce=1), now=0)
     router.on_interest(3, interest("/victim/x", nonce=2), now=0)
-    actions = router.on_overheard_data(2, make_packet("/victim/x"), now=MS)
-    sends = [a for a in actions if isinstance(a, SendData)]
-    assert [s.iface for s in sends] == [3]
+    pkt = make_packet("/victim/x")
+    router.sent.clear()
+    router.on_overheard_data(2, pkt, now=MS)
+    assert router.sent == [(3, pkt)]
 
 
 def test_broadcast_dispatch_addressed_vs_overheard():
@@ -245,8 +288,9 @@ def test_broadcast_dispatch_addressed_vs_overheard():
     pkt = make_packet("/victim/x")
     # Data arriving on the outgoing interface is a normal delivery even if
     # that interface is a shared segment.
-    actions = router.on_broadcast_data(5, pkt, now=MS)
-    assert any(isinstance(a, SendData) for a in actions)
+    router.sent.clear()
+    router.on_broadcast_data(5, pkt, now=MS)
+    assert router.sent == [(0, pkt)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ class Recorder(NodeBase):
 
     def on_packet(self, iface, pkt, now):
         self.received.append((now, iface, pkt))
-        return []
 
     def on_broadcast_packet(self, iface, pkt, now):
         if isinstance(pkt, DataPacket):
             self.overheard.append((now, iface, pkt))
-            return []
-        return self.on_packet(iface, pkt, now)
+        else:
+            self.on_packet(iface, pkt, now)
 
 
 def two_nodes(bandwidth_mbps=12.0, delay_ms=1.0, broadcast=False, extra=0):
