@@ -142,33 +142,26 @@ class Zombie(NodeBase):
         return "zombie"
 
     def start(self) -> None:
-        for index, spec in enumerate(self.specs):
+        for spec in self.specs:
             if spec.kind in FLOOD_KINDS:
-                self._schedule_flood(index, spec)
+                self._schedule_flood(spec)
             elif spec.kind == POISON_ANTICIPATE:
                 self._schedule_anticipate(spec)
             # poison-inject has no zombie-side traffic: the compromised
             # router answers interests that already exist.
 
-    def _schedule_flood(self, index: int, spec: AttackSpec) -> None:
+    def _schedule_flood(self, spec: AttackSpec) -> None:
         period = 1e6 / spec.rate_per_s
         phase = self.rng.uniform(0, period)
-        t = spec.start_ms * MS + phase
-        seq = 0
-        while t < spec.stop_ms * MS:
-            self.net.at(int(t), self._make_sender(spec, seq))
-            seq += 1
-            t += period
 
-    def _make_sender(self, spec: AttackSpec, seq: int):
-        def send():
+        def send(seq: int) -> None:
             interest = gen_flood_interest(
                 spec, self.rng, seq, zombie_id=self.id, lifetime_ms=self.default_lifetime_ms
             )
             self.stats["interests_sent"] += 1
             self.net.send_from(self.id, self.default_iface(), interest)
 
-        return send
+        self.net.periodic(spec.start_ms * MS + phase, period, spec.stop_ms * MS, send)
 
     def _schedule_anticipate(self, spec: AttackSpec) -> None:
         for name in spec.content_names:

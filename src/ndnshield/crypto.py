@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+import struct
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -102,6 +103,25 @@ class KeyPair:
 
     @classmethod
     def generate(cls, rng: Rng, bits: int = RSA_BITS, exponent: int = RSA_EXPONENT) -> "KeyPair":
+        """A key drawn from `rng`. A key is a pure function of the stream it
+        is drawn from, so one drawn from a fresh stream (nothing drawn yet)
+        is built once per process; a later call gets the same key and
+        leaves the stream where building it did."""
+        stream_key, counter, buffered, _ = rng.state()
+        if counter or buffered:
+            return cls._build(rng, bits, exponent)
+        memo = (stream_key, bits, exponent)
+        hit = _FRESH_KEYS.get(memo)
+        if hit is None:
+            key = cls._build(rng, bits, exponent)
+            if len(_FRESH_KEYS) >= _FRESH_KEYS_MAX:
+                del _FRESH_KEYS[next(iter(_FRESH_KEYS))]
+            hit = _FRESH_KEYS[memo] = (key, rng.state())
+        rng.set_state(hit[1])
+        return hit[0]
+
+    @classmethod
+    def _build(cls, rng: Rng, bits: int, exponent: int) -> "KeyPair":
         p = _generate_prime(bits // 2, rng, exponent)
         q = _generate_prime(bits // 2, rng, exponent)
         while q == p:
@@ -127,6 +147,13 @@ class KeyPair:
 
     def sign(self, message: bytes) -> bytes:
         return self._private.sign(message, _PKCS1, _SHA256)
+
+
+# Keys drawn from fresh streams, by (stream key, bits, exponent): the key
+# and the stream state after drawing it. Oldest first; bounded so a long
+# sweep over seeds does not keep every key it ever made.
+_FRESH_KEYS: dict[tuple[bytes, int, int], tuple[KeyPair, tuple]] = {}
+_FRESH_KEYS_MAX = 256
 
 
 def verify_bytes(public_der: bytes, signature: bytes, message: bytes) -> bool:
@@ -169,20 +196,12 @@ def sign_packet(
     )
     # The hash component does not exist yet, so the image keeps the whole
     # name here; verifiers strip the appended component to reproduce it.
-    signature = key.sign(
-        canonical_serialize(unsigned, include_hash_component=True, include_signature=False)
-    )
-    # The content hash goes over the signed image plus the signature, i.e.
-    # the packet with its final (about to be appended) component omitted.
-    sans_hash = DataPacket(
-        name=name,
-        payload=payload,
-        signature=signature,
-        key_locator=locator,
-        publisher_key_digest=key.digest,
-        poisoned=poisoned,
-    )
-    content_hash = hashlib.sha256(encode_for_hash(sans_hash)).digest()
+    image = canonical_serialize(unsigned, include_hash_component=True, include_signature=False)
+    signature = key.sign(image)
+    # The content hash goes over the signed image plus the signature (the
+    # last field of the image), i.e. the packet with its final (about to be
+    # appended) component omitted.
+    content_hash = sha256(image + struct.pack(">I", len(signature)) + signature)
     return DataPacket(
         name=name.child(digest_component(content_hash)),
         payload=payload,

@@ -144,9 +144,14 @@ class FloodingDefense:
         self.config = config
         self.rng = rng
         self.router = None
-        self._watched: list[Name] = sorted(
-            set(config.watched_prefixes) | set(config.namespace_quotas), key=str
-        )
+        # (components, prefix) of every watched prefix, longest first.
+        self._watched: list[tuple[tuple[bytes, ...], Name]] = [
+            (prefix.components, prefix)
+            for prefix in sorted(
+                set(config.watched_prefixes) | set(config.namespace_quotas),
+                key=lambda prefix: (-len(prefix), str(prefix)),
+            )
+        ]
         self.pending_out: dict[int, int] = defaultdict(int)
         self.pending_in: dict[int, int] = defaultdict(int)
         self.ns_pending: dict[Name, int] = defaultdict(int)
@@ -176,11 +181,12 @@ class FloodingDefense:
     # -- bookkeeping ---------------------------------------------------------
 
     def _namespace(self, name: Name) -> Optional[Name]:
-        best = None
-        for prefix in self._watched:
-            if prefix.is_prefix_of(name) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        return best
+        """The longest watched prefix of the name."""
+        comps = name.components
+        for prefix_comps, prefix in self._watched:
+            if comps[: len(prefix_comps)] == prefix_comps:
+                return prefix
+        return None
 
     def _window(self, ns: Name, iface: int) -> _Window:
         key = (ns, iface)
@@ -195,7 +201,7 @@ class FloodingDefense:
             self.pending_out[iface] += 1
         for iface in entry.incoming:
             self.pending_in[iface] += 1
-        ns = self._namespace(entry.name)
+        ns = entry.namespace = self._namespace(entry.name)
         if ns is not None:
             self.ns_pending[ns] += 1
             for iface in entry.incoming:
@@ -203,7 +209,7 @@ class FloodingDefense:
 
     def note_collapsed(self, entry, iface: int, now: int) -> None:
         self.pending_in[iface] += 1
-        ns = self._namespace(entry.name)
+        ns = entry.namespace
         if ns is not None:
             self.ns_pending_in[(ns, iface)] += 1
 
@@ -212,7 +218,7 @@ class FloodingDefense:
             self.pending_out[iface] = max(0, self.pending_out[iface] - 1)
         for iface in entry.incoming:
             self.pending_in[iface] = max(0, self.pending_in[iface] - 1)
-        ns = self._namespace(entry.name)
+        ns = entry.namespace
         if ns is not None:
             self.ns_pending[ns] = max(0, self.ns_pending[ns] - 1)
             for iface in entry.incoming:
@@ -265,14 +271,24 @@ class FloodingDefense:
                 if frac < 1.0 and self.rng.random() >= frac:
                     return [], REJ_THROTTLED
         cap = self._matching_cap(interest.name, ingress)
-        if cap is not None and self._cap_active(interest.name, ingress, now):
-            rate = self._cap_rate(cap, interest.name, ingress, now)
-            if not cap.take(now, rng=self.rng, rate_per_s=rate):
-                return [], REJ_RATE_CAP
+        if cap is not None:
+            # An installed cap binds until the ingress proves itself
+            # healthy: a recent record dominated by satisfied interests
+            # lifts it. A binding cap admits at the advised rate scaled by
+            # the ingress's own satisfaction evidence, so a provably useless
+            # ingress leaks only the floor fraction of the advice; with no
+            # statistics, nothing exonerates the ingress.
+            ratio = self._ingress_ratio(ns, ingress, now)
+            if ratio is None or ratio < ANOMALY_RATIO:
+                evidence = 0.0 if ratio is None else ratio
+                rate = cap.base_rate * max(self.config.min_throttle, evidence)
+                if not cap.take(now, rng=self.rng, rate_per_s=rate):
+                    return [], REJ_RATE_CAP
         return usable, None
 
-    def _ingress_ratio(self, name: Name, ingress: int, now: int) -> Optional[float]:
-        ns = self._namespace(name)
+    def _ingress_ratio(self, ns: Optional[Name], ingress: int, now: int) -> Optional[float]:
+        """The satisfied share of what the ingress resolved in the window
+        of the namespace, or None without statistics."""
         if ns is None:
             return None
         win = self._windows.get((ns, ingress))
@@ -282,23 +298,6 @@ class FloodingDefense:
         if win.resolved == 0:
             return None
         return win.satisfied / win.resolved
-
-    def _cap_active(self, name: Name, ingress: int, now: int) -> bool:
-        """An installed cap binds until the ingress proves itself healthy:
-        a recent record dominated by satisfied interests lifts it."""
-        ratio = self._ingress_ratio(name, ingress, now)
-        if ratio is None:
-            return True  # no statistics to exonerate the ingress
-        return ratio < ANOMALY_RATIO
-
-    def _cap_rate(self, cap: TokenBucket, name: Name, ingress: int, now: int) -> float:
-        """Effective rate of a binding cap: the advised rate scaled by the
-        ingress's own satisfaction evidence, so a provably useless ingress
-        leaks only the floor fraction of the advice."""
-        ratio = self._ingress_ratio(name, ingress, now)
-        if ratio is None:
-            ratio = 0.0
-        return cap.base_rate * max(self.config.min_throttle, ratio)
 
     def _matching_cap(self, name: Name, ingress: int) -> Optional[TokenBucket]:
         best = None

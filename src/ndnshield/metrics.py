@@ -85,18 +85,25 @@ COLUMNS = ["time_ms", "node", "role"] + GAUGE_COLUMNS + COUNTER_COLUMNS
 
 _NODE = COLUMNS.index("node")
 _ROLE = COLUMNS.index("role")
+_RATIO = COLUMNS.index("satisfaction_ratio")
+_INDEX = {col: i for i, col in enumerate(COLUMNS) if i > _ROLE and i != _RATIO}  # integer columns
+_ZERO_ROW = [0] * len(COLUMNS)
 
 
 def _row(time_ms: int, node: str, role: str, values: dict) -> tuple:
     """One CSV row in COLUMNS order, as written: integers, except the
-    satisfaction ratio, kept as its 6-decimal string."""
-    out: list = [time_ms, node, role]
-    for col in GAUGE_COLUMNS:
-        v = values.get(col, 1.0 if col == "satisfaction_ratio" else 0)
-        out.append(f"{v:.6f}" if col == "satisfaction_ratio" else int(v))
-    for col in COUNTER_COLUMNS:
-        out.append(int(values.get(col, 0)))
-    return tuple(out)
+    satisfaction ratio, kept as its 6-decimal string. A column the node
+    has no value for is 0 (the ratio 1.0); a value with no column is
+    left out."""
+    row = _ZERO_ROW.copy()
+    row[0], row[_NODE], row[_ROLE] = time_ms, node, role
+    index = _INDEX
+    for key, value in values.items():
+        i = index.get(key)
+        if i is not None:
+            row[i] = int(value)
+    row[_RATIO] = f"{values.get('satisfaction_ratio', 1.0):.6f}"
+    return tuple(row)
 
 
 class MetricsCollector:

@@ -463,10 +463,9 @@ class RequestConsumer(ConsumerBase):
         elif self.rate_per_s > 0:
             period = 1e6 / self.rate_per_s
             phase = self.rng.uniform(0, period)
-            t = self.start_ms * MS + phase
-            while t < self.stop_ms * MS:
-                self.net.at(int(t), self._fire)
-                t += period
+            self.net.periodic(
+                self.start_ms * MS + phase, period, self.stop_ms * MS, lambda _k: self._fire()
+            )
 
     def _next_name(self) -> Name:
         if self.names is not None:

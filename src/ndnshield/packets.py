@@ -3,9 +3,9 @@
 Interests and data packets are the only two packet kinds on the wire.
 Everything here is an immutable value: safe to share across simulation
 instances and cheap to use as dict keys. Values derived from a packet and
-needed on every hop (`wire_size`, the router's option fingerprint) are
-computed once and kept in the packet's `__dict__`, outside its fields, so
-they take no part in equality, hashing or repr.
+needed on every hop (`wire_size`, `compute_content_hash`, the router's
+option fingerprint) are computed once and kept in the packet's `__dict__`,
+outside its fields, so they take no part in equality, hashing or repr.
 
 The wire encoding is deliberately simple (32-bit big-endian counts and
 lengths throughout) so that signatures and content hashes are bit-exact
@@ -126,8 +126,19 @@ class Name:
         return self.components == other.components[: len(self.components)]
 
     def child(self, component: bytes | str) -> "Name":
+        """This name plus one component. Only the new component is checked:
+        the others were checked when this name was made."""
         comp = component.encode() if isinstance(component, str) else component
-        return Name(self.components + (comp,))
+        comps = self.components + (comp,)
+        if len(comps) > MAX_COMPONENTS:
+            raise NameParseError(f"too many components ({len(comps)})")
+        if not comp:
+            raise NameParseError("empty name component")
+        if len(comp) > MAX_COMPONENT_LEN:
+            raise NameParseError(f"component longer than {MAX_COMPONENT_LEN} bytes")
+        name = object.__new__(Name)
+        object.__setattr__(name, "components", comps)
+        return name
 
     def join(self, other: "Name") -> "Name":
         return Name(self.components + other.components)
@@ -459,15 +470,44 @@ def decode_interest(data: bytes) -> Interest:
     return Interest(name, nonce, key_digest, exclude, origin, scope, lifetime)
 
 
+def _name_size(components) -> int:
+    return 4 + 4 * len(components) + sum(map(len, components))
+
+
 def wire_size(pkt: Union[Interest, DataPacket]) -> int:
-    """Byte size charged against link bandwidth. Packets are immutable, so
-    the size is encoded once and kept on the packet."""
+    """Byte size charged against link bandwidth: the length of
+    `encode_interest(pkt)` or `encode_data(pkt)`, summed from the field
+    lengths without encoding. Packets are immutable, so the size is
+    computed once and kept on the packet."""
     size = pkt.__dict__.get("_wire_size")
     if size is None:
         if isinstance(pkt, Interest):
-            size = len(encode_interest(pkt))
+            # name, nonce 8, flags 1, answer origin 1, lifetime 4
+            size = _name_size(pkt.name.components) + 14
+            if pkt.publisher_key_digest is not None:
+                size += 4 + len(pkt.publisher_key_digest)
+            exclude = pkt.exclude
+            if exclude is not None:
+                if isinstance(exclude, ExplicitExclude):
+                    size += 1 + _name_size(exclude.components)
+                else:
+                    size += 1 + len(exclude.bits)
+            if pkt.scope is not None:
+                size += 1
         else:
-            size = len(encode_data(pkt))
+            # name, payload, locator tag 1, locator, key digest, signature
+            locator = pkt.key_locator
+            size = (
+                _name_size(pkt.name.components)
+                + 13
+                + len(pkt.payload)
+                + len(pkt.publisher_key_digest)
+                + len(pkt.signature)
+            )
+            if isinstance(locator, EmbeddedKey):
+                size += 4 + len(locator.key_der)
+            else:
+                size += _name_size(locator.name.components)
         object.__setattr__(pkt, "_wire_size", size)
     return size
 
@@ -479,11 +519,15 @@ def wire_size(pkt: Union[Interest, DataPacket]) -> int:
 
 def compute_content_hash(pkt: DataPacket) -> bytes:
     """SHA-256 over payload, name up to the hash itself, and the signature."""
-    if not pkt.signature:
-        raise ValueError("content hash requires a signed packet")
-    return hashlib.sha256(
-        canonical_serialize(pkt, include_hash_component=False, include_signature=True)
-    ).digest()
+    digest = pkt.__dict__.get("_content_hash")
+    if digest is None:
+        if not pkt.signature:
+            raise ValueError("content hash requires a signed packet")
+        digest = hashlib.sha256(
+            canonical_serialize(pkt, include_hash_component=False, include_signature=True)
+        ).digest()
+        object.__setattr__(pkt, "_content_hash", digest)
+    return digest
 
 
 def excluded_by(data: DataPacket, interest: Interest) -> bool:

@@ -24,6 +24,14 @@ class Rng:
         self._buf = b""
         self._pos = 0
 
+    def state(self) -> tuple[bytes, int, bytes, int]:
+        """(stream key, counter, buffer, position): everything the draws
+        to come depend on. A fresh stream has counter 0 and no buffer."""
+        return (self._key, self._counter, self._buf, self._pos)
+
+    def set_state(self, state: tuple[bytes, int, bytes, int]) -> None:
+        self._key, self._counter, self._buf, self._pos = state
+
     def spawn(self, label: str) -> "Rng":
         """Derive an independent stream; draws here never affect the child."""
         return Rng(self._key, label)
@@ -62,6 +70,10 @@ class Rng:
         return a + (b - a) * self.random()
 
     def bytes(self, n: int) -> bytes:
+        pos = self._pos
+        if pos + n <= len(self._buf):
+            self._pos = pos + n
+            return self._buf[pos : pos + n]
         out = bytearray()
         while len(out) < n:
             if self._pos >= len(self._buf):

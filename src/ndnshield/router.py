@@ -88,10 +88,11 @@ class Fib:
         return None
 
 
-def strategy_choose(entry: FibEntry, exclude: frozenset[int] = frozenset()) -> list[int]:
-    """Rank interfaces by smoothed satisfaction ratio; probe a second path
-    when even the best choice is failing more often than not."""
-    usable = [i for i in entry.interfaces if i not in exclude]
+def strategy_choose(entry: FibEntry, arrival: Optional[int] = None) -> list[int]:
+    """Rank interfaces other than the arrival interface by smoothed
+    satisfaction ratio; probe a second path when even the best choice is
+    failing more often than not."""
+    usable = [i for i in entry.interfaces if i != arrival]
     if len(usable) <= 1:
         return usable  # nothing to rank, and no second path to probe
     ranked = sorted(
@@ -264,7 +265,10 @@ def option_fingerprint(interest: Interest) -> bytes:
     """Digest of (exclude, publisher key digest, answer origin); interests
     that differ in these may need different answers and must not collapse.
     Interests are immutable, so the digest is computed once and kept on the
-    interest."""
+    interest. An interest with neither a key digest nor an exclude has
+    one of a few fingerprints, computed once."""
+    if interest.publisher_key_digest is None and interest.exclude is None:
+        return _PLAIN_FINGERPRINTS[interest.answer_origin]
     digest = interest.__dict__.get("_option_fingerprint")
     if digest is None:
         digest = _option_digest(interest)
@@ -290,9 +294,14 @@ def _option_digest(interest: Interest) -> bytes:
     return hashlib.sha256(bytes(out)).digest()
 
 
+_PLAIN_FINGERPRINTS = {
+    origin: _option_digest(Interest(Name(), 0, answer_origin=origin)) for origin in AnswerOrigin
+}
+
+
 @dataclass
 class PitEntry:
-    key: tuple  # (Name, option fingerprint)
+    key: tuple  # (name components, option fingerprint)
     interest: Interest  # representative; collapsed interests share options
     nonces: set[int]
     incoming: dict[int, int]  # iface -> arrival time
@@ -300,10 +309,11 @@ class PitEntry:
     expiry: int
     fib_prefix: Optional[Name]
     attack: bool  # change only through Pit.mark_attack once inserted
+    namespace: Optional[Name] = None  # longest watched prefix, set by the flooding defense
 
     @property
     def name(self) -> Name:
-        return self.key[0]
+        return self.interest.name
 
 
 class Pit:
@@ -354,7 +364,7 @@ class Pit:
         if entry.key in self._entries:
             raise KeyError(f"PIT already holds an entry for {entry.key!r}")
         self._entries[entry.key] = entry
-        self._by_name.setdefault(entry.name.components, {})[entry.key] = entry
+        self._by_name.setdefault(entry.key[0], {})[entry.key] = entry
         if entry.attack:
             self._attack += 1
         self._seq += 1
@@ -373,7 +383,7 @@ class Pit:
         del self._live_seq[id(entry)]
         if entry.attack:
             self._attack -= 1
-        comps = entry.name.components
+        comps = entry.key[0]
         bucket = self._by_name[comps]
         del bucket[entry.key]
         if not bucket:
@@ -511,7 +521,7 @@ class Router:
             self.stats["drop_scope"] += 1
             return
 
-        key = (interest.name, option_fingerprint(interest))
+        key = (interest.name.components, option_fingerprint(interest))
         entry = self.pit.get(key)
         if entry is not None and entry.expiry <= now:
             self.pit.remove(entry)
@@ -548,7 +558,7 @@ class Router:
             self.stats["drop_no_route"] += 1
             return
 
-        upstreams = strategy_choose(fib_entry, exclude=frozenset({iface}))
+        upstreams = strategy_choose(fib_entry, iface)
         if not upstreams:
             self.stats["drop_no_route"] += 1
             return

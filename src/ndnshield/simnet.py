@@ -5,6 +5,11 @@ where sequence is a global scheduling counter, so a (scenario, seed) pair
 fully determines the trace. The heap holds plain (time, seq, fn) tuples;
 an event due after the end of the run is never queued (its sequence
 number is still taken, so the order of the events that run is the same).
+A periodic source (`periodic`) takes the sequence numbers of all its
+fires when it is set up, as one `at` call per fire would, but queues one
+fire at a time: each fire queues the next with its reserved number, so
+the heap holds one pending fire per source and the (time, seq) order of
+every event is that of the eager schedule.
 Links are lossless store-and-forward queues; on shared segments
 transmissions serialize and every other endpoint hears each frame, which
 is what the overhear-suppression rule needs.
@@ -139,6 +144,35 @@ class Network:
 
     def after(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.at(self.now + delay_us, fn)
+
+    def periodic(
+        self, start: float, period: float, stop_us: int, fn: Callable[[int], None]
+    ) -> None:
+        """Call fn(k) at int(t_k) for t_0 = start, t_{k+1} = t_k + period
+        and every t_k < stop_us, with the times and sequence numbers that
+        one `at` call per fire, made now, would give."""
+        if int(start) < self.now:
+            raise ValueError("cannot schedule into the past")
+        count = 0
+        t = start
+        while t < stop_us:
+            count += 1
+            t += period
+        seq = self._seq
+        self._seq += count
+        k = 0
+        t = start
+
+        def fire() -> None:
+            nonlocal k, t
+            fn(k)
+            k += 1
+            t += period
+            if k < count and int(t) <= self._until:
+                heapq.heappush(self._heap, (int(t), seq + k + 1, fire))
+
+        if count and int(start) <= self._until:
+            heapq.heappush(self._heap, (int(start), seq + 1, fire))
 
     def every(self, interval_us: int, fn: Callable[[int], None]) -> None:
         def tick():

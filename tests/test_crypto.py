@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from ndnshield import crypto
 from ndnshield.crypto import (
     KeyPair,
     assemble_packet,
@@ -58,10 +59,22 @@ def test_sha256_fips_vectors():
 
 
 def test_keypair_digest_deterministic(key):
+    crypto._FRESH_KEYS.clear()  # build the key again, not from the memo
     regenerated = KeyPair.generate(Rng(42, "test-key"))
+    assert regenerated is not key
     assert regenerated.public_der == key.public_der
     assert regenerated.digest == key.digest
     assert key.digest == hashlib.sha256(key.public_der).digest()
+
+
+def test_keypair_memo_reuses_fresh_stream_keys():
+    first_rng, second_rng = Rng(44, "memo-key"), Rng(44, "memo-key")
+    first = KeyPair.generate(first_rng)
+    assert KeyPair.generate(second_rng) is first
+    assert second_rng.state() == first_rng.state()  # left where building left it
+    used = Rng(44, "memo-key")
+    used.u64()
+    assert KeyPair.generate(used) is not first  # a used stream bypasses the memo
 
 
 def test_sign_then_verify(key):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndnshield.packets import (
+    MAX_COMPONENT_LEN,
+    MAX_COMPONENTS,
     AnswerOrigin,
     BloomExclude,
     DataPacket,
@@ -69,6 +71,30 @@ def test_parse_rejects_malformed_escape():
 def test_parse_rejects_oversized_component():
     with pytest.raises(NameParseError):
         Name((b"x" * 256,))
+
+
+@given(names, components)
+def test_child_equals_constructed_name(name, component):
+    child = name.child(component)
+    assert child == Name(name.components + (component,))
+    assert hash(child) == hash(Name(name.components + (component,)))
+
+
+@pytest.mark.parametrize(
+    "base, component",
+    [
+        ((b"a",), b""),  # empty component
+        ((b"a",), b"x" * (MAX_COMPONENT_LEN + 1)),
+        ((b"c",) * MAX_COMPONENTS, b"d"),  # one component too many
+        ((b"c",) * MAX_COMPONENTS, b""),  # both: the count is checked first
+    ],
+)
+def test_child_rejects_as_the_constructor_does(base, component):
+    with pytest.raises(NameParseError) as constructed:
+        Name(base + (component,))
+    with pytest.raises(NameParseError) as appended:
+        Name(base).child(component)
+    assert str(appended.value) == str(constructed.value)
 
 
 def test_parse_rejects_missing_leading_slash():
@@ -244,6 +270,48 @@ def test_interest_round_trip(name, nonce, digest, exclude, origin, scope):
 def test_wire_size_positive():
     assert wire_size(_interest()) > 0
     assert wire_size(_packet()) > len(_packet().payload)
+
+
+# Names of every length a packet may carry, some with long components.
+wire_names = st.lists(
+    st.one_of(components, st.binary(min_size=200, max_size=MAX_COMPONENT_LEN)),
+    max_size=MAX_COMPONENTS,
+).map(lambda cs: Name(tuple(cs)))
+
+
+@given(
+    wire_names,
+    st.integers(min_value=0, max_value=2 ** 64 - 1),
+    st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
+    st.one_of(
+        st.none(),
+        st.frozensets(st.one_of(components, st.binary(min_size=1, max_size=255)), max_size=6)
+        .map(ExplicitExclude),
+        st.binary(min_size=32, max_size=32).map(BloomExclude),
+    ),
+    st.sampled_from(AnswerOrigin),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=255)),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=200)
+def test_interest_wire_size_is_encoded_length(
+    name, nonce, digest, exclude, origin, scope, lifetime
+):
+    interest = Interest(name, nonce, digest, exclude, origin, scope, lifetime)
+    assert wire_size(interest) == len(encode_interest(interest))
+
+
+@given(
+    wire_names,
+    st.binary(max_size=2048),
+    st.binary(max_size=256),
+    st.one_of(st.binary(max_size=300).map(EmbeddedKey), wire_names.map(KeyName)),
+    st.binary(min_size=32, max_size=32),
+)
+@settings(max_examples=200)
+def test_data_wire_size_is_encoded_length(name, payload, signature, locator, digest):
+    pkt = DataPacket(name, payload, signature, locator, digest)
+    assert wire_size(pkt) == len(encode_data(pkt))
 
 
 def test_data_wire_golden_vector():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from ndnshield.router import (
     FibStats,
     Pit,
     PitEntry,
+    _option_digest,
     option_fingerprint,
     strategy_choose,
 )
@@ -153,6 +155,15 @@ def test_option_fingerprint_separates_entries():
     assert option_fingerprint(interest("/a")) != option_fingerprint(
         interest("/a", publisher_key_digest=b"\x01" * 32)
     )
+
+
+@pytest.mark.parametrize("origin", list(AnswerOrigin))
+def test_plain_option_fingerprint_is_the_digest(origin):
+    """An interest with no key digest and no exclude takes a precomputed
+    fingerprint; it must be the digest of its option bytes."""
+    plain = interest("/a/b", answer_origin=origin)
+    assert option_fingerprint(plain) == _option_digest(plain)
+    assert option_fingerprint(plain) == hashlib.sha256(bytes([origin.value, 0, 0])).digest()
 
 
 def test_incoming_outgoing_disjoint_at_forward():
@@ -513,7 +524,7 @@ def pit_data_packet():
 
 
 def _pit_entry(name: str, variant: int, now: int, lifetime_us: int, attack: bool):
-    return PitEntry(key=(n(name), bytes([variant])), interest=interest(name),
+    return PitEntry(key=(n(name).components, bytes([variant])), interest=interest(name),
                     nonces={1}, incoming={0: now}, outgoing={1: now},
                     expiry=now + lifetime_us, fib_prefix=None, attack=attack)
 

@@ -190,6 +190,56 @@ def test_events_past_the_end_never_run():
     assert net.now == 10 * MS and net._heap == []
 
 
+def _periodic_run(lazy: bool) -> tuple[list, int, int]:
+    """Three periodic sources, some of whose fires tie with each other and
+    with `at` events scheduled after them, run to 9 ms with fires planned
+    to 20 ms; through `periodic` (lazy) or one `at` per fire (eager).
+    Returns the executed (time, label) log, the next sequence number and
+    the heap size once the sources are set up."""
+    net = Network(Rng(3, "net"))
+    log = []
+    queued = []
+
+    def source(label, start, period):
+        def fire(k):
+            log.append((net.now, f"{label}{k}"))
+            if label == "a" and k == 0:
+                # Ties with a1 (2.5 ms later), whose number is older.
+                net.after(2500, lambda: log.append((net.now, "after-a0")))
+
+        if lazy:
+            net.periodic(start, period, 20 * MS, fire)
+        else:
+            t, k = start, 0
+            while t < 20 * MS:
+                net.at(int(t), lambda k=k: fire(k))
+                k, t = k + 1, t + period
+
+    def setup():
+        source("a", 1000.0, 2500.0)
+        source("b", 1000.0, 1250.0)
+        source("c", 250.5, 1e6 / 3000)  # float accumulation, truncated times
+        net.at(3500, lambda: log.append((net.now, "at-3500")))
+        net.at(6000, lambda: log.append((net.now, "at-6000")))
+        queued.append(len(net._heap))
+
+    net.at(0, setup)
+    net.run(until_us=9 * MS)
+    return log, net._seq, queued[0]
+
+
+def test_periodic_keeps_the_eager_order():
+    lazy_log, lazy_seq, lazy_queued = _periodic_run(lazy=True)
+    eager_log, eager_seq, eager_queued = _periodic_run(lazy=False)
+    assert lazy_log == eager_log
+    assert lazy_seq == eager_seq  # every fire's number is reserved, run or not
+    times = [t for t, _ in lazy_log]
+    assert times == sorted(times) and max(times) <= 9 * MS
+    at_3500 = [label for t, label in lazy_log if t == 3500]
+    assert at_3500 == ["a1", "b2", "at-3500", "after-a0"]
+    assert lazy_queued == 5 < eager_queued  # one pending fire per source
+
+
 def test_cannot_schedule_into_past():
     net = Network(Rng(3, "net"))
     net.at(5 * MS, lambda: None)
