@@ -7,18 +7,27 @@ a cheaper scheme can be dropped in for very large scenarios.
 Key generation is deterministic from a seeded generator. Nothing here
 calls an OS entropy source, which is what makes whole simulation traces
 replayable from a scenario seed.
+
+In-run verification (`verify_signature`) runs the RSA check on every call
+but keeps the work that is the same each time: parsed public keys (the
+last 256 distinct DER encodings) and each packet's signing-image digest,
+kept on the packet like its wire size and content hash. `sign_packet`
+leaves the content hash it computes on the packet it returns.
+`verify_bytes` keeps nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
 
 from .packets import (
     DataPacket,
@@ -36,6 +45,7 @@ RSA_EXPONENT = 3
 
 _PKCS1 = padding.PKCS1v15()
 _SHA256 = hashes.SHA256()
+_PREHASHED_SHA256 = Prehashed(_SHA256)
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -202,7 +212,7 @@ def sign_packet(
     # last field of the image), i.e. the packet with its final (about to be
     # appended) component omitted.
     content_hash = sha256(image + struct.pack(">I", len(signature)) + signature)
-    return DataPacket(
+    pkt = DataPacket(
         name=name.child(digest_component(content_hash)),
         payload=payload,
         signature=signature,
@@ -210,6 +220,10 @@ def sign_packet(
         publisher_key_digest=key.digest,
         poisoned=poisoned,
     )
+    # Kept as `compute_content_hash` keeps it: the packet's image without its
+    # final component is exactly `image` plus the signature.
+    object.__setattr__(pkt, "_content_hash", content_hash)
+    return pkt
 
 
 def encode_for_hash(pkt: DataPacket) -> bytes:
@@ -258,9 +272,38 @@ def forge_packet(
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _public_key(der: bytes) -> rsa.RSAPublicKey | None:
+    """The RSA public key `der` encodes; None when it is malformed or not
+    an RSA key, so a bad key fails every verification, not only the first."""
+    try:
+        key = serialization.load_der_public_key(der)
+    except (ValueError, UnsupportedAlgorithm):
+        return None
+    return key if isinstance(key, rsa.RSAPublicKey) else None
+
+
+def _signing_digest(pkt: DataPacket) -> bytes:
+    """SHA-256 of `signing_image(pkt)`, computed once and kept on the packet."""
+    digest = pkt.__dict__.get("_signing_digest")
+    if digest is None:
+        digest = sha256(signing_image(pkt))
+        object.__setattr__(pkt, "_signing_digest", digest)
+    return digest
+
+
 def verify_signature(pkt: DataPacket, public_der: bytes) -> bool:
-    """Check the packet signature over its to-be-signed image."""
-    return verify_bytes(public_der, pkt.signature, signing_image(pkt))
+    """Check the packet signature over its to-be-signed image. Accepts
+    exactly what `verify_bytes(public_der, pkt.signature, signing_image(pkt))`
+    accepts; the RSA check runs on every call."""
+    key = _public_key(public_der)
+    if key is None:
+        return False
+    try:
+        key.verify(pkt.signature, _signing_digest(pkt), _PKCS1, _PREHASHED_SHA256)
+    except InvalidSignature:
+        return False
+    return True
 
 
 def packet_is_self_consistent(pkt: DataPacket) -> bool:

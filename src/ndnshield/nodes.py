@@ -11,6 +11,7 @@ prefix with freshly minted poisoned content instead of forwarding them.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -283,6 +284,8 @@ class Producer(NodeBase):
 
 @dataclass
 class _PendingKeyFetch:
+    name: Name
+    order: int  # fetches started earlier resolve first
     packets: list[tuple[DataPacket, Callable[[str, DataPacket], None]]] = field(
         default_factory=list
     )
@@ -307,7 +310,10 @@ class ConsumerBase(NodeBase):
         self.emit_feedback = emit_feedback
         self.copies_by_iface: Counter = Counter()
         self._key_cache: dict[Name, bytes] = {}
-        self._key_fetches: dict[Name, _PendingKeyFetch] = {}
+        # Pending key fetches by key name components, so arriving data finds
+        # the fetches it answers by looking up each prefix of its name.
+        self._key_fetches: dict[tuple[bytes, ...], _PendingKeyFetch] = {}
+        self._key_fetch_order = itertools.count()
 
     def role(self) -> str:
         return "consumer"
@@ -349,19 +355,19 @@ class ConsumerBase(NodeBase):
         if cached is not None:
             done(self.classify(pkt, cached), pkt)
             return
-        fetch = self._key_fetches.get(key_name)
+        fetch = self._key_fetches.get(key_name.components)
         if fetch is not None:
             fetch.packets.append((pkt, done))
             return
-        fetch = _PendingKeyFetch(packets=[(pkt, done)])
-        self._key_fetches[key_name] = fetch
+        fetch = _PendingKeyFetch(key_name, next(self._key_fetch_order), [(pkt, done)])
+        self._key_fetches[key_name.components] = fetch
         interest = Interest(key_name, self._nonce(), lifetime_ms=self.lifetime_ms)
         self.stats["key_interests_sent"] += 1
         self.net.send_from(self.id, self.default_iface(), interest)
         self.net.after(self.lifetime_ms * MS, lambda: self._key_timeout(key_name))
 
     def _key_timeout(self, key_name: Name) -> None:
-        fetch = self._key_fetches.pop(key_name, None)
+        fetch = self._key_fetches.pop(key_name.components, None)
         if fetch is None:
             return
         self.stats["key_fetch_timeouts"] += 1
@@ -370,15 +376,25 @@ class ConsumerBase(NodeBase):
             done(PENDING_KEY, pkt)
 
     def _maybe_resolve_key(self, pkt: DataPacket, now: int) -> bool:
-        """Treat arriving data as a verification key if one is awaited."""
-        for key_name in list(self._key_fetches):
-            if key_name.is_prefix_of(pkt.name):
-                fetch = self._key_fetches.pop(key_name)
-                self._key_cache[key_name] = pkt.payload
-                for parked, done in fetch.packets:
-                    done(self.classify(parked, pkt.payload), parked)
-                return True
-        return False
+        """Treat arriving data as a verification key if one is awaited. Of
+        the pending key names that prefix the data's name, the one fetched
+        first takes it."""
+        fetches = self._key_fetches
+        if not fetches:
+            return False
+        comps = pkt.name.components
+        fetch = None
+        for k in range(len(comps) + 1):
+            candidate = fetches.get(comps[:k])
+            if candidate is not None and (fetch is None or candidate.order < fetch.order):
+                fetch = candidate
+        if fetch is None:
+            return False
+        del fetches[fetch.name.components]
+        self._key_cache[fetch.name] = pkt.payload
+        for parked, done in fetch.packets:
+            done(self.classify(parked, pkt.payload), parked)
+        return True
 
     # -- feedback ------------------------------------------------------------
 
@@ -595,6 +611,7 @@ class CollectionConsumer(ConsumerBase):
             self.known_hashes[1] = first_hash
         self._pending: dict[int, dict] = {}
         self._done: dict[int, str] = {}  # fragment -> "ok" | "failed"
+        self._ok = 0  # fragments whose status in `_done` is "ok"
         self._next = 1
 
     @property
@@ -635,8 +652,8 @@ class CollectionConsumer(ConsumerBase):
         if "session_done" in self.stats:
             return
         self.stats["session_done"] = 1
-        self.stats["fragments_completed"] = sum(1 for s in self._done.values() if s == "ok")
-        self.stats["fragments_failed"] = sum(1 for s in self._done.values() if s == "failed")
+        self.stats["fragments_completed"] = self._ok
+        self.stats["fragments_failed"] = len(self._done) - self._ok
 
     def _issue(self, i: int, retries_left: int, exclude: frozenset[bytes]) -> None:
         name = self._fragment_name(i)
@@ -680,9 +697,13 @@ class CollectionConsumer(ConsumerBase):
             self.stats["retries"] += 1
             self._issue(i, pending["retries_left"] - 1, pending["exclude"])
         else:
-            self._done[i] = "failed"
+            self._set_done(i, "failed")
             self.stats["requests_failed"] += 1
             self._advance()
+
+    def _set_done(self, i: int, status: str) -> None:
+        self._ok += (status == "ok") - (self._done.get(i) == "ok")
+        self._done[i] = status
 
     def _learn_links(self, i: int, pkt: DataPacket) -> None:
         try:
@@ -711,7 +732,7 @@ class CollectionConsumer(ConsumerBase):
         pending = self._pending.pop(matched)
 
         def accept(i=matched) -> None:
-            self._done[i] = "ok"
+            self._set_done(i, "ok")
             self.stats["requests_satisfied"] += 1
             self._learn_links(i, pkt)
             self._advance()
@@ -730,7 +751,7 @@ class CollectionConsumer(ConsumerBase):
                 self.stats["retries"] += 1
                 self._issue(i, pending["retries_left"] - 1, exclude)
             else:
-                self._done[i] = "failed"
+                self._set_done(i, "failed")
                 self.stats["requests_failed"] += 1
                 self._advance()
 
@@ -757,7 +778,7 @@ class CollectionConsumer(ConsumerBase):
         return {
             "satisfaction_ratio": ratio,
             "pending_requests": len(self._pending),
-            "fragments_ok": sum(1 for s in self._done.values() if s == "ok"),
+            "fragments_ok": self._ok,
         }
 
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndnshield import crypto
 from ndnshield.crypto import (
@@ -16,6 +20,7 @@ from ndnshield.crypto import (
     packet_is_self_consistent,
     sign_packet,
     signing_image,
+    verify_bytes,
     verify_signature,
 )
 from ndnshield.packets import (
@@ -111,6 +116,78 @@ def test_verify_tampered_name_fails(key):
 def test_verify_malformed_key_is_false(key):
     pkt = sign_packet(parse_name("/n"), b"p", key)
     assert not verify_signature(pkt, b"not a der key")
+
+
+# A well-formed public key that is not RSA.
+_EC_DER = ec.derive_private_key(7, ec.SECP256R1()).public_key().public_bytes(
+    serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+)
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    out = bytearray(data)
+    out[at % len(out)] ^= 0x01
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    comps=st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=4),
+    payload=st.binary(min_size=1, max_size=64),
+    tamper=st.sampled_from(["none", "signature", "payload", "name"]),
+    verifier=st.sampled_from(["own", "other", "garbage", "truncated", "empty", "ec"]),
+    at=st.integers(min_value=0, max_value=10_000),
+)
+def test_cached_verify_agrees_with_cold_verify(
+    key, other_key, comps, payload, tamper, verifier, at
+):
+    """`verify_signature` (kept key and digest) gives the verdict of
+    `verify_bytes` (key decoded and image hashed on every call), also when
+    asked twice about a malformed or non-RSA key."""
+    pkt = sign_packet(Name(tuple(comps)), payload, key)
+    name, signature = pkt.name, pkt.signature
+    if tamper == "signature":
+        signature = _flip(signature, at)
+    elif tamper == "payload":
+        payload = _flip(payload, at)
+    elif tamper == "name":
+        i = at % (len(name.components) - 1)  # the hash component is not signed
+        comps = list(name.components)
+        comps[i] = _flip(comps[i], at)
+        name = Name(tuple(comps))
+    pkt = assemble_packet(name, payload, signature, pkt.key_locator, pkt.publisher_key_digest)
+    der = {
+        "own": key.public_der,
+        "other": other_key.public_der,
+        "garbage": b"not a der key",
+        "truncated": key.public_der[: at % len(key.public_der)],
+        "empty": b"",
+        "ec": _EC_DER,
+    }[verifier]
+    cold = verify_bytes(der, pkt.signature, signing_image(pkt))
+    assert cold == (tamper == "none" and verifier == "own")
+    assert verify_signature(pkt, der) == cold
+    assert verify_signature(pkt, der) == cold
+
+
+def test_signer_and_verifier_memos_leave_packet_value_alone(key):
+    """The content hash `sign_packet` leaves on its packet and the signing
+    digest `verify_signature` keeps are the values an equal packet built
+    from scratch yields, and neither changes the packet's value."""
+    signed = sign_packet(parse_name("/m/1"), b"payload", key)
+
+    def rebuilt():
+        return assemble_packet(
+            signed.name, signed.payload, signed.signature, signed.key_locator,
+            signed.publisher_key_digest,
+        )
+
+    fresh, untouched = rebuilt(), rebuilt()
+    assert signed.__dict__["_content_hash"] == compute_content_hash(fresh)
+    assert verify_signature(signed, key.public_der)
+    assert signed.__dict__["_signing_digest"] == hashlib.sha256(signing_image(fresh)).digest()
+    assert signed == untouched and hash(signed) == hash(untouched)
+    assert repr(signed) == repr(untouched)
 
 
 def test_signed_packet_carries_hash_component(key):

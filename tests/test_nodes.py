@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import make_key, make_packet, n
-from ndnshield.crypto import compute_content_hash, verify_signature
+from ndnshield.crypto import compute_content_hash, sign_packet, verify_signature
 from ndnshield.nodes import (
     CatalogError,
     CollectionConsumer,
@@ -19,6 +19,7 @@ from ndnshield.packets import (
     BloomExclude,
     ExplicitExclude,
     Interest,
+    KeyName,
     digest_component,
     interest_matches,
 )
@@ -221,6 +222,22 @@ def test_request_consumer_accepts_fake_without_anchor():
     assert consumer.stats["received_valid"] == 1
 
 
+@pytest.mark.parametrize("first,second", [("/k/sub", "/k"), ("/k", "/k/sub")])
+def test_nested_key_fetches_resolve_in_fetch_order(first, second):
+    """Data under both of two pending key names answers the one fetched first."""
+    consumer, net = make_request_consumer()
+    key = make_key("honest")
+    outcomes = []
+    for key_name in (first, second):
+        pkt = sign_packet(n("/victim/page"), key_name.encode(), key, KeyName(n(key_name)))
+        consumer.verify_delivery(pkt, None, lambda s, p: outcomes.append((s, p.payload)), 0)
+    assert consumer.stats["key_interests_sent"] == 2
+    consumer.on_packet(0, make_packet("/k/sub/cert", key=key, payload=key.public_der), now=1)
+    assert outcomes == [("valid", first.encode())]
+    assert list(consumer._key_cache) == [n(first)]
+    assert [f.name for f in consumer._key_fetches.values()] == [n(second)]
+
+
 # ---------------------------------------------------------------------------
 # Collection consumer
 # ---------------------------------------------------------------------------
@@ -274,7 +291,18 @@ def test_combined_walkthrough_retrieves_all():
             served += 1
     assert consumer.stats["fragments_completed"] == 10
     assert consumer.stats["fragments_failed"] == 0
+    assert consumer.gauges()["fragments_ok"] == 10
     assert served == 10
+
+
+def test_fragments_ok_gauge_follows_status_changes():
+    """The running count equals a recount of `_done` after every change,
+    including a status set again and a failed fragment accepted late."""
+    consumer, packets, net = chained_consumer(mode="plain", m=3, u=1)
+    for i, status in [(1, "ok"), (1, "ok"), (2, "failed"), (2, "ok"), (1, "failed"), (3, "ok")]:
+        consumer._set_done(i, status)
+        recount = sum(1 for s in consumer._done.values() if s == "ok")
+        assert consumer.gauges()["fragments_ok"] == recount
 
 
 def test_window_bound_respected():
