@@ -8,12 +8,18 @@ Key generation is deterministic from a seeded generator. Nothing here
 calls an OS entropy source, which is what makes whole simulation traces
 replayable from a scenario seed.
 
+Every named data packet is made by one seal, `_seal`: it serialises the
+packet's image once, takes a signature over it, and appends the digest of
+the image plus that signature as the last name component. `sign_packet`
+seals with an RSA signature, `forge_packet` with given garbage bytes, so a
+forged packet names its own bytes exactly as an honest one does. Both
+leave that content hash on the packet they return.
+
 In-run verification (`verify_signature`) runs the RSA check on every call
 but keeps the work that is the same each time: parsed public keys (the
 last 256 distinct DER encodings) and each packet's signing-image digest,
-kept on the packet like its wire size and content hash. `sign_packet`
-leaves the content hash it computes on the packet it returns.
-`verify_bytes` keeps nothing.
+kept on the packet like its wire size and content hash. `verify_bytes`
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import functools
 import hashlib
 import hmac as _hmac
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
@@ -58,11 +65,17 @@ def sha256(data: bytes) -> bytes:
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     return _hmac.compare_digest(a, b)
+
+
+def link_mac(key: bytes, body: Name) -> bytes:
+    """The MAC a control interest carries as its last component: HMAC-SHA256
+    under the link's key over the textual form of the name before it."""
+    return hmac_sha256(key, str(body).encode())
 
 
 def ls32(digest: bytes) -> int:
@@ -182,6 +195,20 @@ def signing_image(pkt: DataPacket) -> bytes:
     return canonical_serialize(pkt, include_hash_component=False, include_signature=False)
 
 
+def _seal(draft: DataPacket, sign: Callable[[bytes], bytes]) -> DataPacket:
+    """`draft` (no signature, no hash component) signed by `sign` over its
+    image, its name ending in the digest of that image plus the signature,
+    kept on the packet as `compute_content_hash` keeps it. The image holds
+    the whole unsealed name; verifiers strip the appended component."""
+    image = canonical_serialize(draft, include_signature=False)
+    signature = sign(image)
+    content_hash = sha256(image + struct.pack(">I", len(signature)) + signature)
+    name = draft.name.child(digest_component(content_hash))
+    pkt = replace(draft, name=name, signature=signature)
+    object.__setattr__(pkt, "_content_hash", content_hash)
+    return pkt
+
+
 def sign_packet(
     name: Name,
     payload: bytes,
@@ -196,61 +223,8 @@ def sign_packet(
     name component, so the full name self-certifies the bytes it names.
     """
     locator = key_locator if key_locator is not None else EmbeddedKey(key.public_der)
-    unsigned = DataPacket(
-        name=name,
-        payload=payload,
-        signature=b"",
-        key_locator=locator,
-        publisher_key_digest=key.digest,
-        poisoned=poisoned,
-    )
-    # The hash component does not exist yet, so the image keeps the whole
-    # name here; verifiers strip the appended component to reproduce it.
-    image = canonical_serialize(unsigned, include_hash_component=True, include_signature=False)
-    signature = key.sign(image)
-    # The content hash goes over the signed image plus the signature (the
-    # last field of the image), i.e. the packet with its final (about to be
-    # appended) component omitted.
-    content_hash = sha256(image + struct.pack(">I", len(signature)) + signature)
-    pkt = DataPacket(
-        name=name.child(digest_component(content_hash)),
-        payload=payload,
-        signature=signature,
-        key_locator=locator,
-        publisher_key_digest=key.digest,
-        poisoned=poisoned,
-    )
-    # Kept as `compute_content_hash` keeps it: the packet's image without its
-    # final component is exactly `image` plus the signature.
-    object.__setattr__(pkt, "_content_hash", content_hash)
-    return pkt
-
-
-def encode_for_hash(pkt: DataPacket) -> bytes:
-    """The image the content hash covers, for a packet not yet carrying
-    its hash component."""
-    return canonical_serialize(pkt, include_hash_component=True, include_signature=True)
-
-
-def assemble_packet(
-    name: Name,
-    payload: bytes,
-    signature: bytes,
-    key_locator: KeyLocator,
-    publisher_key_digest: bytes,
-    *,
-    poisoned: bool = False,
-) -> DataPacket:
-    """Raw constructor for packets that do not follow honest construction
-    (garbage signatures, mismatched hash components, lying digests)."""
-    return DataPacket(
-        name=name,
-        payload=payload,
-        signature=signature,
-        key_locator=key_locator,
-        publisher_key_digest=publisher_key_digest,
-        poisoned=poisoned,
-    )
+    draft = DataPacket(name, payload, b"", locator, key.digest, poisoned=poisoned)
+    return _seal(draft, key.sign)
 
 
 def forge_packet(
@@ -259,17 +233,8 @@ def forge_packet(
     """A poisoned packet that claims the producer key `key_der` (whose
     digest is `key_digest`) but carries `signature` bytes no key made. Like
     an honest packet, its name ends in the digest of its own bytes."""
-    draft = assemble_packet(
-        name, payload, signature, EmbeddedKey(key_der), key_digest, poisoned=True
-    )
-    return assemble_packet(
-        name.child(digest_component(sha256(encode_for_hash(draft)))),
-        payload,
-        signature,
-        draft.key_locator,
-        key_digest,
-        poisoned=True,
-    )
+    draft = DataPacket(name, payload, b"", EmbeddedKey(key_der), key_digest, poisoned=True)
+    return _seal(draft, lambda image: signature)
 
 
 @functools.lru_cache(maxsize=256)
@@ -316,12 +281,11 @@ def packet_is_self_consistent(pkt: DataPacket) -> bool:
 
 __all__ = [
     "KeyPair",
-    "assemble_packet",
     "compute_content_hash",
     "constant_time_equal",
-    "encode_for_hash",
     "forge_packet",
     "hmac_sha256",
+    "link_mac",
     "ls32",
     "packet_is_self_consistent",
     "sha256",

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .crypto import KeyPair, sha256, sign_packet, verify_bytes
+from .crypto import KeyPair, sha256, sign_packet, signing_image, verify_bytes
 from .metrics import aggregate_replicates, summarize_run
 from .packets import Name, canonical_serialize
 from .rand import Rng
@@ -75,10 +75,8 @@ def bench_crypto(packet_size: int = 1500, duration_s: float = 0.5) -> dict:
     key = KeyPair.generate(Rng(20130614, "bench"))
     payload = b"\xa5" * packet_size
     pkt = sign_packet(Name.parse("/bench/item"), payload, key)
-    image = canonical_serialize(pkt, include_hash_component=False, include_signature=True)
-    signed_image = canonical_serialize(
-        pkt, include_hash_component=False, include_signature=False
-    )
+    image = canonical_serialize(pkt, include_hash_component=False)
+    signed_image = signing_image(pkt)
 
     def throughput(fn) -> tuple[float, float]:
         # Warm up, then time batches until the budget elapses.

@@ -26,10 +26,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .crypto import constant_time_equal, hmac_sha256
-from .packets import INTEREST_LIFETIME_MS, Interest, Name
-
-PUSHBACK_PREFIX = Name((b"ndn", b"pushback"))
+from .crypto import constant_time_equal, link_mac
+from .packets import INTEREST_LIFETIME_MS, PUSHBACK_PREFIX, Interest, Name, control_interest
 
 MS = 1000  # microseconds per millisecond
 
@@ -361,9 +359,8 @@ class FloodingDefense:
     def build_pushback(self, prefix: Name, rate_per_s: float, ttl: int, iface: int) -> Interest:
         rate_milli = int(round(rate_per_s * 1000))
         body = PUSHBACK_PREFIX.join(prefix).child(b"%d" % rate_milli).child(b"%d" % ttl)
-        key = self.router.ifaces[iface].link_key
-        mac = hmac_sha256(key, str(body).encode())
-        return Interest(name=body.child(mac), nonce=self.rng.u64(), scope=2, lifetime_ms=1000)
+        mac = link_mac(self.router.ifaces[iface].link_key, body)
+        return control_interest(body.child(mac), self.rng.u64())
 
     @staticmethod
     def parse_pushback(interest: Interest) -> tuple[Name, float, int, bytes]:
@@ -402,8 +399,9 @@ class FloodingDefense:
         except (ValueError, IndexError):
             self.router.stats["pushback_bad_mac"] += 1
             return []
-        key = self.router.ifaces[iface].link_key
-        expected = hmac_sha256(key, str(Name(interest.name.components[:-1])).encode())
+        expected = link_mac(
+            self.router.ifaces[iface].link_key, Name(interest.name.components[:-1])
+        )
         if not constant_time_equal(mac, expected):
             self.router.stats["pushback_bad_mac"] += 1
             return []

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .crypto import (
     KeyPair,
-    assemble_packet,
     compute_content_hash,
     forge_packet,
     sha256,
@@ -37,6 +36,7 @@ from .packets import (
     Name,
     digest_component,
     interest_matches,
+    is_control_name,
 )
 from .poisoning import feedback_interest
 from .router import Router
@@ -833,7 +833,7 @@ class CompromisedRouter(Router):
             )
         if requested_hash is not None:
             # Mimic the requested name exactly; the bytes cannot hash to it.
-            pkt = assemble_packet(
+            pkt = DataPacket(
                 Name(pkt.name.components[:-1] + (digest_component(requested_hash),)),
                 pkt.payload,
                 pkt.signature,
@@ -844,9 +844,7 @@ class CompromisedRouter(Router):
         return pkt
 
     def on_interest(self, iface: int, interest: Interest, now: int) -> None:
-        if self.target_prefix.is_prefix_of(interest.name) and not self._is_control_name(
-            interest.name
-        ):
+        if self.target_prefix.is_prefix_of(interest.name) and not is_control_name(interest.name):
             self.stats["interests_received"] += 1
             self.stats["poison_injected"] += 1
             self.emit(iface, self.make_poison(interest))

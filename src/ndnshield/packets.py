@@ -1,4 +1,5 @@
-"""Packet types, hierarchical names, wire encoding and the matching predicate.
+"""Packet types, hierarchical names, the control namespace, wire encoding
+and the matching predicate.
 
 Interests and data packets are the only two packet kinds on the wire.
 Everything here is an immutable value: safe to share across simulation
@@ -10,7 +11,10 @@ they take no part in equality, hashing or repr.
 
 The wire encoding is deliberately simple (32-bit big-endian counts and
 lengths throughout) so that signatures and content hashes are bit-exact
-and can be checked against golden vectors.
+and can be checked against golden vectors. Packets are only ever encoded:
+`canonical_serialize` gives the image signatures and content hashes cover,
+and it and `encode_interest` are the references `wire_size` is tested
+against. Nothing decodes wire bytes.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ _ESCAPED_BYTES = frozenset(range(0x20)) | {0x2F, 0x25}  # control bytes, '/', '%
 
 class NameParseError(ValueError):
     """Raised for malformed textual names or oversized components."""
-
-
-class WireFormatError(ValueError):
-    """Raised when decoding malformed wire bytes."""
 
 
 def _escape_component(component: bytes) -> str:
@@ -157,10 +157,6 @@ class Name:
 
 def parse_name(text: str) -> Name:
     return Name.parse(text)
-
-
-def is_prefix_of(prefix: Name, name: Name) -> bool:
-    return prefix.is_prefix_of(name)
 
 
 def digest_component(digest: bytes) -> bytes:
@@ -305,6 +301,31 @@ class DataPacket:
 
 
 # ---------------------------------------------------------------------------
+# Control namespace
+# ---------------------------------------------------------------------------
+
+# One-hop interests under /ndn/<kind> that routers handle themselves and
+# never route: neighbour warnings, consumer feedback and push-back advice.
+WARNING_PREFIX = Name((b"ndn", b"warning"))
+FEEDBACK_PREFIX = Name((b"ndn", b"feedback"))
+PUSHBACK_PREFIX = Name((b"ndn", b"pushback"))
+_CONTROL_KINDS = frozenset(p.last for p in (WARNING_PREFIX, FEEDBACK_PREFIX, PUSHBACK_PREFIX))
+
+
+def is_control_name(name: Name) -> bool:
+    """True for a name in (or equal to) one of the control prefixes; looks
+    at the first two components only."""
+    comps = name.components
+    return len(comps) >= 2 and comps[0] == b"ndn" and comps[1] in _CONTROL_KINDS
+
+
+def control_interest(name: Name, nonce: int) -> Interest:
+    """A control interest: scope 2 (one link, never forwarded) and a
+    one-second lifetime."""
+    return Interest(name=name, nonce=nonce, scope=2, lifetime_ms=1000)
+
+
+# ---------------------------------------------------------------------------
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
@@ -347,74 +368,6 @@ def canonical_serialize(
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def u8(self) -> int:
-        if self.pos + 1 > len(self.data):
-            raise WireFormatError("truncated packet")
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u32(self) -> int:
-        if self.pos + 4 > len(self.data):
-            raise WireFormatError("truncated packet")
-        v = struct.unpack_from(">I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def u64(self) -> int:
-        if self.pos + 8 > len(self.data):
-            raise WireFormatError("truncated packet")
-        v = struct.unpack_from(">Q", self.data, self.pos)[0]
-        self.pos += 8
-        return v
-
-    def raw(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise WireFormatError("truncated packet")
-        v = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return v
-
-    def block(self) -> bytes:
-        return self.raw(self.u32())
-
-    def name(self) -> Name:
-        count = self.u32()
-        if count > MAX_COMPONENTS:
-            raise WireFormatError("component count out of range")
-        return Name(tuple(self.block() for _ in range(count)))
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise WireFormatError("trailing bytes after packet")
-
-
-def encode_data(pkt: DataPacket) -> bytes:
-    return canonical_serialize(pkt)
-
-
-def decode_data(data: bytes) -> DataPacket:
-    rd = _Reader(data)
-    name = rd.name()
-    payload = rd.block()
-    tag = rd.u8()
-    if tag == 0:
-        locator: KeyLocator = EmbeddedKey(rd.block())
-    elif tag == 1:
-        locator = KeyName(rd.name())
-    else:
-        raise WireFormatError(f"unknown key locator tag {tag}")
-    digest = rd.block()
-    signature = rd.block()
-    rd.done()
-    return DataPacket(name, payload, signature, locator, digest)
-
-
 _FLAG_KEY_DIGEST = 0x01
 _FLAG_EXCLUDE = 0x02
 _FLAG_SCOPE = 0x04
@@ -448,36 +401,13 @@ def encode_interest(interest: Interest) -> bytes:
     return bytes(out)
 
 
-def decode_interest(data: bytes) -> Interest:
-    rd = _Reader(data)
-    name = rd.name()
-    nonce = rd.u64()
-    flags = rd.u8()
-    key_digest = rd.block() if flags & _FLAG_KEY_DIGEST else None
-    exclude: Optional[Exclude] = None
-    if flags & _FLAG_EXCLUDE:
-        tag = rd.u8()
-        if tag == 0:
-            count = rd.u32()
-            exclude = ExplicitExclude(frozenset(rd.block() for _ in range(count)))
-        elif tag == 1:
-            exclude = BloomExclude(rd.raw(BLOOM_BITS // 8))
-        else:
-            raise WireFormatError(f"unknown exclude tag {tag}")
-    origin = AnswerOrigin(rd.u8())
-    scope = rd.u8() if flags & _FLAG_SCOPE else None
-    lifetime = rd.u32()
-    rd.done()
-    return Interest(name, nonce, key_digest, exclude, origin, scope, lifetime)
-
-
 def _name_size(components) -> int:
     return 4 + 4 * len(components) + sum(map(len, components))
 
 
 def wire_size(pkt: Union[Interest, DataPacket]) -> int:
     """Byte size charged against link bandwidth: the length of
-    `encode_interest(pkt)` or `encode_data(pkt)`, summed from the field
+    `encode_interest(pkt)` or `canonical_serialize(pkt)`, summed from the field
     lengths without encoding. Packets are immutable, so the size is
     computed once and kept on the packet."""
     size = pkt.__dict__.get("_wire_size")

@@ -18,21 +18,22 @@ from typing import Optional
 from .crypto import (
     constant_time_equal,
     hmac_sha256,
+    link_mac,
     ls32,
     packet_is_self_consistent,
     verify_signature,
 )
 from .packets import (
+    FEEDBACK_PREFIX,
+    WARNING_PREFIX,
     DataPacket,
     EmbeddedKey,
     Interest,
     Name,
     content_hash_matches,
+    control_interest,
     publisher_digest_matches,
 )
-
-WARNING_PREFIX = Name((b"ndn", b"warning"))
-FEEDBACK_PREFIX = Name((b"ndn", b"feedback"))
 
 MS = 1000
 
@@ -233,8 +234,8 @@ class PoisoningGuard:
 
     def _warning_interest(self, content_hash: bytes, iface: int) -> Interest:
         body = WARNING_PREFIX.child(content_hash)  # raw 32-byte digest component
-        mac = hmac_sha256(self.router.ifaces[iface].link_key, str(body).encode())
-        return Interest(name=body.child(mac), nonce=self.rng.u64(), scope=2, lifetime_ms=1000)
+        mac = link_mac(self.router.ifaces[iface].link_key, body)
+        return control_interest(body.child(mac), self.rng.u64())
 
     def _emit_warnings(self, content_hash: bytes) -> None:
         for iface in sorted(self.router.ifaces):
@@ -248,7 +249,7 @@ class PoisoningGuard:
             return
         body = Name(comps[:3])
         mac = comps[3]
-        expected = hmac_sha256(self.router.ifaces[iface].link_key, str(body).encode())
+        expected = link_mac(self.router.ifaces[iface].link_key, body)
         if not constant_time_equal(mac, expected):
             self.router.stats["warnings_bad_mac"] += 1
             return
@@ -300,9 +301,4 @@ class PoisoningGuard:
 
 def feedback_interest(content_hash: bytes, nonce: int) -> Interest:
     """The scope-2 interest a consumer sends after rejecting a packet."""
-    return Interest(
-        name=FEEDBACK_PREFIX.child(content_hash),
-        nonce=nonce,
-        scope=2,
-        lifetime_ms=1000,
-    )
+    return control_interest(FEEDBACK_PREFIX.child(content_hash), nonce)

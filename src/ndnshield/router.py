@@ -17,12 +17,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .packets import (
+    FEEDBACK_PREFIX,
+    PUSHBACK_PREFIX,
+    WARNING_PREFIX,
     AnswerOrigin,
     DataPacket,
     ExplicitExclude,
     Interest,
     Name,
     compute_content_hash,
+    is_control_name,
     matches_base,
 )
 
@@ -508,7 +512,7 @@ class Router:
 
     def on_interest(self, iface: int, interest: Interest, now: int) -> None:
         self.stats["interests_received"] += 1
-        if self._is_control_name(interest.name):
+        if is_control_name(interest.name):
             self._on_control_interest(iface, interest, now)
             return
         if interest.scope is not None and interest.scope <= 2:
@@ -725,23 +729,15 @@ class Router:
 
     # -- control namespace ------------------------------------------------------
 
-    def _is_control_name(self, name: Name) -> bool:
-        comps = name.components
-        return len(comps) >= 2 and comps[0] == b"ndn" and comps[1] in (
-            b"warning",
-            b"feedback",
-            b"pushback",
-        )
-
     def _on_control_interest(self, iface: int, interest: Interest, now: int) -> None:
-        kind = interest.name.components[1]
-        if kind == b"pushback" and self.flooding is not None:
+        name = interest.name
+        if PUSHBACK_PREFIX.is_prefix_of(name) and self.flooding is not None:
             for out_iface, msg in self.flooding.handle_pushback(iface, interest, now):
                 self.emit(out_iface, msg)
                 self.stats["pushback_sent"] += 1
-        elif kind == b"warning" and self.poisoning is not None:
+        elif WARNING_PREFIX.is_prefix_of(name) and self.poisoning is not None:
             self.poisoning.handle_warning(iface, interest, now)
-        elif kind == b"feedback" and self.poisoning is not None:
+        elif FEEDBACK_PREFIX.is_prefix_of(name) and self.poisoning is not None:
             self.poisoning.handle_feedback(iface, interest, now)
 
     # -- gauges -----------------------------------------------------------------

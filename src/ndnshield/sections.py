@@ -15,15 +15,9 @@ from typing import Annotated, Optional
 from .attacks import build_keylocator_abuse_content
 from .crypto import KeyPair
 from .nodes import Producer, StaticCollection
-from .packets import Name
+from .packets import Name, is_control_name
 from .schema import Invalid, Reader
 from .simnet import LinkSpec
-
-RESERVED_PREFIXES = (
-    Name((b"ndn", b"warning")),
-    Name((b"ndn", b"feedback")),
-    Name((b"ndn", b"pushback")),
-)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ class RouteEntry:
     next_hops: Annotated[list[str], ANY_NODE]
 
     def __post_init__(self):
-        if any(r.is_prefix_of(self.prefix) for r in RESERVED_PREFIXES):
+        if is_control_name(self.prefix):
             raise Invalid("prefix", "reserved namespaces are never routed")
         if not self.next_hops:
             raise Invalid("next_hops", "must not be empty")
@@ -145,7 +139,7 @@ class ProducerEntry:
     abuse: Optional[AbuseEntry] = None
 
     def __post_init__(self):
-        if any(r.is_prefix_of(self.prefix) for r in RESERVED_PREFIXES):
+        if is_control_name(self.prefix):
             raise Invalid("prefix", "reserved namespace")
         self.static = [self.prefix.child(item) for item in self.static_names]
         self.kwargs = {}  # for Producer, over the defaults block's

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ndnshield import crypto
 from ndnshield.crypto import (
     KeyPair,
-    assemble_packet,
     compute_content_hash,
+    forge_packet,
     hmac_sha256,
     ls32,
     packet_is_self_consistent,
@@ -28,8 +28,6 @@ from ndnshield.packets import (
     EmbeddedKey,
     Name,
     component_digest,
-    decode_data,
-    encode_data,
     is_digest_component,
     parse_name,
 )
@@ -155,7 +153,7 @@ def test_cached_verify_agrees_with_cold_verify(
         comps = list(name.components)
         comps[i] = _flip(comps[i], at)
         name = Name(tuple(comps))
-    pkt = assemble_packet(name, payload, signature, pkt.key_locator, pkt.publisher_key_digest)
+    pkt = DataPacket(name, payload, signature, pkt.key_locator, pkt.publisher_key_digest)
     der = {
         "own": key.public_der,
         "other": other_key.public_der,
@@ -171,23 +169,27 @@ def test_cached_verify_agrees_with_cold_verify(
 
 
 def test_signer_and_verifier_memos_leave_packet_value_alone(key):
-    """The content hash `sign_packet` leaves on its packet and the signing
-    digest `verify_signature` keeps are the values an equal packet built
-    from scratch yields, and neither changes the packet's value."""
+    """The content hash `sign_packet` and `forge_packet` leave on their
+    packets and the signing digest `verify_signature` keeps are the values
+    an equal packet built from scratch yields, and neither changes the
+    packet's value."""
     signed = sign_packet(parse_name("/m/1"), b"payload", key)
+    forged = forge_packet(parse_name("/m/2"), b"payload", b"\x5a" * 128, key.public_der, key.digest)
 
-    def rebuilt():
-        return assemble_packet(
-            signed.name, signed.payload, signed.signature, signed.key_locator,
-            signed.publisher_key_digest,
+    def rebuilt(pkt):
+        return DataPacket(
+            pkt.name, pkt.payload, pkt.signature, pkt.key_locator, pkt.publisher_key_digest,
+            poisoned=pkt.poisoned,
         )
 
-    fresh, untouched = rebuilt(), rebuilt()
-    assert signed.__dict__["_content_hash"] == compute_content_hash(fresh)
-    assert verify_signature(signed, key.public_der)
-    assert signed.__dict__["_signing_digest"] == hashlib.sha256(signing_image(fresh)).digest()
-    assert signed == untouched and hash(signed) == hash(untouched)
-    assert repr(signed) == repr(untouched)
+    for pkt, valid in ((signed, True), (forged, False)):
+        fresh, untouched = rebuilt(pkt), rebuilt(pkt)
+        assert pkt.__dict__["_content_hash"] == compute_content_hash(fresh)
+        assert compute_content_hash(fresh) == component_digest(fresh.name.last)
+        assert verify_signature(pkt, key.public_der) is valid
+        assert pkt.__dict__["_signing_digest"] == hashlib.sha256(signing_image(fresh)).digest()
+        assert pkt == untouched and hash(pkt) == hash(untouched)
+        assert repr(pkt) == repr(untouched)
 
 
 def test_signed_packet_carries_hash_component(key):
@@ -227,30 +229,17 @@ def test_signing_image_excludes_hash_component_and_signature(key):
     assert pkt.name.components[-1] not in image
 
 
-def test_wire_round_trip_preserves_validity(key):
-    pkt = sign_packet(parse_name("/a/b"), b"payload", key)
-    again = decode_data(encode_data(pkt))
-    assert verify_signature(again, key.public_der)
-    assert compute_content_hash(again) == compute_content_hash(pkt)
-
-
-def test_assemble_packet_allows_dishonest_construction(key):
-    forged = assemble_packet(
-        parse_name("/a").child(b"\x01" + bytes(32)),
-        b"junk",
-        b"\x00" * 128,
-        EmbeddedKey(key.public_der),
-        key.digest,
-        poisoned=True,
-    )
+def test_forged_packet_fails_verification(key):
+    forged = forge_packet(parse_name("/a"), b"junk", b"\x00" * 128, key.public_der, key.digest)
     assert not verify_signature(forged, key.public_der)
     assert forged.poisoned
+    assert packet_is_self_consistent(forged)  # it claims the key it names
 
 
 def test_self_consistency_check(key, other_key):
     honest = sign_packet(parse_name("/n"), b"p", key)
     assert packet_is_self_consistent(honest)
-    lying = assemble_packet(
+    lying = DataPacket(
         honest.name, honest.payload, honest.signature, EmbeddedKey(key.public_der),
         other_key.digest,
     )

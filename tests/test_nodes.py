@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import make_key, make_packet, n
-from ndnshield.crypto import compute_content_hash, sign_packet, verify_signature
+from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
 from ndnshield.nodes import (
     CatalogError,
     CollectionConsumer,
@@ -326,20 +326,8 @@ def test_sscid_mode_never_accepts_wrong_bytes():
 def test_corrupted_copy_triggers_exclude_retry():
     consumer, packets, net = chained_consumer(mode="plain", m=2, u=1, max_retries=3)
     consumer.start()
-    from ndnshield.crypto import assemble_packet, encode_for_hash, sha256
-    from ndnshield.packets import EmbeddedKey
-
     key = make_key("honest")
-    draft = assemble_packet(
-        n("/victim/file/1"), b"junk", b"\x00" * 128, EmbeddedKey(key.public_der), key.digest
-    )
-    bad = assemble_packet(
-        n("/victim/file/1").child(digest_component(sha256(encode_for_hash(draft)))),
-        draft.payload,
-        draft.signature,
-        draft.key_locator,
-        draft.publisher_key_digest,
-    )
+    bad = forge_packet(n("/victim/file/1"), b"junk", b"\x00" * 128, key.public_der, key.digest)
     consumer.on_packet(0, bad, now=0)
     assert consumer.stats["received_corrupted"] == 1
     assert consumer.stats["feedback_sent"] == 1
@@ -418,14 +406,16 @@ def test_corrupted_mode_packet_properties():
     assert compute_content_hash(pkt) == pkt.name.components[-1][1:]
 
 
-def test_poison_mimics_requested_hash():
-    node = make_compromised("fake")
+@pytest.mark.parametrize("mode", ["fake", "corrupted"])
+def test_poison_mimics_requested_hash(mode):
+    node = make_compromised(mode)
     wanted_hash = b"\x17" * 32
     wanted = Interest(n("/victim/x").child(digest_component(wanted_hash)), 1)
     node.on_interest(0, wanted, now=0)
     ((iface, pkt),) = node.sent
     assert iface == 0
     assert pkt.name == wanted.name  # name matches the request...
+    assert "_content_hash" not in pkt.__dict__  # (no memo of the sealed name's hash)
     assert compute_content_hash(pkt) != wanted_hash  # ...but the bytes cannot
 
 

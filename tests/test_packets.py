@@ -1,16 +1,20 @@
-"""Names, excludes, wire codecs, and the matching predicate."""
+"""Names, excludes, the control namespace, wire encoding, and the matching predicate."""
 
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndnshield.packets import (
+    FEEDBACK_PREFIX,
     MAX_COMPONENT_LEN,
     MAX_COMPONENTS,
+    PUSHBACK_PREFIX,
+    WARNING_PREFIX,
     AnswerOrigin,
     BloomExclude,
     DataPacket,
@@ -22,14 +26,11 @@ from ndnshield.packets import (
     NameParseError,
     canonical_serialize,
     component_digest,
-    decode_data,
-    decode_interest,
     digest_component,
-    encode_data,
     encode_interest,
     interest_matches,
+    is_control_name,
     is_digest_component,
-    is_prefix_of,
     parse_name,
     wire_size,
 )
@@ -113,11 +114,11 @@ def test_name_text_round_trip(name):
 
 
 def test_prefix_basics():
-    assert is_prefix_of(parse_name("/ndn/cnn"), parse_name("/ndn/cnn/news"))
-    assert not is_prefix_of(parse_name("/ndn/cnn"), parse_name("/ndn/cn"))
+    assert parse_name("/ndn/cnn").is_prefix_of(parse_name("/ndn/cnn/news"))
+    assert not parse_name("/ndn/cnn").is_prefix_of(parse_name("/ndn/cn"))
     n = parse_name("/a/b")
-    assert is_prefix_of(n, n)
-    assert is_prefix_of(Name(()), n)
+    assert n.is_prefix_of(n)
+    assert Name(()).is_prefix_of(n)
 
 
 @given(names, names, names)
@@ -127,6 +128,21 @@ def test_prefix_transitive(a, b, c):
     assert a.is_prefix_of(ab)
     assert ab.is_prefix_of(abc)
     assert a.is_prefix_of(abc)
+
+
+# Names that often share their first components with a control prefix.
+near_control_names = st.lists(
+    st.sampled_from([b"ndn", b"warning", b"feedback", b"pushback", b"pushbac", b"x"]),
+    max_size=4,
+).map(lambda cs: Name(tuple(cs)))
+
+
+@given(st.one_of(near_control_names, names))
+def test_control_name_is_a_control_prefix_test(name):
+    """The two-component check routers run on every interest says what a
+    prefix test against each control prefix says."""
+    prefixes = (WARNING_PREFIX, FEEDBACK_PREFIX, PUSHBACK_PREFIX)
+    assert is_control_name(name) == any(p.is_prefix_of(name) for p in prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +175,7 @@ def test_bloom_mostly_rejects_absent():
 
 
 # ---------------------------------------------------------------------------
-# Wire codecs
+# Wire encoding
 # ---------------------------------------------------------------------------
 
 
@@ -183,88 +199,88 @@ def test_serialize_payload_injective():
     assert canonical_serialize(a) != canonical_serialize(b)
 
 
+# Fields spliced from framing-like chunks (a 4-byte length, a locator tag,
+# a digest-component tag), so that two draws often agree on a field or
+# differ only where one field's bytes could pass for another's framing.
+short_bytes = st.lists(
+    st.sampled_from([b"\x00\x00\x00\x01", b"\x00\x00\x00", b"\x00", b"\x01", b"a"]),
+    max_size=4,
+).map(b"".join)
+short_names = st.lists(short_bytes.filter(bool), max_size=3).map(lambda cs: Name(tuple(cs)))
+WIRE_FIELDS = ("name", "payload", "signature", "key_locator", "publisher_key_digest")
+wire_fields = st.fixed_dictionaries({
+    "name": short_names,
+    "payload": short_bytes,
+    "signature": short_bytes,
+    "key_locator": st.one_of(short_bytes.map(EmbeddedKey), short_names.map(KeyName)),
+    "publisher_key_digest": st.sampled_from([bytes(32), b"\x01" * 32, b"\x04" * 32]),
+})
+
+
+def _read_image(image: bytes, signed: bool = True) -> dict:
+    """The wire fields read back from an image by the documented layout,
+    independently of the encoder (the signature reads b"" when unsigned)."""
+    pos = 0
+
+    def block() -> bytes:
+        nonlocal pos
+        (length,) = struct.unpack_from(">I", image, pos)
+        pos += 4 + length
+        assert pos <= len(image), "block runs past the image"
+        return image[pos - length : pos]
+
+    def name() -> Name:
+        nonlocal pos
+        (count,) = struct.unpack_from(">I", image, pos)
+        pos += 4
+        return Name(tuple(block() for _ in range(count)))
+
+    fields = {"name": name(), "payload": block()}
+    tag = image[pos]
+    pos += 1
+    assert tag in (0, 1), "unknown key locator tag"
+    fields["key_locator"] = EmbeddedKey(block()) if tag == 0 else KeyName(name())
+    fields["publisher_key_digest"] = block()
+    fields["signature"] = block() if signed else b""
+    assert pos == len(image), "trailing bytes"
+    return fields
+
+
+@given(wire_fields, wire_fields, st.sets(st.sampled_from(WIRE_FIELDS)))
+@settings(max_examples=300)
+def test_serialized_image_is_injective(a, other, taken):
+    """Packets that differ in any wire field have different images, and
+    their signing images differ unless only the signature does: each image
+    reads back into exactly the fields it was made from, so a signature or
+    content hash over it pins every field."""
+    b = {k: other[k] if k in taken else v for k, v in a.items()}
+    pa, pb = DataPacket(**a), DataPacket(**b)
+    for fields, pkt in ((a, pa), (b, pb)):
+        assert _read_image(canonical_serialize(pkt)) == fields
+        unsigned = canonical_serialize(pkt, include_signature=False)
+        assert _read_image(unsigned, signed=False) == dict(fields, signature=b"")
+    assert (canonical_serialize(pa) == canonical_serialize(pb)) == (pa == pb)
+    assert (
+        canonical_serialize(pa, include_signature=False)
+        == canonical_serialize(pb, include_signature=False)
+    ) == (replace(pa, signature=b"") == replace(pb, signature=b""))
+
+
 def test_to_be_signed_image_excludes_signature():
-    # Walk the encoding with an independent reader and confirm the signature
-    # bytes are absent from the unsigned image and present in the full one.
+    # Read both images back by the layout: the signature is the last field
+    # of the full image and absent from the unsigned one.
     pkt = _packet(sig=b"\xabSIGNATURE" * 12)
-
-    def fields(buf):
-        out = []
-        pos = 0
-        (count,) = struct.unpack_from(">I", buf, pos)
-        pos += 4
-        for _ in range(count):
-            (ln,) = struct.unpack_from(">I", buf, pos)
-            pos += 4
-            out.append(buf[pos : pos + ln])
-            pos += ln
-        (ln,) = struct.unpack_from(">I", buf, pos)  # payload
-        pos += 4
-        out.append(buf[pos : pos + ln])
-        pos += ln
-        tag = buf[pos]
-        pos += 1
-        assert tag == 0
-        (ln,) = struct.unpack_from(">I", buf, pos)  # embedded key
-        pos += 4
-        out.append(buf[pos : pos + ln])
-        pos += ln
-        (ln,) = struct.unpack_from(">I", buf, pos)  # publisher digest
-        pos += 4
-        out.append(buf[pos : pos + ln])
-        pos += ln
-        while pos < len(buf):
-            (ln,) = struct.unpack_from(">I", buf, pos)
-            pos += 4
-            out.append(buf[pos : pos + ln])
-            pos += ln
-        return out
-
     unsigned = canonical_serialize(pkt, include_hash_component=False, include_signature=False)
     signed = canonical_serialize(pkt, include_hash_component=False, include_signature=True)
-    assert pkt.signature in fields(signed)
-    assert pkt.signature not in fields(unsigned)
+    assert _read_image(signed)["signature"] == pkt.signature
+    assert _read_image(unsigned, signed=False)["signature"] == b""
     assert pkt.signature not in unsigned
-
-
-def test_data_round_trip():
-    pkt = _packet()
-    assert decode_data(encode_data(pkt)) == pkt
-
-
-def test_data_round_trip_key_name_locator():
-    pkt = DataPacket(
-        name=Name((b"n",)),
-        payload=b"p",
-        signature=b"sig",
-        key_locator=KeyName(parse_name("/keys/1")),
-        publisher_key_digest=bytes(32),
-    )
-    assert decode_data(encode_data(pkt)) == pkt
 
 
 def _interest(**kw):
     defaults = dict(name=parse_name("/ndn/cnn"), nonce=7)
     defaults.update(kw)
     return Interest(**defaults)
-
-
-@given(
-    names,
-    st.integers(min_value=0, max_value=2 ** 64 - 1),
-    st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
-    st.one_of(
-        st.none(),
-        st.frozensets(components, max_size=4).map(ExplicitExclude),
-        st.just(BloomExclude.all_ones()),
-    ),
-    st.sampled_from(AnswerOrigin),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=255)),
-)
-@settings(max_examples=60)
-def test_interest_round_trip(name, nonce, digest, exclude, origin, scope):
-    interest = Interest(name, nonce, digest, exclude, origin, scope, lifetime_ms=4000)
-    assert decode_interest(encode_interest(interest)) == interest
 
 
 def test_wire_size_positive():
@@ -311,7 +327,7 @@ def test_interest_wire_size_is_encoded_length(
 @settings(max_examples=200)
 def test_data_wire_size_is_encoded_length(name, payload, signature, locator, digest):
     pkt = DataPacket(name, payload, signature, locator, digest)
-    assert wire_size(pkt) == len(encode_data(pkt))
+    assert wire_size(pkt) == len(canonical_serialize(pkt))
 
 
 def test_data_wire_golden_vector():
@@ -335,7 +351,7 @@ def test_data_wire_golden_vector():
         struct.pack(">I", 32), bytes(range(32)),   # publisher key digest
         struct.pack(">I", 2), b"SG",               # signature
     ])
-    assert encode_data(pkt) == expected
+    assert canonical_serialize(pkt) == expected
     assert canonical_serialize(pkt, include_hash_component=False, include_signature=False) == (
         expected[: 4 + 4 + 2]                      # name count + first component
         .replace(struct.pack(">I", 2), struct.pack(">I", 1), 1)  # one component fewer

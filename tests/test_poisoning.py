@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import iface_info, make_key, make_packet, n
-from ndnshield.crypto import compute_content_hash, ls32, sha256
+from ndnshield.crypto import compute_content_hash, forge_packet, ls32, sha256
 from ndnshield.packets import Interest, Name, digest_component
 from ndnshield.poisoning import (
     ConsumerFeedbackConfig,
@@ -72,26 +72,9 @@ def fake_packet(name="/victim/x"):
 
 
 def corrupted_packet(name="/victim/x"):
-    from ndnshield.crypto import assemble_packet, encode_for_hash
-    from ndnshield.packets import EmbeddedKey
-
+    """Claims the honest key but carries a garbage signature."""
     key = make_key("honest")
-    draft = assemble_packet(
-        n(name),
-        b"garbage-payload",
-        signature=b"\x5a" * 128,
-        key_locator=EmbeddedKey(key.public_der),
-        publisher_key_digest=key.digest,
-        poisoned=True,
-    )
-    return assemble_packet(
-        n(name).child(digest_component(sha256(encode_for_hash(draft)))),
-        draft.payload,
-        draft.signature,
-        draft.key_locator,
-        draft.publisher_key_digest,
-        poisoned=True,
-    )
+    return forge_packet(n(name), b"garbage-payload", b"\x5a" * 128, key.public_der, key.digest)
 
 
 # ---------------------------------------------------------------------------
