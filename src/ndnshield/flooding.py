@@ -235,16 +235,10 @@ class FloodingDefense:
     def throttle_fraction(self, ns: Name, iface: int, now: int) -> float:
         """Admission fraction for an ingress: 1.0 while healthy, the clamped
         satisfaction ratio once the ingress turns anomalous."""
-        win = self._windows.get((ns, iface))
-        if win is None:
+        ratio = self._ingress_ratio(ns, iface, now)
+        if ratio is None or ratio >= ANOMALY_RATIO:
             return 1.0
-        win.prune(now)
-        if win.resolved == 0:
-            return 1.0
-        frac = win.satisfied / win.resolved
-        if frac >= ANOMALY_RATIO:
-            return 1.0
-        return max(self.config.min_throttle, frac)
+        return max(self.config.min_throttle, ratio)
 
     def admit(
         self, ingress: int, interest: Interest, candidates: list[int], now: int

@@ -3,6 +3,8 @@
 Consumers verify every delivered packet, re-request around bad copies via
 the exclude filter, and (in the self-certifying modes) walk hash-linked
 fragment chains with a bounded window of concurrently pending interests.
+Both consumers send, time out, retry and match their requests through one
+request path in `ConsumerBase`.
 Producers serve a pre-signed static catalog plus an optional dynamic
 prefix whose responses are signed per request at a configurable
 simulated cost. A compromised router answers interests under a target
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -57,10 +60,6 @@ MODE_COMBINED = "combined"
 CONSUMER_MODES = (MODE_PLAIN, MODE_SSCID, MODE_DSCID, MODE_COMBINED)
 
 
-class CatalogError(ValueError):
-    """Raised for impossible static catalogs, e.g. cyclic hash links."""
-
-
 # ---------------------------------------------------------------------------
 # Static collections with forward hash links
 # ---------------------------------------------------------------------------
@@ -81,54 +80,21 @@ def decode_fragment_links(payload: bytes) -> list[bytes]:
     return [payload[4 + 32 * i : 4 + 32 * (i + 1)] for i in range(count)]
 
 
-def build_collection(
-    base: Name,
-    bodies: list[bytes],
-    window: int,
-    key: KeyPair,
-    links: Optional[dict[int, tuple[int, ...]]] = None,
-) -> list[DataPacket]:
+def build_collection(base: Name, bodies: list[bytes], window: int, key: KeyPair) -> list[DataPacket]:
     """Build fragments CO_1..CO_m where each packet embeds the hashes of the
-    packets it links to. Linked packets must be built first, so the link
-    graph must be acyclic; the default is forward links to the next
-    `window` fragments, which always is.
+    next `window` fragments. A packet can only embed the hash of a packet
+    already built, so they are built last to first.
 
     Fragment i is named base/<i> (1-based decimal component).
     """
-    m = len(bodies)
-    if links is None:
-        links = {i: tuple(range(i + 1, min(i + window, m) + 1)) for i in range(1, m + 1)}
-    # A packet can only embed the hash of an already-built packet; an order
-    # exists iff the link graph is acyclic.
-    order: list[int] = []
-    state: dict[int, int] = {}  # 0 visiting, 1 done
-
-    def visit(i: int, stack: tuple[int, ...]) -> None:
-        if state.get(i) == 1:
-            return
-        if state.get(i) == 0:
-            cycle = " -> ".join(str(x) for x in stack + (i,))
-            raise CatalogError(f"cyclic fragment links: {cycle}")
-        state[i] = 0
-        for j in links.get(i, ()):
-            if not 1 <= j <= m:
-                raise CatalogError(f"fragment {i} links to nonexistent fragment {j}")
-            visit(j, stack + (i,))
-        state[i] = 1
-        order.append(i)
-
-    for i in range(1, m + 1):
-        visit(i, ())
-
-    packets: dict[int, DataPacket] = {}
-    hashes: dict[int, bytes] = {}
-    for i in order:
-        link_hashes = [hashes[j] for j in links.get(i, ())]
-        payload = encode_fragment_payload(link_hashes, bodies[i - 1])
+    packets: list[DataPacket] = []
+    hashes: list[bytes] = []  # of the fragments after the one being built
+    for i in range(len(bodies), 0, -1):
+        payload = encode_fragment_payload(hashes[:window], bodies[i - 1])
         pkt = sign_packet(base.child(b"%d" % i), payload, key)
-        packets[i] = pkt
-        hashes[i] = compute_content_hash(pkt)
-    return [packets[i] for i in range(1, m + 1)]
+        packets.insert(0, pkt)
+        hashes.insert(0, compute_content_hash(pkt))
+    return packets
 
 
 @dataclass
@@ -291,8 +257,22 @@ class _PendingKeyFetch:
     )
 
 
+@dataclass
+class _Request:
+    """A pending request: its interest and how it is re-issued."""
+
+    interest: Interest
+    retries_left: int
+    exclude: frozenset[bytes] = frozenset()  # components of rejected copies
+    expected: Optional[bytes] = None  # the content hash the interest names
+
+
 class ConsumerBase(NodeBase):
-    """Shared verification, feedback, and key-fetch machinery."""
+    """Shared verification, feedback and key-fetch machinery, and the one
+    request path: requests pending by key (a name or a fragment number) are
+    sent, timed out, retried or failed, and claimed by the data that answers
+    them. A subclass says how a request for a key is built (`_issue`) and
+    what giving up on a key means (`_give_up`)."""
 
     def __init__(
         self,
@@ -301,13 +281,12 @@ class ConsumerBase(NodeBase):
         *,
         trusted_key_digest: Optional[bytes] = None,
         lifetime_ms: int = INTEREST_LIFETIME_MS,
-        emit_feedback: bool = True,
     ):
         super().__init__(node_id)
         self.rng = rng
         self.trusted_key_digest = trusted_key_digest
         self.lifetime_ms = lifetime_ms
-        self.emit_feedback = emit_feedback
+        self._pending: dict[Name | int, _Request] = {}
         self.copies_by_iface: Counter = Counter()
         self._key_cache: dict[Name, bytes] = {}
         # Pending key fetches by key name components, so arriving data finds
@@ -320,6 +299,52 @@ class ConsumerBase(NodeBase):
 
     def _nonce(self) -> int:
         return self.rng.u64()
+
+    # -- requests ------------------------------------------------------------
+
+    def _issue(self, key, retries_left: int, exclude: frozenset[bytes] = frozenset()) -> None:
+        """Build the request for `key`, excluding the components of copies
+        already rejected, and `_send` it."""
+        raise NotImplementedError
+
+    def _give_up(self, key) -> None:
+        """What failing `key` means beyond the `requests_failed` count."""
+
+    def _send(self, key, request: _Request, ifaces) -> None:
+        self._pending[key] = request
+        self.stats["interests_sent"] += 1
+        for iface in ifaces:
+            self.net.send_from(self.id, iface, request.interest)
+        # Held weakly, so that an answered request frees its interest at once.
+        ref = weakref.ref(request)
+        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(key, ref()))
+
+    def _timeout(self, key, request: Optional[_Request]) -> None:
+        # A request answered or replaced since leaves its timer nothing to do.
+        if request is not None and self._pending.get(key) is request:
+            del self._pending[key]
+            self._retry_or_fail(key, request, request.exclude)
+
+    def _retry_or_fail(self, key, request: _Request, exclude: frozenset[bytes]) -> None:
+        if request.retries_left > 0:
+            self.stats["retries"] += 1
+            self._issue(key, request.retries_left - 1, exclude)
+        else:
+            self.stats["requests_failed"] += 1
+            self._give_up(key)
+
+    def _claim(self, pkt: DataPacket) -> Optional[tuple]:
+        """Pop (key, request) of the first pending request `pkt` answers."""
+        for key, request in self._pending.items():
+            if interest_matches(pkt, request.interest):
+                del self._pending[key]
+                return key, request
+        return None
+
+    def gauges(self) -> dict[str, float]:
+        sent = self.stats["interests_sent"]
+        ratio = self.stats["requests_satisfied"] / sent if sent else 1.0
+        return {"satisfaction_ratio": ratio, "pending_requests": len(self._pending)}
 
     # -- verification -------------------------------------------------------
 
@@ -399,8 +424,6 @@ class ConsumerBase(NodeBase):
     # -- feedback ------------------------------------------------------------
 
     def send_feedback(self, iface: int, pkt: DataPacket) -> None:
-        if not self.emit_feedback:
-            return
         self.stats["feedback_sent"] += 1
         self.net.send_from(self.id, iface, feedback_interest(compute_content_hash(pkt), self._nonce()))
 
@@ -446,15 +469,8 @@ class RequestConsumer(ConsumerBase):
         trusted_key_digest: Optional[bytes] = None,
         lifetime_ms: int = INTEREST_LIFETIME_MS,
         send_on_all_interfaces: bool = False,
-        emit_feedback: bool = True,
     ):
-        super().__init__(
-            node_id,
-            rng,
-            trusted_key_digest=trusted_key_digest,
-            lifetime_ms=lifetime_ms,
-            emit_feedback=emit_feedback,
-        )
+        super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
         if mode not in (MODE_PLAIN, MODE_DSCID):
             raise ValueError("request consumers support plain and d-scid modes")
         if (names is None) == (unique_under is None):
@@ -469,7 +485,6 @@ class RequestConsumer(ConsumerBase):
         self.mode = mode
         self.send_on_all_interfaces = send_on_all_interfaces
         self._seq = 0
-        self._pending: dict[Name, dict] = {}
         self._past: set[Name] = set()
 
     def start(self) -> None:
@@ -494,41 +509,20 @@ class RequestConsumer(ConsumerBase):
     def _fire(self) -> None:
         self._issue(self._next_name(), retries_left=self.retries)
 
-    def _issue(self, name: Name, retries_left: int) -> None:
+    def _issue(self, name: Name, retries_left: int, exclude: frozenset[bytes] = frozenset()) -> None:
         digest = self.trusted_key_digest if self.mode == MODE_DSCID else None
         interest = Interest(name, self._nonce(), publisher_key_digest=digest,
                             lifetime_ms=self.lifetime_ms)
-        token = object()
-        self._pending[name] = {"token": token, "retries_left": retries_left,
-                               "interest": interest}
-        self.stats["interests_sent"] += 1
         targets = sorted(self.ifaces) if self.send_on_all_interfaces else [self.default_iface()]
-        for iface in targets:
-            self.net.send_from(self.id, iface, interest)
-        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(name, token))
-
-    def _timeout(self, name: Name, token) -> None:
-        pending = self._pending.get(name)
-        if pending is None or pending["token"] is not token:
-            return
-        del self._pending[name]
-        if pending["retries_left"] > 0:
-            self.stats["retries"] += 1
-            self._issue(name, pending["retries_left"] - 1)
-        else:
-            self.stats["requests_failed"] += 1
+        self._send(name, _Request(interest, retries_left), targets)
 
     def on_packet(self, iface: int, pkt, now: int) -> None:
         if not isinstance(pkt, DataPacket):
             return
         if self._maybe_resolve_key(pkt, now):
             return
-        matched_name = None
-        for name, pending in self._pending.items():
-            if interest_matches(pkt, pending["interest"]):
-                matched_name = name
-                break
-        if matched_name is None:
+        claimed = self._claim(pkt)
+        if claimed is None:
             for name in self._past:
                 if name.is_prefix_of(pkt.name):
                     self.copies_by_iface[iface] += 1
@@ -537,25 +531,19 @@ class RequestConsumer(ConsumerBase):
             return
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
-        pending = self._pending.pop(matched_name)
-        self._past.add(matched_name)
+        self._past.add(claimed[0])  # the name it was pending under
 
-        def done(status: str, packet: DataPacket, _iface=iface) -> None:
+        def done(status: str, packet: DataPacket) -> None:
             self.record_outcome(status, packet)
             if status == VALID:
                 self.stats["requests_satisfied"] += 1
             elif status == PENDING_KEY:
                 self.stats["requests_satisfied"] += 1  # delivered, key unresolvable
             else:
-                self.send_feedback(_iface, packet)
+                self.send_feedback(iface, packet)
                 self.stats["requests_failed"] += 1
 
         self.verify_delivery(pkt, None, done, now)
-
-    def gauges(self) -> dict[str, float]:
-        sent = self.stats["interests_sent"]
-        ratio = self.stats["requests_satisfied"] / sent if sent else 1.0
-        return {"satisfaction_ratio": ratio, "pending_requests": len(self._pending)}
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +571,8 @@ class CollectionConsumer(ConsumerBase):
         lifetime_ms: int = INTEREST_LIFETIME_MS,
         max_retries: int = 3,
         exclude_cap: int = 16,
-        emit_feedback: bool = True,
     ):
-        super().__init__(
-            node_id,
-            rng,
-            trusted_key_digest=trusted_key_digest,
-            lifetime_ms=lifetime_ms,
-            emit_feedback=emit_feedback,
-        )
+        super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
         if mode not in CONSUMER_MODES:
             raise ValueError(f"unknown consumer mode {mode!r}")
         if mode == MODE_SSCID and first_hash is None:
@@ -602,16 +583,16 @@ class CollectionConsumer(ConsumerBase):
         self.m = fragment_count
         self.window = window
         self.mode = mode
-        self.first_hash = first_hash
         self.start_ms = start_ms
         self.max_retries = max_retries
         self.exclude_cap = exclude_cap
         self.known_hashes: dict[int, bytes] = {}
         if first_hash is not None:
             self.known_hashes[1] = first_hash
-        self._pending: dict[int, dict] = {}
-        self._done: dict[int, str] = {}  # fragment -> "ok" | "failed"
-        self._ok = 0  # fragments whose status in `_done` is "ok"
+        # Fragments accepted and given up on: each reaches one of the two
+        # once, and is never issued again.
+        self._ok = 0
+        self._failed = 0
         self._next = 1
 
     @property
@@ -644,7 +625,7 @@ class CollectionConsumer(ConsumerBase):
         ):
             i = self._next
             self._next += 1
-            self._issue(i, retries_left=self.max_retries, exclude=frozenset())
+            self._issue(i, self.max_retries)
         if not self._pending and self._next > self.m:
             self._finish()
 
@@ -653,9 +634,9 @@ class CollectionConsumer(ConsumerBase):
             return
         self.stats["session_done"] = 1
         self.stats["fragments_completed"] = self._ok
-        self.stats["fragments_failed"] = len(self._done) - self._ok
+        self.stats["fragments_failed"] = self._failed
 
-    def _issue(self, i: int, retries_left: int, exclude: frozenset[bytes]) -> None:
+    def _issue(self, i: int, retries_left: int, exclude: frozenset[bytes] = frozenset()) -> None:
         name = self._fragment_name(i)
         expected = self.known_hashes.get(i) if self.uses_hashes else None
         if expected is not None:
@@ -676,34 +657,11 @@ class CollectionConsumer(ConsumerBase):
             exclude=exclude_filter,
             lifetime_ms=self.lifetime_ms,
         )
-        token = object()
-        self._pending[i] = {
-            "token": token,
-            "interest": interest,
-            "retries_left": retries_left,
-            "exclude": exclude,
-            "expected": expected,
-        }
-        self.stats["interests_sent"] += 1
-        self.net.send_from(self.id, self.default_iface(), interest)
-        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(i, token))
+        self._send(i, _Request(interest, retries_left, exclude, expected), [self.default_iface()])
 
-    def _timeout(self, i: int, token) -> None:
-        pending = self._pending.get(i)
-        if pending is None or pending["token"] is not token:
-            return
-        del self._pending[i]
-        if pending["retries_left"] > 0:
-            self.stats["retries"] += 1
-            self._issue(i, pending["retries_left"] - 1, pending["exclude"])
-        else:
-            self._set_done(i, "failed")
-            self.stats["requests_failed"] += 1
-            self._advance()
-
-    def _set_done(self, i: int, status: str) -> None:
-        self._ok += (status == "ok") - (self._done.get(i) == "ok")
-        self._done[i] = status
+    def _give_up(self, i: int) -> None:
+        self._failed += 1
+        self._advance()
 
     def _learn_links(self, i: int, pkt: DataPacket) -> None:
         try:
@@ -720,47 +678,36 @@ class CollectionConsumer(ConsumerBase):
             return
         if self._maybe_resolve_key(pkt, now):
             return
-        matched = None
-        for i, pending in self._pending.items():
-            if interest_matches(pkt, pending["interest"]):
-                matched = i
-                break
+        claimed = self._claim(pkt)
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
-        if matched is None:
+        if claimed is None:
             return
-        pending = self._pending.pop(matched)
+        i, request = claimed
 
-        def accept(i=matched) -> None:
-            self._set_done(i, "ok")
+        def accept() -> None:
+            self._ok += 1
             self.stats["requests_satisfied"] += 1
             self._learn_links(i, pkt)
             self._advance()
 
-        def reject(packet: DataPacket, i=matched, _iface=iface) -> None:
+        def reject(packet: DataPacket) -> None:
             # Bad copy: exclude its distinguishing component and re-request.
-            self.send_feedback(_iface, packet)
+            self.send_feedback(iface, packet)
             prefix_len = len(self.base) + 1  # base/<i>
             distinguishing = (
                 packet.name.components[prefix_len]
                 if len(packet.name) > prefix_len
                 else packet.name.components[-1]
             )
-            exclude = pending["exclude"] | {distinguishing}
-            if pending["retries_left"] > 0:
-                self.stats["retries"] += 1
-                self._issue(i, pending["retries_left"] - 1, exclude)
-            else:
-                self._set_done(i, "failed")
-                self.stats["requests_failed"] += 1
-                self._advance()
+            self._retry_or_fail(i, request, request.exclude | {distinguishing})
 
         if isinstance(pkt.key_locator, KeyName) and pkt.key_locator.name not in self._key_cache:
             # Named keys resolve (or time out) asynchronously; the window
             # advances on delivery so a slow key chain cannot stall the
             # whole fetch. The verdict still lands in the counters.
             accept()
-            self.verify_delivery(pkt, pending["expected"], lambda s, p: self.record_outcome(s, p), now)
+            self.verify_delivery(pkt, request.expected, lambda s, p: self.record_outcome(s, p), now)
             return
 
         def done(status: str, packet: DataPacket) -> None:
@@ -770,16 +717,10 @@ class CollectionConsumer(ConsumerBase):
             else:
                 reject(packet)
 
-        self.verify_delivery(pkt, pending["expected"], done, now)
+        self.verify_delivery(pkt, request.expected, done, now)
 
     def gauges(self) -> dict[str, float]:
-        sent = self.stats["interests_sent"]
-        ratio = self.stats["requests_satisfied"] / sent if sent else 1.0
-        return {
-            "satisfaction_ratio": ratio,
-            "pending_requests": len(self._pending),
-            "fragments_ok": self._ok,
-        }
+        return {**super().gauges(), "fragments_ok": self._ok}
 
 
 # ---------------------------------------------------------------------------

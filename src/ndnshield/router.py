@@ -693,10 +693,7 @@ class Router:
         matched = [
             e
             for e in self.pit.match_data(data)
-            if iface in e.incoming
-            and e.expiry > now
-            and matches_base(data, e.interest)
-            and (self.poisoning is None or self.poisoning.scid_check(data, e.interest) is None)
+            if iface in e.incoming and e.expiry > now and self._match_full(data, e.interest)
         ]
         if not matched:
             return

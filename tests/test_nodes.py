@@ -7,7 +7,6 @@ import pytest
 from helpers import make_key, make_packet, n
 from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
 from ndnshield.nodes import (
-    CatalogError,
     CollectionConsumer,
     CompromisedRouter,
     Producer,
@@ -33,13 +32,16 @@ MS = 1000
 # ---------------------------------------------------------------------------
 
 
-def test_collection_links_match_recomputed_hashes():
+@pytest.mark.parametrize("window", [1, 4, 12])
+def test_collection_links_match_recomputed_hashes(window):
     key = make_key("prod")
-    packets = build_collection(n("/p/file"), [b"body%d" % i for i in range(10)], 4, key)
-    assert len(packets) == 10
+    packets = build_collection(n("/p/file"), [b"body%d" % i for i in range(10)], window, key)
+    assert [pkt.base_name() for pkt in packets] == [n("/p/file/%d" % i) for i in range(1, 11)]
     for i, pkt in enumerate(packets, start=1):
         links = decode_fragment_links(pkt.payload)
-        expected = [compute_content_hash(packets[j - 1]) for j in range(i + 1, min(i + 4, 10) + 1)]
+        expected = [
+            compute_content_hash(packets[j - 1]) for j in range(i + 1, min(i + window, 10) + 1)
+        ]
         assert links == expected
         assert verify_signature(pkt, key.public_der)
 
@@ -50,20 +52,6 @@ def test_collection_reverse_order_forced():
     packets = build_collection(n("/p/f"), [b"x"] * 5, 2, key)
     assert decode_fragment_links(packets[-1].payload) == []
     assert len(decode_fragment_links(packets[0].payload)) == 2
-
-
-def test_cyclic_links_rejected():
-    key = make_key("prod")
-    with pytest.raises(CatalogError, match="cyclic"):
-        build_collection(
-            n("/p/f"), [b"a", b"b", b"c"], 1, key, links={1: (2,), 2: (3,), 3: (1,)}
-        )
-
-
-def test_self_link_rejected():
-    key = make_key("prod")
-    with pytest.raises(CatalogError):
-        build_collection(n("/p/f"), [b"a"], 1, key, links={1: (1,)})
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +193,7 @@ def test_request_consumer_rejects_fake_with_anchor():
     fake = make_packet("/victim/page", key=make_key("adversary"))
     # A lazy network could deliver it only if it matched; simulate a lazy
     # delivery by stripping the digest from the pending interest.
-    consumer._pending[n("/victim/page")]["interest"] = Interest(n("/victim/page"), 1)
+    consumer._pending[n("/victim/page")].interest = Interest(n("/victim/page"), 1)
     consumer.on_packet(0, fake, now=5 * MS)
     assert consumer.stats["received_fake"] == 1
     assert consumer.stats["feedback_sent"] == 1
@@ -220,6 +208,29 @@ def test_request_consumer_accepts_fake_without_anchor():
     fake = make_packet("/victim/page", key=make_key("adversary"))
     consumer.on_packet(0, fake, now=5 * MS)
     assert consumer.stats["received_valid"] == 1
+
+
+def test_request_consumer_retries_then_fails_and_ignores_replaced_timer():
+    a = n("/victim/page")
+    consumer, net = make_request_consumer(names=[a], retries=1)
+    consumer._fire()
+    first = consumer._pending[a]
+    consumer._timeout(a, first)
+    retry = consumer._pending[a]
+    assert consumer.stats["retries"] == 1
+    assert retry.interest.nonce != first.interest.nonce
+    assert [pkt for *_, pkt in net.sent] == [first.interest, retry.interest]
+    consumer._timeout(a, retry)
+    assert consumer.stats["requests_failed"] == 1
+    assert a not in consumer._pending
+    # Issued twice before either lifetime ends: the replaced request's
+    # timer leaves the one now pending alone.
+    consumer._fire()
+    replaced = consumer._pending[a]
+    consumer._fire()
+    consumer._timeout(a, replaced)
+    assert (consumer.stats["retries"], consumer.stats["requests_failed"]) == (1, 1)
+    assert consumer._pending[a] is not replaced
 
 
 @pytest.mark.parametrize("first,second", [("/k/sub", "/k"), ("/k", "/k/sub")])
@@ -280,7 +291,7 @@ def test_combined_walkthrough_retrieves_all():
         if not outstanding:
             break
         for i, pending in outstanding:
-            interest = pending["interest"]
+            interest = pending.interest
             pkt = packets[i - 1]
             assert interest_matches(pkt, interest)
             if i > 1:
@@ -295,16 +306,6 @@ def test_combined_walkthrough_retrieves_all():
     assert served == 10
 
 
-def test_fragments_ok_gauge_follows_status_changes():
-    """The running count equals a recount of `_done` after every change,
-    including a status set again and a failed fragment accepted late."""
-    consumer, packets, net = chained_consumer(mode="plain", m=3, u=1)
-    for i, status in [(1, "ok"), (1, "ok"), (2, "failed"), (2, "ok"), (1, "failed"), (3, "ok")]:
-        consumer._set_done(i, status)
-        recount = sum(1 for s in consumer._done.values() if s == "ok")
-        assert consumer.gauges()["fragments_ok"] == recount
-
-
 def test_window_bound_respected():
     consumer, packets, net = chained_consumer(mode="plain", m=10, u=4)
     consumer.start()
@@ -317,7 +318,7 @@ def test_sscid_mode_never_accepts_wrong_bytes():
     (i, pending) = next(iter(consumer._pending.items()))
     wrong = make_packet("/victim/file/1", key=make_key("honest"), payload=b"wrong-bytes")
     # Force-feed a wrong packet as if a lazy cache served it.
-    consumer._pending[i]["interest"] = Interest(n("/victim/file/1"), 1)
+    consumer._pending[i].interest = Interest(n("/victim/file/1"), 1)
     consumer.on_packet(0, wrong, now=0)
     assert consumer.stats["received_hash_mismatch"] == 1
     assert consumer.stats.get("fragments_completed", 0) == 0
@@ -332,7 +333,7 @@ def test_corrupted_copy_triggers_exclude_retry():
     assert consumer.stats["received_corrupted"] == 1
     assert consumer.stats["feedback_sent"] == 1
     assert consumer.stats["retries"] == 1
-    retry = consumer._pending[1]["interest"]
+    retry = consumer._pending[1].interest
     assert isinstance(retry.exclude, ExplicitExclude)
     assert bad.name.components[-1] in retry.exclude.components
     assert not interest_matches(bad, retry)  # the bad copy can never match again
@@ -344,7 +345,7 @@ def test_exclude_cap_falls_back_to_all_ones_bloom():
     pending = consumer._pending[1]
     big_exclude = frozenset(b"c%d" % k for k in range(3))
     consumer._issue(1, retries_left=5, exclude=big_exclude)
-    final = consumer._pending[1]["interest"]
+    final = consumer._pending[1].interest
     assert isinstance(final.exclude, BloomExclude)
     assert final.exclude.bits == b"\xff" * 32
 
@@ -354,7 +355,7 @@ def test_timeout_retries_then_fails():
     consumer.start()
     for _ in range(3):
         pending = consumer._pending[1]
-        consumer._timeout(1, pending["token"])
+        consumer._timeout(1, pending)
     assert consumer.stats["retries"] == 2
     assert consumer.stats["requests_failed"] == 1
     assert consumer.stats["fragments_failed"] == 1
