@@ -28,6 +28,22 @@ The digests of the last two were taken from the code as it was before
 the event loop, the delivery path and the PIT's expiry index were
 reworked.
 
+Short versions of four acceptance scenarios pin the consumer deadline
+and the poisoning defense paths (their digests were taken before
+consumers shared one expiry event and cached entries kept their
+verifier residue):
+
+  * keylocator_abuse (c06): consumers chase fake named keys that never
+    resolve, so every key fetch times out.
+  * chained_retries (c09): hash-chained collection reads through a router
+    whose first choice answers with fake copies of anticipated fragments,
+    so fragment interests time out and are retried.
+  * hmac_partition (c11): catalog, collection and corrupted reads under
+    keyed disjoint verification with warnings and consumer feedback; one
+    consumer asks for names nobody serves, so its requests time out, retry
+    and are replaced by newer requests for the same name.
+  * neighbor_warnings (c12): the corrupted ring purged by MAC'd warnings.
+
 The cross-process test runs the CLI under two hash seeds and compares the
 bytes, so no output depends on set or dict iteration over hashed keys.
 """
@@ -190,8 +206,135 @@ def pushback_doc() -> dict:
     }
 
 
+def keylocator_abuse_doc() -> dict:
+    consumers = [f"c{i}" for i in range(6)]
+    return {
+        "name": "golden-keylocator-abuse", "duration_ms": 2500, "seed": 106,
+        "defaults": {"payload_size_bytes": 256, "interest_lifetime_ms": 600},
+        "nodes": ([{"id": "v", "role": "producer", "prefix": "/victim"},
+                   {"id": "e", "role": "producer", "prefix": "/evil",
+                    "abuse": {"target_producer": "v", "count": 24, "collection": "video"}},
+                   {"id": "rc", "role": "router"}, {"id": "re", "role": "router"},
+                   {"id": "rv", "role": "router"}]
+                  + [{"id": c, "role": "consumer",
+                      "collection": {"producer": "e", "collection": "video", "window": 4,
+                                     "start_ms": 150 * i}}
+                     for i, c in enumerate(consumers)]),
+        "links": ([_link("rc", "re"), _link("rc", "rv"), _link("re", "e"), _link("rv", "v")]
+                  + [_link(c, "rc") for c in consumers]),
+        "fib": {"rc": [{"prefix": "/evil", "next_hops": ["re"]},
+                       {"prefix": "/victim", "next_hops": ["rv"]}],
+                "re": [{"prefix": "/evil", "next_hops": ["e"]}],
+                "rv": [{"prefix": "/victim", "next_hops": ["v"]}]},
+    }
+
+
+def chained_retries_doc() -> dict:
+    return {
+        "name": "golden-chained-retries", "duration_ms": 3000, "seed": 109,
+        "defaults": {"interest_lifetime_ms": 300},
+        "nodes": [
+            {"id": "p", "role": "producer", "prefix": "/victim",
+             "collections": [{"name": "file", "fragments": 16, "window": 4}]},
+            {"id": "ra", "role": "router"}, {"id": "rb", "role": "router"},
+            {"id": "cx", "role": "compromised-router", "poison_mode": "fake",
+             "target_prefix": "/victim"},
+            {"id": "c", "role": "consumer",
+             "collection": {"producer": "p", "collection": "file", "mode": "combined",
+                            "window": 4, "start_ms": 500}},
+            {"id": "d", "role": "consumer",
+             "collection": {"producer": "p", "collection": "file", "mode": "d-scid",
+                            "window": 2, "start_ms": 700}},
+            {"id": "e", "role": "consumer",
+             "collection": {"producer": "p", "collection": "file", "mode": "combined",
+                            "window": 3, "start_ms": 1400}},
+            {"id": "z", "role": "zombie"},
+        ],
+        "links": [_link("c", "ra"), _link("d", "ra"), _link("e", "ra"), _link("z", "ra"), _link("ra", "rb"),
+                  _link("rb", "cx"), _link("rb", "p")],
+        "fib": {"ra": [{"prefix": "/victim", "next_hops": ["rb"]}],
+                "rb": [{"prefix": "/victim", "next_hops": ["cx", "p"]}]},
+        "attacks": [{"kind": "poison-anticipate", "zombies": ["z"],
+                     "target_prefix": "/victim", "content_names": [f"/victim/file/{i}" for i in (1, 2, 5, 9)],
+                     "start_ms": 0, "stop_ms": 400, "jitter_ms": 50}],
+        "poisoning_defense": {"enforce_dscid": True, "enforce_sscid": True,
+                              "routers": ["ra", "rb"]},
+    }
+
+
+def hmac_partition_doc() -> dict:
+    leaves = ["r1", "r2", "r3"]
+    requesters = [f"q{i}" for i in range(4)]
+
+    def names(i: int) -> list[str]:
+        return [f"/shop/hot/g{i % 2}-{k}" if k % 6 == 5 else f"/shop/s{(i * 7 + k * 5) % 48}"
+                for k in range(24)]
+
+    nodes = [
+        {"id": "p", "role": "producer", "prefix": "/shop",
+         "static_names": [f"s{i}" for i in range(48)],
+         "collections": [{"name": "file", "fragments": 30, "window": 4}]},
+        {"id": "r0", "role": "router"},
+        *({"id": r, "role": "router"} for r in leaves),
+        {"id": "cx", "role": "compromised-router", "poison_mode": "corrupted",
+         "target_prefix": "/shop/hot", "impersonate": "p"},
+    ]
+    nodes += [{"id": q, "role": "consumer",
+               "requests": {"names": names(i), "rate_per_s": 30, "start_ms": 0,
+                            "stop_ms": 2500, "retries": 1, "mode": "d-scid",
+                            "trusted_producer": "p"}}
+              for i, q in enumerate(requesters)]
+    nodes += [{"id": "m", "role": "consumer",
+               "requests": {"names": ["/shop/missing/a", "/shop/missing/b", "/shop/missing/c"],
+                            "rate_per_s": 8, "start_ms": 0, "stop_ms": 2500, "retries": 2,
+                            "lifetime_ms": 300}},
+              {"id": "k0", "role": "consumer",
+               "collection": {"producer": "p", "collection": "file", "mode": "combined",
+                              "window": 4, "start_ms": 300}}]
+    edge = requesters + ["m", "k0"]
+    return {
+        "name": "golden-hmac-partition", "duration_ms": 3000, "seed": 111,
+        "defaults": {"cs_capacity": 64},
+        "nodes": nodes,
+        "links": ([_link("r0", "p"), _link("r0", "cx")] + [_link(r, "r0") for r in leaves]
+                  + [_link(c, leaves[i % 3]) for i, c in enumerate(edge)]),
+        "fib": {"r0": [{"prefix": "/shop", "next_hops": ["p"]},
+                       {"prefix": "/shop/hot", "next_hops": ["cx"]}],
+                **{r: [{"prefix": "/shop", "next_hops": ["r0"]}] for r in leaves}},
+        "poisoning_defense": {
+            "enforce_dscid": True,
+            "enforce_sscid": True,
+            "verification": {"mode": "disjoint-hmac", "v": 4, "group": ["r0", *leaves],
+                             "scan_interval_ms": 250},
+            "neighbor_feedback": {"enabled": True},
+            "consumer_feedback": {"enabled": True},
+        },
+    }
+
+
+def neighbor_warnings_doc() -> dict:
+    ring = [f"r{i}" for i in range(5)]
+    return {
+        "name": "golden-neighbor-warnings", "duration_ms": 8000, "seed": 1000,
+        "metrics_tick_ms": 100,
+        "nodes": ([{"id": r, "role": "router"} for r in ring]
+                  + [{"id": "p", "role": "producer", "prefix": "/victim"}]),
+        "links": [_link(ring[i], ring[(i + 1) % 5]) for i in range(5)],
+        "preseed_cache": [{"routers": ring, "producer": "p", "name": "/victim/x",
+                           "corrupt": True}],
+        "poisoning_defense": {
+            "verification": {"mode": "independent", "v": 5, "scan_interval_ms": 1000},
+            "neighbor_feedback": {"enabled": True, "p": 1.0},
+        },
+    }
+
+
 DOCS = {
     "broadcast": broadcast_doc,
+    "chained_retries": chained_retries_doc,
+    "hmac_partition": hmac_partition_doc,
+    "keylocator_abuse": keylocator_abuse_doc,
+    "neighbor_warnings": neighbor_warnings_doc,
     "pushback": pushback_doc,
     "chain_flood": chain_flood_doc,
     "dynamic_flood": dynamic_flood_doc,
@@ -210,6 +353,30 @@ GOLDEN = {
             "c1780eeb8ef9ec583418b09a389f8f387250d1d99119a743f126741f463c39e0",
         "golden-pushback_summary.json":
             "8e46b25ab5da09d59a394175f92af493de7da3484a0892eca832275134a3483a",
+    },
+    "chained_retries": {
+        "golden-chained-retries_base_rep0.csv":
+            "f641e620357aa868ba8d3f0eee0e50acb4e0aca30f23917a0a7281e31f66e9d5",
+        "golden-chained-retries_summary.json":
+            "fdf3b24b8070ab676eebae48bed01c012308f7432c0dfae81e98f80c8bf84473",
+    },
+    "hmac_partition": {
+        "golden-hmac-partition_base_rep0.csv":
+            "6e3458461fdf1409188b68895f5a3411c2ae555e8bec03f0b1c8ab5c66393262",
+        "golden-hmac-partition_summary.json":
+            "90d815b6afe3735660755efbfbfffbff0c59b2f6af2a9487a3223a4cf422f64e",
+    },
+    "keylocator_abuse": {
+        "golden-keylocator-abuse_base_rep0.csv":
+            "5d1ed85e033eb557586d2d15b51c6a78c29d8e8a1e5e606111ef25e8b7fe571d",
+        "golden-keylocator-abuse_summary.json":
+            "70732bb6875f63bdc6e3a5ca30d69047252d4c9c83ef9f54fc35a6f9028ac8fc",
+    },
+    "neighbor_warnings": {
+        "golden-neighbor-warnings_base_rep0.csv":
+            "2966ed5279b41f504f19bd38210708683cdbb266cba43631a4045149589904b1",
+        "golden-neighbor-warnings_summary.json":
+            "6d49db5cd646458d059d1c12b8a89196040f6d772b4d7b9cca4ebcf8f986584b",
     },
     "chain_flood": {
         "chain-flood_defended_rep0.csv":
