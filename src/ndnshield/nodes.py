@@ -4,7 +4,8 @@ Consumers verify every delivered packet, re-request around bad copies via
 the exclude filter, and (in the self-certifying modes) walk hash-linked
 fragment chains with a bounded window of concurrently pending interests.
 Both consumers send, time out, retry and match their requests through one
-request path in `ConsumerBase`.
+request path in `ConsumerBase`, which keeps the deadlines of its requests
+and key fetches in send order and queues one event for the earliest.
 Producers serve a pre-signed static catalog plus an optional dynamic
 prefix whose responses are signed per request at a configurable
 simulated cost. A compromised router answers interests under a target
@@ -13,9 +14,7 @@ prefix with freshly minted poisoned content instead of forwarding them.
 
 from __future__ import annotations
 
-import itertools
 import struct
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -251,20 +250,28 @@ class Producer(NodeBase):
 @dataclass
 class _PendingKeyFetch:
     name: Name
-    order: int  # fetches started earlier resolve first
     packets: list[tuple[DataPacket, Callable[[str, DataPacket], None]]] = field(
         default_factory=list
     )
+    # The deadline, as for `_Request`; fetches started earlier have the
+    # lower `seq` and resolve first.
+    deadline: int = 0
+    seq: int = 0
 
 
 @dataclass
 class _Request:
     """A pending request: its interest and how it is re-issued."""
 
+    key: Name | int  # what the request is pending under
     interest: Interest
     retries_left: int
     exclude: frozenset[bytes] = frozenset()  # components of rejected copies
     expected: Optional[bytes] = None  # the content hash the interest names
+    # When the request times out, and the sequence number its expiry runs
+    # under: both set by `ConsumerBase._arm` when the interest is sent.
+    deadline: int = 0
+    seq: int = 0
 
 
 class ConsumerBase(NodeBase):
@@ -272,7 +279,16 @@ class ConsumerBase(NodeBase):
     request path: requests pending by key (a name or a fragment number) are
     sent, timed out, retried or failed, and claimed by the data that answers
     them. A subclass says how a request for a key is built (`_issue`) and
-    what giving up on a key means (`_give_up`)."""
+    what giving up on a key means (`_give_up`).
+
+    Deadlines. Each request and key fetch expires one `lifetime_ms` after
+    it is sent, at the (time, seq) one `Network.at` call made then would
+    give it; its sequence number is reserved at that point. Every deadline
+    is now plus the same lifetime, so deadlines come in send order: the
+    live ones are kept in a dict by sequence number, which is send order,
+    and only the earliest has an event queued. An answered, replaced or
+    resolved record leaves the dict at once; the event of a record that
+    left finds it gone and queues the next one's."""
 
     def __init__(
         self,
@@ -292,7 +308,11 @@ class ConsumerBase(NodeBase):
         # Pending key fetches by key name components, so arriving data finds
         # the fetches it answers by looking up each prefix of its name.
         self._key_fetches: dict[tuple[bytes, ...], _PendingKeyFetch] = {}
-        self._key_fetch_order = itertools.count()
+        # Live requests and key fetches by the seq of their deadline, and
+        # the seq of the one deadline event queued (None when none is).
+        self._deadlines: dict[int, _Request | _PendingKeyFetch] = {}
+        self._queued_seq: Optional[int] = None
+        self._last_deadline = 0
 
     def role(self) -> str:
         return "consumer"
@@ -310,20 +330,58 @@ class ConsumerBase(NodeBase):
     def _give_up(self, key) -> None:
         """What failing `key` means beyond the `requests_failed` count."""
 
-    def _send(self, key, request: _Request, ifaces) -> None:
-        self._pending[key] = request
+    def _send(self, request: _Request, ifaces) -> None:
+        replaced = self._pending.get(request.key)
+        if replaced is not None:
+            self._disarm(replaced)
+        self._pending[request.key] = request
         self.stats["interests_sent"] += 1
         for iface in ifaces:
             self.net.send_from(self.id, iface, request.interest)
-        # Held weakly, so that an answered request frees its interest at once.
-        ref = weakref.ref(request)
-        self.net.after(self.lifetime_ms * MS, lambda: self._timeout(key, ref()))
+        self._arm(request)
 
-    def _timeout(self, key, request: Optional[_Request]) -> None:
-        # A request answered or replaced since leaves its timer nothing to do.
-        if request is not None and self._pending.get(key) is request:
-            del self._pending[key]
-            self._retry_or_fail(key, request, request.exclude)
+    # -- deadlines -------------------------------------------------------------
+
+    def _arm(self, record: _Request | _PendingKeyFetch) -> None:
+        """Give a record just sent its deadline, one lifetime from now."""
+        net = self.net
+        record.deadline = deadline = net.now + self.lifetime_ms * MS
+        record.seq = seq = net.reserve()
+        assert deadline >= self._last_deadline, "deadlines must come in send order"
+        self._last_deadline = deadline
+        self._deadlines[seq] = record
+        if self._queued_seq is None:
+            self._queued_seq = seq
+            net.push(deadline, seq, self._on_deadline)
+
+    def _disarm(self, record: _Request | _PendingKeyFetch) -> None:
+        del self._deadlines[record.seq]
+
+    def _on_deadline(self) -> None:
+        """The queued deadline event: expire its record if still live. The
+        next deadline is queued first, so that a retry sent while the
+        record expires finds it queued and queues no second event."""
+        deadlines = self._deadlines
+        record = deadlines.pop(self._queued_seq, None)
+        if deadlines:
+            seq, head = next(iter(deadlines.items()))
+            self._queued_seq = seq
+            self.net.push(head.deadline, seq, self._on_deadline)
+        else:
+            self._queued_seq = None
+        if record is not None:
+            self._expire(record)
+
+    def _expire(self, record: _Request | _PendingKeyFetch) -> None:
+        if isinstance(record, _Request):
+            del self._pending[record.key]
+            self._retry_or_fail(record.key, record, record.exclude)
+            return
+        del self._key_fetches[record.name.components]
+        self.stats["key_fetch_timeouts"] += 1
+        for pkt, done in record.packets:
+            self.stats["received_unverifiable"] += 1
+            done(PENDING_KEY, pkt)
 
     def _retry_or_fail(self, key, request: _Request, exclude: frozenset[bytes]) -> None:
         if request.retries_left > 0:
@@ -333,12 +391,13 @@ class ConsumerBase(NodeBase):
             self.stats["requests_failed"] += 1
             self._give_up(key)
 
-    def _claim(self, pkt: DataPacket) -> Optional[tuple]:
-        """Pop (key, request) of the first pending request `pkt` answers."""
+    def _claim(self, pkt: DataPacket) -> Optional[_Request]:
+        """Pop the first pending request `pkt` answers."""
         for key, request in self._pending.items():
             if interest_matches(pkt, request.interest):
                 del self._pending[key]
-                return key, request
+                self._disarm(request)
+                return request
         return None
 
     def gauges(self) -> dict[str, float]:
@@ -384,21 +443,12 @@ class ConsumerBase(NodeBase):
         if fetch is not None:
             fetch.packets.append((pkt, done))
             return
-        fetch = _PendingKeyFetch(key_name, next(self._key_fetch_order), [(pkt, done)])
+        fetch = _PendingKeyFetch(key_name, [(pkt, done)])
         self._key_fetches[key_name.components] = fetch
         interest = Interest(key_name, self._nonce(), lifetime_ms=self.lifetime_ms)
         self.stats["key_interests_sent"] += 1
         self.net.send_from(self.id, self.default_iface(), interest)
-        self.net.after(self.lifetime_ms * MS, lambda: self._key_timeout(key_name))
-
-    def _key_timeout(self, key_name: Name) -> None:
-        fetch = self._key_fetches.pop(key_name.components, None)
-        if fetch is None:
-            return
-        self.stats["key_fetch_timeouts"] += 1
-        for pkt, done in fetch.packets:
-            self.stats["received_unverifiable"] += 1
-            done(PENDING_KEY, pkt)
+        self._arm(fetch)
 
     def _maybe_resolve_key(self, pkt: DataPacket, now: int) -> bool:
         """Treat arriving data as a verification key if one is awaited. Of
@@ -411,11 +461,12 @@ class ConsumerBase(NodeBase):
         fetch = None
         for k in range(len(comps) + 1):
             candidate = fetches.get(comps[:k])
-            if candidate is not None and (fetch is None or candidate.order < fetch.order):
+            if candidate is not None and (fetch is None or candidate.seq < fetch.seq):
                 fetch = candidate
         if fetch is None:
             return False
         del fetches[fetch.name.components]
+        self._disarm(fetch)
         self._key_cache[fetch.name] = pkt.payload
         for parked, done in fetch.packets:
             done(self.classify(parked, pkt.payload), parked)
@@ -514,15 +565,15 @@ class RequestConsumer(ConsumerBase):
         interest = Interest(name, self._nonce(), publisher_key_digest=digest,
                             lifetime_ms=self.lifetime_ms)
         targets = sorted(self.ifaces) if self.send_on_all_interfaces else [self.default_iface()]
-        self._send(name, _Request(interest, retries_left), targets)
+        self._send(_Request(name, interest, retries_left), targets)
 
     def on_packet(self, iface: int, pkt, now: int) -> None:
         if not isinstance(pkt, DataPacket):
             return
         if self._maybe_resolve_key(pkt, now):
             return
-        claimed = self._claim(pkt)
-        if claimed is None:
+        request = self._claim(pkt)
+        if request is None:
             for name in self._past:
                 if name.is_prefix_of(pkt.name):
                     self.copies_by_iface[iface] += 1
@@ -531,7 +582,7 @@ class RequestConsumer(ConsumerBase):
             return
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
-        self._past.add(claimed[0])  # the name it was pending under
+        self._past.add(request.key)  # the name it was pending under
 
         def done(status: str, packet: DataPacket) -> None:
             self.record_outcome(status, packet)
@@ -657,7 +708,7 @@ class CollectionConsumer(ConsumerBase):
             exclude=exclude_filter,
             lifetime_ms=self.lifetime_ms,
         )
-        self._send(i, _Request(interest, retries_left, exclude, expected), [self.default_iface()])
+        self._send(_Request(i, interest, retries_left, exclude, expected), [self.default_iface()])
 
     def _give_up(self, i: int) -> None:
         self._failed += 1
@@ -678,12 +729,12 @@ class CollectionConsumer(ConsumerBase):
             return
         if self._maybe_resolve_key(pkt, now):
             return
-        claimed = self._claim(pkt)
+        request = self._claim(pkt)
         self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
-        if claimed is None:
+        if request is None:
             return
-        i, request = claimed
+        i = request.key
 
         def accept() -> None:
             self._ok += 1
@@ -707,7 +758,7 @@ class CollectionConsumer(ConsumerBase):
             # advances on delivery so a slow key chain cannot stall the
             # whole fetch. The verdict still lands in the counters.
             accept()
-            self.verify_delivery(pkt, request.expected, lambda s, p: self.record_outcome(s, p), now)
+            self.verify_delivery(pkt, request.expected, self.record_outcome, now)
             return
 
         def done(status: str, packet: DataPacket) -> None:

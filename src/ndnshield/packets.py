@@ -34,7 +34,9 @@ INTEREST_LIFETIME_MS = 4000  # the default lifetime of every interest sent
 DIGEST_COMPONENT_TAG = 0x01
 DIGEST_COMPONENT_LEN = 33
 
-_ESCAPED_BYTES = frozenset(range(0x20)) | {0x2F, 0x25}  # control bytes, '/', '%'
+# The bytes a textual name percent-escapes (control bytes, '/', '%'), as a
+# str.translate table from code point to escape.
+_ESCAPE_TABLE = {b: "%%%02X" % b for b in (*range(0x20), 0x2F, 0x25)}
 
 
 class NameParseError(ValueError):
@@ -42,13 +44,8 @@ class NameParseError(ValueError):
 
 
 def _escape_component(component: bytes) -> str:
-    out = []
-    for b in component:
-        if b in _ESCAPED_BYTES:
-            out.append("%%%02X" % b)
-        else:
-            out.append(chr(b))
-    return "".join(out)
+    # latin-1 maps each byte to the character of the same code point.
+    return component.decode("latin-1").translate(_ESCAPE_TABLE)
 
 
 def _unescape_component(text: str) -> bytes:

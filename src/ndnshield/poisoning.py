@@ -157,17 +157,25 @@ class PoisoningGuard:
             return 1.0
         return 2.0 * (1.0 - trust)
 
-    def select_for_verification(self, content_hash: bytes, trust: float) -> bool:
+    def select_for_verification(self, entry) -> bool:
+        """Whether to verify a cached entry now. Under disjoint assignment
+        only the group member its residue names draws; the residue is a
+        pure function of the entry's hash, so it is worked out once per
+        entry and kept on it."""
         cfg = self.config.verifier
         if cfg.mode == MODE_OFF:
             return False
         if cfg.mode == MODE_INDEPENDENT:
-            prob = (1.0 / cfg.v) * self._trust_factor(trust)
+            prob = (1.0 / cfg.v) * self._trust_factor(entry.trust)
             return self.rng.random() < min(1.0, prob)
         n = len(cfg.group)
-        if disjoint_residue(cfg.mode, content_hash, cfg.group_key, n) != self._group_index():
+        mine = entry.mine
+        if mine is None:
+            residue = disjoint_residue(cfg.mode, entry.content_hash, cfg.group_key, n)
+            mine = entry.mine = residue == self._group_index()
+        if not mine:
             return False
-        prob = (n / cfg.v) * self._trust_factor(trust)
+        prob = (n / cfg.v) * self._trust_factor(entry.trust)
         return self.rng.random() < min(1.0, prob)
 
     # -- verification lifecycle ----------------------------------------------------
@@ -175,7 +183,7 @@ class PoisoningGuard:
     def on_inserted(self, entry, now: int) -> None:
         if entry.verified or entry.content_hash in self._inflight:
             return
-        if self.select_for_verification(entry.content_hash, entry.trust):
+        if self.select_for_verification(entry):
             self._schedule_verification(entry.content_hash)
 
     def scan(self, now: int) -> None:
@@ -184,7 +192,7 @@ class PoisoningGuard:
         for entry in self.router.cs.entries():
             if entry.verified or entry.content_hash in self._inflight:
                 continue
-            if self.select_for_verification(entry.content_hash, entry.trust):
+            if self.select_for_verification(entry):
                 self._schedule_verification(entry.content_hash)
 
     def force_verification(self, content_hash: bytes) -> None:

@@ -125,6 +125,9 @@ class CsEntry:
     trust: float
     verified: bool
     last_access: int
+    # Whether disjoint verification assigns this entry to this router;
+    # worked out by `PoisoningGuard` the first time it considers the entry.
+    mine: Optional[bool] = None
 
 
 class ContentStore:

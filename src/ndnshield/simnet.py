@@ -5,11 +5,14 @@ where sequence is a global scheduling counter, so a (scenario, seed) pair
 fully determines the trace. The heap holds plain (time, seq, fn) tuples;
 an event due after the end of the run is never queued (its sequence
 number is still taken, so the order of the events that run is the same).
-A periodic source (`periodic`) takes the sequence numbers of all its
-fires when it is set up, as one `at` call per fire would, but queues one
-fire at a time: each fire queues the next with its reserved number, so
-the heap holds one pending fire per source and the (time, seq) order of
-every event is that of the eager schedule.
+A sequence number may also be taken now (`reserve`) and its event queued
+later (`push`): the event then runs where one `at` call made at the
+reservation would have put it. A periodic source (`periodic`) reserves
+the numbers of all its fires when it is set up but queues one fire at a
+time, and a consumer reserves one number per request deadline but queues
+only its earliest live deadline, so the heap holds one pending event per
+source while the (time, seq) order of every event is that of the eager
+schedule.
 Links are lossless store-and-forward queues; on shared segments
 transmissions serialize and every other endpoint hears each frame, which
 is what the overhear-suppression rule needs.
@@ -145,6 +148,20 @@ class Network:
     def after(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.at(self.now + delay_us, fn)
 
+    def reserve(self, count: int = 1) -> int:
+        """Take `count` consecutive sequence numbers now, for events queued
+        later with `push`; returns the first."""
+        seq = self._seq + 1
+        self._seq += count
+        return seq
+
+    def push(self, time_us: int, seq: int, fn: Callable[[], None]) -> None:
+        """Queue fn at time_us under a sequence number taken by `reserve`."""
+        if time_us < self.now:
+            raise ValueError("cannot schedule into the past")
+        if time_us <= self._until:
+            heapq.heappush(self._heap, (time_us, seq, fn))
+
     def periodic(
         self, start: float, period: float, stop_us: int, fn: Callable[[int], None]
     ) -> None:
@@ -158,8 +175,7 @@ class Network:
         while t < stop_us:
             count += 1
             t += period
-        seq = self._seq
-        self._seq += count
+        seq = self.reserve(count)
         k = 0
         t = start
 
@@ -168,11 +184,11 @@ class Network:
             fn(k)
             k += 1
             t += period
-            if k < count and int(t) <= self._until:
-                heapq.heappush(self._heap, (int(t), seq + k + 1, fire))
+            if k < count:
+                self.push(int(t), seq + k, fire)
 
-        if count and int(start) <= self._until:
-            heapq.heappush(self._heap, (int(start), seq + 1, fire))
+        if count:
+            self.push(int(start), seq, fire)
 
     def every(self, interval_us: int, fn: Callable[[int], None]) -> None:
         def tick():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import heapq
+import weakref
+
 import pytest
 
-from helpers import make_key, make_packet, n
+from helpers import iface_info, make_key, make_packet, n
 from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
 from ndnshield.nodes import (
     CollectionConsumer,
@@ -23,6 +27,7 @@ from ndnshield.packets import (
     interest_matches,
 )
 from ndnshield.rand import Rng
+from ndnshield.simnet import Network
 
 MS = 1000
 
@@ -59,26 +64,30 @@ def test_collection_reverse_order_forced():
 # ---------------------------------------------------------------------------
 
 
-class StubNet:
+class StubNet(Network):
+    """A network without links: sends are recorded, and events run in
+    (time, seq) order when the test moves the clock; `current` is the
+    (time, seq) of the event running."""
+
     def __init__(self):
-        self.now = 0
+        super().__init__(rng=None)
         self.sent = []
-        self.timers = []
-
-    def at(self, time_us, fn):
-        self.timers.append((time_us, fn))
-
-    def after(self, delay_us, fn):
-        self.timers.append((self.now + delay_us, fn))
+        self.current = (0, 0)
 
     def send_from(self, node_id, iface, pkt):
         self.sent.append((self.now, node_id, iface, pkt))
 
-    def flush(self):
-        for when, fn in sorted(self.timers, key=lambda x: x[0]):
-            self.now = when
+    def run_until(self, time_us):
+        """Run every event due at or before time_us, then set the clock there."""
+        while self._heap and self._heap[0][0] <= time_us:
+            self.now, seq, fn = heapq.heappop(self._heap)
+            self.current = (self.now, seq)
             fn()
-        self.timers = []
+        self.now = time_us
+
+    def flush(self):
+        while self._heap:
+            self.run_until(self._heap[0][0])
 
 
 def make_producer(**kw) -> tuple[Producer, StubNet]:
@@ -165,8 +174,6 @@ def make_request_consumer(**kw):
     defaults = dict(names=[n("/victim/page")], at_ms=[0], retries=0)
     defaults.update(kw)
     consumer = RequestConsumer("c", Rng(3, "c"), **defaults)
-    from helpers import iface_info
-
     consumer.attach_iface(iface_info(0))
     net = StubNet()
     consumer.net = net
@@ -176,8 +183,7 @@ def make_request_consumer(**kw):
 def test_request_consumer_valid_delivery():
     consumer, net = make_request_consumer()
     consumer.start()
-    net.flush()  # nothing scheduled via after; at_ms uses net.at
-    consumer._issue(n("/victim/page"), retries_left=0)
+    net.run_until(5 * MS)  # the request goes out at 0
     pkt = make_packet("/victim/page", key=make_key("honest"))
     consumer.on_packet(0, pkt, now=5 * MS)
     assert consumer.stats["requests_satisfied"] == 1
@@ -212,25 +218,31 @@ def test_request_consumer_accepts_fake_without_anchor():
 
 def test_request_consumer_retries_then_fails_and_ignores_replaced_timer():
     a = n("/victim/page")
+    lifetime = 4000 * MS
     consumer, net = make_request_consumer(names=[a], retries=1)
     consumer._fire()
     first = consumer._pending[a]
-    consumer._timeout(a, first)
+    net.run_until(lifetime - 1)
+    assert consumer.stats["retries"] == 0
+    net.run_until(lifetime)
     retry = consumer._pending[a]
     assert consumer.stats["retries"] == 1
     assert retry.interest.nonce != first.interest.nonce
     assert [pkt for *_, pkt in net.sent] == [first.interest, retry.interest]
-    consumer._timeout(a, retry)
+    net.run_until(2 * lifetime)
     assert consumer.stats["requests_failed"] == 1
     assert a not in consumer._pending
     # Issued twice before either lifetime ends: the replaced request's
-    # timer leaves the one now pending alone.
+    # deadline passes without effect, the one now pending times out later.
     consumer._fire()
     replaced = consumer._pending[a]
+    net.run_until(2 * lifetime + MS)
     consumer._fire()
-    consumer._timeout(a, replaced)
+    net.run_until(3 * lifetime)
     assert (consumer.stats["retries"], consumer.stats["requests_failed"]) == (1, 1)
     assert consumer._pending[a] is not replaced
+    net.run_until(3 * lifetime + MS)
+    assert (consumer.stats["retries"], consumer.stats["requests_failed"]) == (2, 1)
 
 
 @pytest.mark.parametrize("first,second", [("/k/sub", "/k"), ("/k", "/k/sub")])
@@ -268,22 +280,16 @@ def chained_consumer(mode="combined", m=10, u=4, **kw):
         first_hash=compute_content_hash(packets[0]) if mode == "s-scid" else None,
         **kw,
     )
-    from helpers import iface_info
-
     consumer.attach_iface(iface_info(0))
     net = StubNet()
     consumer.net = net
-
-    class NetWithAt(StubNet):
-        pass
-
-    consumer.net.at = lambda t, fn: fn()
+    consumer.start()
+    net.run_until(0)  # the first window goes out
     return consumer, packets, net
 
 
 def test_combined_walkthrough_retrieves_all():
     consumer, packets, net = chained_consumer(mode="combined", m=10, u=4)
-    consumer.start()
     served = 0
     # Serve every outstanding interest from the prebuilt collection until done.
     for _ in range(100):
@@ -308,13 +314,11 @@ def test_combined_walkthrough_retrieves_all():
 
 def test_window_bound_respected():
     consumer, packets, net = chained_consumer(mode="plain", m=10, u=4)
-    consumer.start()
     assert len(consumer._pending) == 4
 
 
 def test_sscid_mode_never_accepts_wrong_bytes():
     consumer, packets, net = chained_consumer(mode="s-scid", m=3, u=1)
-    consumer.start()
     (i, pending) = next(iter(consumer._pending.items()))
     wrong = make_packet("/victim/file/1", key=make_key("honest"), payload=b"wrong-bytes")
     # Force-feed a wrong packet as if a lazy cache served it.
@@ -326,7 +330,6 @@ def test_sscid_mode_never_accepts_wrong_bytes():
 
 def test_corrupted_copy_triggers_exclude_retry():
     consumer, packets, net = chained_consumer(mode="plain", m=2, u=1, max_retries=3)
-    consumer.start()
     key = make_key("honest")
     bad = forge_packet(n("/victim/file/1"), b"junk", b"\x00" * 128, key.public_der, key.digest)
     consumer.on_packet(0, bad, now=0)
@@ -341,7 +344,6 @@ def test_corrupted_copy_triggers_exclude_retry():
 
 def test_exclude_cap_falls_back_to_all_ones_bloom():
     consumer, packets, net = chained_consumer(mode="plain", m=1, u=1, exclude_cap=2, max_retries=10)
-    consumer.start()
     pending = consumer._pending[1]
     big_exclude = frozenset(b"c%d" % k for k in range(3))
     consumer._issue(1, retries_left=5, exclude=big_exclude)
@@ -352,13 +354,188 @@ def test_exclude_cap_falls_back_to_all_ones_bloom():
 
 def test_timeout_retries_then_fails():
     consumer, packets, net = chained_consumer(mode="plain", m=1, u=1, max_retries=2)
-    consumer.start()
-    for _ in range(3):
-        pending = consumer._pending[1]
-        consumer._timeout(1, pending)
+    for k in range(1, 4):
+        assert 1 in consumer._pending
+        net.run_until(k * 4000 * MS)  # one lifetime per interest
+    assert 1 not in consumer._pending
     assert consumer.stats["retries"] == 2
     assert consumer.stats["requests_failed"] == 1
     assert consumer.stats["fragments_failed"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Deadlines: one queued event per consumer, in the order of one timer each
+# ---------------------------------------------------------------------------
+
+
+class ScriptedNet(StubNet):
+    """Answers interests for the names in `answers` (name text -> packet)
+    after `delay_us`, and logs every send and every expiry with the
+    (time, seq) of the event it happened in."""
+
+    def __init__(self, answers, delay_us=500):
+        super().__init__()
+        self.answers = {n(name): pkt for name, pkt in answers.items()}
+        self.delay_us = delay_us
+        self.log = []
+
+    def send_from(self, node_id, iface, pkt):
+        super().send_from(node_id, iface, pkt)
+        self.log.append((*self.current, "send", node_id, str(pkt.name), pkt.nonce))
+        answer = self.answers.get(pkt.name)
+        if answer is not None:
+            node = self.nodes[node_id]
+            self.after(self.delay_us, lambda: node.on_packet(iface, answer, self.now))
+
+
+def logged(cls):
+    class Logged(cls):
+        def _expire(self, record):
+            key = record.name if hasattr(record, "name") else record.key  # key fetch or request
+            self.net.log.append((*self.net.current, "expire", self.id, str(key)))
+            super()._expire(record)
+
+    return Logged
+
+
+def one_timer_per_deadline(cls):
+    """The consumer with the deadline scheme it replaces: one `Network.at`
+    per request or key fetch, whose event does nothing once the record has
+    been answered, replaced or resolved."""
+
+    class OneTimer(cls):
+        def _arm(self, record):
+            record.deadline = self.net.now + self.lifetime_ms * MS
+            record.live = True
+            self.net.at(record.deadline, lambda: self._reference_expiry(record))
+            record.seq = self.net._seq  # the number `at` took
+
+        def _disarm(self, record):
+            record.live = False
+
+        def _reference_expiry(self, record):
+            if record.live:
+                record.live = False
+                self._expire(record)
+
+    return OneTimer
+
+
+KEY = make_key("honest")
+PAGE = n("/victim/page")
+
+
+def _named_key_packet(name: str, key_name: str):
+    return sign_packet(n(name), b"body", KEY, KeyName(n(key_name)))
+
+
+# Each script: the answers the network gives, then per consumer its
+# constructor arguments; every consumer uses a 1 s lifetime.
+DEADLINE_SCRIPTS = {
+    # Unanswered requests time out and are retried from inside the expiry,
+    # by two consumers whose deadlines tie in time.
+    "retry_inside_expiry": ({}, [
+        dict(names=[n("/x/a"), n("/x/b")], at_ms=[0, 0, 700], retries=2),
+        dict(names=[n("/x/c")], at_ms=[0, 300, 1000], retries=1),
+    ]),
+    # Several sends in the same microsecond, some answered, some not.
+    "same_microsecond": ({name: make_packet(name, key=KEY) for name in ("/x/a", "/x/c")}, [
+        dict(names=[n("/x/a"), n("/x/b"), n("/x/c"), n("/x/d")], at_ms=[5, 5, 5, 5, 1005],
+             retries=1),
+        dict(names=[n("/x/b"), n("/x/a")], at_ms=[5, 5, 6], retries=0),
+    ]),
+    # A name asked for again while its request is pending replaces it.
+    "replaced_while_pending": ({}, [
+        dict(names=[n("/x/a")], at_ms=[0, 300, 600, 2000, 2999], retries=1),
+        dict(names=[n("/x/a"), n("/x/b")], at_ms=[0, 0, 300, 300], retries=0),
+    ]),
+    # Data naming keys nobody serves: key fetches time out, one resolves.
+    "key_fetch_timeout": ({
+        "/x/a": _named_key_packet("/x/a", "/keys/lost"),
+        "/x/b": _named_key_packet("/x/b", "/keys/lost"),
+        "/x/c": _named_key_packet("/x/c", "/keys/gone"),
+        "/x/d": _named_key_packet("/x/d", "/keys/found"),
+        "/keys/found": make_packet("/keys/found/cert", key=KEY, payload=KEY.public_der),
+    }, [
+        dict(names=[n("/x/a"), n("/x/c"), n("/x/e"), n("/x/b"), n("/x/d")],
+             at_ms=[0, 0, 200, 400, 400, 1200], retries=1),
+    ]),
+}
+
+
+def _run_script(script, variant):
+    answers, consumers = DEADLINE_SCRIPTS[script]
+    net = ScriptedNet(answers)
+    cls = logged(variant(RequestConsumer))
+    for i, kwargs in enumerate(consumers):
+        consumer = cls(f"c{i}", Rng(8, f"c{i}"), lifetime_ms=1000, **kwargs)
+        net.add_node(consumer)
+        consumer.attach_iface(iface_info(0))
+        net.at(0, consumer.start)
+    net.run_until(10_000 * MS)
+    return net
+
+
+@pytest.mark.parametrize("script", sorted(DEADLINE_SCRIPTS))
+def test_deadlines_run_in_the_order_of_one_timer_each(script):
+    net = _run_script(script, lambda cls: cls)
+    reference = _run_script(script, one_timer_per_deadline)
+    assert net.log == reference.log
+    stats = [node.stats for node in net.nodes.values()]
+    expiries = [entry for entry in net.log if entry[2] == "expire"]
+    assert expiries
+    if script == "retry_inside_expiry":
+        assert sum(st["retries"] for st in stats) == 5
+        assert sum(st["requests_failed"] for st in stats) == 3
+    elif script == "same_microsecond":
+        assert len([entry for entry in expiries if entry[0] == 1005 * MS]) == 2
+        assert sum(st["requests_satisfied"] for st in stats) == 4
+    elif script == "replaced_while_pending":
+        # Nothing is answered: every request sent expires or is replaced.
+        assert sum(st["interests_sent"] for st in stats) > len(expiries)
+    else:
+        assert stats[0]["key_interests_sent"] == 4
+        assert stats[0]["key_fetch_timeouts"] == 3  # the found key resolved
+    for node in net.nodes.values():
+        assert node._deadlines == {} and node._queued_seq is None
+
+
+def test_deadline_events_are_one_per_consumer():
+    consumer, net = make_request_consumer(names=[n("/x/%d" % i) for i in range(5)], retries=0)
+    for _ in range(5):
+        consumer._fire()
+        net.run_until(net.now + MS)
+    assert len(consumer._deadlines) == 5
+    assert len(net._heap) == 1  # only the earliest deadline is queued
+    net.run_until(5000 * MS)
+    assert consumer.stats["requests_failed"] == 5
+    assert len(net._heap) == 0
+
+
+def test_answered_request_is_freed_at_once():
+    consumer, net = make_request_consumer()
+    consumer.start()
+    net.run_until(0)
+    ref = weakref.ref(consumer._pending[PAGE])
+    gc.disable()
+    try:
+        consumer.on_packet(0, make_packet("/victim/page", key=KEY), now=MS)
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert consumer.stats["requests_satisfied"] == 1
+
+
+def test_answered_fragment_request_is_freed_at_once():
+    consumer, packets, net = chained_consumer(mode="combined", m=3, u=1)
+    ref = weakref.ref(consumer._pending[1])
+    gc.disable()
+    try:
+        consumer.on_packet(0, packets[0], now=MS)
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert consumer.stats["fragments_completed"] == 0 and consumer._ok == 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +554,7 @@ def make_compromised(mode="fake"):
         honest_key_digest=honest.digest,
         rng=Rng(13, "evil"),
     )
-    from helpers import iface_info, record_sends
+    from helpers import record_sends
 
     for i in range(2):
         node.attach_iface(iface_info(i))

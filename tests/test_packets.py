@@ -34,7 +34,7 @@ from ndnshield.packets import (
     parse_name,
     wire_size,
 )
-from ndnshield.packets import _unescape_component, _unescape_escaped
+from ndnshield.packets import _escape_component, _unescape_component, _unescape_escaped
 
 components = st.binary(min_size=1, max_size=32)
 names = st.lists(components, min_size=0, max_size=8).map(lambda cs: Name(tuple(cs)))
@@ -480,6 +480,22 @@ def test_unescape_fast_path_matches_escape_loop(text):
             return str(exc)
 
     assert outcome(_unescape_component) == outcome(_unescape_escaped)
+
+
+def _escape_per_byte(component: bytes) -> str:
+    """The per-byte escape the table replaced."""
+    return "".join("%%%02X" % b if b < 0x20 or b in b"/%" else chr(b) for b in component)
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=500, deadline=None)
+def test_table_escape_matches_per_byte_escape(component):
+    assert _escape_component(component) == _escape_per_byte(component)
+
+
+def test_every_byte_escapes_as_before():
+    every = bytes(range(256))
+    assert _escape_component(every) == _escape_per_byte(every)
 
 
 def test_wire_size_memo_leaves_packet_value_alone():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import iface_info, make_key, make_packet, n
-from ndnshield.crypto import compute_content_hash, forge_packet, ls32, sha256
+from ndnshield.crypto import compute_content_hash, forge_packet, hmac_sha256, ls32, sha256
 from ndnshield.packets import Interest, Name, digest_component
 from ndnshield.poisoning import (
     ConsumerFeedbackConfig,
@@ -18,7 +18,7 @@ from ndnshield.poisoning import (
     feedback_interest,
 )
 from ndnshield.rand import Rng
-from ndnshield.router import Router, RouterConfig
+from ndnshield.router import CsEntry, Router, RouterConfig
 
 MS = 1000
 
@@ -136,7 +136,7 @@ def test_scid_reject_keeps_pit_entry():
 def test_independent_v1_selects_everything():
     router, guard, _, _ = guarded_router(mode="independent", v=1.0)
     for i in range(20):
-        assert guard.select_for_verification(bytes([i]) * 32, trust=0.5)
+        assert guard.select_for_verification(CsEntry(None, bytes([i]) * 32, 0.5, False, 0))
 
 
 def test_disjoint_residue_unique_per_hash():
@@ -169,6 +169,50 @@ def test_disjoint_hmac_spreads_crafted_packets():
     total = sum(counts)
     for c in counts:
         assert abs(c / total - 0.25) < 0.05
+
+
+def _scan_run(monkeypatch, recompute: bool):
+    """Five scans over 40 cached entries under keyed disjoint assignment;
+    with `recompute`, every entry's kept residue is cleared before each
+    scan, so every selection works it out again."""
+    import ndnshield.poisoning as poisoning
+
+    hmacs = []
+
+    def counting_hmac(key, data):
+        hmacs.append(data)
+        return hmac_sha256(key, data)
+
+    monkeypatch.setattr(poisoning, "hmac_sha256", counting_hmac)
+    router, guard, timers, _ = guarded_router(
+        mode="disjoint-hmac", v=12.0, group=("q", "r", "s", "t"), group_key=b"\x42" * 32
+    )
+    selected = []
+    schedule = guard._schedule_verification
+    monkeypatch.setattr(
+        guard, "_schedule_verification", lambda h, *a: (selected.append(h), schedule(h, *a))
+    )
+    key = make_key("honest")
+    for i in range(40):
+        router.cs.insert(make_packet(f"/victim/{i}", key=key), now=0)
+        guard.on_inserted(router.cs.newest, now=0)
+    timers.flush()
+    for k in range(1, 6):
+        if recompute:
+            for entry in router.cs.entries():
+                entry.mine = None
+        guard.scan(now=k * MS)
+        timers.flush()
+    return selected, hmacs, guard.rng.state()
+
+
+def test_scan_computes_each_residue_once(monkeypatch):
+    selected, hmacs, rng_state = _scan_run(monkeypatch, recompute=False)
+    ref_selected, ref_hmacs, ref_rng_state = _scan_run(monkeypatch, recompute=True)
+    assert sorted(hmacs) == sorted(set(hmacs)) and len(hmacs) == 40  # once per entry
+    assert len(ref_hmacs) > len(hmacs)
+    assert selected == ref_selected and selected  # same selections, in the same order
+    assert rng_state == ref_rng_state  # after the same rng draws
 
 
 def test_verified_entries_never_reselected():

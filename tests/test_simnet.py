@@ -240,6 +240,31 @@ def test_periodic_keeps_the_eager_order():
     assert lazy_queued == 5 < eager_queued  # one pending fire per source
 
 
+def test_reserved_push_runs_where_at_would_have():
+    """An event pushed under a number reserved earlier runs where one `at`
+    call made at the reservation would, ahead of later same-time events;
+    a push into the past raises and one after the end is dropped."""
+    net = Network(Rng(3, "net"))
+    log = []
+
+    def setup():
+        seq = net.reserve()
+        net.at(2 * MS, lambda: log.append("at-after-reserve"))
+        block = net.reserve(2)
+        assert block == seq + 2
+        net.push(2 * MS, block + 1, lambda: log.append("second-of-block"))
+        net.push(2 * MS, seq, lambda: log.append("reserved"))
+        net.push(2 * MS, block, lambda: log.append("first-of-block"))
+        net.push(20 * MS, net.reserve(), lambda: log.append("late"))
+
+    net.at(MS, setup)
+    net.at(2 * MS, lambda: log.append("at-later"))
+    net.run(until_us=10 * MS)
+    assert log == ["at-later", "reserved", "at-after-reserve", "first-of-block", "second-of-block"]
+    with pytest.raises(ValueError):
+        net.push(MS, net.reserve(), lambda: None)
+
+
 def test_cannot_schedule_into_past():
     net = Network(Rng(3, "net"))
     net.at(5 * MS, lambda: None)
