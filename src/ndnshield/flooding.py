@@ -212,16 +212,22 @@ class FloodingDefense:
             self.ns_pending_in[(ns, iface)] += 1
 
     def _resolve(self, entry, now: int, satisfied: bool) -> None:
+        # Each count taken down here was put up for this entry when it was
+        # forwarded or collapsed, so it is positive.
         for iface in entry.outgoing:
-            self.pending_out[iface] = max(0, self.pending_out[iface] - 1)
+            assert self.pending_out[iface] > 0, ("pending_out", iface)
+            self.pending_out[iface] -= 1
         for iface in entry.incoming:
-            self.pending_in[iface] = max(0, self.pending_in[iface] - 1)
+            assert self.pending_in[iface] > 0, ("pending_in", iface)
+            self.pending_in[iface] -= 1
         ns = entry.namespace
         if ns is not None:
-            self.ns_pending[ns] = max(0, self.ns_pending[ns] - 1)
+            assert self.ns_pending[ns] > 0, ("ns_pending", ns)
+            self.ns_pending[ns] -= 1
             for iface in entry.incoming:
                 key = (ns, iface)
-                self.ns_pending_in[key] = max(0, self.ns_pending_in[key] - 1)
+                assert self.ns_pending_in[key] > 0, ("ns_pending_in", key)
+                self.ns_pending_in[key] -= 1
                 self._window(ns, iface).add(now, satisfied)
 
     def note_satisfied(self, entry, now: int) -> None:

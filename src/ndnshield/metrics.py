@@ -12,8 +12,6 @@ import csv
 import io
 import math
 
-import numpy as np
-
 COUNTER_COLUMNS = [
     # router pipeline
     "interests_received",
@@ -190,16 +188,51 @@ def summarize_run(collector: MetricsCollector) -> dict:
     return summary
 
 
+def _in_order(values) -> float:
+    """Left-to-right float sum from -0.0, the additive identity."""
+    total = -0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Numpy's pairwise float64 sum, in its order: in sequence below 8
+    values; up to 128, eight strided accumulators combined as a tree, then
+    the tail in sequence; above 128, the two halves summed apart, split at
+    a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return _in_order(values)
+    if n <= 128:
+        stop = n - n % 8
+        r = [_in_order(values[j:stop:8]) for j in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return _in_order([tree, *values[stop:]])
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """`numpy.add.reduce` over a float64 array of `values`, bit for bit: the
+    reduction adds the pairwise sum to its identity, +0.0."""
+    return 0.0 + _pairwise_sum(values)
+
+
 def aggregate_replicates(per_replicate: list[dict]) -> dict:
     """Means and normal-approximation 95% confidence intervals across
-    replicates for every scalar metric in the per-replicate summaries."""
-    out: dict = {"replicates": len(per_replicate)}
+    replicates for every scalar metric in the per-replicate summaries.
+    Every figure equals, bit for bit, what numpy's `mean` and
+    `std(ddof=1)` give on the same values."""
+    n = len(per_replicate)
+    out: dict = {"replicates": n}
     scalars = [k for k, v in per_replicate[0].items() if isinstance(v, (int, float))]
     for key in scalars:
-        values = np.array([rep[key] for rep in per_replicate], dtype=float)
-        mean = float(values.mean())
-        if len(values) > 1:
-            half = 1.96 * float(values.std(ddof=1)) / math.sqrt(len(values))
+        values = [float(rep[key]) for rep in per_replicate]
+        mean = _numpy_sum(values) / n
+        if n > 1:
+            variance = _numpy_sum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+            half = 1.96 * math.sqrt(variance) / math.sqrt(n)
         else:
             half = 0.0
         out[key] = {"mean": mean, "ci95": [mean - half, mean + half]}

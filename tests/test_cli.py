@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ndnshield.cli import main
 
-FIXTURE = Path(__file__).parent.parent / "src" / "ndnshield" / "scenarios" / "chain_flood.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE = SRC / "ndnshield" / "scenarios" / "chain_flood.json"
 
 
 def small_scenario(tmp_path) -> Path:
@@ -73,3 +77,15 @@ def test_bench_crypto_runs(capsys):
     assert "content-hash verify" in out
     assert "RSA-1024(e=3) verify" in out
     assert "ratio" in out
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy costs a run about a third of its start-up; nothing on the
+    path of `ndnshield run` may import it."""
+    code = ("import sys, ndnshield, ndnshield.experiment, ndnshield.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -78,6 +79,59 @@ def test_keypair_memo_reuses_fresh_stream_keys():
     used = Rng(44, "memo-key")
     used.u64()
     assert KeyPair.generate(used) is not first  # a used stream bypasses the memo
+
+
+def _plain_miller_rabin(n: int, rng: Rng, rounds: int = 40) -> bool:
+    """Miller-Rabin with no gcd pre-check: the oracle for which candidates
+    key generation accepts and which draws it makes."""
+    for p in crypto._SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for _ in range(rounds):
+        x = pow(2 + rng.randrange(n - 3), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_keygen_equals_plain_miller_rabin(monkeypatch):
+    for seed in range(20):
+        rng = Rng(seed, "keygen-oracle")
+        built = KeyPair._build(rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        with monkeypatch.context() as patch:
+            patch.setattr(crypto, "_is_probable_prime", _plain_miller_rabin)
+            oracle_rng = Rng(seed, "keygen-oracle")
+            oracle = KeyPair._build(oracle_rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        assert built.public_der == oracle.public_der, seed
+        assert rng.state() == oracle_rng.state(), seed
+
+
+def test_base_passing_the_gcd_check_falls_through_to_miller_rabin():
+    """A composite whose first drawn base passes a^(n-1) = 1 (mod g), so
+    the full round must refuse it. Seed 201 is the first, counting from 0,
+    whose 512-bit draw is such a candidate: no factor below 150, the
+    factor 281, and a base that passes modulo 281."""
+    rng = Rng(201, "fall-through")
+    n = int.from_bytes(rng.bytes(64), "big") | (3 << 510) | 1
+    assert all(n % p for p in crypto._SMALL_PRIMES)
+    g = math.gcd(n, crypto._SIEVE_PRODUCT)
+    assert g == 281
+    peek, oracle_rng = Rng(0), Rng(0)
+    peek.set_state(rng.state())
+    oracle_rng.set_state(rng.state())
+    assert pow(2 + peek.randrange(n - 3), n - 1, g) == 1
+    assert crypto._is_probable_prime(n, rng) is False
+    assert _plain_miller_rabin(n, oracle_rng) is False
+    assert rng.state() == oracle_rng.state()
 
 
 def test_sign_then_verify(key):

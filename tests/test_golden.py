@@ -60,6 +60,7 @@ from pathlib import Path
 import pytest
 
 from ndnshield.experiment import run_experiment
+from ndnshield.metrics import load_csv
 from ndnshield.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -409,6 +410,44 @@ def output_digests(out_dir: Path) -> dict[str, str]:
 def test_golden_digests(key, tmp_path):
     run_experiment(load_scenario(DOCS[key]()), out_dir=tmp_path)
     assert output_digests(tmp_path) == GOLDEN[key]
+
+
+def summary_from_csv(path: Path) -> dict:
+    """A replicate's summary figures, recomputed from its CSV alone: each
+    node's last row, and its largest pit_size for the PIT peak."""
+    header, rows = load_csv(path)
+    col = {name: i for i, name in enumerate(header)}
+    rows_of: dict[str, list[list[str]]] = {}
+    for row in rows:
+        rows_of.setdefault(row[col["node"]], []).append(row)
+
+    def nodes(role: str) -> list[str]:
+        return [node for node, own in rows_of.items() if own[0][col["role"]] == role]
+
+    def final(node: str, column: str) -> float:
+        return float(rows_of[node][-1][col[column]])
+
+    consumers, routers = nodes("consumer"), nodes("router")
+    sent = sum(final(c, "interests_sent") for c in consumers)
+    satisfied = sum(final(c, "requests_satisfied") for c in consumers)
+    return {
+        "honest_satisfaction_ratio": satisfied / sent if sent else 1.0,
+        "poisoned_accepted": sum(final(c, "accepted_poisoned") for c in consumers),
+        "poisoned_received": sum(final(c, "poisoned_received") for c in consumers),
+        "pit_peak": {r: max(float(row[col["pit_size"]]) for row in rows_of[r]) for r in routers},
+        "poisoned_cached": {r: final(r, "poisoned_cached") for r in routers},
+        "producer_served": {p: final(p, "produced_served") for p in nodes("producer")},
+    }
+
+
+@pytest.mark.parametrize("key", sorted(DOCS))
+def test_summary_recomputes_from_its_csv(key, tmp_path):
+    run_experiment(load_scenario(DOCS[key]()), out_dir=tmp_path)
+    (summary_path,) = tmp_path.glob("*_summary.json")
+    for block in json.loads(summary_path.read_text())["arms"].values():
+        for replicate in block["replicates"]:
+            written = tmp_path / replicate.pop("csv")
+            assert summary_from_csv(written) == replicate
 
 
 def test_cli_bytes_independent_of_hash_seed(tmp_path):

@@ -7,6 +7,9 @@ import inspect
 import math
 import re
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from ndnshield import flooding, router
 from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, aggregate_replicates, load_csv
 from ndnshield.scenario import build_sim, load_scenario
@@ -86,6 +89,34 @@ def test_aggregate_replicates_ci():
     block = agg["honest_satisfaction_ratio"]
     assert block["mean"] == 0.95
     assert block["ci95"][0] < 0.95 < block["ci95"][1]
+
+
+# Sizes where numpy's pairwise sum changes shape: in sequence below 8, eight
+# accumulators up to 128, split in halves at multiples of 8 above.
+_SUM_BOUNDARIES = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 300]
+_REPLICATE_VALUE = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(st.sampled_from(_SUM_BOUNDARIES), st.integers(1, 300)).flatmap(
+    lambda n: st.lists(_REPLICATE_VALUE, min_size=n, max_size=n)))
+@example([-0.0])  # numpy's sum of negative zeros is +0.0
+@example([-0.0] * 200)
+def test_aggregate_replicates_equals_numpy_bit_for_bit(values):
+    """summary.json's figures are what numpy's mean and std(ddof=1) gave
+    when the package computed them with numpy, to the last bit."""
+    import numpy as np
+
+    array = np.array(values, dtype=float)
+    mean = float(array.mean())
+    half = 1.96 * float(array.std(ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    block = aggregate_replicates([{"x": v} for v in values])["x"]
+    got = [block["mean"], *block["ci95"]]
+    assert [v.hex() for v in got] == [v.hex() for v in (mean, mean - half, mean + half)]
 
 
 def test_every_drop_and_reject_counter_has_a_column():
