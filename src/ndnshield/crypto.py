@@ -15,11 +15,12 @@ seals with an RSA signature, `forge_packet` with given garbage bytes, so a
 forged packet names its own bytes exactly as an honest one does. Both
 leave that content hash on the packet they return.
 
-In-run verification (`verify_signature`) runs the RSA check on every call
-but keeps the work that is the same each time: parsed public keys (the
-last 256 distinct DER encodings) and each packet's signing-image digest,
-kept on the packet like its wire size and content hash. `verify_bytes`
-keeps nothing.
+In-run verification (`verify_signature`) does no work twice for the same
+inputs: it keeps parsed public keys (the last 256 distinct DER encodings)
+and, on each packet like its wire size and content hash, the packet's
+signing-image digest and its verdict under every key it was checked
+against. The RSA check therefore runs once per (packet, key), and the
+verdicts go when their packet does. `verify_bytes` keeps nothing.
 """
 
 from __future__ import annotations
@@ -280,7 +281,19 @@ def _signing_digest(pkt: DataPacket) -> bytes:
 def verify_signature(pkt: DataPacket, public_der: bytes) -> bool:
     """Check the packet signature over its to-be-signed image. Accepts
     exactly what `verify_bytes(public_der, pkt.signature, signing_image(pkt))`
-    accepts; the RSA check runs on every call."""
+    accepts. The verdict is kept on the packet by key, so the RSA check
+    runs only the first time a packet is asked about a key."""
+    verdicts = pkt.__dict__.get("_verdicts")
+    if verdicts is None:
+        verdicts = {}
+        object.__setattr__(pkt, "_verdicts", verdicts)
+    verdict = verdicts.get(public_der)
+    if verdict is None:
+        verdict = verdicts[public_der] = _rsa_verify(pkt, public_der)
+    return verdict
+
+
+def _rsa_verify(pkt: DataPacket, public_der: bytes) -> bool:
     key = _public_key(public_der)
     if key is None:
         return False

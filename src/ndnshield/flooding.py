@@ -17,6 +17,10 @@ The composition of the limiters (rejection order, window length, clamp
 floor, cooldown, TTL, fair-share rule) is this artifact's own; every
 constant but the anomaly threshold and the cap's burst depth is a
 configuration knob.
+
+Inside the defense a namespace is the tuple of its prefix's components,
+which hashes in C; `Name` appears only where a prefix enters or leaves:
+the configuration, push-back messages and `rate_caps()`.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ REJ_RATE_CAP = "rate-cap"
 # that caused the throttling.
 ANOMALY_RATIO = 0.5
 CAP_BURST_S = 1.0  # token bucket depth, in seconds of advised rate
+
+Prefix = tuple[bytes, ...]  # a namespace, as its prefix's name components
 
 
 def compute_outgoing_quota(
@@ -142,27 +148,30 @@ class FloodingDefense:
         self.config = config
         self.rng = rng
         self.router = None
-        # (components, prefix) of every watched prefix, longest first.
-        self._watched: list[tuple[tuple[bytes, ...], Name]] = [
-            (prefix.components, prefix)
+        # Components of every watched prefix, longest first.
+        self._watched: list[Prefix] = [
+            prefix.components
             for prefix in sorted(
                 set(config.watched_prefixes) | set(config.namespace_quotas),
                 key=lambda prefix: (-len(prefix), str(prefix)),
             )
         ]
+        self._quotas: dict[Prefix, int] = {
+            prefix.components: quota for prefix, quota in config.namespace_quotas.items()
+        }
         self.pending_out: dict[int, int] = defaultdict(int)
         self.pending_in: dict[int, int] = defaultdict(int)
-        self.ns_pending: dict[Name, int] = defaultdict(int)
+        self.ns_pending: dict[Prefix, int] = defaultdict(int)
         # Pending attribution per (namespace, ingress): lets push-back name
         # its offenders immediately instead of waiting a lifetime for the
         # first expiries to surface.
-        self.ns_pending_in: dict[tuple[Name, int], int] = defaultdict(int)
+        self.ns_pending_in: dict[tuple[Prefix, int], int] = defaultdict(int)
         self.quota_out: dict[int, int] = {}
         self.limit_in: dict[int, int] = {}
-        self._windows: dict[tuple[Name, int], _Window] = {}
-        self._caps: dict[tuple[Name, int], TokenBucket] = {}
-        self._quota_hit_at: dict[Name, int] = {}
-        self._last_pushback: dict[tuple[Name, int], int] = {}
+        self._windows: dict[tuple[Prefix, int], _Window] = {}
+        self._caps: dict[tuple[Prefix, int], TokenBucket] = {}
+        self._quota_hit_at: dict[Prefix, int] = {}
+        self._last_pushback: dict[tuple[Prefix, int], int] = {}
 
     def bind(self, router) -> None:
         self.router = router
@@ -178,15 +187,15 @@ class FloodingDefense:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _namespace(self, name: Name) -> Optional[Name]:
-        """The longest watched prefix of the name."""
+    def _namespace(self, name: Name) -> Optional[Prefix]:
+        """The components of the longest watched prefix of the name."""
         comps = name.components
-        for prefix_comps, prefix in self._watched:
-            if comps[: len(prefix_comps)] == prefix_comps:
+        for prefix in self._watched:
+            if comps[: len(prefix)] == prefix:
                 return prefix
         return None
 
-    def _window(self, ns: Name, iface: int) -> _Window:
+    def _window(self, ns: Prefix, iface: int) -> _Window:
         key = (ns, iface)
         win = self._windows.get(key)
         if win is None:
@@ -238,7 +247,7 @@ class FloodingDefense:
 
     # -- admission -------------------------------------------------------------
 
-    def throttle_fraction(self, ns: Name, iface: int, now: int) -> float:
+    def throttle_fraction(self, ns: Prefix, iface: int, now: int) -> float:
         """Admission fraction for an ingress: 1.0 while healthy, the clamped
         satisfaction ratio once the ingress turns anomalous."""
         ratio = self._ingress_ratio(ns, iface, now)
@@ -257,7 +266,7 @@ class FloodingDefense:
             return [], REJ_INGRESS_LIMIT
         ns = self._namespace(interest.name)
         if ns is not None:
-            quota = self.config.namespace_quotas.get(ns)
+            quota = self._quotas.get(ns)
             if quota is not None:
                 if self.ns_pending[ns] >= quota:
                     self._quota_hit_at[ns] = now
@@ -284,7 +293,7 @@ class FloodingDefense:
                     return [], REJ_RATE_CAP
         return usable, None
 
-    def _ingress_ratio(self, ns: Optional[Name], ingress: int, now: int) -> Optional[float]:
+    def _ingress_ratio(self, ns: Optional[Prefix], ingress: int, now: int) -> Optional[float]:
         """The satisfied share of what the ingress resolved in the window
         of the namespace, or None without statistics."""
         if ns is None:
@@ -298,16 +307,17 @@ class FloodingDefense:
         return win.satisfied / win.resolved
 
     def _matching_cap(self, name: Name, ingress: int) -> Optional[TokenBucket]:
+        comps = name.components
         best = None
         best_len = -1
         for (prefix, iface), bucket in self._caps.items():
-            if iface == ingress and prefix.is_prefix_of(name) and len(prefix) > best_len:
+            if iface == ingress and comps[: len(prefix)] == prefix and len(prefix) > best_len:
                 best, best_len = bucket, len(prefix)
         return best
 
     # -- push-back ---------------------------------------------------------------
 
-    def _offending_ingresses(self, ns: Name, now: int) -> list[int]:
+    def _offending_ingresses(self, ns: Prefix, now: int) -> list[int]:
         """Ingresses whose unresolved-plus-expired volume dwarfs their
         peers'. Pending counts make attribution immediate; window expiries
         keep it honest over time.
@@ -338,7 +348,7 @@ class FloodingDefense:
                 offenders.append(iface)
         return offenders
 
-    def _advised_rate(self, ns: Name, now: int) -> float:
+    def _advised_rate(self, ns: Prefix, now: int) -> float:
         """Rate advice carried by push-back: the recently satisfied rate,
         floored by what the namespace quota can absorb per interest
         lifetime. Without the sustainability floor, a fully starved
@@ -350,7 +360,7 @@ class FloodingDefense:
                 win.prune(now)
                 total += win.satisfied
         satisfied_rate = total / (self.config.window_ms / 1000.0)
-        quota = self.config.namespace_quotas.get(ns)
+        quota = self._quotas.get(ns)
         sustainable = (
             quota / (self.config.interest_timeout_ms / 1000.0) if quota is not None else 0.0
         )
@@ -380,7 +390,10 @@ class FloodingDefense:
         emission is rate-limited per (prefix, ingress) by the cooldown."""
         out: list[tuple[int, Interest]] = []
         cooldown = self.config.pushback_cooldown_ms * MS
-        for ns in sorted(self._quota_hit_at, key=str):
+        # In the order of the prefixes' textual names, which is not their
+        # components' byte order: '/a%2F' sorts before '/a/b' as text.
+        for prefix in sorted(map(Name, self._quota_hit_at), key=str):
+            ns = prefix.components
             if now - self._quota_hit_at[ns] > self.config.window_ms * MS:
                 continue
             advised = self._advised_rate(ns, now)
@@ -389,7 +402,9 @@ class FloodingDefense:
                 if last is not None and now - last < cooldown:
                     continue
                 self._last_pushback[(ns, iface)] = now
-                out.append((iface, self.build_pushback(ns, advised, self.config.pushback_ttl, iface)))
+                out.append(
+                    (iface, self.build_pushback(prefix, advised, self.config.pushback_ttl, iface))
+                )
         return out
 
     def handle_pushback(self, iface: int, interest: Interest, now: int) -> list[tuple[int, Interest]]:
@@ -410,17 +425,18 @@ class FloodingDefense:
         self.router.stats["pushback_received"] += 1
         out: list[tuple[int, Interest]] = []
         cooldown = self.config.pushback_cooldown_ms * MS
-        for offender in self._offending_ingresses(prefix, now):
+        ns = prefix.components
+        for offender in self._offending_ingresses(ns, now):
             if offender == iface:
                 continue
-            self._caps[(prefix, offender)] = TokenBucket(rate, rate * CAP_BURST_S, now)
-            last = self._last_pushback.get((prefix, offender))
+            self._caps[(ns, offender)] = TokenBucket(rate, rate * CAP_BURST_S, now)
+            last = self._last_pushback.get((ns, offender))
             if ttl > 1 and (last is None or now - last >= cooldown):
-                self._last_pushback[(prefix, offender)] = now
+                self._last_pushback[(ns, offender)] = now
                 out.append((offender, self.build_pushback(prefix, rate, ttl - 1, offender)))
         return out
 
     # -- introspection -------------------------------------------------------------
 
     def rate_caps(self) -> dict[tuple[Name, int], float]:
-        return {key: bucket.rate for key, bucket in self._caps.items()}
+        return {(Name(ns), iface): bucket.rate for (ns, iface), bucket in self._caps.items()}

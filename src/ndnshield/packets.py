@@ -5,9 +5,9 @@ Interests and data packets are the only two packet kinds on the wire.
 Everything here is an immutable value: safe to share across simulation
 instances and cheap to use as dict keys. Values derived from a packet and
 needed on every hop (`wire_size`, `compute_content_hash`, the router's
-option fingerprint, the signing digest `crypto.verify_signature` checks) are
-computed once and kept in the packet's `__dict__`, outside its fields, so
-they take no part in equality, hashing or repr.
+option fingerprint, the signing digest `crypto.verify_signature` checks and
+its verdict per key) are computed once and kept in the packet's `__dict__`,
+outside its fields, so they take no part in equality, hashing or repr.
 
 The wire encoding is deliberately simple (32-bit big-endian counts and
 lengths throughout) so that signatures and content hashes are bit-exact

@@ -10,6 +10,7 @@ the packet, and tests substitute one that records it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from collections import Counter
@@ -22,6 +23,7 @@ from .packets import (
     WARNING_PREFIX,
     AnswerOrigin,
     DataPacket,
+    Exclude,
     ExplicitExclude,
     Interest,
     Name,
@@ -271,42 +273,49 @@ class ContentStore:
 def option_fingerprint(interest: Interest) -> bytes:
     """Digest of (exclude, publisher key digest, answer origin); interests
     that differ in these may need different answers and must not collapse.
-    Interests are immutable, so the digest is computed once and kept on the
-    interest. An interest with neither a key digest nor an exclude has
-    one of a few fingerprints, computed once."""
+    Interests are immutable, so the digest is kept on the interest; equal
+    options share one digest through `_option_digest`'s cache. An interest
+    with neither a key digest nor an exclude takes one of two constants."""
     if interest.publisher_key_digest is None and interest.exclude is None:
-        return _PLAIN_FINGERPRINTS[interest.answer_origin]
+        if interest.answer_origin is AnswerOrigin.ANY:
+            return _PLAIN_ANY_FINGERPRINT
+        return _PLAIN_PRODUCER_FINGERPRINT
     digest = interest.__dict__.get("_option_fingerprint")
     if digest is None:
-        digest = _option_digest(interest)
+        digest = _option_digest(
+            interest.answer_origin, interest.publisher_key_digest, interest.exclude
+        )
         object.__setattr__(interest, "_option_fingerprint", digest)
     return digest
 
 
-def _option_digest(interest: Interest) -> bytes:
+# Bounded: a flood may send a fresh key digest with every interest.
+@functools.lru_cache(maxsize=1024)
+def _option_digest(
+    answer_origin: AnswerOrigin, publisher_key_digest: Optional[bytes], exclude: Optional[Exclude]
+) -> bytes:
     out = bytearray()
-    out.append(interest.answer_origin.value)
-    if interest.publisher_key_digest is not None:
-        out += b"\x01" + interest.publisher_key_digest
+    out.append(answer_origin.value)
+    if publisher_key_digest is not None:
+        out += b"\x01" + publisher_key_digest
     else:
         out += b"\x00"
-    if interest.exclude is None:
+    if exclude is None:
         out += b"\x00"
-    elif isinstance(interest.exclude, ExplicitExclude):
+    elif isinstance(exclude, ExplicitExclude):
         out += b"\x01"
-        for comp in sorted(interest.exclude.components):
+        for comp in sorted(exclude.components):
             out += len(comp).to_bytes(4, "big") + comp
     else:
-        out += b"\x02" + interest.exclude.bits
+        out += b"\x02" + exclude.bits
     return hashlib.sha256(bytes(out)).digest()
 
 
-_PLAIN_FINGERPRINTS = {
-    origin: _option_digest(Interest(Name(), 0, answer_origin=origin)) for origin in AnswerOrigin
-}
+_PLAIN_ANY_FINGERPRINT = _option_digest(AnswerOrigin.ANY, None, None)
+_PLAIN_PRODUCER_FINGERPRINT = _option_digest(AnswerOrigin.PRODUCER_ONLY, None, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class PitEntry:
     key: tuple  # (name components, option fingerprint)
     interest: Interest  # representative; collapsed interests share options
@@ -316,7 +325,8 @@ class PitEntry:
     expiry: int
     fib_prefix: Optional[Name]
     attack: bool  # change only through Pit.mark_attack once inserted
-    namespace: Optional[Name] = None  # longest watched prefix, set by the flooding defense
+    # Components of the longest watched prefix, set by the flooding defense.
+    namespace: Optional[tuple[bytes, ...]] = None
 
     @property
     def name(self) -> Name:

@@ -193,9 +193,10 @@ def _flip(data: bytes, at: int) -> bytes:
 def test_cached_verify_agrees_with_cold_verify(
     key, other_key, comps, payload, tamper, verifier, at
 ):
-    """`verify_signature` (kept key and digest) gives the verdict of
-    `verify_bytes` (key decoded and image hashed on every call), also when
-    asked twice about a malformed or non-RSA key."""
+    """`verify_signature` (kept key, digest and verdicts) gives the verdict
+    of `verify_bytes` (key decoded and image hashed on every call), also
+    when asked twice about a malformed or non-RSA key, and when one packet
+    is asked about several keys in turn."""
     pkt = sign_packet(Name(tuple(comps)), payload, key)
     name, signature = pkt.name, pkt.signature
     if tamper == "signature":
@@ -220,13 +221,37 @@ def test_cached_verify_agrees_with_cold_verify(
     assert cold == (tamper == "none" and verifier == "own")
     assert verify_signature(pkt, der) == cold
     assert verify_signature(pkt, der) == cold
+    for asked in (key.public_der, other_key.public_der, b"not a der key", key.public_der, der):
+        assert verify_signature(pkt, asked) == verify_bytes(
+            asked, pkt.signature, signing_image(pkt)
+        )
 
 
-def test_signer_and_verifier_memos_leave_packet_value_alone(key):
+def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):
+    """Asking a packet again about a key it was checked against reuses the
+    verdict; a new key or a new packet runs the check."""
+    calls = []
+    check = crypto._rsa_verify
+
+    def counted(pkt, der):
+        calls.append((id(pkt), der))
+        return check(pkt, der)
+
+    monkeypatch.setattr(crypto, "_rsa_verify", counted)
+    first = sign_packet(parse_name("/v/1"), b"one", key)
+    second = sign_packet(parse_name("/v/2"), b"two", key)
+    asked = (key.public_der, other_key.public_der, b"not a der key")
+    for _ in range(3):
+        for pkt in (first, second):
+            assert [verify_signature(pkt, der) for der in asked] == [True, False, False]
+    assert sorted(calls) == sorted((id(pkt), der) for pkt in (first, second) for der in asked)
+
+
+def test_signer_and_verifier_memos_leave_packet_value_alone(key, other_key):
     """The content hash `sign_packet` and `forge_packet` leave on their
     packets and the signing digest `verify_signature` keeps are the values
-    an equal packet built from scratch yields, and neither changes the
-    packet's value."""
+    an equal packet built from scratch yields, and neither they nor the
+    verdicts kept for two keys change the packet's value."""
     signed = sign_packet(parse_name("/m/1"), b"payload", key)
     forged = forge_packet(parse_name("/m/2"), b"payload", b"\x5a" * 128, key.public_der, key.digest)
 
@@ -241,6 +266,7 @@ def test_signer_and_verifier_memos_leave_packet_value_alone(key):
         assert pkt.__dict__["_content_hash"] == compute_content_hash(fresh)
         assert compute_content_hash(fresh) == component_digest(fresh.name.last)
         assert verify_signature(pkt, key.public_der) is valid
+        assert verify_signature(pkt, other_key.public_der) is False
         assert pkt.__dict__["_signing_digest"] == hashlib.sha256(signing_image(fresh)).digest()
         assert pkt == untouched and hash(pkt) == hash(untouched)
         assert repr(pkt) == repr(untouched)

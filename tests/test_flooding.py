@@ -89,7 +89,7 @@ def test_ingress_limit():
 
 def test_namespace_quota_rejects_when_full():
     router, defense = make_defended_router(quotas={"/victim": 5})
-    defense.ns_pending[n("/victim")] = 5
+    defense.ns_pending[n("/victim").components] = 5
     _, reason = defense.admit(0, interest("/victim/a", 1), [3], now=0)
     assert reason == "namespace-quota"
     # Non-matching prefixes are untouched (push-back locality).
@@ -100,7 +100,7 @@ def test_namespace_quota_rejects_when_full():
 @pytest.mark.parametrize("outcome", ["satisfied", "expired"])
 def test_same_iface_collapse_counts_one_pending_interest(outcome):
     router, defense = make_defended_router(quotas={"/victim": 100})
-    ns = n("/victim")
+    ns = n("/victim").components
     router.on_interest(0, interest("/victim/x", 1), now=0)
     router.on_interest(0, interest("/victim/x", 2), now=MS)  # collapses on the same iface
     assert router.stats["interests_collapsed"] == 1
@@ -124,7 +124,7 @@ def _resolve_synthetic(defense, router, ns, iface, satisfied, expired, now):
 
 def test_throttle_tracks_satisfaction_ratio():
     router, defense = make_defended_router(quotas={"/victim": 1000})
-    ns = n("/victim")
+    ns = n("/victim").components
     # Attacker ingress: 95% expiry. Honest ingress: 2% expiry.
     _resolve_synthetic(defense, router, ns, 0, satisfied=5, expired=95, now=S)
     _resolve_synthetic(defense, router, ns, 1, satisfied=98, expired=2, now=S)
@@ -136,14 +136,14 @@ def test_throttle_tracks_satisfaction_ratio():
 
 def test_throttle_anomalous_band_proportional():
     router, defense = make_defended_router(quotas={"/victim": 1000})
-    ns = n("/victim")
+    ns = n("/victim").components
     _resolve_synthetic(defense, router, ns, 0, satisfied=30, expired=70, now=S)
     assert defense.throttle_fraction(ns, 0, S) == pytest.approx(0.30)
 
 
 def test_throttle_clamp_floor_under_all_expiry():
     router, defense = make_defended_router(quotas={"/victim": 1000})
-    ns = n("/victim")
+    ns = n("/victim").components
     _resolve_synthetic(defense, router, ns, 0, satisfied=0, expired=500, now=S)
     assert defense.throttle_fraction(ns, 0, S) == 0.05
     # The floor keeps a trickle of admissions alive on that ingress.
@@ -157,12 +157,12 @@ def test_throttle_clamp_floor_under_all_expiry():
 
 def test_throttle_one_for_quiet_window():
     router, defense = make_defended_router(quotas={"/victim": 1000})
-    assert defense.throttle_fraction(n("/victim"), 0, S) == 1.0
+    assert defense.throttle_fraction(n("/victim").components, 0, S) == 1.0
 
 
 def test_window_slides():
     router, defense = make_defended_router(quotas={"/victim": 100}, window_ms=10_000)
-    ns = n("/victim")
+    ns = n("/victim").components
     _resolve_synthetic(defense, router, ns, 0, satisfied=0, expired=50, now=S)
     assert defense.throttle_fraction(ns, 0, S) == 0.05
     assert defense.throttle_fraction(ns, 0, 12 * S) == 1.0  # events aged out
@@ -174,20 +174,37 @@ def test_window_slides():
 
 
 def _trip_quota(defense, router, ns, iface, now):
-    defense.ns_pending[ns] = defense.config.namespace_quotas[ns]
+    defense.ns_pending[ns.components] = defense.config.namespace_quotas[ns]
     defense.admit(iface, Interest(ns.child(b"x"), 999), [3], now=now)
 
 
 def test_pushback_emitted_once_per_cooldown():
     router, defense = make_defended_router(quotas={"/victim": 10})
     ns = n("/victim")
-    _resolve_synthetic(defense, router, ns, 0, satisfied=0, expired=50, now=S)
+    _resolve_synthetic(defense, router, ns.components, 0, satisfied=0, expired=50, now=S)
     _trip_quota(defense, router, ns, 0, now=S)
     first = defense.on_expiry_feedback([], now=S)
     assert len(first) == 1 and first[0][0] == 0
     # Within the cooldown nothing more is emitted toward that ingress.
     _trip_quota(defense, router, ns, 0, now=S + 100 * MS)
     assert defense.on_expiry_feedback([], now=S + 100 * MS) == []
+
+
+def test_pushback_goes_out_in_textual_name_order():
+    """Namespaces that tripped their quota are advised in the order of
+    their textual names. '/a%2F' (one component, b"a/") sorts before
+    '/a/b' as text, but after it by components."""
+    slash, nested = n("/a%2F"), n("/a/b")
+    assert str(slash) < str(nested) and nested.components < slash.components
+    router, defense = make_defended_router(quotas={"/a/b": 10, "/a%2F": 10})
+    for ns in (nested, slash):  # tripped in byte order
+        _resolve_synthetic(defense, router, ns.components, 0, satisfied=0, expired=50, now=S)
+        _trip_quota(defense, router, ns, 0, now=S)
+    out = defense.on_expiry_feedback([], now=S)
+    assert [(iface, defense.parse_pushback(msg)[0]) for iface, msg in out] == [
+        (0, slash),
+        (0, nested),
+    ]
 
 
 def test_pushback_round_trip_and_rate_install():
@@ -201,7 +218,7 @@ def test_pushback_round_trip_and_rate_install():
     # Receiving router: offender on ingress 1 gets capped and the advice
     # propagates toward it with TTL-1.
     router2, defense2 = make_defended_router(quotas={"/victim": 10})
-    _resolve_synthetic(defense2, router2, ns, 1, satisfied=0, expired=80, now=S)
+    _resolve_synthetic(defense2, router2, ns.components, 1, satisfied=0, expired=80, now=S)
     # The arriving interface shares the emitter's link key in these fixtures
     # because helpers derive keys from the interface number.
     out = defense2.handle_pushback(0, msg, now=S)
@@ -215,7 +232,7 @@ def test_pushback_ttl_exhausted_stops():
     ns = n("/victim")
     msg = defense.build_pushback(ns, rate_per_s=5.0, ttl=1, iface=0)
     router2, defense2 = make_defended_router(quotas={"/victim": 10})
-    _resolve_synthetic(defense2, router2, ns, 1, satisfied=0, expired=80, now=S)
+    _resolve_synthetic(defense2, router2, ns.components, 1, satisfied=0, expired=80, now=S)
     out = defense2.handle_pushback(0, msg, now=S)
     assert out == []  # cap still installs, but no further propagation
     assert (ns, 1) in defense2.rate_caps()
@@ -229,7 +246,7 @@ def test_forged_pushback_ignored():
         Name(msg.name.components[:-1] + (b"\x00" * 32,)), msg.nonce, scope=2, lifetime_ms=1000
     )
     router2, defense2 = make_defended_router(quotas={"/victim": 10})
-    _resolve_synthetic(defense2, router2, ns, 1, satisfied=0, expired=80, now=S)
+    _resolve_synthetic(defense2, router2, ns.components, 1, satisfied=0, expired=80, now=S)
     assert defense2.handle_pushback(0, forged, now=S) == []
     assert defense2.rate_caps() == {}
     assert router2.stats["pushback_bad_mac"] == 1
@@ -240,7 +257,7 @@ def test_rate_cap_enforced_per_ingress():
     ns = n("/victim")
     from ndnshield.flooding import TokenBucket
 
-    defense._caps[(ns, 0)] = TokenBucket(2.0, 2.0, now=0)
+    defense._caps[(ns.components, 0)] = TokenBucket(2.0, 2.0, now=0)
     results = [
         defense.admit(0, interest("/victim/a", k), [3], now=k * 10)[1] for k in range(10)
     ]
@@ -251,14 +268,14 @@ def test_rate_cap_enforced_per_ingress():
 
 def test_sole_contributor_is_offender():
     router, defense = make_defended_router(quotas={"/victim": 10})
-    ns = n("/victim")
+    ns = n("/victim").components
     _resolve_synthetic(defense, router, ns, 2, satisfied=0, expired=30, now=S)
     assert defense._offending_ingresses(ns, S) == [2]
 
 
 def test_offender_rule_spares_honest_peer():
     router, defense = make_defended_router(quotas={"/victim": 10})
-    ns = n("/victim")
+    ns = n("/victim").components
     _resolve_synthetic(defense, router, ns, 0, satisfied=0, expired=500, now=S)
     _resolve_synthetic(defense, router, ns, 1, satisfied=95, expired=5, now=S)
     assert defense._offending_ingresses(ns, S) == [0]

@@ -46,6 +46,11 @@ verifier residue):
 
 The cross-process test runs the CLI under two hash seeds and compares the
 bytes, so no output depends on set or dict iteration over hashed keys.
+
+Two invariants are checked while the documents run: after every PIT sweep
+the flooding defense's pending counts equal what the live PIT entries
+imply, and at every metrics tick each stat and gauge a node reports has a
+CSV column or is one of the few known to have none yet.
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ndnshield.experiment import run_experiment
-from ndnshield.metrics import load_csv
+from ndnshield.experiment import run_experiment, run_simulation
+from ndnshield.metrics import COLUMNS, MetricsCollector, load_csv
+from ndnshield.router import Router
 from ndnshield.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -465,3 +472,66 @@ def test_cli_bytes_independent_of_hash_seed(tmp_path):
         digests.append(output_digests(out))
     assert digests[0] == digests[1]
     assert len(digests[0]) == 3  # both arms' CSVs and the summary
+
+
+def _run_every_arm(doc: dict) -> None:
+    scenario = load_scenario(doc)
+    for arm in scenario.arm_names() or [None]:
+        run_simulation(scenario, scenario.seed, arm)
+
+
+def _nonzero(counts) -> dict:
+    return {key: count for key, count in counts.items() if count}
+
+
+@pytest.mark.parametrize("key", ["chain_flood", "pushback"])
+def test_defense_counts_match_the_live_pit(key, monkeypatch):
+    """After every sweep, each pending count the flooding defense keeps is
+    the count its router's live PIT entries give."""
+    sweep = Router.pit_sweep
+    checked = []
+
+    def checked_sweep(router, now):
+        sweep(router, now)
+        defense = router.flooding
+        if defense is None:
+            return
+        out, inn, ns, ns_in = Counter(), Counter(), Counter(), Counter()
+        for entry in router.pit.entries():
+            out.update(entry.outgoing.keys())
+            inn.update(entry.incoming.keys())
+            if entry.namespace is not None:
+                ns[entry.namespace] += 1
+                ns_in.update((entry.namespace, iface) for iface in entry.incoming)
+        assert _nonzero(defense.pending_out) == out, (router.id, now)
+        assert _nonzero(defense.pending_in) == inn, (router.id, now)
+        assert _nonzero(defense.ns_pending) == ns, (router.id, now)
+        assert _nonzero(defense.ns_pending_in) == ns_in, (router.id, now)
+        checked.append(len(router.pit))
+
+    monkeypatch.setattr(Router, "pit_sweep", checked_sweep)
+    _run_every_arm(DOCS[key]())
+    assert any(checked)  # some sweep compared a non-empty PIT
+
+
+# Stats and gauges that nodes report but no CSV column carries yet.
+UNCOLUMNED = {"session_done", "verify_busy_us", "producer_queue_us", "pending_requests",
+              "fragments_ok"}
+
+
+@pytest.mark.parametrize("key", sorted(DOCS))
+def test_every_reported_stat_has_a_column(key, monkeypatch):
+    """At every metrics tick, each key in a node's stats or gauges is a CSV
+    column or one of the known uncolumned keys: no new stat is dropped
+    from the CSV without notice."""
+    sample = MetricsCollector.sample
+    reported = set()
+
+    def checked_sample(collector, now_us):
+        for node in collector.net.nodes.values():
+            reported.update(node.stats, node.gauges())
+        sample(collector, now_us)
+
+    monkeypatch.setattr(MetricsCollector, "sample", checked_sample)
+    _run_every_arm(DOCS[key]())
+    assert reported - set(COLUMNS) <= UNCOLUMNED

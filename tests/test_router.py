@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_key, make_packet, make_router, n
-from ndnshield.packets import AnswerOrigin, Interest, Name
+from ndnshield.packets import AnswerOrigin, BloomExclude, ExplicitExclude, Interest, Name
 from ndnshield.router import (
     ContentStore,
     Fib,
@@ -162,8 +163,67 @@ def test_plain_option_fingerprint_is_the_digest(origin):
     """An interest with no key digest and no exclude takes a precomputed
     fingerprint; it must be the digest of its option bytes."""
     plain = interest("/a/b", answer_origin=origin)
-    assert option_fingerprint(plain) == _option_digest(plain)
+    assert option_fingerprint(plain) == _option_digest(
+        plain.answer_origin, plain.publisher_key_digest, plain.exclude
+    )
     assert option_fingerprint(plain) == hashlib.sha256(bytes([origin.value, 0, 0])).digest()
+
+
+def _option_bytes_digest(interest: Interest) -> bytes:
+    """SHA-256 of an interest's option bytes: answer origin, then a tagged
+    key digest, then a tagged exclude (sorted length-prefixed components,
+    or the Bloom filter's bits)."""
+    out = bytes([interest.answer_origin.value])
+    key_digest, exclude = interest.publisher_key_digest, interest.exclude
+    out += b"\x00" if key_digest is None else b"\x01" + key_digest
+    if exclude is None:
+        out += b"\x00"
+    elif isinstance(exclude, ExplicitExclude):
+        out += b"\x01" + b"".join(
+            len(comp).to_bytes(4, "big") + comp for comp in sorted(exclude.components)
+        )
+    else:
+        out += b"\x02" + exclude.bits
+    return hashlib.sha256(out).digest()
+
+
+_components = st.lists(st.binary(min_size=1, max_size=8), min_size=0, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=_components,
+    second=_components,
+    origin=st.sampled_from(list(AnswerOrigin)),
+    key_digest=st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
+    exclude=st.one_of(
+        st.none(),
+        st.frozensets(st.binary(min_size=1, max_size=8), max_size=4).map(ExplicitExclude),
+        st.binary(min_size=32, max_size=32).map(BloomExclude),
+    ),
+)
+def test_option_fingerprint_is_the_digest_of_the_options(
+    first, second, origin, key_digest, exclude
+):
+    """Every fingerprint is the digest of its interest's option bytes, and
+    interests that differ only in name share it."""
+    options = dict(publisher_key_digest=key_digest, exclude=exclude, answer_origin=origin)
+    a = Interest(Name(tuple(first)), 1, **options)
+    b = Interest(Name(tuple(second)), 2, **options)
+    assert option_fingerprint(a) == _option_bytes_digest(a)
+    assert option_fingerprint(a) == option_fingerprint(b) == option_fingerprint(a)
+
+
+def test_option_digest_cache_stays_bounded():
+    """A flood with a fresh key digest on every interest leaves the
+    option-digest cache at its bound."""
+    rng = random.Random(5)
+    for nonce in range(5000):
+        flood = interest("/victim/x", nonce=nonce, publisher_key_digest=rng.randbytes(32))
+        assert option_fingerprint(flood) == _option_bytes_digest(flood)
+    info = _option_digest.cache_info()
+    assert info.maxsize is not None and info.maxsize < 5000
+    assert info.currsize <= info.maxsize
 
 
 def test_incoming_outgoing_disjoint_at_forward():
