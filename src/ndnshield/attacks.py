@@ -153,13 +153,14 @@ class Zombie(NodeBase):
     def _schedule_flood(self, spec: AttackSpec) -> None:
         period = 1e6 / spec.rate_per_s
         phase = self.rng.uniform(0, period)
+        # Resolved once per spec: a zombie's links are fixed before it starts.
+        rng, node_id, lifetime_ms, stats = self.rng, self.id, self.default_lifetime_ms, self.stats
+        send_from, iface = self.net.send_from, self.default_iface()
 
         def send(seq: int) -> None:
-            interest = gen_flood_interest(
-                spec, self.rng, seq, zombie_id=self.id, lifetime_ms=self.default_lifetime_ms
-            )
-            self.stats["interests_sent"] += 1
-            self.net.send_from(self.id, self.default_iface(), interest)
+            interest = gen_flood_interest(spec, rng, seq, zombie_id=node_id, lifetime_ms=lifetime_ms)
+            stats["interests_sent"] += 1
+            send_from(node_id, iface, interest)
 
         self.net.periodic(spec.start_ms * MS + phase, period, spec.stop_ms * MS, send)
 

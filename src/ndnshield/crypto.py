@@ -269,6 +269,14 @@ def _public_key(der: bytes) -> rsa.RSAPublicKey | None:
     return key if isinstance(key, rsa.RSAPublicKey) else None
 
 
+@functools.lru_cache(maxsize=256)
+def public_key_digest(der: bytes) -> bytes:
+    """SHA-256 of a public key's DER, the digest packets name their
+    publisher by; kept per DER, as `_public_key` keeps parsed keys, since
+    a consumer checks it on every verify."""
+    return sha256(der)
+
+
 def _signing_digest(pkt: DataPacket) -> bytes:
     """SHA-256 of `signing_image(pkt)`, computed once and kept on the packet."""
     digest = pkt.__dict__.get("_signing_digest")
@@ -308,7 +316,7 @@ def packet_is_self_consistent(pkt: DataPacket) -> bool:
     """For an embedded key: the advertised producer digest must be the
     digest of the embedded key. Honest producers always satisfy this."""
     if isinstance(pkt.key_locator, EmbeddedKey):
-        return sha256(pkt.key_locator.key_der) == pkt.publisher_key_digest
+        return public_key_digest(pkt.key_locator.key_der) == pkt.publisher_key_digest
     return True
 
 
@@ -321,6 +329,7 @@ __all__ = [
     "link_mac",
     "ls32",
     "packet_is_self_consistent",
+    "public_key_digest",
     "sha256",
     "sign_packet",
     "signing_image",

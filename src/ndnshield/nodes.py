@@ -23,6 +23,7 @@ from .crypto import (
     KeyPair,
     compute_content_hash,
     forge_packet,
+    public_key_digest,
     sha256,
     sign_packet,
     verify_signature,
@@ -408,7 +409,7 @@ class ConsumerBase(NodeBase):
     # -- verification -------------------------------------------------------
 
     def classify(self, pkt: DataPacket, key_der: bytes) -> str:
-        if sha256(key_der) != pkt.publisher_key_digest:
+        if public_key_digest(key_der) != pkt.publisher_key_digest:
             return CORRUPTED  # identity claim inconsistent with the key
         if not verify_signature(pkt, key_der):
             return CORRUPTED

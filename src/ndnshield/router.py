@@ -72,10 +72,12 @@ class FibEntry:
 class Fib:
     def __init__(self):
         self._entries: dict[tuple[bytes, ...], FibEntry] = {}  # by prefix components
+        self._longest = 0  # component count of the longest installed prefix
 
     def add(self, prefix: Name, interfaces: list[int]) -> FibEntry:
         entry = FibEntry(prefix, list(interfaces))
         self._entries[prefix.components] = entry
+        self._longest = max(self._longest, len(prefix.components))
         return entry
 
     def get(self, prefix: Name) -> Optional[FibEntry]:
@@ -85,9 +87,15 @@ class Fib:
         return list(self._entries.values())
 
     def longest_prefix_match(self, name: Name) -> Optional[FibEntry]:
+        """The entry of the longest installed prefix of `name`; the search
+        starts at the longest prefix length installed, as no entry is
+        longer."""
         comps = name.components
         entries = self._entries
-        for i in range(len(comps), -1, -1):
+        start = len(comps)
+        if start > self._longest:
+            start = self._longest
+        for i in range(start, -1, -1):
             entry = entries.get(comps[:i])
             if entry is not None:
                 return entry
@@ -98,7 +106,10 @@ def strategy_choose(entry: FibEntry, arrival: Optional[int] = None) -> list[int]
     """Rank interfaces other than the arrival interface by smoothed
     satisfaction ratio; probe a second path when even the best choice is
     failing more often than not."""
-    usable = [i for i in entry.interfaces if i != arrival]
+    interfaces = entry.interfaces
+    if len(interfaces) == 1:
+        return [] if interfaces[0] == arrival else [interfaces[0]]
+    usable = [i for i in interfaces if i != arrival]
     if len(usable) <= 1:
         return usable  # nothing to rank, and no second path to probe
     ranked = sorted(
@@ -378,16 +389,19 @@ class Pit:
                 self._attack += 1
 
     def insert(self, entry: PitEntry) -> None:
-        if entry.key in self._entries:
-            raise KeyError(f"PIT already holds an entry for {entry.key!r}")
-        self._entries[entry.key] = entry
-        self._by_name.setdefault(entry.key[0], {})[entry.key] = entry
+        key = entry.key
+        entries = self._entries
+        if entries.setdefault(key, entry) is not entry:
+            raise KeyError(f"PIT already holds an entry for {key!r}")
+        self._by_name.setdefault(key[0], {})[key] = entry
         if entry.attack:
             self._attack += 1
-        self._seq += 1
-        self._live_seq[id(entry)] = self._seq
-        heapq.heappush(self._heap, (entry.expiry, self._seq, entry))
-        self._bound_heap()
+        self._seq = seq = self._seq + 1
+        self._live_seq[id(entry)] = seq
+        heap = self._heap
+        heapq.heappush(heap, (entry.expiry, seq, entry))
+        if len(heap) > 2 * len(entries):
+            self._bound_heap()
 
     def remove(self, entry: PitEntry) -> None:
         if id(entry) not in self._live_seq:
@@ -524,37 +538,40 @@ class Router:
     # -- interest pipeline ----------------------------------------------------
 
     def on_interest(self, iface: int, interest: Interest, now: int) -> None:
-        self.stats["interests_received"] += 1
+        stats = self.stats
+        stats["interests_received"] += 1
         if is_control_name(interest.name):
             self._on_control_interest(iface, interest, now)
             return
+        from_cache = interest.answer_origin is AnswerOrigin.ANY
         if interest.scope is not None and interest.scope <= 2:
             # Reached us over a link: may be answered locally, never forwarded.
-            if interest.answer_origin is AnswerOrigin.ANY:
+            if from_cache:
                 hit = self.cs.lookup(interest, now, self._match_full)
                 if hit is not None:
                     self._serve_from_cache(iface, hit)
                     return
-            self.stats["drop_scope"] += 1
+            stats["drop_scope"] += 1
             return
 
+        pit = self.pit
         key = (interest.name.components, option_fingerprint(interest))
-        entry = self.pit.get(key)
-        if entry is not None and entry.expiry <= now:
-            self.pit.remove(entry)
-            self._expire_entry(entry, now)
-            entry = None
+        entry = pit.get(key)
+        if entry is not None:
+            if entry.expiry <= now:
+                pit.remove(entry)
+                self._expire_entry(entry, now)
+                entry = None
+            elif interest.nonce in entry.nonces:
+                stats["drop_duplicate_nonce"] += 1
+                return
 
-        if entry is not None and interest.nonce in entry.nonces:
-            self.stats["drop_duplicate_nonce"] += 1
-            return
-
-        if interest.answer_origin is AnswerOrigin.ANY:
+        if from_cache:
             hit = self.cs.lookup(interest, now, self._match_full)
             if hit is not None:
                 self._serve_from_cache(iface, hit)
                 return
-        self.stats["cs_misses"] += 1
+        stats["cs_misses"] += 1
 
         if entry is not None:
             # Collapse: remember the interface, nothing new goes upstream.
@@ -566,50 +583,55 @@ class Router:
                     self.flooding.note_collapsed(entry, iface, now)
             entry.nonces.add(interest.nonce)
             if interest.attack:
-                self.pit.mark_attack(entry)
-            self.stats["interests_collapsed"] += 1
+                pit.mark_attack(entry)
+            stats["interests_collapsed"] += 1
             return
 
         fib_entry = self.fib.longest_prefix_match(interest.name)
         if fib_entry is None:
-            self.stats["drop_no_route"] += 1
+            stats["drop_no_route"] += 1
             return
 
         upstreams = strategy_choose(fib_entry, iface)
         if not upstreams:
-            self.stats["drop_no_route"] += 1
+            stats["drop_no_route"] += 1
             return
 
-        if self.flooding is not None:
-            upstreams, reason = self.flooding.admit(iface, interest, upstreams, now)
+        flooding = self.flooding
+        if flooding is not None:
+            upstreams, reason = flooding.admit(iface, interest, upstreams, now)
             if reason is not None:
-                self.stats[f"rej_{reason}"] += 1
+                stats[f"rej_{reason}"] += 1
                 return
 
-        if self.config.pit_capacity and len(self.pit) >= self.config.pit_capacity:
-            self.stats["drop_pit_full"] += 1
+        capacity = self.config.pit_capacity
+        if capacity and len(pit) >= capacity:
+            stats["drop_pit_full"] += 1
             return
 
+        attack = interest.attack
         entry = PitEntry(
-            key=key,
-            interest=interest,
-            nonces={interest.nonce},
-            incoming={iface: now},
-            outgoing={u: now for u in upstreams},
-            expiry=now + interest.lifetime_ms * 1000,
-            fib_prefix=fib_entry.prefix,
-            attack=interest.attack,
+            key,
+            interest,
+            {interest.nonce},
+            {iface: now},
+            dict.fromkeys(upstreams, now),
+            now + interest.lifetime_ms * 1000,
+            fib_entry.prefix,
+            attack,
         )
-        self.pit.insert(entry)
+        pit.insert(entry)
+        fib_stats = fib_entry.stats
         for u in upstreams:
-            fib_entry.stats[u].forwarded += 1
-        if self.flooding is not None:
-            self.flooding.note_forwarded(entry, now)
-        self.stats["interests_forwarded"] += len(upstreams)
-        if interest.attack:
-            self.stats["interests_admitted_attack"] += 1
+            fib_stats[u].forwarded += 1
+        if flooding is not None:
+            flooding.note_forwarded(entry, now)
+        stats["interests_forwarded"] += len(upstreams)
+        if attack:
+            stats["interests_admitted_attack"] += 1
+        emit = self.emit
         for u in upstreams:
-            self.emit(u, interest)
+            emit(u, interest)
 
     def _serve_from_cache(self, iface: int, hit: CsEntry) -> None:
         self.stats["cs_hits"] += 1

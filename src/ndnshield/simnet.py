@@ -22,6 +22,13 @@ here to it). `send_from` only reserves the link and schedules the
 delivery; it never calls a handler, so a node may send at the point it
 decides to without another node's handler running in between. A
 delivery calls the receiving node's handler and nothing else.
+
+Dispatch on the packet kind happens once per send: `send_from` tests
+whether the packet is an interest and queues the matching delivery
+function (`_deliver_interest`, which also counts the interest into the
+flow-balance audit, or `_deliver_data`), so a delivery does not test the
+kind again. Every send still goes through `at`, the one entry point of
+every event.
 """
 
 from __future__ import annotations
@@ -59,19 +66,23 @@ class Link:
         self._busy: dict[str, int] = {}  # per-sender for p2p
         self._busy_shared = 0  # whole medium for broadcast
 
-    def reserve(self, sender: str, ser_us: int, now: int) -> tuple[int, int]:
-        """Returns (transmission start, arrival time at receivers)."""
-        if self.spec.broadcast:
+    def reserve(self, sender: str, ser_us: int, now: int) -> int:
+        """Reserve the medium for one frame; returns its arrival time at
+        the receivers."""
+        spec = self.spec
+        if spec.broadcast:
             # The medium is held through propagation so a deferred sender
             # only starts after everyone has heard the previous frame.
             start = max(now, self._busy_shared)
-            arrival = start + ser_us + self.spec.delay_us
-            self._busy_shared = arrival
+            arrival = self._busy_shared = start + ser_us + spec.delay_us
         else:
-            start = max(now, self._busy.get(sender, 0))
-            self._busy[sender] = start + ser_us
-            arrival = start + ser_us + self.spec.delay_us
-        return start, arrival
+            busy = self._busy
+            start = busy.get(sender, now)
+            if start < now:
+                start = now
+            busy[sender] = start + ser_us
+            arrival = start + ser_us + spec.delay_us
+        return arrival
 
 
 class Network:
@@ -86,7 +97,8 @@ class Network:
         self.nodes: dict[str, object] = {}
         self.links: list[Link] = []
         # (node, iface) -> (link, receivers): every other endpoint of the
-        # link in sorted order, as (node id, node, its own iface on the link).
+        # link in sorted order, as (node id, node, its own iface on the link,
+        # whether it takes data through `on_broadcast_packet`).
         self._ports: dict[tuple[str, int], tuple[Link, tuple]] = {}
         self._iface_to: dict[tuple[str, str], int] = {}  # (node, peer) -> lowest iface
         self._iface_count: dict[str, int] = {}
@@ -121,10 +133,13 @@ class Network:
             for peer in spec.endpoints:
                 self._iface_to.setdefault((endpoint, peer), iface)
             node.attach_iface(IfaceInfo(iface, spec.bandwidth_bps, link.key))
+        receivers_of = [
+            (r, self.nodes[r], own_iface[r],
+             spec.broadcast and hasattr(self.nodes[r], "on_broadcast_packet"))
+            for r in sorted(spec.endpoints)
+        ]
         for sender, iface in zip(spec.endpoints, ifaces):
-            receivers = tuple(
-                (r, self.nodes[r], own_iface[r]) for r in sorted(spec.endpoints) if r != sender
-            )
+            receivers = tuple(receiver for receiver in receivers_of if receiver[0] != sender)
             self._ports[(sender, iface)] = (link, receivers)
         return link
 
@@ -204,28 +219,32 @@ class Network:
         if port is None:
             raise KeyError(f"node {sender!r} has no interface {iface}")
         link, receivers = port
-        if isinstance(pkt, Interest) and pkt.scope is not None and pkt.scope <= 1:
-            raise ValueError("scope 0/1 interests never leave the originating host")
-        ser_us = int(math.ceil(wire_size(pkt) * 8 * 1e6 / link.spec.bandwidth_bps))
-        _, arrival = link.reserve(sender, ser_us, self.now)
-        if isinstance(pkt, DataPacket):
-            self.audit_data_out[(sender, iface)] += 1
-        self.at(arrival, partial(self._deliver, link, receivers, pkt))
-
-    def _deliver(self, link: Link, receivers: tuple, pkt) -> None:
-        now = self.now
         if isinstance(pkt, Interest):
-            audit = self.audit_interests_in
-            for receiver, node, iface in receivers:
-                audit[(receiver, iface)] += 1
-                node.on_packet(iface, pkt, now)
-            return
-        broadcast = link.spec.broadcast
-        for _, node, iface in receivers:
-            if broadcast and hasattr(node, "on_broadcast_packet"):
-                node.on_broadcast_packet(iface, pkt, now)
+            if pkt.scope is not None and pkt.scope <= 1:
+                raise ValueError("scope 0/1 interests never leave the originating host")
+            deliver = self._deliver_interest
+        else:
+            self.audit_data_out[(sender, iface)] += 1
+            deliver = self._deliver_data
+        ser_us = math.ceil(wire_size(pkt) * 8 * 1e6 / link.spec.bandwidth_bps)
+        self.at(link.reserve(sender, ser_us, self.now), partial(deliver, receivers, pkt))
+
+    def _deliver_interest(self, receivers: tuple, interest: Interest) -> None:
+        now = self.now
+        audit = self.audit_interests_in
+        for receiver, node, iface, _ in receivers:
+            audit[(receiver, iface)] += 1
+            node.on_packet(iface, interest, now)
+
+    def _deliver_data(self, receivers: tuple, data: DataPacket) -> None:
+        """Every receiver of a data frame; on a shared segment, through the
+        broadcast handler of those that have one."""
+        now = self.now
+        for _, node, iface, on_broadcast in receivers:
+            if on_broadcast:
+                node.on_broadcast_packet(iface, data, now)
             else:
-                node.on_packet(iface, pkt, now)
+                node.on_packet(iface, data, now)
 
     # -- main loop -------------------------------------------------------------------------
 

@@ -49,7 +49,8 @@ bytes, so no output depends on set or dict iteration over hashed keys.
 
 Two invariants are checked while the documents run: after every PIT sweep
 the flooding defense's pending counts equal what the live PIT entries
-imply, and at every metrics tick each stat and gauge a node reports has a
+imply (also over an unpinned document, shared_names, in which interests
+collapse on defended routers), and at every metrics tick each stat and gauge a node reports has a
 CSV column or is one of the few known to have none yet.
 """
 
@@ -66,6 +67,7 @@ from pathlib import Path
 import pytest
 
 from ndnshield.experiment import run_experiment, run_simulation
+from ndnshield.flooding import FloodingDefense
 from ndnshield.metrics import COLUMNS, MetricsCollector, load_csv
 from ndnshield.router import Router
 from ndnshield.scenario import load_scenario
@@ -484,12 +486,46 @@ def _nonzero(counts) -> dict:
     return {key: count for key, count in counts.items() if count}
 
 
-@pytest.mark.parametrize("key", ["chain_flood", "pushback"])
+def shared_names_doc() -> dict:
+    """Three honest consumers send the same names at the same instants
+    through two defended routers, so interests collapse into pending
+    entries, both under the watched /shop/gone (whose quota trips, and
+    whose names nobody serves, so those entries expire) and outside it.
+    Not pinned: it exists to drive the collapse path of the defense."""
+    names = [f"/shop/s{k % 4}" if k % 3 else f"/shop/gone/g{k}" for k in range(24)]
+    requests = {"names": names, "at_ms": [40 * k for k in range(24)], "retries": 1,
+                "lifetime_ms": 300}
+    return {
+        "name": "shared-names", "duration_ms": 1500, "seed": 5,
+        "defaults": {"cs_capacity": 2},
+        "nodes": [
+            {"id": "p", "role": "producer", "prefix": "/shop",
+             "static_names": [f"s{i}" for i in range(4)]},
+            {"id": "r1", "role": "router"},
+            {"id": "r2", "role": "router"},
+            *({"id": c, "role": "consumer", "requests": requests} for c in ("c1", "c2", "c3")),
+        ],
+        "links": [_link("r1", "p"), _link("r2", "r1"), _link("c1", "r2"), _link("c2", "r2"),
+                  _link("c3", "r1")],
+        "fib": {"r1": [{"prefix": "/shop", "next_hops": ["p"]}],
+                "r2": [{"prefix": "/shop", "next_hops": ["r1"]}]},
+        "flooding_defense": {"namespace_quotas": {"/shop/gone": 3}, "window_ms": 500},
+    }
+
+
+@pytest.mark.parametrize("key", ["chain_flood", "pushback", "shared_names"])
 def test_defense_counts_match_the_live_pit(key, monkeypatch):
     """After every sweep, each pending count the flooding defense keeps is
-    the count its router's live PIT entries give."""
+    the count its router's live PIT entries give. In `shared_names`,
+    interests collapse into entries of a watched namespace."""
     sweep = Router.pit_sweep
     checked = []
+    collapsed = Counter()
+    note_collapsed = FloodingDefense.note_collapsed
+
+    def counted_note_collapsed(defense, entry, iface, now):
+        collapsed[entry.namespace is not None] += 1
+        note_collapsed(defense, entry, iface, now)
 
     def checked_sweep(router, now):
         sweep(router, now)
@@ -510,8 +546,11 @@ def test_defense_counts_match_the_live_pit(key, monkeypatch):
         checked.append(len(router.pit))
 
     monkeypatch.setattr(Router, "pit_sweep", checked_sweep)
-    _run_every_arm(DOCS[key]())
+    monkeypatch.setattr(FloodingDefense, "note_collapsed", counted_note_collapsed)
+    _run_every_arm({**DOCS, "shared_names": shared_names_doc}[key]())
     assert any(checked)  # some sweep compared a non-empty PIT
+    if key == "shared_names":
+        assert collapsed[True] and collapsed[False]
 
 
 # Stats and gauges that nodes report but no CSV column carries yet.

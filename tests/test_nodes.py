@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from helpers import iface_info, make_key, make_packet, n
+from ndnshield import crypto
 from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
 from ndnshield.nodes import (
     CollectionConsumer,
@@ -243,6 +244,29 @@ def test_request_consumer_retries_then_fails_and_ignores_replaced_timer():
     assert consumer._pending[a] is not replaced
     net.run_until(3 * lifetime + MS)
     assert (consumer.stats["retries"], consumer.stats["requests_failed"]) == (2, 1)
+
+
+def test_classify_hashes_each_key_once(monkeypatch):
+    """A consumer compares a packet's publisher digest with the digest of
+    the key it verifies under; that digest is computed once per DER, not
+    once per verify."""
+    consumer, _ = make_request_consumer()
+    honest, other = make_key("honest"), make_key("adversary")
+    packets = [make_packet("/victim/p%d" % i, key=honest) for i in range(5)]
+    calls = []
+    real = crypto.sha256
+
+    def counting_sha256(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(crypto, "sha256", counting_sha256)
+    crypto.public_key_digest.cache_clear()
+    for pkt in packets * 2:
+        assert consumer.classify(pkt, honest.public_der) == "valid"
+    assert consumer.classify(packets[0], other.public_der) == "corrupted"
+    assert calls.count(honest.public_der) == 1
+    assert calls.count(other.public_der) == 1
 
 
 @pytest.mark.parametrize("first,second", [("/k/sub", "/k"), ("/k", "/k/sub")])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import struct
 from dataclasses import replace
 
@@ -505,3 +507,78 @@ def test_wire_size_memo_leaves_packet_value_alone():
     assert wire_size(measured) == wire_size(measured) == len(encode_interest(fresh))
     assert measured == fresh and hash(measured) == hash(fresh)
     assert repr(measured) == repr(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The hand-written Interest constructor
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"nonce": -1}, "nonce"),
+        ({"nonce": 2 ** 64}, "nonce"),
+        ({"scope": -1}, "scope"),
+        ({"scope": 256}, "scope"),
+        ({"publisher_key_digest": b"\x00" * 31}, "key digest"),
+        ({"publisher_key_digest": b"\x00" * 33}, "key digest"),
+    ],
+)
+def test_interest_constructor_rejects_bad_fields(kwargs, message):
+    fields = {"name": Name.parse("/a"), "nonce": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        Interest(**fields)
+
+
+def test_interest_constructor_accepts_the_bounds():
+    for nonce in (0, 2 ** 64 - 1):
+        assert Interest(Name.parse("/a"), nonce).nonce == nonce
+    for scope in (0, 255, None):
+        assert Interest(Name.parse("/a"), 1, scope=scope).scope == scope
+    assert Interest(Name.parse("/a"), 1, publisher_key_digest=b"\x00" * 32)
+
+
+def test_interest_init_parameters_are_the_fields():
+    """The constructor takes exactly the dataclass fields, in field order,
+    with the fields' defaults, so the two lists cannot drift apart."""
+    params = list(inspect.signature(Interest.__init__).parameters.values())[1:]
+    fields = dataclasses.fields(Interest)
+    assert [p.name for p in params] == [f.name for f in fields]
+    for p, f in zip(params, fields):
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert p.default == (inspect.Parameter.empty if f.default is dataclasses.MISSING
+                             else f.default)
+
+
+INTEREST_VALUES = st.builds(
+    Interest,
+    names,
+    st.integers(0, 2 ** 64 - 1),
+    st.none() | st.binary(min_size=32, max_size=32),
+    st.none() | st.builds(ExplicitExclude, st.frozensets(components, max_size=3)),
+    st.sampled_from(AnswerOrigin),
+    st.none() | st.integers(0, 255),
+    st.integers(1, 10_000),
+    st.booleans(),
+)
+
+
+@given(INTEREST_VALUES, st.booleans())
+@settings(max_examples=100)
+def test_interest_value_semantics_are_the_fields(interest, flip_attack):
+    """Equality, hashing and repr are those of the dataclass fields: every
+    field but `attack` takes part in equality and hashing, and all of them
+    are in the repr, in field order."""
+    fields = dataclasses.fields(Interest)
+    values = {f.name: getattr(interest, f.name) for f in fields}
+    assert list(vars(interest))[: len(fields)] == [f.name for f in fields]
+    compared = tuple(values[f.name] for f in fields if f.compare)
+    assert hash(interest) == hash(compared)
+    assert repr(interest) == "Interest(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()) + ")"
+    twin = Interest(**{**values, "attack": values["attack"] ^ flip_attack})
+    assert twin == interest and hash(twin) == hash(interest)
+    assert replace(interest, nonce=(interest.nonce + 1) % 2 ** 64) != interest
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        interest.nonce = 0

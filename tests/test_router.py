@@ -50,6 +50,31 @@ def test_lpm_no_match():
     assert fib.longest_prefix_match(n("/bbc")) is None
 
 
+def test_lpm_name_longer_than_every_prefix():
+    """The search starts at the longest installed prefix length, so a name
+    longer than every prefix still finds its longest one."""
+    fib = Fib()
+    fib.add(n("/a"), [0])
+    fib.add(n("/a/b"), [1])
+    assert fib.longest_prefix_match(n("/a/b/c/d/e/f")).prefix == n("/a/b")
+    assert fib.longest_prefix_match(n("/a/x/c/d/e/f")).prefix == n("/a")
+    assert fib.longest_prefix_match(n("/z/b/c/d/e/f")) is None
+
+
+def test_lpm_sees_a_longer_prefix_added_later():
+    fib = Fib()
+    fib.add(n("/a"), [0])
+    name = n("/a/b/c/d")
+    assert fib.longest_prefix_match(name).prefix == n("/a")
+    fib.add(n("/a/b/c"), [1])
+    assert fib.longest_prefix_match(name).prefix == n("/a/b/c")
+    fib.add(n("/a/b/c/d"), [2])
+    assert fib.longest_prefix_match(name).prefix == name
+    fib.add(n("/"), [3])  # a shorter prefix leaves the longest in place
+    assert fib.longest_prefix_match(name).prefix == name
+    assert fib.longest_prefix_match(n("/q")).prefix == n("/")
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from([b"a", b"b", b"c", b"d"]), min_size=0, max_size=4),
@@ -433,6 +458,27 @@ def test_strategy_rtt_tiebreak():
     assert strategy_choose(entry)[0] == 1
 
 
+@pytest.mark.parametrize("arrival", [None, 0, 3, 7])
+@pytest.mark.parametrize("stats", [None, (10, 9), (10, 1)])
+def test_strategy_single_interface_matches_the_ranking(arrival, stats):
+    """An entry with one interface gives what the general ranking gives
+    for one usable interface: that interface, or nothing when the interest
+    arrived on it. A two-interface entry whose other interface is the
+    arrival one ranks its single usable interface the same way."""
+    entry = FibEntry(n("/p"), [3])
+    pair = FibEntry(n("/p"), [3, 8])
+    if stats is not None:
+        entry.stats[3] = FibStats(forwarded=stats[0], satisfied=stats[1])
+        pair.stats[3] = FibStats(forwarded=stats[0], satisfied=stats[1])
+    got = strategy_choose(entry, arrival)
+    assert got == [i for i in entry.interfaces if i != arrival]
+    assert got == ([] if arrival == 3 else [3])
+    if arrival != 3:
+        assert strategy_choose(pair, 8) == got
+    got.append(9)  # the caller owns the list
+    assert entry.interfaces == [3]
+
+
 # ---------------------------------------------------------------------------
 # Content store
 # ---------------------------------------------------------------------------
@@ -643,3 +689,16 @@ def test_pit_index_matches_scan_oracle(ops):
         assert all(g is e for g, e in zip(pit.entries(), live))
         assert pit.attack_count() == sum(1 for e in live if e.attack)
         assert len(pit._heap) <= 2 * len(pit)
+
+
+def test_pit_duplicate_key_raises_and_changes_nothing():
+    pit = Pit()
+    first = _pit_entry("/p/a", 0, 0, LIFETIME_US, True)
+    pit.insert(first)
+    twin = _pit_entry("/p/a", 0, 5, LIFETIME_US, True)
+    with pytest.raises(KeyError):
+        pit.insert(twin)
+    assert pit.get(first.key) is first and len(pit) == 1
+    assert pit.attack_count() == 1 and len(pit._heap) == 1
+    assert pit.match_data(make_packet("/p/a/x")) == [first]
+    assert pit.pop_expired(LIFETIME_US) == [first] and len(pit) == 0
