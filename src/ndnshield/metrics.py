@@ -4,6 +4,12 @@ The column set is fixed: every row carries every counter, zero-filled
 where a role does not produce it, so downstream scripts never deal with
 ragged schemas or NaNs. Counters are cumulative within a run; *_size
 columns and satisfaction_ratio are instantaneous gauges.
+
+`COUNTER_COLUMNS` declares every counter there is: each node's `stats`
+is a dict of exactly these keys, in this order, so a row copies its
+values and a write to any other key raises `KeyError` where it is made.
+Three gauges that nodes report, `pending_requests`, `producer_queue_us`
+and `fragments_ok`, have no column yet.
 """
 
 from __future__ import annotations
@@ -83,25 +89,19 @@ COLUMNS = ["time_ms", "node", "role"] + GAUGE_COLUMNS + COUNTER_COLUMNS
 
 _NODE = COLUMNS.index("node")
 _ROLE = COLUMNS.index("role")
-_RATIO = COLUMNS.index("satisfaction_ratio")
-_INDEX = {col: i for i, col in enumerate(COLUMNS) if i > _ROLE and i != _RATIO}  # integer columns
-_ZERO_ROW = [0] * len(COLUMNS)
 
 
-def _row(time_ms: int, node: str, role: str, values: dict) -> tuple:
-    """One CSV row in COLUMNS order, as written: integers, except the
-    satisfaction ratio, kept as its 6-decimal string. A column the node
-    has no value for is 0 (the ratio 1.0); a value with no column is
-    left out."""
-    row = _ZERO_ROW.copy()
-    row[0], row[_NODE], row[_ROLE] = time_ms, node, role
-    index = _INDEX
-    for key, value in values.items():
-        i = index.get(key)
-        if i is not None:
-            row[i] = int(value)
-    row[_RATIO] = f"{values.get('satisfaction_ratio', 1.0):.6f}"
-    return tuple(row)
+def _row(time_ms: int, node: str, role: str, gauges: dict, stats: dict) -> tuple:
+    """One CSV row in COLUMNS order, as written: a gauge the node does not
+    report is 0, the satisfaction ratio 1.0, kept as its 6-decimal string;
+    the counters follow as `stats` holds them, in COUNTER_COLUMNS order."""
+    get = gauges.get
+    return (
+        time_ms, node, role,
+        get("pit_size", 0), get("pit_attack_size", 0), get("cs_size", 0),
+        f"{get('satisfaction_ratio', 1.0):.6f}",
+        *stats.values(),
+    )
 
 
 class MetricsCollector:
@@ -123,9 +123,7 @@ class MetricsCollector:
         time_ms = now_us // 1000
         for node_id in sorted(self.net.nodes):
             node = self.net.nodes[node_id]
-            values: dict[str, float] = dict(node.stats)
-            values.update(node.gauges())
-            self.rows.append(_row(time_ms, node_id, node.role(), values))
+            self.rows.append(_row(time_ms, node_id, node.role(), node.gauges(), node.stats))
 
     # -- persistence ---------------------------------------------------------
 

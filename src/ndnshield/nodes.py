@@ -28,6 +28,7 @@ from .crypto import (
     sign_packet,
     verify_signature,
 )
+from .metrics import COUNTER_COLUMNS
 from .packets import (
     INTEREST_LIFETIME_MS,
     BloomExclude,
@@ -119,7 +120,7 @@ class StaticCollection:
 class NodeBase:
     def __init__(self, node_id: str):
         self.id = node_id
-        self.stats: Counter = Counter()
+        self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
         self.ifaces: dict[int, object] = {}
         self.net = None
 
@@ -682,11 +683,9 @@ class CollectionConsumer(ConsumerBase):
             self._finish()
 
     def _finish(self) -> None:
-        if "session_done" in self.stats:
-            return
-        self.stats["session_done"] = 1
-        self.stats["fragments_completed"] = self._ok
-        self.stats["fragments_failed"] = self._failed
+        # Runs once, when the last fragment settles: 0 becomes the total.
+        self.stats["fragments_completed"] += self._ok
+        self.stats["fragments_failed"] += self._failed
 
     def _issue(self, i: int, retries_left: int, exclude: frozenset[bytes] = frozenset()) -> None:
         name = self._fragment_name(i)

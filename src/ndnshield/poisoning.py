@@ -221,7 +221,6 @@ class PoisoningGuard:
         if entry is None or entry.verified:
             return
         self.router.stats["verifications"] += 1
-        self.router.stats["verify_busy_us"] += self.config.verify_service_us
         verdict = self._verify_packet(entry.packet)
         if verdict is None:
             self.router.stats["verify_unresolvable"] += 1

@@ -13,10 +13,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .metrics import COUNTER_COLUMNS
 from .packets import (
     FEEDBACK_PREFIX,
     PUSHBACK_PREFIX,
@@ -489,7 +489,7 @@ class Router:
         self.cs = ContentStore(self.config.cs_capacity)
         self.pit = Pit()
         self.fib = Fib()
-        self.stats: Counter = Counter()
+        self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
         self.flooding = flooding
         self.poisoning = poisoning
         self.ifaces: dict[int, IfaceInfo] = {}

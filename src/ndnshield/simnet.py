@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -104,8 +103,8 @@ class Network:
         self._iface_count: dict[str, int] = {}
         self._started = False
         # Flow-balance audit: per (node, iface) interests in and data out.
-        self.audit_interests_in: Counter = Counter()
-        self.audit_data_out: Counter = Counter()
+        self.audit_interests_in: dict[tuple[str, int], int] = {}
+        self.audit_data_out: dict[tuple[str, int], int] = {}
 
     # -- topology wiring -------------------------------------------------------
 
@@ -141,6 +140,7 @@ class Network:
         for sender, iface in zip(spec.endpoints, ifaces):
             receivers = tuple(receiver for receiver in receivers_of if receiver[0] != sender)
             self._ports[(sender, iface)] = (link, receivers)
+            self.audit_interests_in[(sender, iface)] = self.audit_data_out[(sender, iface)] = 0
         return link
 
     def iface_to(self, node_id: str, peer_id: str) -> int:

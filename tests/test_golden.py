@@ -50,8 +50,10 @@ bytes, so no output depends on set or dict iteration over hashed keys.
 Two invariants are checked while the documents run: after every PIT sweep
 the flooding defense's pending counts equal what the live PIT entries
 imply (also over an unpinned document, shared_names, in which interests
-collapse on defended routers), and at every metrics tick each stat and gauge a node reports has a
-CSV column or is one of the few known to have none yet.
+collapse on defended routers), and at every metrics tick a node's stats
+are the counter columns in order and each gauge it reports has a CSV
+column or is one of the few known to have none yet. A collection
+consumer settles its fetch at most once.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ import pytest
 
 from ndnshield.experiment import run_experiment, run_simulation
 from ndnshield.flooding import FloodingDefense
-from ndnshield.metrics import COLUMNS, MetricsCollector, load_csv
+from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, MetricsCollector, load_csv
+from ndnshield.nodes import CollectionConsumer
 from ndnshield.router import Router
 from ndnshield.scenario import load_scenario
 
@@ -553,9 +556,8 @@ def test_defense_counts_match_the_live_pit(key, monkeypatch):
         assert collapsed[True] and collapsed[False]
 
 
-# Stats and gauges that nodes report but no CSV column carries yet.
-UNCOLUMNED = {"session_done", "verify_busy_us", "producer_queue_us", "pending_requests",
-              "fragments_ok"}
+# Gauges that nodes report but no CSV column carries yet.
+UNCOLUMNED = {"producer_queue_us", "pending_requests", "fragments_ok"}
 
 
 @pytest.mark.parametrize("key", sorted(DOCS))
@@ -568,9 +570,33 @@ def test_every_reported_stat_has_a_column(key, monkeypatch):
 
     def checked_sample(collector, now_us):
         for node in collector.net.nodes.values():
+            assert list(node.stats) == COUNTER_COLUMNS, node.id  # the order `_row` copies
             reported.update(node.stats, node.gauges())
         sample(collector, now_us)
 
     monkeypatch.setattr(MetricsCollector, "sample", checked_sample)
     _run_every_arm(DOCS[key]())
     assert reported - set(COLUMNS) <= UNCOLUMNED
+
+
+COLLECTION_DOCS = sorted(
+    key for key, make in DOCS.items() if any("collection" in node for node in make()["nodes"])
+)
+
+
+@pytest.mark.parametrize("key", COLLECTION_DOCS)
+def test_collection_consumer_finishes_once(key, monkeypatch):
+    """`_finish` runs when nothing is pending and every fragment has been
+    issued, after which nothing issues or settles a fragment again: it
+    writes the totals once, with no guard against a second call."""
+    finish = CollectionConsumer._finish
+    calls = Counter()
+
+    def counted_finish(consumer):
+        calls[consumer] += 1
+        finish(consumer)
+
+    monkeypatch.setattr(CollectionConsumer, "_finish", counted_finish)
+    _run_every_arm(DOCS[key]())
+    assert calls, "some consumer finished its fetch"
+    assert max(calls.values()) == 1

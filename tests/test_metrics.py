@@ -7,11 +7,16 @@ import inspect
 import math
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import make_key, n
 from ndnshield import flooding, router
+from ndnshield.attacks import Zombie
 from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, aggregate_replicates, load_csv
+from ndnshield.nodes import CollectionConsumer, CompromisedRouter, Producer, RequestConsumer
+from ndnshield.rand import Rng
 from ndnshield.scenario import build_sim, load_scenario
 
 
@@ -128,3 +133,26 @@ def test_every_drop_and_reject_counter_has_a_column():
     assert {"drop_scid_s", "drop_scid_d", "drop_unsolicited"} <= drops
     for counter in sorted(drops) + [f"rej_{reason}" for reason in reasons]:
         assert counter in COUNTER_COLUMNS, counter
+
+
+NODE_KINDS = {
+    "Router": lambda: router.Router("r"),
+    "CompromisedRouter": lambda: CompromisedRouter(
+        "x", poison_mode="fake", target_prefix=n("/v"), adversary_key=make_key()),
+    "Producer": lambda: Producer("p", n("/v"), make_key()),
+    "RequestConsumer": lambda: RequestConsumer("c", Rng(1, "c"), names=[n("/v/a")]),
+    "CollectionConsumer": lambda: CollectionConsumer(
+        "k", Rng(1, "k"), base=n("/v/file"), fragment_count=2, window=1),
+    "Zombie": lambda: Zombie("z", Rng(1, "z"), []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_KINDS))
+def test_stats_are_the_counter_columns(kind):
+    """A row copies a node's stats as they are, so every node kind holds
+    exactly the counter columns, in column order, and a counter that has
+    no column fails where it is written."""
+    node = NODE_KINDS[kind]()
+    assert list(node.stats) == COUNTER_COLUMNS
+    with pytest.raises(KeyError):
+        node.stats["not_a_column"] += 1

@@ -349,7 +349,7 @@ def test_sscid_mode_never_accepts_wrong_bytes():
     consumer._pending[i].interest = Interest(n("/victim/file/1"), 1)
     consumer.on_packet(0, wrong, now=0)
     assert consumer.stats["received_hash_mismatch"] == 1
-    assert consumer.stats.get("fragments_completed", 0) == 0
+    assert consumer.stats["fragments_completed"] == 0
 
 
 def test_corrupted_copy_triggers_exclude_retry():

@@ -166,6 +166,22 @@ def test_parallel_links_iface_lookup_and_delivery():
     assert c.received == []
 
 
+def test_audit_holds_every_port_from_the_start():
+    """Once the links are built, both flow-balance audits have a 0 for each
+    (node, iface) on a link and no other key, so a delivery or a send only
+    adds to a count that is already there."""
+    net = Network(Rng(5, "net"))
+    for node_id in ("a", "b", "c"):
+        net.add_node(Recorder(node_id))
+    net.add_link(LinkSpec(endpoints=("b", "c"), bandwidth_bps=1e8, delay_us=1000))
+    net.add_link(LinkSpec(endpoints=("a", "b", "c"), bandwidth_bps=1e8, delay_us=1000,
+                          broadcast=True))
+    ports = {(node.id, iface) for node in net.nodes.values() for iface in node.ifaces}
+    assert ports == {("a", 0), ("b", 0), ("b", 1), ("c", 0), ("c", 1)}
+    for audit in (net.audit_interests_in, net.audit_data_out):
+        assert audit == dict.fromkeys(ports, 0)
+
+
 def test_events_past_the_end_never_run():
     """Events due after until_us never run, whether queued before the run
     or scheduled during it, and dropping them leaves the order of the
