@@ -11,11 +11,12 @@ pre-poison caches).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 from .crypto import KeyPair, sign_packet
 from .nodes import NodeBase, encode_fragment_payload
 from .packets import INTEREST_LIFETIME_MS, BloomExclude, DataPacket, Interest, KeyName, Name
+from .schema import Positive
 
 MS = 1000
 
@@ -50,7 +51,7 @@ class AttackSpec:
     dynamic_under: Optional[Name] = None  # flood-dynamic
     content_names: tuple[Name, ...] = ()  # poison-anticipate
     jitter_ms: int = 50
-    lifetime_ms: Optional[int] = None  # None: use the network default
+    lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -67,11 +68,9 @@ class AttackSpec:
             raise ValueError("poison-anticipate needs the anticipated content names")
 
 
-def gen_flood_interest(
-    spec: AttackSpec, rng, seq: int, zombie_id: str = "z", lifetime_ms: int = INTEREST_LIFETIME_MS
-) -> Interest:
+def gen_flood_interest(spec: AttackSpec, rng, seq: int, zombie_id: str = "z") -> Interest:
     """The seq-th interest a zombie emits for a flooding spec."""
-    lifetime = spec.lifetime_ms if spec.lifetime_ms is not None else lifetime_ms
+    lifetime = spec.lifetime_ms
     nonce = rng.u64()
     if spec.kind == FLOOD_STATIC:
         name = spec.name_pool[seq % len(spec.name_pool)]
@@ -129,14 +128,10 @@ class Zombie(NodeBase):
     interests go out near-simultaneously inside the jitter window.
     """
 
-    def __init__(
-        self, node_id: str, rng, specs: list[AttackSpec],
-        default_lifetime_ms: int = INTEREST_LIFETIME_MS,
-    ):
+    def __init__(self, node_id: str, rng, specs: list[AttackSpec]):
         super().__init__(node_id)
         self.rng = rng
         self.specs = specs
-        self.default_lifetime_ms = default_lifetime_ms
 
     def role(self) -> str:
         return "zombie"
@@ -154,11 +149,11 @@ class Zombie(NodeBase):
         period = 1e6 / spec.rate_per_s
         phase = self.rng.uniform(0, period)
         # Resolved once per spec: a zombie's links are fixed before it starts.
-        rng, node_id, lifetime_ms, stats = self.rng, self.id, self.default_lifetime_ms, self.stats
+        rng, node_id, stats = self.rng, self.id, self.stats
         send_from, iface = self.net.send_from, self.default_iface()
 
         def send(seq: int) -> None:
-            interest = gen_flood_interest(spec, rng, seq, zombie_id=node_id, lifetime_ms=lifetime_ms)
+            interest = gen_flood_interest(spec, rng, seq, zombie_id=node_id)
             stats["interests_sent"] += 1
             send_from(node_id, iface, interest)
 
@@ -172,7 +167,7 @@ class Zombie(NodeBase):
                 interest = Interest(
                     name,
                     self.rng.u64(),
-                    lifetime_ms=spec.lifetime_ms or self.default_lifetime_ms,
+                    lifetime_ms=spec.lifetime_ms,
                     attack=True,
                 )
                 self.stats["interests_sent"] += 1

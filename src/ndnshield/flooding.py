@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Annotated, Optional
 
 from .crypto import constant_time_equal, link_mac
 from .packets import INTEREST_LIFETIME_MS, PUSHBACK_PREFIX, Interest, Name, control_interest
+from .schema import Positive
 
 MS = 1000  # microseconds per millisecond
 
@@ -73,8 +74,8 @@ class FloodingConfig:
     pushback_cooldown_ms: int = 1000
     pushback_ttl: int = 8
     fair_share_factor: float = 2.0
-    interest_timeout_ms: int = INTEREST_LIFETIME_MS
-    avg_content_size_bytes: int = 1500
+    interest_timeout_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
+    avg_content_size_bytes: Annotated[int, Positive] = 1500
     min_advised_rate: float = 1.0  # interests/s floor for push-back advice
     outgoing_quota_override: Optional[int] = None
     incoming_limit_override: Optional[int] = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 from .crypto import (
     KeyPair,
@@ -44,6 +44,7 @@ from .packets import (
 )
 from .poisoning import feedback_interest
 from .router import Router
+from .schema import Positive
 
 MS = 1000
 
@@ -520,7 +521,7 @@ class RequestConsumer(ConsumerBase):
         retries: int = 0,
         mode: str = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
-        lifetime_ms: int = INTEREST_LIFETIME_MS,
+        lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
         send_on_all_interfaces: bool = False,
     ):
         super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
@@ -621,7 +622,7 @@ class CollectionConsumer(ConsumerBase):
         trusted_key_digest: Optional[bytes] = None,
         first_hash: Optional[bytes] = None,
         start_ms: int = 0,
-        lifetime_ms: int = INTEREST_LIFETIME_MS,
+        lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
         max_retries: int = 3,
         exclude_cap: int = 16,
     ):

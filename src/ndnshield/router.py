@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -141,10 +142,15 @@ class CsEntry:
     # Whether disjoint verification assigns this entry to this router;
     # worked out by `PoisoningGuard` the first time it considers the entry.
     mine: Optional[bool] = None
+    seq: int = 0  # of the entry's newest heap record
 
 
 class ContentStore:
     """Bounded cache; eviction prefers low trust, then stale entries.
+
+    Entries are kept by content hash and indexed once by name, in a sorted
+    list of (name components, content hash); the names under a prefix form
+    one run of it, which a lookup finds by bisection.
 
     The victim is always the entry with the least (trust, last_access,
     content_hash). A bounded store finds it in amortised O(log n) through a
@@ -158,9 +164,10 @@ class ContentStore:
       entry's current key;
     * a trust drop pushes a fresh record, so trust must only be changed
       through `set_trust`;
-    * records of removed entries, and records an entry has since replaced,
-      are dropped when they reach the top, and the heap is rebuilt from the
-      live entries once it holds more than twice as many records.
+    * each entry keeps the seq of its newest record; a record with another
+      seq, or whose entry has left the store, is dropped when it reaches
+      the top, and the heap is rebuilt from the live entries once it holds
+      more than twice as many records.
 
     An unbounded store (capacity 0) never evicts and keeps no heap.
     """
@@ -168,10 +175,9 @@ class ContentStore:
     def __init__(self, capacity: int):
         self.capacity = capacity  # 0 means unbounded
         self._by_hash: dict[bytes, CsEntry] = {}
-        self._by_prefix: dict[tuple[bytes, ...], set[bytes]] = {}
+        self._names: list[tuple[tuple[bytes, ...], bytes]] = []  # sorted (components, hash)
         self._heap: list[tuple] = []
         self._seq = 0
-        self._record_seq: dict[bytes, int] = {}  # live hash -> seq of its newest record
         self.newest: Optional[CsEntry] = None  # entry the last insert created
 
     def __len__(self) -> int:
@@ -197,9 +203,7 @@ class ContentStore:
             evicted = self._evict_one()
         entry = CsEntry(packet, h, trust, False, now)
         self._by_hash[h] = entry
-        comps = packet.name.components
-        for i in range(len(comps) + 1):
-            self._by_prefix.setdefault(comps[:i], set()).add(h)
+        insort(self._names, (packet.name.components, h))
         if self.capacity:
             self._push(entry)
         self.newest = entry
@@ -215,9 +219,8 @@ class ContentStore:
     def _record(self, entry: CsEntry) -> tuple:
         """A heap record of the entry's current key; it replaces the entry's
         earlier records."""
-        self._seq += 1
-        self._record_seq[entry.content_hash] = self._seq
-        return (entry.trust, entry.last_access, entry.content_hash, self._seq, entry)
+        self._seq = entry.seq = self._seq + 1
+        return (entry.trust, entry.last_access, entry.content_hash, entry.seq, entry)
 
     def _push(self, entry: CsEntry) -> None:
         heapq.heappush(self._heap, self._record(entry))
@@ -233,8 +236,8 @@ class ContentStore:
         heap = self._heap
         while True:
             trust, last_access, h, seq, entry = heap[0]
-            if self._record_seq.get(h) != seq:
-                heapq.heappop(heap)  # entry removed, or a newer record exists
+            if entry.seq != seq or self._by_hash.get(h) is not entry:
+                heapq.heappop(heap)  # a newer record exists, or entry removed
             elif trust != entry.trust or last_access != entry.last_access:
                 heapq.heapreplace(heap, self._record(entry))
             else:
@@ -245,15 +248,8 @@ class ContentStore:
         entry = self._by_hash.pop(content_hash, None)
         if entry is None:
             return None
-        self._record_seq.pop(content_hash, None)
-        comps = entry.packet.name.components
-        for i in range(len(comps) + 1):
-            prefix = comps[:i]
-            bucket = self._by_prefix.get(prefix)
-            if bucket is not None:
-                bucket.discard(content_hash)
-                if not bucket:
-                    del self._by_prefix[prefix]
+        names = self._names
+        del names[bisect_left(names, (entry.packet.name.components, content_hash))]
         if len(self._heap) > 2 * len(self._by_hash):
             self._compact()
         return entry
@@ -265,10 +261,18 @@ class ContentStore:
         match: Callable[[DataPacket, Interest], bool],
     ) -> Optional[CsEntry]:
         """Deterministic lookup: lowest content hash among matching entries."""
-        candidates = self._by_prefix.get(interest.name.components)
-        if not candidates:
+        names = self._names
+        if not names:
             return None
-        for h in sorted(candidates):
+        comps = interest.name.components
+        lo = bisect_left(names, (comps,))  # the first name under `comps`, if any
+        first = names[lo:lo + 1]
+        if not first or first[0][0][:len(comps)] != comps:
+            return None
+        # The run ends before `comps` with a zero byte appended to its last
+        # component; under the empty name, it takes in every name.
+        hi = bisect_left(names, (comps[:-1] + (comps[-1] + b"\x00",),), lo) if comps else len(names)
+        for h in sorted([h for _, h in names[lo:hi]]):
             entry = self._by_hash[h]
             if match(entry.packet, interest):
                 entry.last_access = now
@@ -338,6 +342,7 @@ class PitEntry:
     attack: bool  # change only through Pit.mark_attack once inserted
     # Components of the longest watched prefix, set by the flooding defense.
     namespace: Optional[tuple[bytes, ...]] = None
+    seq: int = 0  # of the entry's heap record, set by Pit.insert
 
     @property
     def name(self) -> Name:
@@ -350,10 +355,11 @@ class Pit:
     (expiry, insertion seq, entry) records:
 
     * every live entry has exactly one record, pushed on insert (an entry's
-      expiry never changes);
-    * records of removed entries are dropped when they reach the top, and
-      the heap is rebuilt from the live entries once it holds more than
-      twice as many records;
+      expiry never changes), and keeps that record's seq;
+    * a record whose entry the PIT no longer holds under its key, or which
+      an entry inserted again has replaced, is dropped when it reaches the
+      top, and the heap is rebuilt from the live entries once it holds more
+      than twice as many records;
     * `pop_expired` returns what it takes out in insertion order, the order
       of a scan over the entries.
     """
@@ -364,10 +370,6 @@ class Pit:
         self._attack = 0
         self._heap: list[tuple[int, int, PitEntry]] = []
         self._seq = 0
-        # id(entry) -> seq of the record of every live entry. Records and
-        # the PIT hold their entries, so no other object can take an id
-        # while it is in use here.
-        self._live_seq: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -385,7 +387,7 @@ class Pit:
         """Flag a pending entry as (also) carrying attack traffic."""
         if not entry.attack:
             entry.attack = True
-            if id(entry) in self._live_seq:
+            if self._entries.get(entry.key) is entry:
                 self._attack += 1
 
     def insert(self, entry: PitEntry) -> None:
@@ -396,22 +398,20 @@ class Pit:
         self._by_name.setdefault(key[0], {})[key] = entry
         if entry.attack:
             self._attack += 1
-        self._seq = seq = self._seq + 1
-        self._live_seq[id(entry)] = seq
+        self._seq = entry.seq = self._seq + 1
         heap = self._heap
-        heapq.heappush(heap, (entry.expiry, seq, entry))
+        heapq.heappush(heap, (entry.expiry, entry.seq, entry))
         if len(heap) > 2 * len(entries):
             self._bound_heap()
 
     def remove(self, entry: PitEntry) -> None:
-        if id(entry) not in self._live_seq:
+        if self._entries.get(entry.key) is not entry:
             return
         self._unlink(entry)
         self._bound_heap()
 
     def _unlink(self, entry: PitEntry) -> None:
         del self._entries[entry.key]
-        del self._live_seq[id(entry)]
         if entry.attack:
             self._attack -= 1
         comps = entry.key[0]
@@ -422,9 +422,7 @@ class Pit:
 
     def _bound_heap(self) -> None:
         if len(self._heap) > 2 * len(self._entries):
-            self._heap = [
-                (e.expiry, self._live_seq[id(e)], e) for e in self._entries.values()
-            ]
+            self._heap = [(e.expiry, e.seq, e) for e in self._entries.values()]
             heapq.heapify(self._heap)
 
     def match_data(self, data: DataPacket) -> list[PitEntry]:
@@ -445,7 +443,7 @@ class Pit:
         expired: list[tuple[int, PitEntry]] = []
         while heap and heap[0][0] <= now:
             _, seq, entry = heapq.heappop(heap)
-            if self._live_seq.get(id(entry)) == seq:
+            if entry.seq == seq and self._entries.get(entry.key) is entry:
                 expired.append((seq, entry))
         if not expired:
             return []
@@ -518,12 +516,6 @@ class Router:
             self.on_interest(iface, pkt, now)
         else:
             self.on_data(iface, pkt, now)
-
-    def on_broadcast_packet(self, iface: int, pkt, now: int) -> None:
-        if isinstance(pkt, Interest):
-            self.on_interest(iface, pkt, now)
-        else:
-            self.on_broadcast_data(iface, pkt, now)
 
     # -- matching policy ----------------------------------------------------
 

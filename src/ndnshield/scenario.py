@@ -45,7 +45,7 @@ from .poisoning import (
 )
 from .rand import Rng
 from .router import Router, RouterConfig
-from .schema import BAD, fields_of
+from .schema import BAD, Positive, fields_of
 from .sections import (
     ANY_ROUTER,
     PRODUCER,
@@ -64,7 +64,7 @@ ROLES = ("consumer", "producer", "router", "zombie", "compromised-router")
 # Each key of the scenario-wide `defaults` block, and the fields (of config
 # types and node constructors) whose default it overrides.
 DEFAULTS = {
-    "interest_lifetime_ms": ("lifetime_ms", "default_lifetime_ms", "interest_timeout_ms"),
+    "interest_lifetime_ms": ("lifetime_ms", "interest_timeout_ms"),
     "payload_size_bytes": ("payload_size",),
     "avg_content_size_bytes": ("avg_content_size_bytes",),
     "verify_service_us": ("verify_service_us",),
@@ -119,8 +119,8 @@ class _Plan:
 class Scenario:
     doc: dict
     name: str
-    duration_ms: int
-    metrics_tick_ms: int = 100
+    duration_ms: Annotated[int, Positive]
+    metrics_tick_ms: Annotated[int, Positive] = 100
     seed: int = 1
     arms: dict[str, dict] = field(default_factory=dict)
     # The base document (None) and each arm, validated.
@@ -179,11 +179,11 @@ def _validate(doc: dict) -> Scenario:
     top = chk.fields(doc, "$", Scenario, hidden=("doc", "plans"), extra=_SECTIONS,
                      required=("name", "duration_ms", "nodes", "links"))
     sections = {key: top.pop(key) for key in _SECTIONS if key in top}
-    for key in ("duration_ms", "metrics_tick_ms"):
-        if key in top and top[key] <= 0:
-            chk.fail(f"$.{key}", "must be positive")
     block = sections.get("defaults", {})
     chk.keys(block, "$.defaults", DEFAULTS)
+    for key in ("interest_lifetime_ms", "pit_sweep_interval_ms", "avg_content_size_bytes"):
+        if key in block:
+            Positive.check(chk, block[key], f"$.defaults.{key}")
     inherited = {name: block[key] for key in DEFAULTS if key in block for name in DEFAULTS[key]}
     links = [link.spec() for link in sections.get("links", [])]
     fib = sections.get("fib", {})
@@ -198,7 +198,7 @@ def _validate(doc: dict) -> Scenario:
         _poisoning(chk, doc.get("poisoning_defense"), inherited),
     )
     producers, nodes = _nodes(chk, nodes, inherited, defenses)
-    attacks = _attacks(chk, doc.get("attacks", []), producers)
+    attacks = _attacks(chk, doc.get("attacks", []), producers, inherited)
     if chk.errors:
         raise ScenarioError(chk.errors)
     scenario = Scenario(doc=doc, **top)
@@ -244,15 +244,13 @@ def _nodes(chk: Check, nodes: list, inherited: dict, defenses: tuple):
             producers[node_id] = spec, {**_inherit(inherited, Producer), **spec.kwargs}
     plans = []
     for path, node_id, role, node in nodes:
+        spec = None  # producers and zombies: their specs live elsewhere
         if role == "zombie":
             chk.keys(node, path, ("id", "role"))
-            spec = _inherit(inherited, Zombie)
         elif role == "consumer":
             spec = _consumer(chk, node, path, producers, inherited)
         elif role != "producer":
             spec = _router(chk, node, path, node_id, role, inherited, defenses)
-        else:
-            spec = None
         plans.append((node_id, role, spec))
     return producers, plans
 
@@ -316,7 +314,7 @@ def _consumer(chk: Check, node: dict, path: str, producers: dict, inherited: dic
     return kwargs.pop("trusted_producer", None), None, kwargs
 
 
-def _attacks(chk: Check, attacks, producers: dict) -> list[AttackSpec]:
+def _attacks(chk: Check, attacks, producers: dict, inherited: dict) -> list[AttackSpec]:
     specs = []
     for path, attack in chk.items(attacks, "$.attacks"):
         kind = attack.get("kind")
@@ -328,7 +326,8 @@ def _attacks(chk: Check, attacks, producers: dict) -> list[AttackSpec]:
             chk.fail(path, "poison-inject needs a compromised-router node")
         if kind == KEYLOCATOR_ABUSE and not any(spec.abuse for spec, _ in producers.values()):
             chk.fail(path, "keylocator-abuse needs a producer with an abuse catalog")
-        specs.append(chk.parse(attack, path, AttackSpec, base={"zombies": ()},
+        specs.append(chk.parse(attack, path, AttackSpec,
+                               base={"zombies": (), **_inherit(inherited, AttackSpec)},
                                extra={"zombies": Annotated[tuple[str, ...], ZOMBIE]}))
     return specs
 
@@ -481,7 +480,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
             )
         elif role == "zombie":
             specs = [attack for attack in plan.attacks if node_id in attack.zombies]
-            node = Zombie(node_id, rng.spawn(f"zombie:{node_id}"), specs, **spec)
+            node = Zombie(node_id, rng.spawn(f"zombie:{node_id}"), specs)
         else:
             node = _consumer_node(node_id, spec, producers, rng.spawn(f"consumer:{node_id}"))
         net.add_node(node)

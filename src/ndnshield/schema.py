@@ -27,6 +27,15 @@ from .packets import Name
 BAD = object()  # what a value that failed its check reads as
 
 
+class Positive:
+    """Type metadata: the value must be greater than zero."""
+
+    @staticmethod
+    def check(reader: "Reader", value, path: str) -> None:
+        if value <= 0:
+            reader.fail(path, "must be positive")
+
+
 class Invalid(ValueError):
     """A dataclass's own check failing on the value of one of its fields."""
 

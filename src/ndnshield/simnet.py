@@ -97,7 +97,7 @@ class Network:
         self.links: list[Link] = []
         # (node, iface) -> (link, receivers): every other endpoint of the
         # link in sorted order, as (node id, node, its own iface on the link,
-        # whether it takes data through `on_broadcast_packet`).
+        # whether it takes data through `on_broadcast_data`).
         self._ports: dict[tuple[str, int], tuple[Link, tuple]] = {}
         self._iface_to: dict[tuple[str, str], int] = {}  # (node, peer) -> lowest iface
         self._iface_count: dict[str, int] = {}
@@ -134,7 +134,7 @@ class Network:
             node.attach_iface(IfaceInfo(iface, spec.bandwidth_bps, link.key))
         receivers_of = [
             (r, self.nodes[r], own_iface[r],
-             spec.broadcast and hasattr(self.nodes[r], "on_broadcast_packet"))
+             spec.broadcast and hasattr(self.nodes[r], "on_broadcast_data"))
             for r in sorted(spec.endpoints)
         ]
         for sender, iface in zip(spec.endpoints, ifaces):
@@ -242,7 +242,7 @@ class Network:
         now = self.now
         for _, node, iface, on_broadcast in receivers:
             if on_broadcast:
-                node.on_broadcast_packet(iface, data, now)
+                node.on_broadcast_data(iface, data, now)
             else:
                 node.on_packet(iface, data, now)
 

@@ -541,19 +541,22 @@ def test_cs_verified_flag_monotone():
     assert store.entries()[0].verified
 
 
-_CS_NAMES = 10
+# Names of mixed depth whose components share byte prefixes, one of them
+# twice, so that the names under a prefix are not simply its neighbours.
+_CS_NAMES = ("/a", "/a/b", "/a/b", "/a/b/c", "/ab", "/a%00", "/a/bb", "/b", "/cs/0", "/cs/1")
+_CS_PREFIXES = _CS_NAMES + ("/", "/a/b/c/d", "/a/c", "/aa", "/a%00%00", "/cs", "/z")
 
 
 @functools.cache
 def cs_packets() -> tuple:
-    return tuple(make_packet(f"/cs/{i}") for i in range(_CS_NAMES))
+    return tuple(make_packet(name, payload=bytes([i])) for i, name in enumerate(_CS_NAMES))
 
 
-_PACKET = st.integers(0, _CS_NAMES - 1)
+_PACKET = st.integers(0, len(_CS_NAMES) - 1)
 _TRUST = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 CS_OPS = st.one_of(
     st.tuples(st.just("insert"), _PACKET, _TRUST),
-    st.tuples(st.just("lookup"), _PACKET, st.none()),
+    st.tuples(st.just("lookup"), _PACKET, st.sampled_from(_CS_PREFIXES)),
     st.tuples(st.just("raise"), _PACKET, st.sampled_from([0.05, 0.5, 1.0])),
     st.tuples(st.just("drop"), _PACKET, st.sampled_from([0.0, 0.5, 0.9])),
     st.tuples(st.just("remove"), _PACKET, st.none()),
@@ -567,7 +570,9 @@ CS_OPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
     """Whatever the history of inserts, hits and trust changes, the victim
-    is the least (trust, last_access, content_hash) among cached entries."""
+    is the least (trust, last_access, content_hash) among cached entries,
+    and a lookup under a prefix finds the entry of lowest hash among those
+    whose names begin with it and that match (all but one packet do)."""
     from ndnshield.packets import compute_content_hash
 
     packets = cs_packets()
@@ -587,8 +592,11 @@ def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
                                     else store.get(compute_content_hash(pkt)))
             assert len(store) <= capacity
         elif op == "lookup":
-            hit = store.lookup(interest(f"/cs/{index}"), now, match=lambda d, i: True)
-            assert hit is entry
+            prefix = n(value)
+            expected = next((e for e in store.entries() if e.packet is not packets[2]
+                             and prefix.is_prefix_of(e.packet.name)), None)
+            hit = store.lookup(interest(value), now, match=lambda d, i: d is not packets[2])
+            assert hit is expected
             if hit is not None:
                 assert hit.last_access == now
         elif op == "remove":
@@ -605,7 +613,7 @@ def test_unbounded_cs_keeps_no_heap():
     for pkt in cs_packets():
         assert store.insert(pkt, now=0) is None
     store.set_trust(store.entries()[0], 0.0)
-    assert len(store) == _CS_NAMES and store._heap == []
+    assert len(store) == len(_CS_NAMES) and store._heap == []
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +627,7 @@ PIT_OPS = st.one_of(
               st.sampled_from(_PIT_LIFETIMES_US), st.booleans()),
     st.tuples(st.just("remove"), st.integers(0, 63), st.booleans(), st.none(), st.none()),
     st.tuples(st.just("mark"), st.integers(0, 63), st.booleans(), st.none(), st.none()),
+    st.tuples(st.just("reinsert"), st.integers(0, 63), st.none(), st.none(), st.none()),
     st.tuples(st.just("sweep"), st.none(), st.none(), st.none(), st.none()),
     st.tuples(st.just("match"), st.none(), st.none(), st.none(), st.none()),
 )
@@ -643,13 +652,14 @@ _PIT_TICKS_US = st.sampled_from((0, 1, 350 * MS, *_PIT_LIFETIMES_US))
 @given(st.lists(st.tuples(PIT_OPS, _PIT_TICKS_US), min_size=1, max_size=120))
 @settings(max_examples=300, deadline=None)
 def test_pit_index_matches_scan_oracle(ops):
-    """Whatever the history of inserts, removals, attack marks and sweeps,
-    a sweep returns exactly the scan [e for e in entries if e.expiry <= now]
-    in insertion order, attack_count() equals a recount, and the expiry
-    heap holds at most twice as many records as live entries."""
+    """Whatever the history of inserts, removals, attack marks, sweeps and
+    removed entries inserted again, a sweep returns exactly the scan
+    [e for e in entries if e.expiry <= now] in insertion order,
+    attack_count() equals a recount, and the expiry heap holds at most
+    twice as many records as live entries."""
     pit = Pit()
     live: list = []  # the oracle: live entries in insertion order
-    gone: list = []  # removed entries, which must stay inert
+    gone: list = []  # entries that left, inert until inserted again
     now = 0
     for (op, a, b, lifetime, attack), tick in ops:
         now += tick
@@ -670,9 +680,21 @@ def test_pit_index_matches_scan_oracle(ops):
                     assert entry.attack
                 else:
                     pit.remove(entry)
-                    if entry in live:
-                        live.remove(entry)
+                    if any(e is entry for e in live):
+                        live = [e for e in live if e is not entry]
                         gone.append(entry)
+        elif op == "reinsert":
+            # An entry object that left the PIT, by removal or expiry, enters
+            # it again; its old heap record must stay inert.
+            if gone:
+                entry = gone[a % len(gone)]
+                if any(e.key == entry.key for e in live):
+                    with pytest.raises(KeyError):
+                        pit.insert(entry)
+                else:
+                    pit.insert(entry)
+                    gone = [e for e in gone if e is not entry]
+                    live.append(entry)
         elif op == "sweep":
             expected = [e for e in live if e.expiry <= now]
             got = pit.pop_expired(now)

@@ -179,10 +179,10 @@ def _with_attack(**keys):
     return doc
 
 
-def _consumer_of(collection):
+def _consumer_of(collection, **keys):
     doc = _with_node(0, collections=[{"name": "file", "fragments": 2, "window": 1}])
     doc["nodes"][2] = {"id": "c", "role": "consumer",
-                       "collection": {"producer": "p", "collection": collection}}
+                       "collection": {"producer": "p", "collection": collection, **keys}}
     return doc
 
 
@@ -207,10 +207,26 @@ def _consumer_of(collection):
         (_with_nodes({"id": "q", "role": "router"},
                      links=[("q", "r")]) | {"fib": {"q": [{"prefix": "/v", "next_hops": ["p"]}]}},
          "$.fib.q[0].next_hops"),
+        # A lifetime that is not positive is refused at every key that sets
+        # one, as are the sweep interval and the content size quotas divide by.
+        (minimal_doc(defaults={"interest_lifetime_ms": 0}), "$.defaults.interest_lifetime_ms"),
+        (minimal_doc(flooding_defense={"interest_timeout_ms": 0}),
+         "$.flooding_defense.interest_timeout_ms"),
+        (minimal_doc(defaults={"pit_sweep_interval_ms": 0}), "$.defaults.pit_sweep_interval_ms"),
+        (minimal_doc(defaults={"avg_content_size_bytes": -5}),
+         "$.defaults.avg_content_size_bytes"),
+        (minimal_doc(flooding_defense={"avg_content_size_bytes": 0}),
+         "$.flooding_defense.avg_content_size_bytes"),
+        (_with_node(2, requests={"names": ["/v/a"], "at_ms": [1], "lifetime_ms": -5}),
+         "$.nodes[2].requests.lifetime_ms"),
+        (_consumer_of("file", lifetime_ms=0), "$.nodes[2].collection.lifetime_ms"),
+        (_with_attack(lifetime_ms=-5), "$.attacks[0].lifetime_ms"),
     ],
     ids=["verifier-v", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
          "name-pool", "attack-rate", "window-ms", "pit-capacity", "trust", "defaults",
-         "fib-hop-unlinked"],
+         "fib-hop-unlinked", "default-lifetime", "flooding-timeout", "sweep-interval",
+         "default-content-size", "flooding-content-size", "request-lifetime",
+         "collection-lifetime", "attack-lifetime"],
 )
 def test_bad_input_rejected_at_its_path(doc, path):
     errs = violations(doc)

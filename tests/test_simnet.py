@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import make_packet, n
-from ndnshield.packets import DataPacket, Interest
+from ndnshield.packets import Interest
 from ndnshield.rand import Rng
 from ndnshield.simnet import LinkSpec, Network
 from ndnshield.nodes import NodeBase
@@ -27,11 +27,8 @@ class Recorder(NodeBase):
     def on_packet(self, iface, pkt, now):
         self.received.append((now, iface, pkt))
 
-    def on_broadcast_packet(self, iface, pkt, now):
-        if isinstance(pkt, DataPacket):
-            self.overheard.append((now, iface, pkt))
-        else:
-            self.on_packet(iface, pkt, now)
+    def on_broadcast_data(self, iface, data, now):
+        self.overheard.append((now, iface, data))
 
 
 def two_nodes(bandwidth_mbps=12.0, delay_ms=1.0, broadcast=False, extra=0):
