@@ -15,10 +15,8 @@ from typing import Annotated, Optional
 
 from .crypto import KeyPair, sign_packet
 from .nodes import NodeBase, encode_fragment_payload
-from .packets import INTEREST_LIFETIME_MS, BloomExclude, DataPacket, Interest, KeyName, Name
+from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
 from .schema import Positive
-
-MS = 1000
 
 FLOOD_STATIC = "flood-static"
 FLOOD_DYNAMIC = "flood-dynamic"

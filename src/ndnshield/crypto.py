@@ -91,6 +91,18 @@ def link_mac(key: bytes, body: Name) -> bytes:
     return hmac_sha256(key, str(body).encode())
 
 
+def with_link_mac(key: bytes, body: Name) -> Name:
+    """The name of a control interest: `body` with its link MAC appended."""
+    return body.child(link_mac(key, body))
+
+
+def link_mac_ok(key: bytes, name: Name) -> bool:
+    """Whether a control interest's last component is the link MAC of the
+    name before it, compared in constant time."""
+    comps = name.components
+    return constant_time_equal(comps[-1], link_mac(key, Name(comps[:-1])))
+
+
 def ls32(digest: bytes) -> int:
     """Least-significant 32 bits of a digest, as an unsigned integer."""
     return int.from_bytes(digest[-4:], "big")
@@ -327,6 +339,7 @@ __all__ = [
     "forge_packet",
     "hmac_sha256",
     "link_mac",
+    "link_mac_ok",
     "ls32",
     "packet_is_self_consistent",
     "public_key_digest",
@@ -335,4 +348,5 @@ __all__ = [
     "signing_image",
     "verify_bytes",
     "verify_signature",
+    "with_link_mac",
 ]

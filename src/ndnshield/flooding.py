@@ -30,17 +30,16 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Annotated, Optional
 
-from .crypto import constant_time_equal, link_mac
-from .packets import INTEREST_LIFETIME_MS, PUSHBACK_PREFIX, Interest, Name, control_interest
+from .crypto import link_mac_ok, with_link_mac
+from .packets import INTEREST_LIFETIME_MS, MS, PUSHBACK_PREFIX, Interest, Name, control_interest
 from .schema import Positive
 
-MS = 1000  # microseconds per millisecond
-
-REJ_EGRESS_QUOTA = "egress-quota"
-REJ_INGRESS_LIMIT = "ingress-limit"
-REJ_NAMESPACE_QUOTA = "namespace-quota"
-REJ_THROTTLED = "throttled"
-REJ_RATE_CAP = "rate-cap"
+# Rejection reasons, each the name of the counter column it is counted in.
+REJ_EGRESS_QUOTA = "rej_egress-quota"
+REJ_INGRESS_LIMIT = "rej_ingress-limit"
+REJ_NAMESPACE_QUOTA = "rej_namespace-quota"
+REJ_THROTTLED = "rej_throttled"
+REJ_RATE_CAP = "rej_rate-cap"
 
 # An ingress is anomalous while its satisfaction ratio sits below this.
 # Throttling and rate caps bind only on anomalous ingresses; a healthy
@@ -259,7 +258,8 @@ class FloodingDefense:
     def admit(
         self, ingress: int, interest: Interest, candidates: list[int], now: int
     ) -> tuple[list[int], Optional[str]]:
-        """Filter candidate egresses; empty result carries a reason code."""
+        """Filter candidate egresses; an empty result carries a reason, the
+        counter column the rejection is counted in."""
         usable = [i for i in candidates if self.pending_out[i] < self.quota_out.get(i, 1 << 30)]
         if not usable:
             return [], REJ_EGRESS_QUOTA
@@ -370,19 +370,18 @@ class FloodingDefense:
     def build_pushback(self, prefix: Name, rate_per_s: float, ttl: int, iface: int) -> Interest:
         rate_milli = int(round(rate_per_s * 1000))
         body = PUSHBACK_PREFIX.join(prefix).child(b"%d" % rate_milli).child(b"%d" % ttl)
-        mac = link_mac(self.router.ifaces[iface].link_key, body)
-        return control_interest(body.child(mac), self.rng.u64())
+        name = with_link_mac(self.router.ifaces[iface].link_key, body)
+        return control_interest(name, self.rng.u64())
 
     @staticmethod
-    def parse_pushback(interest: Interest) -> tuple[Name, float, int, bytes]:
+    def parse_pushback(interest: Interest) -> tuple[Name, float, int]:
         comps = interest.name.components
         if len(comps) < 6:
             raise ValueError("malformed push-back name")
         prefix = Name(comps[2:-3])
         rate = int(comps[-3]) / 1000.0
         ttl = int(comps[-2])
-        mac = comps[-1]
-        return prefix, rate, ttl, mac
+        return prefix, rate, ttl
 
     def on_expiry_feedback(self, expired_entries, now: int) -> list[tuple[int, Interest]]:
         """Emit push-back toward offenders for namespaces whose quota tripped
@@ -411,14 +410,11 @@ class FloodingDefense:
     def handle_pushback(self, iface: int, interest: Interest, now: int) -> list[tuple[int, Interest]]:
         """Verify, install a cap against our own offenders, and propagate."""
         try:
-            prefix, rate, ttl, mac = self.parse_pushback(interest)
+            prefix, rate, ttl = self.parse_pushback(interest)
         except (ValueError, IndexError):
             self.router.stats["pushback_bad_mac"] += 1
             return []
-        expected = link_mac(
-            self.router.ifaces[iface].link_key, Name(interest.name.components[:-1])
-        )
-        if not constant_time_equal(mac, expected):
+        if not link_mac_ok(self.router.ifaces[iface].link_key, interest.name):
             self.router.stats["pushback_bad_mac"] += 1
             return []
         if ttl <= 0:

@@ -18,6 +18,8 @@ import csv
 import io
 import math
 
+from .packets import MS
+
 COUNTER_COLUMNS = [
     # router pipeline
     "interests_received",
@@ -114,13 +116,13 @@ class MetricsCollector:
         self._last_sample_us = -1
 
     def install(self) -> None:
-        self.net.every(self.tick_ms * 1000, self.sample)
+        self.net.every(self.tick_ms * MS, self.sample)
 
     def sample(self, now_us: int) -> None:
         if now_us == self._last_sample_us:
             return  # the closing sample coincides with a regular tick
         self._last_sample_us = now_us
-        time_ms = now_us // 1000
+        time_ms = now_us // MS
         for node_id in sorted(self.net.nodes):
             node = self.net.nodes[node_id]
             self.rows.append(_row(time_ms, node_id, node.role(), node.gauges(), node.stats))

@@ -31,6 +31,7 @@ from .crypto import (
 from .metrics import COUNTER_COLUMNS
 from .packets import (
     INTEREST_LIFETIME_MS,
+    MS,
     BloomExclude,
     DataPacket,
     EmbeddedKey,
@@ -45,8 +46,6 @@ from .packets import (
 from .poisoning import feedback_interest
 from .router import Router
 from .schema import Positive
-
-MS = 1000
 
 VALID = "valid"
 CORRUPTED = "corrupted"

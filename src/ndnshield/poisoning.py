@@ -16,26 +16,24 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .crypto import (
-    constant_time_equal,
     hmac_sha256,
-    link_mac,
+    link_mac_ok,
     ls32,
     packet_is_self_consistent,
     verify_signature,
+    with_link_mac,
 )
 from .packets import (
     FEEDBACK_PREFIX,
+    MS,
     WARNING_PREFIX,
     DataPacket,
     EmbeddedKey,
     Interest,
-    Name,
     content_hash_matches,
     control_interest,
     publisher_digest_matches,
 )
-
-MS = 1000
 
 MODE_OFF = "off"
 MODE_INDEPENDENT = "independent"
@@ -137,12 +135,13 @@ class PoisoningGuard:
     # -- self-certifying admission ------------------------------------------
 
     def scid_check(self, data: DataPacket, interest: Interest) -> Optional[str]:
-        """None to pass, otherwise the clause that rejects the packet.
-        Neither check verifies a signature; both are hash comparisons."""
+        """None to pass, otherwise the counter column of the clause that
+        rejects the packet. Neither check verifies a signature; both are
+        hash comparisons."""
         if self.config.enforce_dscid and not publisher_digest_matches(data, interest):
-            return "d-scid"
+            return "drop_scid_d"
         if self.config.enforce_sscid and not content_hash_matches(data, interest):
-            return "s-scid"
+            return "drop_scid_s"
         return None
 
     # -- sampling selection -----------------------------------------------------
@@ -241,8 +240,8 @@ class PoisoningGuard:
 
     def _warning_interest(self, content_hash: bytes, iface: int) -> Interest:
         body = WARNING_PREFIX.child(content_hash)  # raw 32-byte digest component
-        mac = link_mac(self.router.ifaces[iface].link_key, body)
-        return control_interest(body.child(mac), self.rng.u64())
+        name = with_link_mac(self.router.ifaces[iface].link_key, body)
+        return control_interest(name, self.rng.u64())
 
     def _emit_warnings(self, content_hash: bytes) -> None:
         for iface in sorted(self.router.ifaces):
@@ -251,13 +250,8 @@ class PoisoningGuard:
 
     def handle_warning(self, iface: int, interest: Interest, now: int) -> None:
         comps = interest.name.components
-        if len(comps) != 4 or len(comps[2]) != 32:
-            self.router.stats["warnings_bad_mac"] += 1
-            return
-        body = Name(comps[:3])
-        mac = comps[3]
-        expected = link_mac(self.router.ifaces[iface].link_key, body)
-        if not constant_time_equal(mac, expected):
+        link_key = self.router.ifaces[iface].link_key
+        if len(comps) != 4 or len(comps[2]) != 32 or not link_mac_ok(link_key, interest.name):
             self.router.stats["warnings_bad_mac"] += 1
             return
         content_hash = comps[2]

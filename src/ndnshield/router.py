@@ -10,8 +10,6 @@ the packet, and tests substitute one that records it.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -20,12 +18,11 @@ from typing import Callable, Optional
 from .metrics import COUNTER_COLUMNS
 from .packets import (
     FEEDBACK_PREFIX,
+    MS,
     PUSHBACK_PREFIX,
     WARNING_PREFIX,
     AnswerOrigin,
     DataPacket,
-    Exclude,
-    ExplicitExclude,
     Interest,
     Name,
     compute_content_hash,
@@ -80,9 +77,6 @@ class Fib:
         self._entries[prefix.components] = entry
         self._longest = max(self._longest, len(prefix.components))
         return entry
-
-    def get(self, prefix: Name) -> Optional[FibEntry]:
-        return self._entries.get(prefix.components)
 
     def entries(self) -> list[FibEntry]:
         return list(self._entries.values())
@@ -285,60 +279,17 @@ class ContentStore:
 # ---------------------------------------------------------------------------
 
 
-def option_fingerprint(interest: Interest) -> bytes:
-    """Digest of (exclude, publisher key digest, answer origin); interests
-    that differ in these may need different answers and must not collapse.
-    Interests are immutable, so the digest is kept on the interest; equal
-    options share one digest through `_option_digest`'s cache. An interest
-    with neither a key digest nor an exclude takes one of two constants."""
-    if interest.publisher_key_digest is None and interest.exclude is None:
-        if interest.answer_origin is AnswerOrigin.ANY:
-            return _PLAIN_ANY_FINGERPRINT
-        return _PLAIN_PRODUCER_FINGERPRINT
-    digest = interest.__dict__.get("_option_fingerprint")
-    if digest is None:
-        digest = _option_digest(
-            interest.answer_origin, interest.publisher_key_digest, interest.exclude
-        )
-        object.__setattr__(interest, "_option_fingerprint", digest)
-    return digest
-
-
-# Bounded: a flood may send a fresh key digest with every interest.
-@functools.lru_cache(maxsize=1024)
-def _option_digest(
-    answer_origin: AnswerOrigin, publisher_key_digest: Optional[bytes], exclude: Optional[Exclude]
-) -> bytes:
-    out = bytearray()
-    out.append(answer_origin.value)
-    if publisher_key_digest is not None:
-        out += b"\x01" + publisher_key_digest
-    else:
-        out += b"\x00"
-    if exclude is None:
-        out += b"\x00"
-    elif isinstance(exclude, ExplicitExclude):
-        out += b"\x01"
-        for comp in sorted(exclude.components):
-            out += len(comp).to_bytes(4, "big") + comp
-    else:
-        out += b"\x02" + exclude.bits
-    return hashlib.sha256(bytes(out)).digest()
-
-
-_PLAIN_ANY_FINGERPRINT = _option_digest(AnswerOrigin.ANY, None, None)
-_PLAIN_PRODUCER_FINGERPRINT = _option_digest(AnswerOrigin.PRODUCER_ONLY, None, None)
-
-
 @dataclass(slots=True)
 class PitEntry:
-    key: tuple  # (name components, option fingerprint)
-    interest: Interest  # representative; collapsed interests share options
+    # (name components, answers from cache, publisher key digest, exclude):
+    # interests that differ in any of these may need different answers.
+    key: tuple
+    interest: Interest  # representative; collapsed interests share the key
     nonces: set[int]
     incoming: dict[int, int]  # iface -> arrival time
     outgoing: dict[int, int]  # iface -> forward time
     expiry: int
-    fib_prefix: Optional[Name]
+    fib: FibEntry  # the entry the interest was forwarded by
     attack: bool  # change only through Pit.mark_attack once inserted
     # Components of the longest watched prefix, set by the flooding defense.
     namespace: Optional[tuple[bytes, ...]] = None
@@ -547,7 +498,11 @@ class Router:
             return
 
         pit = self.pit
-        key = (interest.name.components, option_fingerprint(interest))
+        # The answer origin enters the key as a bool, since an enum member
+        # hashes in Python code on every dict operation.
+        key = (
+            interest.name.components, from_cache, interest.publisher_key_digest, interest.exclude
+        )
         entry = pit.get(key)
         if entry is not None:
             if entry.expiry <= now:
@@ -593,7 +548,7 @@ class Router:
         if flooding is not None:
             upstreams, reason = flooding.admit(iface, interest, upstreams, now)
             if reason is not None:
-                stats[f"rej_{reason}"] += 1
+                stats[reason] += 1
                 return
 
         capacity = self.config.pit_capacity
@@ -608,8 +563,8 @@ class Router:
             {interest.nonce},
             {iface: now},
             dict.fromkeys(upstreams, now),
-            now + interest.lifetime_ms * 1000,
-            fib_entry.prefix,
+            now + interest.lifetime_ms * MS,
+            fib_entry,
             attack,
         )
         pit.insert(entry)
@@ -662,7 +617,7 @@ class Router:
                 # the upstream that sent the bad copy gets no satisfaction credit.
                 reject_reason = verdict
         if not admitted:
-            self.stats["drop_scid_s" if reject_reason == "s-scid" else "drop_scid_d"] += 1
+            self.stats[reject_reason] += 1
             return
 
         self._cache(data, now)
@@ -678,9 +633,7 @@ class Router:
             if self.poisoning is not None:
                 self.poisoning.on_inserted(self.cs.newest, now)
 
-    def _satisfy(
-        self, entry: PitEntry, data: DataPacket, arrival_iface: Optional[int], now: int
-    ) -> None:
+    def _satisfy(self, entry: PitEntry, data: DataPacket, arrival_iface: int, now: int) -> None:
         """Forward data to all waiting interfaces and flush the entry."""
         for in_iface in entry.incoming:
             if in_iface == arrival_iface:
@@ -689,17 +642,15 @@ class Router:
             self.stats["data_forwarded"] += 1
             if data.poisoned:
                 self.stats["poisoned_forwarded"] += 1
-        fib_entry = self.fib.get(entry.fib_prefix) if entry.fib_prefix is not None else None
-        if fib_entry is not None:
-            if arrival_iface is not None and arrival_iface in entry.outgoing:
-                st = fib_entry.stats[arrival_iface]
-                st.satisfied += 1
-                st.observe_rtt(now - entry.outgoing[arrival_iface])
-            else:
-                # Satisfied by an overheard copy: credit the path we chose.
-                for out_iface in entry.outgoing:
-                    if out_iface in fib_entry.stats:
-                        fib_entry.stats[out_iface].satisfied += 1
+        fib_stats = entry.fib.stats  # the interest's upstreams are all in it
+        if arrival_iface in entry.outgoing:
+            st = fib_stats[arrival_iface]
+            st.satisfied += 1
+            st.observe_rtt(now - entry.outgoing[arrival_iface])
+        else:
+            # Satisfied by an overheard copy: credit the path we chose.
+            for out_iface in entry.outgoing:
+                fib_stats[out_iface].satisfied += 1
         if self.flooding is not None:
             self.flooding.note_satisfied(entry, now)
         self.pit.remove(entry)
@@ -709,19 +660,18 @@ class Router:
 
     def on_broadcast_data(self, iface: int, data: DataPacket, now: int) -> None:
         """Dispatch for data heard on a shared segment: it either answers
-        an interest we forwarded onto the segment, or we merely overhear it."""
+        an interest we forwarded onto the segment, or we merely overhear it.
+        Overheard data satisfies the entries that wait for it on the
+        segment, whose copy is already there, so none is sent back."""
+        waiting = []
         for entry in self.pit.match_data(data):
-            if iface in entry.outgoing and entry.expiry > now:
-                self.on_data(iface, data, now)
-                return
-        self.on_overheard_data(iface, data, now)
-
-    def on_overheard_data(self, iface: int, data: DataPacket, now: int) -> None:
-        matched = [
-            e
-            for e in self.pit.match_data(data)
-            if iface in e.incoming and e.expiry > now and self._match_full(data, e.interest)
-        ]
+            if entry.expiry > now:
+                if iface in entry.outgoing:
+                    self.on_data(iface, data, now)
+                    return
+                if iface in entry.incoming:
+                    waiting.append(entry)
+        matched = [e for e in waiting if self._match_full(data, e.interest)]
         if not matched:
             return
         self.stats["overheard_suppressions"] += len(matched)

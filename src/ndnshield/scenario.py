@@ -33,7 +33,7 @@ from .nodes import (
     Producer,
     RequestConsumer,
 )
-from .packets import Name
+from .packets import MS, Name
 from .poisoning import (
     MODE_DISJOINT_HMAC,
     MODE_OFF,
@@ -424,7 +424,7 @@ class Sim:
     duration_ms: int
 
     def run(self) -> "Sim":
-        self.net.run(self.duration_ms * 1000)
+        self.net.run(self.duration_ms * MS)
         self.collector.sample(self.net.now)  # closing sample at end time
         return self
 
@@ -500,7 +500,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
             net.nodes[router_id].cs.insert(pkt, now=0, **trust)
 
     # Periodic router maintenance.
-    sweep_us = plan.sweep_ms * 1000
+    sweep_us = plan.sweep_ms * MS
     for node_id in sorted(net.nodes):
         node = net.nodes[node_id]
         if isinstance(node, Router):
@@ -508,7 +508,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
             poisoning = node.poisoning
             if poisoning is not None and poisoning.config.verifier.mode != MODE_OFF:
                 net.every(
-                    poisoning.config.verifier.scan_interval_ms * 1000,
+                    poisoning.config.verifier.scan_interval_ms * MS,
                     lambda now, g=poisoning: g.scan(now),
                 )
 

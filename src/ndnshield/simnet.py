@@ -42,8 +42,6 @@ from typing import Callable
 from .packets import DataPacket, Interest, wire_size
 from .router import IfaceInfo, Router
 
-MS = 1000
-
 
 @dataclass
 class LinkSpec:

@@ -74,7 +74,7 @@ def test_egress_quota_per_interface_isolation():
     router, defense = make_defended_router(outgoing_quota_override=1)
     defense.pending_out[3] = 1  # egress 3 saturated
     _, reason = defense.admit(0, interest("/victim/a", 1), [3], now=0)
-    assert reason == "egress-quota"
+    assert reason == "rej_egress-quota"
     # A different egress with headroom still admits the interest.
     admitted, reason = defense.admit(0, interest("/victim/a", 2), [2, 3], now=0)
     assert admitted == [2] and reason is None
@@ -84,14 +84,14 @@ def test_ingress_limit():
     router, defense = make_defended_router(incoming_limit_override=2)
     defense.pending_in[0] = 2
     _, reason = defense.admit(0, interest("/victim/a", 1), [3], now=0)
-    assert reason == "ingress-limit"
+    assert reason == "rej_ingress-limit"
 
 
 def test_namespace_quota_rejects_when_full():
     router, defense = make_defended_router(quotas={"/victim": 5})
     defense.ns_pending[n("/victim").components] = 5
     _, reason = defense.admit(0, interest("/victim/a", 1), [3], now=0)
-    assert reason == "namespace-quota"
+    assert reason == "rej_namespace-quota"
     # Non-matching prefixes are untouched (push-back locality).
     admitted, reason = defense.admit(0, interest("/other/a", 1), [3], now=0)
     assert reason is None
@@ -212,7 +212,7 @@ def test_pushback_round_trip_and_rate_install():
     ns = n("/victim")
     msg = defense.build_pushback(ns, rate_per_s=12.5, ttl=8, iface=0)
     assert msg.scope == 2
-    prefix, rate, ttl, _mac = defense.parse_pushback(msg)
+    prefix, rate, ttl = defense.parse_pushback(msg)
     assert prefix == ns and rate == pytest.approx(12.5) and ttl == 8
 
     # Receiving router: offender on ingress 1 gets capped and the advice
@@ -261,7 +261,7 @@ def test_rate_cap_enforced_per_ingress():
     results = [
         defense.admit(0, interest("/victim/a", k), [3], now=k * 10)[1] for k in range(10)
     ]
-    assert results.count("rate-cap") == 8  # burst of 2, then capped
+    assert results.count("rej_rate-cap") == 8  # burst of 2, then capped
     # Ingress 1 has no cap and sails through.
     assert defense.admit(1, interest("/victim/a", 99), [3], now=100)[1] is None
 

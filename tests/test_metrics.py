@@ -16,6 +16,7 @@ from ndnshield import flooding, router
 from ndnshield.attacks import Zombie
 from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, aggregate_replicates, load_csv
 from ndnshield.nodes import CollectionConsumer, CompromisedRouter, Producer, RequestConsumer
+from ndnshield.poisoning import PoisoningGuard
 from ndnshield.rand import Rng
 from ndnshield.scenario import build_sim, load_scenario
 
@@ -126,12 +127,15 @@ def test_aggregate_replicates_equals_numpy_bit_for_bit(values):
 
 def test_every_drop_and_reject_counter_has_a_column():
     """A counter the router increments but the CSV lacks would vanish from
-    every output, so each reject reason and drop counter needs a column."""
+    every output, so each reject reason, SCID verdict and drop counter needs
+    a column; reasons and verdicts are the names of their columns."""
     reasons = [v for k, v in vars(flooding).items() if k.startswith("REJ_")]
     assert len(reasons) == 5
+    verdicts = set(re.findall(r'"(drop_\w+)"', inspect.getsource(PoisoningGuard.scid_check)))
+    assert verdicts == {"drop_scid_s", "drop_scid_d"}
     drops = set(re.findall(r'"(drop_\w+)"', inspect.getsource(router)))
-    assert {"drop_scid_s", "drop_scid_d", "drop_unsolicited"} <= drops
-    for counter in sorted(drops) + [f"rej_{reason}" for reason in reasons]:
+    assert "drop_unsolicited" in drops
+    for counter in sorted(drops | verdicts) + reasons:
         assert counter in COUNTER_COLUMNS, counter
 
 

@@ -86,7 +86,7 @@ def test_fake_rejected_by_dscid():
     router, guard, _, _ = guarded_router()
     trusted = make_key("honest").digest
     wanted = Interest(n("/victim/x"), 1, publisher_key_digest=trusted)
-    assert guard.scid_check(fake_packet(), wanted) == "d-scid"
+    assert guard.scid_check(fake_packet(), wanted) == "drop_scid_d"
 
 
 def test_corrupted_passes_dscid():
@@ -103,7 +103,7 @@ def test_wrong_bytes_rejected_by_sscid():
     wanted_hash = compute_content_hash(honest)
     wanted = Interest(n("/victim/x").child(digest_component(wanted_hash)), 1)
     wrong = fake_packet()
-    assert guard.scid_check(wrong, wanted) == "s-scid"
+    assert guard.scid_check(wrong, wanted) == "drop_scid_s"
     assert guard.scid_check(honest, wanted) is None
 
 

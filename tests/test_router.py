@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import functools
-import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +17,6 @@ from ndnshield.router import (
     FibStats,
     Pit,
     PitEntry,
-    _option_digest,
-    option_fingerprint,
     strategy_choose,
 )
 
@@ -178,77 +174,40 @@ def test_option_fingerprint_separates_entries():
     # Different options: not collapsed, forwarded separately.
     assert router.sent == [(5, digest_variant)]
     assert len(router.pit) == 2
-    assert option_fingerprint(interest("/a")) != option_fingerprint(
-        interest("/a", publisher_key_digest=b"\x01" * 32)
-    )
 
 
-@pytest.mark.parametrize("origin", list(AnswerOrigin))
-def test_plain_option_fingerprint_is_the_digest(origin):
-    """An interest with no key digest and no exclude takes a precomputed
-    fingerprint; it must be the digest of its option bytes."""
-    plain = interest("/a/b", answer_origin=origin)
-    assert option_fingerprint(plain) == _option_digest(
-        plain.answer_origin, plain.publisher_key_digest, plain.exclude
-    )
-    assert option_fingerprint(plain) == hashlib.sha256(bytes([origin.value, 0, 0])).digest()
-
-
-def _option_bytes_digest(interest: Interest) -> bytes:
-    """SHA-256 of an interest's option bytes: answer origin, then a tagged
-    key digest, then a tagged exclude (sorted length-prefixed components,
-    or the Bloom filter's bits)."""
-    out = bytes([interest.answer_origin.value])
-    key_digest, exclude = interest.publisher_key_digest, interest.exclude
-    out += b"\x00" if key_digest is None else b"\x01" + key_digest
-    if exclude is None:
-        out += b"\x00"
-    elif isinstance(exclude, ExplicitExclude):
-        out += b"\x01" + b"".join(
-            len(comp).to_bytes(4, "big") + comp for comp in sorted(exclude.components)
-        )
-    else:
-        out += b"\x02" + exclude.bits
-    return hashlib.sha256(out).digest()
-
-
-_components = st.lists(st.binary(min_size=1, max_size=8), min_size=0, max_size=4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    first=_components,
-    second=_components,
+_PIT_KEY_PARTS = dict(
+    comps=st.lists(st.sampled_from([b"a", b"b"]), max_size=2),
     origin=st.sampled_from(list(AnswerOrigin)),
-    key_digest=st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
+    key_digest=st.sampled_from([None, b"\x01" * 32, b"\x02" * 32]),
+    # A fresh exclude object per interest, so equal excludes are not the
+    # same object; an empty explicit exclude is not the absent one, and a
+    # Bloom exclude never equals an explicit one.
     exclude=st.one_of(
         st.none(),
-        st.frozensets(st.binary(min_size=1, max_size=8), max_size=4).map(ExplicitExclude),
-        st.binary(min_size=32, max_size=32).map(BloomExclude),
+        st.frozensets(st.sampled_from([b"a", b"b"])).map(ExplicitExclude),
+        st.sampled_from([bytes(32), b"\xff" * 32]).map(BloomExclude),
     ),
 )
-def test_option_fingerprint_is_the_digest_of_the_options(
-    first, second, origin, key_digest, exclude
-):
-    """Every fingerprint is the digest of its interest's option bytes, and
-    interests that differ only in name share it."""
-    options = dict(publisher_key_digest=key_digest, exclude=exclude, answer_origin=origin)
-    a = Interest(Name(tuple(first)), 1, **options)
-    b = Interest(Name(tuple(second)), 2, **options)
-    assert option_fingerprint(a) == _option_bytes_digest(a)
-    assert option_fingerprint(a) == option_fingerprint(b) == option_fingerprint(a)
 
 
-def test_option_digest_cache_stays_bounded():
-    """A flood with a fresh key digest on every interest leaves the
-    option-digest cache at its bound."""
-    rng = random.Random(5)
-    for nonce in range(5000):
-        flood = interest("/victim/x", nonce=nonce, publisher_key_digest=rng.randbytes(32))
-        assert option_fingerprint(flood) == _option_bytes_digest(flood)
-    info = _option_digest.cache_info()
-    assert info.maxsize is not None and info.maxsize < 5000
-    assert info.currsize <= info.maxsize
+@settings(max_examples=300, deadline=None)
+@given(first=st.fixed_dictionaries(_PIT_KEY_PARTS), second=st.fixed_dictionaries(_PIT_KEY_PARTS))
+def test_interests_collapse_iff_name_and_options_are_equal(first, second):
+    """Two interests share a PIT entry if and only if their name components,
+    answer origin, publisher key digest and exclude are all equal."""
+    router = make_router(n_ifaces=6)
+    router.fib.add(Name(()), [5])
+    for iface, parts in enumerate((first, second)):
+        wanted = Interest(
+            Name(tuple(parts["comps"])), 1 + iface, publisher_key_digest=parts["key_digest"],
+            exclude=parts["exclude"], answer_origin=parts["origin"],
+        )
+        router.on_interest(iface, wanted, now=iface)
+    same = first == second
+    assert len(router.pit) == (1 if same else 2)
+    assert router.stats["interests_collapsed"] == same
+    assert [iface for iface, _ in router.sent] == [5] * (1 if same else 2)
 
 
 def test_incoming_outgoing_disjoint_at_forward():
@@ -333,7 +292,7 @@ def test_satisfaction_updates_fib_stats():
     router = setup_router()
     router.on_interest(0, interest("/victim/x"), now=0)
     router.on_data(5, make_packet("/victim/x"), now=3 * MS)
-    stats = router.fib.get(n("/victim")).stats[5]
+    stats = router.fib.longest_prefix_match(n("/victim")).stats[5]
     assert stats.forwarded == 1 and stats.satisfied == 1
     assert stats.srtt_us == pytest.approx(3 * MS)
 
@@ -349,7 +308,7 @@ def test_overheard_data_flushes_without_sending():
     pkt = make_packet("/victim/x")
     router.sent.clear()
     # The overheard segment already has the copy: nothing goes back onto it.
-    router.on_overheard_data(2, pkt, now=MS)
+    router.on_broadcast_data(2, pkt, now=MS)
     assert router.sent == []
     assert len(router.pit) == 0
     assert len(router.cs) == 1
@@ -362,7 +321,7 @@ def test_overheard_data_flushes_without_sending():
 def test_overheard_data_without_entry_ignored():
     router = setup_router()
     pkt = make_packet("/victim/x")
-    router.on_overheard_data(2, pkt, now=0)
+    router.on_broadcast_data(2, pkt, now=0)
     assert router.sent == []
     assert not any(count for key, count in router.stats.items() if key.startswith(("drop_", "rej_")))
     assert len(router.cs) == 0
@@ -374,7 +333,7 @@ def test_overhear_still_forwards_to_other_waiters():
     router.on_interest(3, interest("/victim/x", nonce=2), now=0)
     pkt = make_packet("/victim/x")
     router.sent.clear()
-    router.on_overheard_data(2, pkt, now=MS)
+    router.on_broadcast_data(2, pkt, now=MS)
     assert router.sent == [(3, pkt)]
 
 
@@ -413,7 +372,7 @@ def test_expiry_updates_fib_stats():
     router = setup_router()
     router.on_interest(0, interest("/victim/x"), now=0)
     router.expire_pit(now=LIFETIME_US + 1)
-    stats = router.fib.get(n("/victim")).stats[5]
+    stats = router.fib.longest_prefix_match(n("/victim")).stats[5]
     assert (stats.forwarded, stats.satisfied) == (1, 0)
     assert stats.smoothed_ratio() < FibStats().smoothed_ratio()
 
@@ -639,9 +598,10 @@ def pit_data_packet():
 
 
 def _pit_entry(name: str, variant: int, now: int, lifetime_us: int, attack: bool):
-    return PitEntry(key=(n(name).components, bytes([variant])), interest=interest(name),
+    key_digest = bytes([variant]) * 32 if variant else None
+    return PitEntry(key=(n(name).components, True, key_digest, None), interest=interest(name),
                     nonces={1}, incoming={0: now}, outgoing={1: now},
-                    expiry=now + lifetime_us, fib_prefix=None, attack=attack)
+                    expiry=now + lifetime_us, fib=FibEntry(n("/p"), [1]), attack=attack)
 
 
 # Steps as long as a lifetime let one sweep find entries that expire out
