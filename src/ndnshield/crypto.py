@@ -6,7 +6,11 @@ a cheaper scheme can be dropped in for very large scenarios.
 
 Key generation is deterministic from a seeded generator. Nothing here
 calls an OS entropy source, which is what makes whole simulation traces
-replayable from a scenario seed.
+replayable from a scenario seed. Its Miller-Rabin rounds take their one
+512-bit exponentiation each from OpenSSL's `BN_mod_exp`, reached through
+ctypes in the libcrypto that CPython's `_hashlib` links, and from builtin
+`pow` where that library is missing; both give the same integer, so the
+platform changes only how long a key takes, never which key it is.
 
 Every named data packet is made by one seal, `_seal`: it serialises the
 packet's image once, takes a signature over it, and appends the digest of
@@ -108,12 +112,83 @@ def ls32(digest: bytes) -> int:
     return int.from_bytes(digest[-4:], "big")
 
 
+def _openssl_modexp() -> Callable[[int, int, int], int] | None:
+    """`pow(base, exp, mod)` for odd `mod` of at least 3, computed by
+    OpenSSL's `BN_mod_exp` in the libcrypto that CPython's `_hashlib`
+    links (a `CDLL` of `_hashlib` also finds its dependencies' symbols).
+    None where `_hashlib` is missing or does not export the BN calls.
+
+    Each call allocates its own BIGNUMs and `BN_CTX` and frees them before
+    it returns: ctypes releases the GIL during a foreign call, so shared
+    scratch would race between threads."""
+    try:
+        import _hashlib
+        import ctypes
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        bn_new, bn_free, bn_bin2bn, bn_bn2binpad = (
+            lib.BN_new, lib.BN_free, lib.BN_bin2bn, lib.BN_bn2binpad)
+        ctx_new, ctx_free, bn_mod_exp = lib.BN_CTX_new, lib.BN_CTX_free, lib.BN_mod_exp
+    except (ImportError, OSError, AttributeError):
+        return None
+    ptr = ctypes.c_void_p
+    for fn, restype, argtypes in (
+        (bn_new, ptr, []),
+        (bn_free, None, [ptr]),
+        (bn_bin2bn, ptr, [ctypes.c_char_p, ctypes.c_int, ptr]),
+        (bn_bn2binpad, ctypes.c_int, [ptr, ctypes.c_char_p, ctypes.c_int]),
+        (ctx_new, ptr, []),
+        (ctx_free, None, [ptr]),
+        (bn_mod_exp, ctypes.c_int, [ptr, ptr, ptr, ptr, ptr]),
+    ):
+        fn.restype, fn.argtypes = restype, argtypes
+
+    def bn_modexp(base: int, exp: int, mod: int) -> int:
+        size = (mod.bit_length() + 7) // 8
+        bns = []
+        ctx = ctx_new()
+        try:
+            for value in (base, exp, mod):
+                raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+                bns.append(bn_bin2bn(raw, len(raw), None))
+            bns.append(bn_new())
+            b, e, m, r = bns
+            if not (ctx and all(bns) and bn_mod_exp(r, b, e, m, ctx)):
+                raise RuntimeError("an OpenSSL BN call failed")
+            out = ctypes.create_string_buffer(size)
+            if bn_bn2binpad(r, out, size) != size:
+                raise RuntimeError("OpenSSL BN_bn2binpad failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for bn in bns:
+                bn_free(bn)
+            ctx_free(ctx)
+
+    return bn_modexp
+
+
+# `pow(base, exp, mod)` for key generation's Miller-Rabin rounds: OpenSSL's
+# where the platform has it, else builtin `pow`. Chosen on first use, so
+# importing the package does not load ctypes.
+_modexp: Callable[[int, int, int], int] | None = None
+
+
+def _load_modexp() -> Callable[[int, int, int], int]:
+    global _modexp
+    _modexp = _openssl_modexp() or pow
+    return _modexp
+
+
 def _is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
     """Miller-Rabin with `rounds` bases drawn from `rng`. A base that
     passes a round has a^(n-1) = 1 (mod n), so also modulo g, the product
     of n's prime factors from 151 to 4096. Where that fails, the round is
     refused by a `pow` modulo g instead of one modulo n: the same verdict,
-    at the same round, after the same draws."""
+    at the same round, after the same draws.
+
+    Each round's one full exponentiation, a^d mod n, runs in `_modexp`
+    (OpenSSL where available). It returns exactly the integer `pow` does,
+    so no verdict, draw or key depends on which one ran."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -123,11 +198,12 @@ def _is_probable_prime(n: int, rng: Rng, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    modexp = _modexp or _load_modexp()
     for _ in range(rounds):
         a = 2 + rng.randrange(n - 3)
         if g > 1 and pow(a, n - 1, g) != 1:
             return False
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

@@ -130,11 +130,13 @@ class MetricsCollector:
     # -- persistence ---------------------------------------------------------
 
     def csv_bytes(self) -> bytes:
-        out = io.StringIO()
+        buf = io.BytesIO()
+        out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(COLUMNS)
         writer.writerows(self.rows)
-        return out.getvalue().encode()
+        out.flush()
+        return buf.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "wb") as fh:

@@ -79,13 +79,22 @@ def test_bench_crypto_runs(capsys):
     assert "ratio" in out
 
 
-def test_import_leaves_numpy_unloaded():
-    """numpy costs a run about a third of its start-up; nothing on the
-    path of `ndnshield run` may import it."""
+def _loaded_after_import(package: str) -> str:
     code = ("import sys, ndnshield, ndnshield.experiment, ndnshield.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy costs a run about a third of its start-up; nothing on the
+    path of `ndnshield run` may import it."""
+    assert _loaded_after_import("numpy") == "[]\n"
+
+
+def test_import_leaves_ctypes_unloaded():
+    """Key generation loads ctypes on first use, not at import."""
+    assert _loaded_after_import("ctypes") == "[]\n"

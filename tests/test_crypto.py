@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -113,6 +114,49 @@ def test_keygen_equals_plain_miller_rabin(monkeypatch):
             oracle = KeyPair._build(oracle_rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
         assert built.public_der == oracle.public_der, seed
         assert rng.state() == oracle_rng.state(), seed
+
+
+@pytest.fixture(scope="module")
+def openssl_modexp():
+    modexp = crypto._openssl_modexp()
+    if modexp is None:
+        pytest.skip("this Python's _hashlib has no OpenSSL BN calls")
+    return modexp
+
+
+@st.composite
+def _modexp_args(draw):
+    bits = draw(st.integers(2, 1024))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    b = draw(st.sampled_from([0, 1, m - 1]) | st.integers(0, m - 1))
+    return b, draw(st.integers(0, m)), m
+
+
+@given(args=_modexp_args())
+@settings(max_examples=200, deadline=None)
+def test_openssl_modexp_equals_pow(openssl_modexp, args):
+    b, e, m = args
+    assert openssl_modexp(b, e, m) == pow(b, e, m)
+
+
+def test_keygen_is_the_same_with_builtin_pow(monkeypatch):
+    for seed in range(6):
+        rng = Rng(seed, "keygen-modexp")
+        built = KeyPair._build(rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        with monkeypatch.context() as patch:
+            patch.setattr(crypto, "_modexp", pow)
+            pow_rng = Rng(seed, "keygen-modexp")
+            with_pow = KeyPair._build(pow_rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        assert built.public_der == with_pow.public_der, seed
+        assert rng.state() == pow_rng.state(), seed
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenSSL path checked on Linux")
+def test_keygen_loads_the_openssl_modexp_on_linux(monkeypatch):
+    """A silent fallback to builtin `pow` makes every key about 5x slower."""
+    monkeypatch.setattr(crypto, "_modexp", None)
+    KeyPair._build(Rng(0, "keygen-path"), crypto.RSA_BITS, crypto.RSA_EXPONENT)
+    assert crypto._modexp is not None and crypto._modexp is not pow
 
 
 def test_base_passing_the_gcd_check_falls_through_to_miller_rabin():
