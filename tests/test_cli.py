@@ -79,22 +79,34 @@ def test_bench_crypto_runs(capsys):
     assert "ratio" in out
 
 
-def _loaded_after_import(package: str) -> str:
+def _loaded_after_import(package: str, *argv: str) -> str:
+    """The modules of `package` loaded in a fresh interpreter once it has
+    imported the CLI and, given `argv`, run `ndnshield` with it."""
     code = ("import sys, ndnshield, ndnshield.experiment, ndnshield.cli; "
+            f"argv = {list(argv)!r}; argv and ndnshield.cli.main(argv); "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    return done.stdout
+    return done.stdout.splitlines()[-1]
 
 
 def test_import_leaves_numpy_unloaded():
     """numpy costs a run about a third of its start-up; nothing on the
     path of `ndnshield run` may import it."""
-    assert _loaded_after_import("numpy") == "[]\n"
+    assert _loaded_after_import("numpy") == "[]"
 
 
 def test_import_leaves_ctypes_unloaded():
     """Key generation loads ctypes on first use, not at import."""
-    assert _loaded_after_import("ctypes") == "[]\n"
+    assert _loaded_after_import("ctypes") == "[]"
+
+
+def test_run_leaves_cryptography_unloaded(tmp_path):
+    """The package signs through libcrypto and verifies in plain Python;
+    `cryptography` is a test oracle only, loaded neither by the import nor
+    by a run that generates keys, signs and verifies."""
+    assert _loaded_after_import("cryptography") == "[]"
+    run = ["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]
+    assert _loaded_after_import("cryptography", *run) == "[]"

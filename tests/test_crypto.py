@@ -7,8 +7,8 @@ import math
 import sys
 
 import pytest
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,21 +107,21 @@ def _plain_miller_rabin(n: int, rng: Rng, rounds: int = 40) -> bool:
 def test_keygen_equals_plain_miller_rabin(monkeypatch):
     for seed in range(20):
         rng = Rng(seed, "keygen-oracle")
-        built = KeyPair._build(rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        built = KeyPair._build(rng)
         with monkeypatch.context() as patch:
             patch.setattr(crypto, "_is_probable_prime", _plain_miller_rabin)
             oracle_rng = Rng(seed, "keygen-oracle")
-            oracle = KeyPair._build(oracle_rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+            oracle = KeyPair._build(oracle_rng)
         assert built.public_der == oracle.public_der, seed
         assert rng.state() == oracle_rng.state(), seed
 
 
 @pytest.fixture(scope="module")
 def openssl_modexp():
-    modexp = crypto._openssl_modexp()
-    if modexp is None:
-        pytest.skip("this Python's _hashlib has no OpenSSL BN calls")
-    return modexp
+    lib = crypto._libcrypto()
+    if lib is None:
+        pytest.skip("this Python's _hashlib has no OpenSSL calls")
+    return lib.modexp
 
 
 @st.composite
@@ -142,11 +142,11 @@ def test_openssl_modexp_equals_pow(openssl_modexp, args):
 def test_keygen_is_the_same_with_builtin_pow(monkeypatch):
     for seed in range(6):
         rng = Rng(seed, "keygen-modexp")
-        built = KeyPair._build(rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        built = KeyPair._build(rng)
         with monkeypatch.context() as patch:
-            patch.setattr(crypto, "_modexp", pow)
+            patch.setattr(crypto, "_libcrypto", lambda: None)
             pow_rng = Rng(seed, "keygen-modexp")
-            with_pow = KeyPair._build(pow_rng, crypto.RSA_BITS, crypto.RSA_EXPONENT)
+            with_pow = KeyPair._build(pow_rng)
         assert built.public_der == with_pow.public_der, seed
         assert rng.state() == pow_rng.state(), seed
 
@@ -154,9 +154,35 @@ def test_keygen_is_the_same_with_builtin_pow(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenSSL path checked on Linux")
 def test_keygen_loads_the_openssl_modexp_on_linux(monkeypatch):
     """A silent fallback to builtin `pow` makes every key about 5x slower."""
-    monkeypatch.setattr(crypto, "_modexp", None)
-    KeyPair._build(Rng(0, "keygen-path"), crypto.RSA_BITS, crypto.RSA_EXPONENT)
-    assert crypto._modexp is not None and crypto._modexp is not pow
+    assert crypto._libcrypto() is not None
+    calls = []
+    monkeypatch.setattr(crypto._LibCrypto, "modexp", lambda _, *args: calls.append(args) or pow(*args))
+    KeyPair._build(Rng(0, "keygen-path"))
+    assert calls
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenSSL path checked on Linux")
+def test_keys_sign_through_libcrypto_on_linux():
+    """A silent fallback to `pow` makes every signature about 13x slower."""
+    key = KeyPair._build(Rng(0, "sign-path"))
+    assert key.sign.__qualname__ == "_LibCrypto.signer.<locals>.sign"
+
+
+def test_libcrypto_signer_checks_the_key():
+    """The libcrypto signer runs OpenSSL's key check on the key it loads,
+    so a key whose CRT values disagree is refused, not used."""
+    lib = crypto._libcrypto()
+    if lib is None:
+        pytest.skip("this Python's _hashlib has no OpenSSL calls")
+    key, p, q = _build_with_primes(Rng(3, "key-check"))
+    e = crypto.RSA_EXPONENT
+    d = pow(e, -1, (p - 1) * (q - 1))
+    values = [0, p * q, e, d, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p)]
+    private_der = crypto._der(0x30, *map(crypto._der_uint, values))
+    assert lib.signer(private_der)(b"m") == key.sign(b"m")
+    values[6] += 2  # d mod (p - 1) no longer
+    with pytest.raises(ValueError, match="key check"):
+        lib.signer(crypto._der(0x30, *map(crypto._der_uint, values)))
 
 
 def test_base_passing_the_gcd_check_falls_through_to_miller_rabin():
@@ -176,6 +202,47 @@ def test_base_passing_the_gcd_check_falls_through_to_miller_rabin():
     assert crypto._is_probable_prime(n, rng) is False
     assert _plain_miller_rabin(n, oracle_rng) is False
     assert rng.state() == oracle_rng.state()
+
+
+def _build_with_primes(rng: Rng) -> tuple[KeyPair, int, int]:
+    """A key built from `rng`, with its primes p > q."""
+    primes = []
+    draw = crypto._generate_prime
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "_generate_prime", lambda rng: primes.append(draw(rng)) or primes[-1])
+        key = KeyPair._build(rng)
+    return key, max(primes[-2:]), min(primes[-2:])
+
+
+def _oracle_private_key(p: int, q: int) -> rsa.RSAPrivateKey:
+    """cryptography's RSA key with primes p and q and e = 3, its private
+    values derived by cryptography's own helpers."""
+    e = crypto.RSA_EXPONENT
+    d = rsa.rsa_recover_private_exponent(e, p, q)
+    return rsa.RSAPrivateNumbers(
+        p, q, d, rsa.rsa_crt_dmp1(d, p), rsa.rsa_crt_dmq1(d, q), rsa.rsa_crt_iqmp(p, q),
+        rsa.RSAPublicNumbers(e, p * q),
+    ).private_key()
+
+
+@pytest.mark.parametrize("path", ["libcrypto", "pow"])
+def test_signatures_and_public_key_equal_cryptographys(monkeypatch, path):
+    """Whichever signer the platform picks, a key's signatures and its
+    SubjectPublicKeyInfo DER are cryptography's, byte for byte."""
+    if path == "pow":
+        monkeypatch.setattr(crypto, "_libcrypto", lambda: None)
+    elif crypto._libcrypto() is None:
+        pytest.skip("this Python's _hashlib has no OpenSSL calls")
+    messages = Rng(0, "oracle-messages")
+    for seed in range(6):
+        key, p, q = _build_with_primes(Rng(seed, "sign-oracle"))
+        oracle = _oracle_private_key(p, q)
+        assert key.public_der == oracle.public_key().public_bytes(
+            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo)
+        for _ in range(4):
+            message = messages.bytes(messages.randrange(600))
+            expected = oracle.sign(message, padding.PKCS1v15(), hashes.SHA256())
+            assert key.sign(message) == expected, seed
 
 
 def test_sign_then_verify(key):
@@ -269,6 +336,149 @@ def test_cached_verify_agrees_with_cold_verify(
         assert verify_signature(pkt, asked) == verify_bytes(
             asked, pkt.signature, signing_image(pkt)
         )
+
+
+def _tlv(tag: int, body: bytes, long_form: bool = False) -> bytes:
+    """A DER element, or with `long_form` one whose length takes a byte more
+    than DER allows: long form where short is due, or a leading zero."""
+    width = (len(body).bit_length() + 7) // 8
+    if not long_form:
+        if len(body) < 0x80:
+            return bytes((tag, len(body))) + body
+    elif len(body) < 0x80:
+        width = 1
+    else:
+        width += 1
+    return bytes((tag, 0x80 | width)) + len(body).to_bytes(width, "big") + body
+
+
+def _spki(
+    n: int, e: int, *, null: bool = True, unused: int = 0, long_form: str = "", zero: str = ""
+) -> bytes:
+    """An RSA SubjectPublicKeyInfo, its INTEGERs in two's complement and
+    its BIT STRING claiming `unused` trailing bits, with the element named
+    by `long_form` given a non-minimal length and the INTEGER named by
+    `zero` a redundant leading zero byte."""
+
+    def integer(name: str, value: int) -> bytes:
+        body = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
+        return _tlv(0x02, b"\0" * (zero == name) + body, long_form == name)
+
+    algorithm = bytes.fromhex("06092a864886f70d010101") + b"\x05\x00" * null
+    rsa_key = _tlv(0x30, integer("n", n) + integer("e", e), long_form == "key")
+    bits = _tlv(0x03, bytes((unused,)) + rsa_key, long_form == "bits")
+    return _tlv(0x30, _tlv(0x30, algorithm, long_form == "algorithm") + bits, long_form == "info")
+
+
+def _encoding(message: bytes, size: int) -> bytes:
+    """The EMSA-PKCS1-v1_5 SHA-256 encoding of `message`, `size` bytes long."""
+    digest_info = bytes.fromhex("3031300d060960864801650304020105000420")
+    padding = b"\xff" * (size - 3 - len(digest_info) - 32)
+    return b"\0\1" + padding + b"\0" + digest_info + hashlib.sha256(message).digest()
+
+
+def _oracle_verdict(der: bytes, signature: bytes, message: bytes) -> bool:
+    """cryptography's verdict: any exception it raises counts as False."""
+    try:
+        serialization.load_der_public_key(der).verify(
+            signature, message, padding.PKCS1v15(), hashes.SHA256())
+    except Exception:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def blum_key():
+    """A key whose primes are both 3 mod 4, so square roots modulo n are
+    one exponentiation per prime."""
+    key, p, q = _build_with_primes(Rng(47, "verify-oracle"))
+    assert p % 4 == q % 4 == 3
+    return key, p, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    message=st.binary(max_size=64),
+    key_case=st.sampled_from([
+        "own", "flip", "truncate", "append", "long-form", "zero", "negative-n", "negative-e",
+        "no-null", "e=1", "big-e", "even-e", "e=n", "e>n", "ec",
+    ]),
+    at=st.integers(min_value=0, max_value=10_000),
+    extra=st.binary(min_size=1, max_size=4),
+    part=st.sampled_from(["info", "algorithm", "bits", "key", "n", "e"]),
+)
+def test_verify_bytes_agrees_with_cryptography(blum_key, message, key_case, at, extra, part):
+    """`verify_bytes` parses the key and checks the signature in plain
+    Python; over malformed, mutated and non-RSA keys and bad signatures it
+    gives cryptography's verdict.
+
+    Some cases carry a signature that passes the arithmetic, so that only
+    the parse or a bound can refuse it: the encoding itself under e = 1,
+    its square root under e = 2 (DER lets the BIT STRING then claim one
+    unused bit), and the RSA signature under 3 plus a multiple of
+    lcm(p - 1, q - 1), below n, at or past it, or spelt as a negative
+    INTEGER."""
+    key, p, q = blum_key
+    n, e = p * q, crypto.RSA_EXPONENT
+    lam = math.lcm(p - 1, q - 1)
+    assert _spki(n, e) == key.public_der
+    der = {
+        "own": lambda: key.public_der,
+        "flip": lambda: _flip(key.public_der, at),
+        "truncate": lambda: key.public_der[: at % len(key.public_der)],
+        "append": lambda: key.public_der + extra,
+        "long-form": lambda: _spki(n, e, long_form=part),
+        "zero": lambda: _spki(n, e, zero="n" if part == "n" else "e"),
+        "negative-n": lambda: _spki(-n, e),
+        "negative-e": lambda: _spki(n, e + 2 * lam - (1 << 1024)),
+        "no-null": lambda: _spki(n, e, null=False),
+        "e=1": lambda: _spki(n, 1),
+        "big-e": lambda: _spki(n, e + lam),
+        "even-e": lambda: _spki(n, 2, unused=at % 2),
+        "e=n": lambda: _spki(n, n),
+        "e>n": lambda: _spki(n, e + lam * (n // lam + 1 + at % 3)),
+        "ec": lambda: _EC_DER,
+    }[key_case]()
+    signature = key.sign(message)
+    s = int.from_bytes(signature, "big")
+    encoding = _encoding(message, 128)
+    m = int.from_bytes(encoding, "big")
+    root_p, root_q = pow(m, (p + 1) // 4, p), pow(m, (q + 1) // 4, q)
+    root = root_q + q * (pow(q, -1, p) * (root_p - root_q) % p)
+    signatures = [
+        signature,
+        _flip(signature, at),
+        signature[1:],
+        b"\0" + signature,
+        n.to_bytes(128, "big"),
+        ((s + n) % (1 << 1024)).to_bytes(128, "big"),  # s + n where it fits
+        encoding,
+        root.to_bytes(128, "big"),  # valid under e = 2 when m is a square
+    ]
+    for sig in signatures:
+        assert verify_bytes(der, sig, message) == _oracle_verdict(der, sig, message)
+
+
+def test_verify_bytes_keeps_openssls_key_bounds():
+    """OpenSSL refuses an even modulus, one of more than 16,384 bits, and
+    an exponent of more than 64 bits once the modulus passes 3,072 bits;
+    so does `verify_bytes`, also where the arithmetic passes."""
+    message = b"bounds"
+    numbers = rsa.generate_private_key(65537, 3080).private_numbers()
+    p, q = numbers.p, numbers.q
+    n, lam = p * q, math.lcm(p - 1, q - 1)
+    size = (n.bit_length() + 7) // 8
+    m = int.from_bytes(_encoding(message, size), "big")
+    for bits, valid in ((64, True), (65, False)):
+        e = (1 << (bits - 1)) + 1
+        while math.gcd(e, lam) != 1:
+            e += 2
+        der, sig = _spki(n, e), pow(m, pow(e, -1, lam), n).to_bytes(size, "big")
+        assert verify_bytes(der, sig, message) is _oracle_verdict(der, sig, message) is valid
+    # Under e = 1 the encoding itself passes the arithmetic for any n above it.
+    for n, valid in ((1 << 16383) | 1, True), (1 << 16383, False), ((1 << 16391) | 1, False):
+        der, sig = _spki(n, 1), _encoding(message, (n.bit_length() + 7) // 8)
+        assert verify_bytes(der, sig, message) is _oracle_verdict(der, sig, message) is valid
 
 
 def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):
