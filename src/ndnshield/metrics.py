@@ -91,6 +91,7 @@ COLUMNS = ["time_ms", "node", "role"] + GAUGE_COLUMNS + COUNTER_COLUMNS
 
 _NODE = COLUMNS.index("node")
 _ROLE = COLUMNS.index("role")
+_PIT_SIZE = COLUMNS.index("pit_size")
 
 
 def _row(time_ms: int, node: str, role: str, gauges: dict, stats: dict) -> tuple:
@@ -164,30 +165,32 @@ def load_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def summarize_run(collector: MetricsCollector) -> dict:
-    """Headline numbers for one replicate, recomputable from its CSV."""
-    by_role: dict[str, list[str]] = {}
+    """Headline numbers for one replicate, recomputable from its CSV. One
+    pass over the rows finds each node's last row and each router's PIT
+    peak; nodes keep the order of their first row."""
+    last: dict[str, list] = {}
+    pit_peak: dict[str, float] = {}
     for row in collector.rows:
-        nodes = by_role.setdefault(row[_ROLE], [])
-        if row[_NODE] not in nodes:
-            nodes.append(row[_NODE])
-    consumers = by_role.get("consumer", [])
-    sent = sum(collector.final(c, "interests_sent") for c in consumers)
-    satisfied = sum(collector.final(c, "requests_satisfied") for c in consumers)
-    summary = {
+        node = row[_NODE]
+        last[node] = row
+        if row[_ROLE] == "router":
+            pit = float(row[_PIT_SIZE])
+            pit_peak[node] = max(pit_peak.get(node, pit), pit)
+
+    def final(role: str, column: str) -> dict[str, float]:
+        idx = COLUMNS.index(column)
+        return {node: float(row[idx]) for node, row in last.items() if row[_ROLE] == role}
+
+    sent = sum(final("consumer", "interests_sent").values())
+    satisfied = sum(final("consumer", "requests_satisfied").values())
+    return {
         "honest_satisfaction_ratio": (satisfied / sent) if sent else 1.0,
-        "poisoned_accepted": sum(collector.final(c, "accepted_poisoned") for c in consumers),
-        "poisoned_received": sum(collector.final(c, "poisoned_received") for c in consumers),
-        "pit_peak": {
-            r: collector.max_over(r, "pit_size") for r in by_role.get("router", [])
-        },
-        "poisoned_cached": {
-            r: collector.final(r, "poisoned_cached") for r in by_role.get("router", [])
-        },
-        "producer_served": {
-            p: collector.final(p, "produced_served") for p in by_role.get("producer", [])
-        },
+        "poisoned_accepted": sum(final("consumer", "accepted_poisoned").values()),
+        "poisoned_received": sum(final("consumer", "poisoned_received").values()),
+        "pit_peak": pit_peak,
+        "poisoned_cached": final("router", "poisoned_cached"),
+        "producer_served": final("producer", "produced_served"),
     }
-    return summary
 
 
 def _in_order(values) -> float:

@@ -791,7 +791,7 @@ class CompromisedRouter(Router):
         *,
         poison_mode: str,
         target_prefix: Name,
-        adversary_key: KeyPair,
+        adversary_key: Optional[KeyPair] = None,
         honest_key_der: bytes = b"",
         honest_key_digest: bytes = b"",
         rng=None,
@@ -800,6 +800,8 @@ class CompromisedRouter(Router):
         super().__init__(node_id, config=config)
         if poison_mode not in ("corrupted", "fake"):
             raise ValueError("poison mode must be corrupted or fake")
+        if poison_mode == "fake" and adversary_key is None:
+            raise ValueError("fake mode signs with an adversary key")
         if poison_mode == "corrupted" and not (honest_key_der and honest_key_digest):
             raise ValueError("corrupted mode impersonates an honest producer key")
         self.rng = rng

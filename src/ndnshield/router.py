@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .metrics import COUNTER_COLUMNS
@@ -139,12 +140,19 @@ class CsEntry:
     seq: int = 0  # of the entry's newest heap record
 
 
+_HASH = attrgetter("content_hash")
+
+
 class ContentStore:
     """Bounded cache; eviction prefers low trust, then stale entries.
 
-    Entries are kept by content hash and indexed once by name, in a sorted
-    list of (name components, content hash); the names under a prefix form
-    one run of it, which a lookup finds by bisection.
+    Entries are kept by content hash and indexed once by name, in a name
+    tree of nested dicts keyed by name component. A component whose subtree
+    holds one entry maps to that entry itself, and the rest of its name is
+    read from the packet; an entry whose name ends at an inner node is kept
+    under the key None, in a list ordered by content hash (two packets may
+    carry one full name). A lookup walks the interest's components once and
+    misses at the first absent one.
 
     The victim is always the entry with the least (trust, last_access,
     content_hash). A bounded store finds it in amortised O(log n) through a
@@ -169,7 +177,7 @@ class ContentStore:
     def __init__(self, capacity: int):
         self.capacity = capacity  # 0 means unbounded
         self._by_hash: dict[bytes, CsEntry] = {}
-        self._names: list[tuple[tuple[bytes, ...], bytes]] = []  # sorted (components, hash)
+        self._tree: dict = {}  # component -> subtree dict or sole CsEntry
         self._heap: list[tuple] = []
         self._seq = 0
         self.newest: Optional[CsEntry] = None  # entry the last insert created
@@ -197,7 +205,7 @@ class ContentStore:
             evicted = self._evict_one()
         entry = CsEntry(packet, h, trust, False, now)
         self._by_hash[h] = entry
-        insort(self._names, (packet.name.components, h))
+        self._link(entry)
         if self.capacity:
             self._push(entry)
         self.newest = entry
@@ -238,12 +246,51 @@ class ContentStore:
                 heapq.heappop(heap)
                 return self.remove(h)
 
+    def _link(self, entry: CsEntry) -> None:
+        """Put the entry in the name tree. A sole entry met on the way moves
+        one level down, into a new dict, until the two names part."""
+        comps = entry.packet.name.components
+        node = self._tree
+        for i, comp in enumerate(comps):
+            child = node.get(comp)
+            if child is None:
+                node[comp] = entry
+                return
+            if type(child) is not dict:
+                rest = child.packet.name.components[i + 1:i + 2]
+                child = node[comp] = {rest[0]: child} if rest else {None: [child]}
+            node = child
+        ends = node.get(None)
+        if ends is None:
+            node[None] = [entry]
+        else:
+            insort(ends, entry, key=_HASH)
+
+    def _unlink(self, entry: CsEntry) -> None:
+        """Take the entry out of the name tree, and every dict it leaves empty."""
+        node = self._tree
+        path = []
+        for comp in entry.packet.name.components:
+            child = node[comp]
+            if child is entry:
+                del node[comp]
+                break
+            path.append((node, comp))
+            node = child
+        else:
+            ends = node[None]
+            del ends[bisect_left(ends, entry.content_hash, key=_HASH)]
+            if not ends:
+                del node[None]
+        while not node and path:
+            node, comp = path.pop()
+            del node[comp]
+
     def remove(self, content_hash: bytes) -> Optional[CsEntry]:
         entry = self._by_hash.pop(content_hash, None)
         if entry is None:
             return None
-        names = self._names
-        del names[bisect_left(names, (entry.packet.name.components, content_hash))]
+        self._unlink(entry)
         if len(self._heap) > 2 * len(self._by_hash):
             self._compact()
         return entry
@@ -255,23 +302,41 @@ class ContentStore:
         match: Callable[[DataPacket, Interest], bool],
     ) -> Optional[CsEntry]:
         """Deterministic lookup: lowest content hash among matching entries."""
-        names = self._names
-        if not names:
-            return None
         comps = interest.name.components
-        lo = bisect_left(names, (comps,))  # the first name under `comps`, if any
-        first = names[lo:lo + 1]
-        if not first or first[0][0][:len(comps)] != comps:
-            return None
-        # The run ends before `comps` with a zero byte appended to its last
-        # component; under the empty name, it takes in every name.
-        hi = bisect_left(names, (comps[:-1] + (comps[-1] + b"\x00",),), lo) if comps else len(names)
-        for h in sorted([h for _, h in names[lo:hi]]):
-            entry = self._by_hash[h]
+        node = self._tree
+        for comp in comps:
+            node = node.get(comp)
+            if node is None:
+                return None
+            if type(node) is not dict:
+                # The sole entry under this prefix: a candidate only if its
+                # name goes on with the rest of the interest's.
+                if node.packet.name.components[:len(comps)] != comps:
+                    return None
+                candidates = [node]
+                break
+        else:
+            candidates = _entries_under(node)
+            if len(candidates) > 1:
+                candidates.sort(key=_HASH)
+        for entry in candidates:
             if match(entry.packet, interest):
                 entry.last_access = now
                 return entry
         return None
+
+
+def _entries_under(node: dict) -> list[CsEntry]:
+    """Every entry in a name-tree subtree, in no particular order."""
+    found = []
+    for comp, child in node.items():
+        if comp is None:
+            found += child
+        elif type(child) is dict:
+            found += _entries_under(child)
+        else:
+            found.append(child)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -468,11 +468,13 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
             )
         elif role == "compromised-router":
             honest = producers.get(spec.get("impersonate"))
+            # Only fake mode signs; corrupted mode forges the honest key.
+            fake = spec["poison_mode"] == "fake"
             node = CompromisedRouter(
                 node_id,
                 poison_mode=spec["poison_mode"],
                 target_prefix=spec["target_prefix"],
-                adversary_key=KeyPair.generate(rng.spawn(f"key:{node_id}")),
+                adversary_key=KeyPair.generate(rng.spawn(f"key:{node_id}")) if fake else None,
                 **({"honest_key_der": honest.key.public_der,
                     "honest_key_digest": honest.key.digest} if honest else {}),
                 rng=rng.spawn(f"router:{node_id}"),

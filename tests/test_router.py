@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -502,20 +504,61 @@ def test_cs_verified_flag_monotone():
 
 # Names of mixed depth whose components share byte prefixes, one of them
 # twice, so that the names under a prefix are not simply its neighbours.
-_CS_NAMES = ("/a", "/a/b", "/a/b", "/a/b/c", "/ab", "/a%00", "/a/bb", "/b", "/cs/0", "/cs/1")
-_CS_PREFIXES = _CS_NAMES + ("/", "/a/b/c/d", "/a/c", "/aa", "/a%00%00", "/cs", "/z")
+# Each signed packet's full name ends in its digest component.
+_CS_NAMES = ("/a", "/a/b", "/a/b", "/a/b/c", "/ab", "/a%00", "/a/bb", "/b", "/cs/0", "/cs/1",
+             "/p/q/r", "/p/q/s")
+_CS_PREFIXES = _CS_NAMES + ("/", "/a/b/c/d", "/a/c", "/aa", "/a%00%00", "/cs", "/z", "/p/q")
 
 
 @functools.cache
 def cs_packets() -> tuple:
-    return tuple(make_packet(name, payload=bytes([i])) for i, name in enumerate(_CS_NAMES))
+    """The signed packets of `_CS_NAMES`, then packets named as a compromised
+    router names them: one named `/p/q`, a proper prefix of two signed names,
+    and two that carry the full name of the second packet with other bytes,
+    so that three packets share one full name under different hashes."""
+    signed = tuple(make_packet(name, payload=bytes([i])) for i, name in enumerate(_CS_NAMES))
+    return signed + (
+        replace(signed[10], name=n("/p/q"), payload=b"prefix"),
+        replace(signed[1], payload=b"copy 1"),
+        replace(signed[1], payload=b"copy 2"),
+    )
 
 
-_PACKET = st.integers(0, len(_CS_NAMES) - 1)
+def assert_cs_index(store: ContentStore) -> None:
+    """The name tree holds exactly the entries kept by hash, each once; no
+    dict in it is empty; every entry lies on its own name's path, and a list
+    of names ending at a node is ordered by content hash."""
+    found = []
+
+    def walk(node: dict, path: tuple) -> None:
+        for comp, child in node.items():
+            if comp is None:
+                assert child and [e.content_hash for e in child] == sorted(
+                    e.content_hash for e in child)
+                assert all(e.packet.name.components == path for e in child)
+                found.extend(child)
+            elif type(child) is dict:
+                assert child
+                walk(child, path + (comp,))
+            else:
+                assert child.packet.name.components[:len(path) + 1] == path + (comp,)
+                found.append(child)
+
+    walk(store._tree, ())
+    assert len({id(e) for e in found}) == len(found) == len(store)
+    assert all(store.get(e.content_hash) is e for e in found)
+
+
+_PACKET = st.integers(0, len(_CS_NAMES) + 2)
+_CS_LOOKUP_NAMES = st.one_of(
+    st.sampled_from(_CS_PREFIXES).map(n),
+    _PACKET.map(lambda i: cs_packets()[i].name),  # digest-terminated
+)
 _TRUST = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 CS_OPS = st.one_of(
     st.tuples(st.just("insert"), _PACKET, _TRUST),
-    st.tuples(st.just("lookup"), _PACKET, st.sampled_from(_CS_PREFIXES)),
+    st.tuples(st.just("lookup"), _PACKET,
+              st.tuples(_CS_LOOKUP_NAMES, st.frozensets(_PACKET, max_size=4))),
     st.tuples(st.just("raise"), _PACKET, st.sampled_from([0.05, 0.5, 1.0])),
     st.tuples(st.just("drop"), _PACKET, st.sampled_from([0.0, 0.5, 0.9])),
     st.tuples(st.just("remove"), _PACKET, st.none()),
@@ -531,7 +574,9 @@ def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
     """Whatever the history of inserts, hits and trust changes, the victim
     is the least (trust, last_access, content_hash) among cached entries,
     and a lookup under a prefix finds the entry of lowest hash among those
-    whose names begin with it and that match (all but one packet do)."""
+    whose names begin with it and that match (all but the packets each
+    lookup draws to refuse do). After every operation the name tree holds
+    exactly the cached entries."""
     from ndnshield.packets import compute_content_hash
 
     packets = cs_packets()
@@ -551,10 +596,11 @@ def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
                                     else store.get(compute_content_hash(pkt)))
             assert len(store) <= capacity
         elif op == "lookup":
-            prefix = n(value)
-            expected = next((e for e in store.entries() if e.packet is not packets[2]
+            prefix, refused = value
+            refused = {packets[i] for i in refused}
+            expected = next((e for e in store.entries() if e.packet not in refused
                              and prefix.is_prefix_of(e.packet.name)), None)
-            hit = store.lookup(interest(value), now, match=lambda d, i: d is not packets[2])
+            hit = store.lookup(Interest(prefix, 1), now, match=lambda d, i: d not in refused)
             assert hit is expected
             if hit is not None:
                 assert hit.last_access == now
@@ -565,6 +611,33 @@ def test_cs_eviction_matches_min_scan_oracle(capacity, ops):
             store.set_trust(entry, trust)
             assert entry.trust == trust
         assert len(store._heap) <= 2 * len(store)
+        assert_cs_index(store)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_cs_name_tree_whatever_the_insert_order(order):
+    """Inserted in ascending, descending or shuffled hash order, every
+    lookup, under each prefix and each full name, finds the entry of lowest
+    hash under it, or the next when that one does not match; removing every
+    entry leaves the tree empty."""
+    from ndnshield.packets import compute_content_hash
+
+    packets = sorted(cs_packets(), key=compute_content_hash, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(5).shuffle(packets)
+    store = ContentStore(capacity=0)
+    for pkt in packets:
+        store.insert(pkt, now=0)
+        assert_cs_index(store)
+    for prefix in [n(text) for text in _CS_PREFIXES] + [pkt.name for pkt in packets]:
+        under = [e for e in store.entries() if prefix.is_prefix_of(e.packet.name)]
+        for refused in (None, under[0].packet if under else None):
+            hit = store.lookup(Interest(prefix, 1), 1, match=lambda d, i: d is not refused)
+            assert hit is next((e for e in under if e.packet is not refused), None)
+    for pkt in packets:
+        store.remove(compute_content_hash(pkt))
+        assert_cs_index(store)
+    assert store._tree == {}
 
 
 def test_unbounded_cs_keeps_no_heap():
@@ -572,7 +645,7 @@ def test_unbounded_cs_keeps_no_heap():
     for pkt in cs_packets():
         assert store.insert(pkt, now=0) is None
     store.set_trust(store.entries()[0], 0.0)
-    assert len(store) == len(_CS_NAMES) and store._heap == []
+    assert len(store) == len(cs_packets()) and store._heap == []
 
 
 # ---------------------------------------------------------------------------

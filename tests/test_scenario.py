@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from ndnshield import crypto
+from ndnshield.crypto import KeyPair, verify_signature
+from ndnshield.nodes import CompromisedRouter
+from ndnshield.packets import Interest, Name
+from ndnshield.rand import Rng
 from ndnshield.scenario import ScenarioError, build_sim, load_scenario
 
 FIXTURES = Path(__file__).parent.parent / "src" / "ndnshield" / "scenarios"
@@ -133,6 +138,47 @@ def test_arm_merge_patch_semantics():
 def test_build_and_run_minimal():
     sim = build_sim(load_scenario(minimal_doc()), seed=3).run()
     assert sim.node("c").stats["received_valid"] == 1
+
+
+def _compromised_doc(mode: str) -> dict:
+    doc = minimal_doc()
+    doc["nodes"].append({"id": "cx", "role": "compromised-router", "poison_mode": mode,
+                         "target_prefix": "/v/hot", "impersonate": "p"})
+    doc["links"].append({"endpoints": ["r", "cx"], "bandwidth_mbps": 100, "delay_ms": 1})
+    return doc
+
+
+@pytest.mark.parametrize("mode, signers", [("corrupted", ["p"]), ("fake", ["p", "cx"])])
+def test_build_generates_keys_only_for_nodes_that_sign(monkeypatch, mode, signers):
+    """A corrupted-mode compromised router forges with the producer's key,
+    so only producers get a key built; a fake-mode one gets its own."""
+    built = []
+    build = KeyPair._build.__func__
+
+    def counted(cls, rng):
+        built.append(rng.state()[0])
+        return build(cls, rng)
+
+    monkeypatch.setattr(crypto, "_FRESH_KEYS", {})  # no key built earlier is reused
+    monkeypatch.setattr(KeyPair, "_build", classmethod(counted))
+    sim = build_sim(load_scenario(_compromised_doc(mode)), seed=3)
+    streams = Rng(3, "scenario:t")
+    assert built == [streams.spawn(f"key:{node_id}").state()[0] for node_id in signers]
+    assert (sim.node("cx").adversary_key is None) == (mode == "corrupted")
+
+
+def test_fake_mode_poison_verifies_under_the_adversary_key():
+    sim = build_sim(load_scenario(_compromised_doc("fake")), seed=3)
+    adversary = sim.node("cx").adversary_key
+    assert adversary.public_der != sim.node("p").key.public_der
+    poison = sim.node("cx").make_poison(Interest(Name.parse("/v/hot/x"), 1))
+    assert poison.poisoned and verify_signature(poison, adversary.public_der)
+    assert not verify_signature(poison, sim.node("p").key.public_der)
+
+
+def test_fake_mode_needs_an_adversary_key():
+    with pytest.raises(ValueError, match="adversary key"):
+        CompromisedRouter("cx", poison_mode="fake", target_prefix=Name.parse("/v"))
 
 
 def test_empty_scenario_terminates_with_header_only():
