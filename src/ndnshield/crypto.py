@@ -15,12 +15,14 @@ round of key generation takes its one 512-bit exponentiation from its
 `BN_mod_exp`, and a key, once checked by `EVP_PKEY_check`, signs through
 `EVP_DigestSign`. Where it is missing, both run on builtin `pow`, signing
 by the Chinese remainder theorem. Verification is plain Python on every
-platform: a strict DER parse of the SubjectPublicKeyInfo, then `pow(s, e,
-n)` compared byte for byte with the expected encoding. No byte depends on
-the path: `pow` and `BN_mod_exp` give the same integer, and a PKCS#1 v1.5
-signature is deterministic, the one integer EM^d mod n, so any correct
-signer gives the same bytes (RFC 8017 §8.2.1, §9.2). The platform changes
-only how long a key or a signature takes.
+platform. It reads only the key form `KeyPair` builds, since a publisher
+is named by the digest of a DER the model made: a DER is a key only if
+`_spki_der` re-encodes the modulus it holds to those very bytes. Then
+`pow(s, e, n)` is compared byte for byte with the expected encoding. No
+byte depends on the path: `pow` and `BN_mod_exp` give the same integer,
+and a PKCS#1 v1.5 signature is deterministic, the one integer EM^d mod n,
+so any correct signer gives the same bytes (RFC 8017 §8.2.1, §9.2). The
+platform changes only how long a key or a signature takes.
 
 Every named data packet is made by one seal, `_seal`: it serialises the
 packet's image once, takes a signature over it, and appends the digest of
@@ -30,7 +32,7 @@ forged packet names its own bytes exactly as an honest one does. Both
 leave that content hash on the packet they return.
 
 In-run verification (`verify_signature`) does no work twice for the same
-inputs: it keeps parsed public keys (the last 256 distinct DER encodings)
+inputs: it keeps the keys read from the last 256 distinct DER encodings
 and, on each packet like its wire size and content hash, the packet's
 signing-image digest and its verdict under every key it was checked
 against. The RSA check therefore runs once per (packet, key), and the
@@ -70,9 +72,6 @@ _INTEGER, _BIT_STRING, _SEQUENCE = 0x02, 0x03, 0x30
 _RSA_OID = bytes.fromhex("06092a864886f70d010101")
 _DER_NULL = b"\x05\x00"
 _SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
-# The shortest modulus, in bytes, that holds that encoding: 0x00 0x01, at
-# least 8 bytes of 0xff, 0x00, the DigestInfo and the 32-byte digest.
-_MIN_MODULUS_BYTES = 11 + len(_SHA256_DIGEST_INFO) + 32
 _EVP_PKEY_RSA = 6  # NID_rsaEncryption
 
 
@@ -317,70 +316,29 @@ def _der_uint(value: int) -> bytes:
     return _der(_INTEGER, value.to_bytes(value.bit_length() // 8 + 1, "big"))
 
 
-def _der_fields(data: bytes, *tags: int) -> list[bytes]:
-    """The bodies of the DER elements `data` consists of: one of each of
-    `tags`, in order, and nothing after them. ValueError for anything DER
-    forbids there: another tag, an indefinite or non-minimal length, or a
-    length past the end."""
-    bodies, at = [], 0
-    for tag in tags:
-        if len(data) < at + 2 or data[at] != tag:
-            raise ValueError("unexpected DER tag")
-        size, at = data[at + 1], at + 2
-        if size & 0x80:
-            width = size & 0x7F
-            raw = data[at : at + width]
-            size, at = int.from_bytes(raw, "big"), at + width
-            if not raw or len(raw) != width or raw[0] == 0 or size < 0x80:
-                raise ValueError("indefinite or non-minimal DER length")
-        if len(data) < at + size:
-            raise ValueError("DER length past the end")
-        bodies.append(data[at : at + size])
-        at += size
-    if at != len(data):
-        raise ValueError("bytes after the DER elements")
-    return bodies
-
-
-def _der_uint_value(body: bytes) -> int:
-    """The INTEGER whose DER body is `body`; ValueError where it is empty,
-    negative or not in its fewest bytes."""
-    if not body or body[0] & 0x80 or (len(body) > 1 and body[0] == 0 and body[1] < 0x80):
-        raise ValueError("not a minimal non-negative DER INTEGER")
-    return int.from_bytes(body, "big")
-
-
 def _spki_der(n: int, e: int) -> bytes:
     """The SubjectPublicKeyInfo DER of the RSA public key (n, e)."""
     rsa_key = _der(_SEQUENCE, _der_uint(n), _der_uint(e))
     return _der(_SEQUENCE, _der(_SEQUENCE, _RSA_OID, _DER_NULL), _der(_BIT_STRING, b"\0", rsa_key))
 
 
-def _spki_numbers(der: bytes) -> tuple[int, int] | None:
-    """The RSA public key (n, e) the SubjectPublicKeyInfo `der` encodes.
-    None unless `der` is strict DER for an rsaEncryption key, its NULL
-    parameters present or absent, and unless a signature could verify
-    under it: n odd and long enough for a SHA-256 encoding, e below n,
-    and within OpenSSL's limits (n of at most 16,384 bits, and e of at
-    most 64 bits once n has more than 3,072)."""
-    try:
-        (info,) = _der_fields(der, _SEQUENCE)
-        algorithm, bits = _der_fields(info, _SEQUENCE, _BIT_STRING)
-        # A BIT STRING opens with its count of unused trailing bits, which
-        # DER requires to be zero bits.
-        if algorithm not in (_RSA_OID, _RSA_OID + _DER_NULL) or not bits or (
-            bits[0] > 7 or bits[-1] & ((1 << bits[0]) - 1)
-        ):
-            return None
-        (rsa_key,) = _der_fields(bits[1:], _SEQUENCE)
-        n, e = map(_der_uint_value, _der_fields(rsa_key, _INTEGER, _INTEGER))
-    except ValueError:
-        return None
-    size = n.bit_length()
-    if (n % 2 == 0 or e >= n or (size + 7) // 8 < _MIN_MODULUS_BYTES or size > 16384
-            or (size > 3072 and e.bit_length() > 64)):
-        return None
-    return n, e
+# Where n's `RSA_BITS // 8` bytes sit in what `_spki_der` writes for a key
+# the model builds, found once in the encoding of a probe modulus.
+_PROBE_N = (1 << RSA_BITS) - 1
+_N_AT = _spki_der(_PROBE_N, RSA_EXPONENT).index(_PROBE_N.to_bytes(_MODULUS_BYTES, "big"))
+
+
+def _model_key(der: bytes) -> tuple[int, int] | None:
+    """The RSA public key (n, e) of `der` if `der` is exactly what
+    `_spki_der` writes for a key `KeyPair` builds: an odd n of `RSA_BITS`
+    bits under `RSA_EXPONENT`. None for any other bytes, whatever key they
+    may encode: every key the model names a publisher by is of this form."""
+    n = int.from_bytes(der[_N_AT : _N_AT + _MODULUS_BYTES], "big")
+    # n's length counts too: for a shorter DER the window runs on into the
+    # trailer, and some such n re-encode to the very DER they are read from.
+    if n % 2 and n.bit_length() == RSA_BITS and _spki_der(n, RSA_EXPONENT) == der:
+        return n, RSA_EXPONENT
+    return None
 
 
 def _emsa_pkcs1_v15(digest: bytes, size: int) -> bytes:
@@ -479,8 +437,9 @@ _FRESH_KEYS_MAX = 256
 
 
 def verify_bytes(public_der: bytes, signature: bytes, message: bytes) -> bool:
-    """True iff the signature is valid; malformed keys count as failures."""
-    key = _spki_numbers(public_der)
+    """True iff the signature is valid under `public_der`, a key of the
+    form `_model_key` reads; any other DER counts as a failure."""
+    key = _model_key(public_der)
     return key is not None and _rsa_check(key, signature, sha256(message))
 
 
@@ -532,15 +491,15 @@ def forge_packet(
     return _seal(draft, lambda image: signature)
 
 
-# `_spki_numbers` kept for the last 256 distinct DER encodings, so a bad key
-# fails every verification, not only the first, without a second parse.
-_public_key = functools.lru_cache(maxsize=256)(_spki_numbers)
+# `_model_key` kept for the last 256 distinct DER encodings, so a key is
+# re-encoded once, not at every verification it takes part in.
+_public_key = functools.lru_cache(maxsize=256)(_model_key)
 
 
 @functools.lru_cache(maxsize=256)
 def public_key_digest(der: bytes) -> bytes:
     """SHA-256 of a public key's DER, the digest packets name their
-    publisher by; kept per DER, as `_public_key` keeps parsed keys, since
+    publisher by; kept per DER, as `_public_key` keeps keys read, since
     a consumer checks it on every verify."""
     return sha256(der)
 

@@ -68,13 +68,14 @@ def bench_crypto(packet_size: int = 1500, duration_s: float = 0.5) -> dict:
     exponent. The returned ratio is what makes hash verification viable at
     line rate where signature verification is not.
 
-    The RSA figure times `verify_bytes`, which on every call parses the
-    DER key, hashes the image and runs the RSA check, `pow(s, 3, n)`
+    The RSA figure times `verify_bytes`, which on every call reads the
+    DER key (re-encoding it to check it is of the one form the model
+    builds), hashes the image and runs the RSA check, `pow(s, 3, n)`
     compared with the expected PKCS#1 v1.5 encoding, all in Python, as a
     verifier meeting the packet and key for the first time must. The
-    in-run `verify_signature` keeps parsed keys, signing digests and each
-    packet's verdict per key, so it runs the RSA check once per (packet,
-    key); none of that touches `verify_bytes`, so this ratio is
+    in-run `verify_signature` keeps the keys read, signing digests and
+    each packet's verdict per key, so it runs the RSA check once per
+    (packet, key); none of that touches `verify_bytes`, so this ratio is
     unaffected.
     """
     key = KeyPair.generate(Rng(20130614, "bench"))

@@ -45,7 +45,7 @@ from .packets import (
 )
 from .poisoning import feedback_interest
 from .router import Router
-from .schema import Positive
+from .schema import NonEmpty, NonNegative, Positive
 
 VALID = "valid"
 CORRUPTED = "corrupted"
@@ -161,8 +161,8 @@ class Producer(NodeBase):
         *,
         dynamic_prefix: Optional[Name] = None,
         payload_size: int = 1024,
-        sign_service_us: int = 800,
-        static_service_us: int = 10,
+        sign_service_us: Annotated[int, NonNegative] = 800,
+        static_service_us: Annotated[int, NonNegative] = 10,
     ):
         super().__init__(node_id)
         self.prefix = prefix
@@ -511,7 +511,7 @@ class RequestConsumer(ConsumerBase):
         node_id: str,
         rng,
         *,
-        names: Optional[list[Name]] = None,
+        names: Optional[Annotated[list[Name], NonEmpty]] = None,
         unique_under: Optional[Name] = None,
         rate_per_s: float = 0.0,
         start_ms: int = 0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Annotated, Optional
 
 from .crypto import (
     hmac_sha256,
@@ -34,6 +34,7 @@ from .packets import (
     control_interest,
     publisher_digest_matches,
 )
+from .schema import NonNegative
 
 MODE_OFF = "off"
 MODE_INDEPENDENT = "independent"
@@ -115,7 +116,7 @@ class PoisoningConfig:
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
     neighbor: NeighborFeedbackConfig = field(default_factory=NeighborFeedbackConfig)
     consumer: ConsumerFeedbackConfig = field(default_factory=ConsumerFeedbackConfig)
-    verify_service_us: int = 80
+    verify_service_us: Annotated[int, NonNegative] = 80
 
 
 class PoisoningGuard:

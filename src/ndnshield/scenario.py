@@ -45,7 +45,7 @@ from .poisoning import (
 )
 from .rand import Rng
 from .router import Router, RouterConfig
-from .schema import BAD, Positive, fields_of
+from .schema import BAD, NonNegative, Positive, fields_of
 from .sections import (
     ANY_ROUTER,
     PRODUCER,
@@ -75,6 +75,13 @@ DEFAULTS = {
     "cs_capacity": ("cs_capacity",),
 }
 PIT_SWEEP_INTERVAL_MS = 100  # no config type holds this one
+# The bound each `defaults` key must meet, checked at the key's own path.
+_DEFAULT_BOUNDS = {
+    "interest_lifetime_ms": Positive,
+    "pit_sweep_interval_ms": Positive,
+    "avg_content_size_bytes": Positive,
+    **dict.fromkeys(("verify_service_us", "sign_service_us", "static_service_us"), NonNegative),
+}
 
 
 class ScenarioError(ValueError):
@@ -181,9 +188,9 @@ def _validate(doc: dict) -> Scenario:
     sections = {key: top.pop(key) for key in _SECTIONS if key in top}
     block = sections.get("defaults", {})
     chk.keys(block, "$.defaults", DEFAULTS)
-    for key in ("interest_lifetime_ms", "pit_sweep_interval_ms", "avg_content_size_bytes"):
+    for key, bound in _DEFAULT_BOUNDS.items():
         if key in block:
-            Positive.check(chk, block[key], f"$.defaults.{key}")
+            bound.check(chk, block[key], f"$.defaults.{key}")
     inherited = {name: block[key] for key in DEFAULTS if key in block for name in DEFAULTS[key]}
     links = [link.spec() for link in sections.get("links", [])]
     fib = sections.get("fib", {})

@@ -36,6 +36,24 @@ class Positive:
             reader.fail(path, "must be positive")
 
 
+class NonNegative:
+    """Type metadata: the value must be zero or more."""
+
+    @staticmethod
+    def check(reader: "Reader", value, path: str) -> None:
+        if value < 0:
+            reader.fail(path, "must not be negative")
+
+
+class NonEmpty:
+    """Type metadata: the value must not be empty."""
+
+    @staticmethod
+    def check(reader: "Reader", value, path: str) -> None:
+        if not value:
+            reader.fail(path, "must not be empty")
+
+
 class Invalid(ValueError):
     """A dataclass's own check failing on the value of one of its fields."""
 

@@ -305,7 +305,7 @@ def test_cached_verify_agrees_with_cold_verify(
     key, other_key, comps, payload, tamper, verifier, at
 ):
     """`verify_signature` (kept key, digest and verdicts) gives the verdict
-    of `verify_bytes` (key decoded and image hashed on every call), also
+    of `verify_bytes` (key read and image hashed on every call), also
     when asked twice about a malformed or non-RSA key, and when one packet
     is asked about several keys in turn."""
     pkt = sign_packet(Name(tuple(comps)), payload, key)
@@ -396,28 +396,46 @@ def blum_key():
     return key, p, q
 
 
+def _model_form(der: bytes) -> bool:
+    """Whether `der` is the SubjectPublicKeyInfo cryptography writes for
+    an RSA key of 1,024 bits, n odd, under e = 3: the one key form the
+    model builds, told apart here by cryptography's reader and encoder."""
+    try:
+        public = serialization.load_der_public_key(der)
+    except Exception:
+        return False
+    if not isinstance(public, rsa.RSAPublicKey):
+        return False
+    numbers = public.public_numbers()
+    return (numbers.e == crypto.RSA_EXPONENT and numbers.n % 2 == 1
+            and numbers.n.bit_length() == crypto.RSA_BITS
+            and public.public_bytes(serialization.Encoding.DER,
+                                    serialization.PublicFormat.SubjectPublicKeyInfo) == der)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     message=st.binary(max_size=64),
     key_case=st.sampled_from([
-        "own", "flip", "truncate", "append", "long-form", "zero", "negative-n", "negative-e",
-        "no-null", "e=1", "big-e", "even-e", "e=n", "e>n", "ec",
+        "own", "flip", "flip-n", "truncate", "append", "long-form", "zero", "negative-n",
+        "negative-e", "no-null", "e=1", "big-e", "even-e", "e=n", "e>n", "ec",
     ]),
     at=st.integers(min_value=0, max_value=10_000),
     extra=st.binary(min_size=1, max_size=4),
     part=st.sampled_from(["info", "algorithm", "bits", "key", "n", "e"]),
 )
 def test_verify_bytes_agrees_with_cryptography(blum_key, message, key_case, at, extra, part):
-    """`verify_bytes` parses the key and checks the signature in plain
-    Python; over malformed, mutated and non-RSA keys and bad signatures it
-    gives cryptography's verdict.
+    """`verify_bytes` accepts exactly when the key is of the model's form
+    and cryptography accepts the signature under it. Over malformed,
+    mutated and non-RSA keys and bad signatures, a key of another form is
+    refused, also where cryptography accepts; a mutation that keeps the
+    form, such as a flipped bit inside n, gets cryptography's verdict.
 
     Some cases carry a signature that passes the arithmetic, so that only
-    the parse or a bound can refuse it: the encoding itself under e = 1,
-    its square root under e = 2 (DER lets the BIT STRING then claim one
-    unused bit), and the RSA signature under 3 plus a multiple of
-    lcm(p - 1, q - 1), below n, at or past it, or spelt as a negative
-    INTEGER."""
+    the key form can refuse it: the encoding itself under e = 1, its
+    square root under e = 2 (DER lets the BIT STRING then claim one unused
+    bit), and the RSA signature under 3 plus a multiple of lcm(p - 1,
+    q - 1), below n, at or past it, or spelt as a negative INTEGER."""
     key, p, q = blum_key
     n, e = p * q, crypto.RSA_EXPONENT
     lam = math.lcm(p - 1, q - 1)
@@ -425,6 +443,8 @@ def test_verify_bytes_agrees_with_cryptography(blum_key, message, key_case, at, 
     der = {
         "own": lambda: key.public_der,
         "flip": lambda: _flip(key.public_der, at),
+        # A bit of n's lower 1,023 flipped: the form is kept unless n turns even.
+        "flip-n": lambda: _spki(n ^ (1 << at % 1023), e),
         "truncate": lambda: key.public_der[: at % len(key.public_der)],
         "append": lambda: key.public_der + extra,
         "long-form": lambda: _spki(n, e, long_form=part),
@@ -455,30 +475,60 @@ def test_verify_bytes_agrees_with_cryptography(blum_key, message, key_case, at, 
         encoding,
         root.to_bytes(128, "big"),  # valid under e = 2 when m is a square
     ]
+    form = _model_form(der)
+    if key_case != "flip":  # a flipped byte may land inside n or outside it
+        assert form == (key_case == "own" or key_case == "flip-n" and at % 1023 > 0)
     for sig in signatures:
-        assert verify_bytes(der, sig, message) == _oracle_verdict(der, sig, message)
+        assert verify_bytes(der, sig, message) == (form and _oracle_verdict(der, sig, message))
 
 
-def test_verify_bytes_keeps_openssls_key_bounds():
-    """OpenSSL refuses an even modulus, one of more than 16,384 bits, and
-    an exponent of more than 64 bits once the modulus passes 3,072 bits;
-    so does `verify_bytes`, also where the arithmetic passes."""
-    message = b"bounds"
-    numbers = rsa.generate_private_key(65537, 3080).private_numbers()
-    p, q = numbers.p, numbers.q
-    n, lam = p * q, math.lcm(p - 1, q - 1)
-    size = (n.bit_length() + 7) // 8
-    m = int.from_bytes(_encoding(message, size), "big")
-    for bits, valid in ((64, True), (65, False)):
-        e = (1 << (bits - 1)) + 1
-        while math.gcd(e, lam) != 1:
-            e += 2
-        der, sig = _spki(n, e), pow(m, pow(e, -1, lam), n).to_bytes(size, "big")
-        assert verify_bytes(der, sig, message) is _oracle_verdict(der, sig, message) is valid
-    # Under e = 1 the encoding itself passes the arithmetic for any n above it.
-    for n, valid in ((1 << 16383) | 1, True), (1 << 16383, False), ((1 << 16391) | 1, False):
-        der, sig = _spki(n, 1), _encoding(message, (n.bit_length() + 7) // 8)
-        assert verify_bytes(der, sig, message) is _oracle_verdict(der, sig, message) is valid
+@pytest.mark.parametrize("bits, e", [(1024, 65537), (2048, 3)])
+def test_verify_bytes_refuses_keys_the_model_does_not_build(bits, e):
+    """A signature cryptography makes and accepts under an RSA key of
+    another size or exponent does not verify: the model names every
+    publisher by a key it built, so no other key form is read."""
+    message = b"another form"
+    private = rsa.generate_private_key(e, bits)
+    der = private.public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo)
+    sig = private.sign(message, padding.PKCS1v15(), hashes.SHA256())
+    assert _oracle_verdict(der, sig, message)
+    assert not verify_bytes(der, sig, message)
+
+
+def _cube_root_key(message: bytes, parity: int) -> tuple[bytes, bytes]:
+    """A DER in the model's form, n of 1,024 bits with n % 2 == parity, and
+    a signature s that passes its arithmetic: n = s^3 - EM for the least
+    such s, so s^3 mod n is the message's encoding EM."""
+    m = int.from_bytes(_encoding(message, 128), "big")
+    lo, hi = 0, 1 << 342
+    while lo < hi:  # the least s with s^3 >= 2^1023 + m
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**3 < (1 << 1023) + m else (lo, mid)
+    s = lo + ((lo**3 - m) % 2 != parity)
+    return crypto._spki_der(s**3 - m, crypto.RSA_EXPONENT), s.to_bytes(128, "big")
+
+
+def test_verify_bytes_refuses_an_even_modulus(key):
+    """A DER that `_spki_der` wrote for an even n is refused, though the
+    signature passes the arithmetic; the same construction with n odd
+    verifies."""
+    message = b"even"
+    for parity in (1, 0):
+        der, sig = _cube_root_key(message, parity)
+        assert len(der) == len(key.public_der)
+        assert verify_bytes(der, sig, message) is bool(parity)
+
+
+def test_model_key_reads_only_a_full_length_modulus():
+    """An n of 969 bits that repeats 02 01 03, the bytes `_spki_der` ends
+    a key with, re-encodes to the very DER from which it is read at the
+    model form's offset, the window running on into the trailer. It is
+    refused for its length."""
+    n = int.from_bytes(bytes.fromhex("0103" + "020103" * 40), "big")
+    der = crypto._spki_der(n, crypto.RSA_EXPONENT)
+    assert int.from_bytes(der[crypto._N_AT : crypto._N_AT + 128], "big") == n
+    assert crypto._model_key(der) is None
 
 
 def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):

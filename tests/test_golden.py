@@ -67,7 +67,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 
+from ndnshield import crypto
 from ndnshield.experiment import run_experiment, run_simulation
 from ndnshield.flooding import FloodingDefense
 from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, MetricsCollector, load_csv
@@ -418,10 +420,31 @@ def output_digests(out_dir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
 
 
+# Runs in which no signature is checked: a flood of dynamic names, and
+# key fetches that never resolve.
+NO_RSA_CHECK = {"dynamic_flood", "keylocator_abuse"}
+
+
 @pytest.mark.parametrize("key", sorted(DOCS))
-def test_golden_digests(key, tmp_path):
+def test_golden_digests(key, tmp_path, monkeypatch):
+    """The pinned bytes; and every key DER that reaches an RSA check is of
+    the one form the verifier reads, `_spki_der`'s encoding of the key
+    cryptography reads from it: RSA_BITS bits under RSA_EXPONENT."""
+    checked = set()
+    rsa_verify = crypto._rsa_verify
+
+    def recorded(pkt, der):
+        checked.add(der)
+        return rsa_verify(pkt, der)
+
+    monkeypatch.setattr(crypto, "_rsa_verify", recorded)
     run_experiment(load_scenario(DOCS[key]()), out_dir=tmp_path)
     assert output_digests(tmp_path) == GOLDEN[key]
+    for der in checked:
+        numbers = serialization.load_der_public_key(der).public_numbers()
+        assert (numbers.n.bit_length(), numbers.e) == (crypto.RSA_BITS, crypto.RSA_EXPONENT)
+        assert crypto._spki_der(numbers.n, numbers.e) == der
+    assert bool(checked) == (key not in NO_RSA_CHECK)
 
 
 def summary_from_csv(path: Path) -> dict:

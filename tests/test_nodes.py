@@ -285,6 +285,25 @@ def test_nested_key_fetches_resolve_in_fetch_order(first, second):
     assert [f.name for f in consumer._key_fetches.values()] == [n(second)]
 
 
+@pytest.mark.parametrize("payload, status", [
+    ("own", "valid"), ("garbage", "corrupted"), ("other-key", "corrupted"),
+])
+def test_fetched_key_payload_decides_the_parked_packet(payload, status):
+    """A packet parked on a key fetch is corrupted when the key packet's
+    payload is not its publisher's key: bytes that are no key, or a key
+    the model built for another publisher."""
+    consumer, _ = make_request_consumer()
+    key = make_key("honest")
+    der = {"own": key.public_der, "garbage": b"not a der key",
+           "other-key": make_key("adversary").public_der}[payload]
+    outcomes = []
+    pkt = sign_packet(n("/victim/page"), b"body", key, KeyName(n("/k")))
+    consumer.verify_delivery(pkt, None, lambda s, p: outcomes.append((s, p)), 0)
+    assert consumer.stats["key_interests_sent"] == 1
+    consumer.on_packet(0, make_packet("/k/cert", key=key, payload=der), now=1)
+    assert outcomes == [(status, pkt)]
+
+
 # ---------------------------------------------------------------------------
 # Collection consumer
 # ---------------------------------------------------------------------------

@@ -267,13 +267,25 @@ def _consumer_of(collection, **keys):
          "$.nodes[2].requests.lifetime_ms"),
         (_consumer_of("file", lifetime_ms=0), "$.nodes[2].collection.lifetime_ms"),
         (_with_attack(lifetime_ms=-5), "$.attacks[0].lifetime_ms"),
+        # A consumer cycles through its names: it needs at least one.
+        (_with_node(2, requests={"names": [], "at_ms": [1]}), "$.nodes[2].requests.names"),
     ],
     ids=["verifier-v", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
          "name-pool", "attack-rate", "window-ms", "pit-capacity", "trust", "defaults",
          "fib-hop-unlinked", "default-lifetime", "flooding-timeout", "sweep-interval",
          "default-content-size", "flooding-content-size", "request-lifetime",
-         "collection-lifetime", "attack-lifetime"],
+         "collection-lifetime", "attack-lifetime", "empty-request-names"],
 )
 def test_bad_input_rejected_at_its_path(doc, path):
     errs = violations(doc)
     assert [e.split(": ")[0] for e in errs] == [path], errs
+
+
+@pytest.mark.parametrize("key", ["sign_service_us", "static_service_us", "verify_service_us"])
+def test_service_times_must_not_be_negative(key):
+    """A negative service time would schedule into the past, so it is
+    refused at load; zero, a free service, loads and runs."""
+    assert violations(minimal_doc(defaults={key: -1})) == [
+        f"$.defaults.{key}: must not be negative"]
+    doc = minimal_doc(defaults={key: 0}, poisoning_defense={"verification": {"mode": "independent"}})
+    build_sim(load_scenario(doc), seed=1).run()
