@@ -16,7 +16,7 @@ from typing import Annotated, Optional
 from .crypto import KeyPair, sign_packet
 from .nodes import NodeBase, encode_fragment_payload
 from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
-from .schema import Positive
+from .schema import NonNegative, Positive
 
 FLOOD_STATIC = "flood-static"
 FLOOD_DYNAMIC = "flood-dynamic"
@@ -43,7 +43,7 @@ class AttackSpec:
     zombies: tuple[str, ...]
     target_prefix: Name
     rate_per_s: float = 1.0
-    start_ms: int = 0
+    start_ms: Annotated[int, NonNegative] = 0
     stop_ms: int = 1
     name_pool: tuple[Name, ...] = ()  # flood-static / flood-unsat-keydigest
     dynamic_under: Optional[Name] = None  # flood-dynamic

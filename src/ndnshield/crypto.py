@@ -31,12 +31,13 @@ seals with an RSA signature, `forge_packet` with given garbage bytes, so a
 forged packet names its own bytes exactly as an honest one does. Both
 leave that content hash on the packet they return.
 
-In-run verification (`verify_signature`) does no work twice for the same
-inputs: it keeps the keys read from the last 256 distinct DER encodings
-and, on each packet like its wire size and content hash, the packet's
-signing-image digest and its verdict under every key it was checked
-against. The RSA check therefore runs once per (packet, key), and the
-verdicts go when their packet does. `verify_bytes` keeps nothing.
+In-run verification has one entry, `verify_signature(pkt, der)`: the
+packet names the key (its publisher digest is the SHA-256 of `der`) and
+its signature verifies under it. It keeps the keys read from the last 256
+distinct DER encodings and, on each packet like its wire size and content
+hash, its verdict under every key it was asked about. The digest and the
+RSA check therefore run once per (packet, key), and the verdicts go when
+their packet does. `verify_bytes` keeps nothing.
 """
 
 from __future__ import annotations
@@ -496,49 +497,27 @@ def forge_packet(
 _public_key = functools.lru_cache(maxsize=256)(_model_key)
 
 
-@functools.lru_cache(maxsize=256)
-def public_key_digest(der: bytes) -> bytes:
-    """SHA-256 of a public key's DER, the digest packets name their
-    publisher by; kept per DER, as `_public_key` keeps keys read, since
-    a consumer checks it on every verify."""
-    return sha256(der)
-
-
-def _signing_digest(pkt: DataPacket) -> bytes:
-    """SHA-256 of `signing_image(pkt)`, computed once and kept on the packet."""
-    digest = pkt.__dict__.get("_signing_digest")
-    if digest is None:
-        digest = sha256(signing_image(pkt))
-        object.__setattr__(pkt, "_signing_digest", digest)
-    return digest
-
-
 def verify_signature(pkt: DataPacket, public_der: bytes) -> bool:
-    """Check the packet signature over its to-be-signed image. Accepts
-    exactly what `verify_bytes(public_der, pkt.signature, signing_image(pkt))`
-    accepts. The verdict is kept on the packet by key, so the RSA check
-    runs only the first time a packet is asked about a key."""
+    """Whether `pkt` names the key `public_der` (its publisher digest is the
+    key's SHA-256) and its signature over its to-be-signed image verifies
+    under that key, as `verify_bytes` judges it. The verdict is kept on the
+    packet by key, so both checks run only the first time a packet is
+    asked about a key."""
     verdicts = pkt.__dict__.get("_verdicts")
     if verdicts is None:
         verdicts = {}
         object.__setattr__(pkt, "_verdicts", verdicts)
     verdict = verdicts.get(public_der)
     if verdict is None:
-        verdict = verdicts[public_der] = _rsa_verify(pkt, public_der)
+        verdict = verdicts[public_der] = (
+            sha256(public_der) == pkt.publisher_key_digest and _rsa_verify(pkt, public_der)
+        )
     return verdict
 
 
 def _rsa_verify(pkt: DataPacket, public_der: bytes) -> bool:
     key = _public_key(public_der)
-    return key is not None and _rsa_check(key, pkt.signature, _signing_digest(pkt))
-
-
-def packet_is_self_consistent(pkt: DataPacket) -> bool:
-    """For an embedded key: the advertised producer digest must be the
-    digest of the embedded key. Honest producers always satisfy this."""
-    if isinstance(pkt.key_locator, EmbeddedKey):
-        return public_key_digest(pkt.key_locator.key_der) == pkt.publisher_key_digest
-    return True
+    return key is not None and _rsa_check(key, pkt.signature, sha256(signing_image(pkt)))
 
 
 __all__ = [
@@ -550,8 +529,6 @@ __all__ = [
     "link_mac",
     "link_mac_ok",
     "ls32",
-    "packet_is_self_consistent",
-    "public_key_digest",
     "sha256",
     "sign_packet",
     "signing_image",

@@ -73,10 +73,9 @@ def bench_crypto(packet_size: int = 1500, duration_s: float = 0.5) -> dict:
     builds), hashes the image and runs the RSA check, `pow(s, 3, n)`
     compared with the expected PKCS#1 v1.5 encoding, all in Python, as a
     verifier meeting the packet and key for the first time must. The
-    in-run `verify_signature` keeps the keys read, signing digests and
-    each packet's verdict per key, so it runs the RSA check once per
-    (packet, key); none of that touches `verify_bytes`, so this ratio is
-    unaffected.
+    in-run `verify_signature` keeps the keys read and each packet's
+    verdict per key, so it runs the RSA check once per (packet, key);
+    none of that touches `verify_bytes`, so this ratio is unaffected.
     """
     key = KeyPair.generate(Rng(20130614, "bench"))
     payload = b"\xa5" * packet_size

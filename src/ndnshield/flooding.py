@@ -14,9 +14,10 @@ neighbours of a sustainable rate; they install a per-ingress token-bucket
 cap and push the advice further toward the sources.
 
 The composition of the limiters (rejection order, window length, clamp
-floor, cooldown, TTL, fair-share rule) is this artifact's own; every
-constant but the anomaly threshold and the cap's burst depth is a
-configuration knob.
+floor, cooldown, TTL, fair-share rule) is this artifact's own. The window,
+clamp floor, cooldown and TTL are configuration knobs; the anomaly
+threshold, the cap's burst depth, the fair-share factor and the floor of
+advised rates are module constants.
 
 Inside the defense a namespace is the tuple of its prefix's components,
 which hashes in C; `Name` appears only where a prefix enters or leaves:
@@ -48,6 +49,8 @@ REJ_RATE_CAP = "rej_rate-cap"
 # that caused the throttling.
 ANOMALY_RATIO = 0.5
 CAP_BURST_S = 1.0  # token bucket depth, in seconds of advised rate
+FAIR_SHARE_FACTOR = 2.0  # an offender's count exceeds this times its peers' mean
+MIN_ADVISED_RATE = 1.0  # interests/s floor for push-back advice
 
 Prefix = tuple[bytes, ...]  # a namespace, as its prefix's name components
 
@@ -72,10 +75,8 @@ class FloodingConfig:
     min_throttle: float = 0.05
     pushback_cooldown_ms: int = 1000
     pushback_ttl: int = 8
-    fair_share_factor: float = 2.0
     interest_timeout_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
     avg_content_size_bytes: Annotated[int, Positive] = 1500
-    min_advised_rate: float = 1.0  # interests/s floor for push-back advice
     outgoing_quota_override: Optional[int] = None
     incoming_limit_override: Optional[int] = None
 
@@ -324,7 +325,7 @@ class FloodingDefense:
         keep it honest over time.
 
         A sole contributor is the offender by definition; otherwise an
-        ingress offends when its count exceeds the configured factor times
+        ingress offends when its count exceeds `FAIR_SHARE_FACTOR` times
         the mean of the other contributors.
         """
         counts: dict[int, int] = {}
@@ -345,7 +346,7 @@ class FloodingDefense:
         offenders = []
         for iface in sorted(counts):
             others = [c for i, c in counts.items() if i != iface]
-            if counts[iface] > self.config.fair_share_factor * (sum(others) / len(others)):
+            if counts[iface] > FAIR_SHARE_FACTOR * (sum(others) / len(others)):
                 offenders.append(iface)
         return offenders
 
@@ -365,7 +366,7 @@ class FloodingDefense:
         sustainable = (
             quota / (self.config.interest_timeout_ms / 1000.0) if quota is not None else 0.0
         )
-        return max(self.config.min_advised_rate, sustainable, satisfied_rate)
+        return max(MIN_ADVISED_RATE, sustainable, satisfied_rate)
 
     def build_pushback(self, prefix: Name, rate_per_s: float, ttl: int, iface: int) -> Interest:
         rate_milli = int(round(rate_per_s * 1000))

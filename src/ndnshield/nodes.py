@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Annotated, Callable, Optional
 
 from .crypto import (
     KeyPair,
     compute_content_hash,
     forge_packet,
-    public_key_digest,
     sha256,
     sign_packet,
     verify_signature,
@@ -47,11 +46,13 @@ from .poisoning import feedback_interest
 from .router import Router
 from .schema import NonEmpty, NonNegative, Positive
 
-VALID = "valid"
-CORRUPTED = "corrupted"
-FAKE = "fake"
-HASH_MISMATCH = "hash-mismatch"
-PENDING_KEY = "pending-key"
+# What a consumer makes of a delivered packet, each the name of the
+# counter column it is counted in.
+VALID = "received_valid"
+CORRUPTED = "received_corrupted"
+FAKE = "received_fake"
+HASH_MISMATCH = "received_hash_mismatch"
+PENDING_KEY = "received_unverifiable"  # its key fetch timed out
 
 MODE_PLAIN = "plain"
 MODE_SSCID = "s-scid"
@@ -382,7 +383,6 @@ class ConsumerBase(NodeBase):
         del self._key_fetches[record.name.components]
         self.stats["key_fetch_timeouts"] += 1
         for pkt, done in record.packets:
-            self.stats["received_unverifiable"] += 1
             done(PENDING_KEY, pkt)
 
     def _retry_or_fail(self, key, request: _Request, exclude: frozenset[bytes]) -> None:
@@ -410,8 +410,6 @@ class ConsumerBase(NodeBase):
     # -- verification -------------------------------------------------------
 
     def classify(self, pkt: DataPacket, key_der: bytes) -> str:
-        if public_key_digest(key_der) != pkt.publisher_key_digest:
-            return CORRUPTED  # identity claim inconsistent with the key
         if not verify_signature(pkt, key_der):
             return CORRUPTED
         if self.trusted_key_digest is not None and (
@@ -481,18 +479,11 @@ class ConsumerBase(NodeBase):
         self.net.send_from(self.id, iface, feedback_interest(compute_content_hash(pkt), self._nonce()))
 
     def record_outcome(self, status: str, pkt: DataPacket) -> None:
+        self.stats[status] += 1
         if pkt.poisoned:
             self.stats["poisoned_received"] += 1
-        if status == VALID:
-            self.stats["received_valid"] += 1
-            if pkt.poisoned:
+            if status == VALID:
                 self.stats["accepted_poisoned"] += 1
-        elif status == CORRUPTED:
-            self.stats["received_corrupted"] += 1
-        elif status == FAKE:
-            self.stats["received_fake"] += 1
-        elif status == HASH_MISMATCH:
-            self.stats["received_hash_mismatch"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +505,9 @@ class RequestConsumer(ConsumerBase):
         names: Optional[Annotated[list[Name], NonEmpty]] = None,
         unique_under: Optional[Name] = None,
         rate_per_s: float = 0.0,
-        start_ms: int = 0,
+        start_ms: Annotated[int, NonNegative] = 0,
         stop_ms: int = 0,
-        at_ms: Optional[list[int]] = None,
+        at_ms: Optional[list[Annotated[int, NonNegative]]] = None,
         retries: int = 0,
         mode: str = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
@@ -588,10 +579,8 @@ class RequestConsumer(ConsumerBase):
 
         def done(status: str, packet: DataPacket) -> None:
             self.record_outcome(status, packet)
-            if status == VALID:
+            if status in (VALID, PENDING_KEY):  # pending: delivered, key unresolvable
                 self.stats["requests_satisfied"] += 1
-            elif status == PENDING_KEY:
-                self.stats["requests_satisfied"] += 1  # delivered, key unresolvable
             else:
                 self.send_feedback(iface, packet)
                 self.stats["requests_failed"] += 1
@@ -620,7 +609,7 @@ class CollectionConsumer(ConsumerBase):
         mode: str = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
         first_hash: Optional[bytes] = None,
-        start_ms: int = 0,
+        start_ms: Annotated[int, NonNegative] = 0,
         lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
         max_retries: int = 3,
         exclude_cap: int = 16,
@@ -827,14 +816,7 @@ class CompromisedRouter(Router):
             )
         if requested_hash is not None:
             # Mimic the requested name exactly; the bytes cannot hash to it.
-            pkt = DataPacket(
-                Name(pkt.name.components[:-1] + (digest_component(requested_hash),)),
-                pkt.payload,
-                pkt.signature,
-                pkt.key_locator,
-                pkt.publisher_key_digest,
-                poisoned=True,
-            )
+            pkt = replace(pkt, name=base.child(digest_component(requested_hash)))
         return pkt
 
     def on_interest(self, iface: int, interest: Interest, now: int) -> None:

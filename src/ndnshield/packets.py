@@ -4,10 +4,10 @@ and the matching predicate.
 Interests and data packets are the only two packet kinds on the wire.
 Everything here is an immutable value: safe to share across simulation
 instances and cheap to use as dict keys. Values derived from a packet and
-needed on every hop (`wire_size`, `compute_content_hash`, the signing
-digest `crypto.verify_signature` checks and its verdict per key) are
-computed once and kept in the packet's `__dict__`, outside its fields, so
-they take no part in equality, hashing or repr.
+needed on every hop (`wire_size`, `compute_content_hash`, and the verdict
+per key of `crypto.verify_signature`) are computed once and kept in the
+packet's `__dict__`, outside its fields, so they take no part in
+equality, hashing or repr.
 
 `Interest` keeps the dataclass's equality, hashing and repr, but its
 constructor is written by hand: one interest is made per request and per

@@ -14,7 +14,7 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 from .metrics import COUNTER_COLUMNS
 from .packets import (
@@ -30,6 +30,7 @@ from .packets import (
     is_control_name,
     matches_base,
 )
+from .schema import NonNegative
 
 SRTT_GAIN = 0.125
 PROBE_RATIO_THRESHOLD = 0.5
@@ -484,8 +485,8 @@ class IfaceInfo:
 
 @dataclass
 class RouterConfig:
-    pit_capacity: int = 0  # 0 = unbounded
-    cs_capacity: int = 256
+    pit_capacity: Annotated[int, NonNegative] = 0  # 0 = unbounded
+    cs_capacity: Annotated[int, NonNegative] = 256
 
 
 class Router:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Any, Optional
 
@@ -45,7 +46,7 @@ from .poisoning import (
 )
 from .rand import Rng
 from .router import Router, RouterConfig
-from .schema import BAD, NonNegative, Positive, fields_of
+from .schema import BAD, Positive, fields_of
 from .sections import (
     ANY_ROUTER,
     PRODUCER,
@@ -75,13 +76,19 @@ DEFAULTS = {
     "cs_capacity": ("cs_capacity",),
 }
 PIT_SWEEP_INTERVAL_MS = 100  # no config type holds this one
-# The bound each `defaults` key must meet, checked at the key's own path.
-_DEFAULT_BOUNDS = {
-    "interest_lifetime_ms": Positive,
-    "pit_sweep_interval_ms": Positive,
-    "avg_content_size_bytes": Positive,
-    **dict.fromkeys(("verify_service_us", "sign_service_us", "static_service_us"), NonNegative),
-}
+# The types whose fields the `defaults` block overrides (through `_inherit`).
+_INHERITORS = (RouterConfig, Producer, RequestConsumer, CollectionConsumer, AttackSpec,
+               FloodingConfig, PoisoningConfig)
+# The bound of the one `defaults` key that overrides no field.
+_DEFAULT_BOUNDS = {"pit_sweep_interval_ms": (Positive,)}
+
+
+def _default_bounds(key: str) -> tuple:
+    """The checks a `defaults` key must pass: those annotated on the fields
+    it overrides, or its entry in `_DEFAULT_BOUNDS`."""
+    hints = [fields_of(target)[0].get(name) for target in _INHERITORS for name in DEFAULTS[key]]
+    checks = [c for h in hints if typing.get_origin(h) is Annotated for c in h.__metadata__]
+    return tuple(dict.fromkeys(checks)) or _DEFAULT_BOUNDS.get(key, ())
 
 
 class ScenarioError(ValueError):
@@ -188,9 +195,10 @@ def _validate(doc: dict) -> Scenario:
     sections = {key: top.pop(key) for key in _SECTIONS if key in top}
     block = sections.get("defaults", {})
     chk.keys(block, "$.defaults", DEFAULTS)
-    for key, bound in _DEFAULT_BOUNDS.items():
+    for key in DEFAULTS:
         if key in block:
-            bound.check(chk, block[key], f"$.defaults.{key}")
+            for bound in _default_bounds(key):
+                bound.check(chk, block[key], f"$.defaults.{key}")
     inherited = {name: block[key] for key in DEFAULTS if key in block for name in DEFAULTS[key]}
     links = [link.spec() for link in sections.get("links", [])]
     fib = sections.get("fib", {})

@@ -19,7 +19,7 @@ from ndnshield.crypto import (
     forge_packet,
     hmac_sha256,
     ls32,
-    packet_is_self_consistent,
+    sha256,
     sign_packet,
     signing_image,
     verify_bytes,
@@ -533,7 +533,8 @@ def test_model_key_reads_only_a_full_length_modulus():
 
 def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):
     """Asking a packet again about a key it was checked against reuses the
-    verdict; a new key or a new packet runs the check."""
+    verdict. Only a key the packet names reaches the RSA check, once per
+    (packet, key); a key it does not name is refused on its digest."""
     calls = []
     check = crypto._rsa_verify
 
@@ -542,20 +543,30 @@ def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):
         return check(pkt, der)
 
     monkeypatch.setattr(crypto, "_rsa_verify", counted)
-    first = sign_packet(parse_name("/v/1"), b"one", key)
-    second = sign_packet(parse_name("/v/2"), b"two", key)
-    asked = (key.public_der, other_key.public_der, b"not a der key")
+    garbage = b"not a der key"
+    packets = {
+        sign_packet(parse_name("/v/1"), b"one", key): [True, False, False],
+        sign_packet(parse_name("/v/2"), b"two", key): [True, False, False],
+        forge_packet(parse_name("/v/3"), b"three", b"\1" * 128, other_key.public_der,
+                     other_key.digest): [False] * 3,
+        forge_packet(parse_name("/v/4"), b"four", b"\1" * 128, garbage, sha256(garbage)):
+            [False] * 3,
+    }
+    asked = (key.public_der, other_key.public_der, garbage)
     for _ in range(3):
-        for pkt in (first, second):
-            assert [verify_signature(pkt, der) for der in asked] == [True, False, False]
-    assert sorted(calls) == sorted((id(pkt), der) for pkt in (first, second) for der in asked)
+        for pkt, verdicts in packets.items():
+            assert [verify_signature(pkt, der) for der in asked] == verdicts
+    named = [(id(pkt), der) for pkt in packets for der in asked
+             if sha256(der) == pkt.publisher_key_digest]
+    assert len(named) == len(packets)
+    assert sorted(calls) == sorted(named)
 
 
 def test_signer_and_verifier_memos_leave_packet_value_alone(key, other_key):
     """The content hash `sign_packet` and `forge_packet` leave on their
-    packets and the signing digest `verify_signature` keeps are the values
-    an equal packet built from scratch yields, and neither they nor the
-    verdicts kept for two keys change the packet's value."""
+    packets are the values an equal packet built from scratch yields, and
+    neither they nor the verdicts kept for two keys change the packet's
+    value."""
     signed = sign_packet(parse_name("/m/1"), b"payload", key)
     forged = forge_packet(parse_name("/m/2"), b"payload", b"\x5a" * 128, key.public_der, key.digest)
 
@@ -571,7 +582,6 @@ def test_signer_and_verifier_memos_leave_packet_value_alone(key, other_key):
         assert compute_content_hash(fresh) == component_digest(fresh.name.last)
         assert verify_signature(pkt, key.public_der) is valid
         assert verify_signature(pkt, other_key.public_der) is False
-        assert pkt.__dict__["_signing_digest"] == hashlib.sha256(signing_image(fresh)).digest()
         assert pkt == untouched and hash(pkt) == hash(untouched)
         assert repr(pkt) == repr(untouched)
 
@@ -617,17 +627,20 @@ def test_forged_packet_fails_verification(key):
     forged = forge_packet(parse_name("/a"), b"junk", b"\x00" * 128, key.public_der, key.digest)
     assert not verify_signature(forged, key.public_der)
     assert forged.poisoned
-    assert packet_is_self_consistent(forged)  # it claims the key it names
+    assert forged.publisher_key_digest == sha256(key.public_der)  # it names the key it claims
 
 
 def test_self_consistency_check(key, other_key):
+    """`verify_signature` refuses a packet whose publisher digest names
+    another key, although its signature verifies under the key it is
+    asked about."""
     honest = sign_packet(parse_name("/n"), b"p", key)
-    assert packet_is_self_consistent(honest)
-    lying = DataPacket(
-        honest.name, honest.payload, honest.signature, EmbeddedKey(key.public_der),
-        other_key.digest,
-    )
-    assert not packet_is_self_consistent(lying)
+    assert verify_signature(honest, key.public_der)
+    draft = DataPacket(parse_name("/n"), b"p", b"", EmbeddedKey(key.public_der), other_key.digest)
+    lying = crypto._seal(draft, key.sign)
+    assert verify_bytes(key.public_der, lying.signature, signing_image(lying))
+    assert not verify_signature(lying, key.public_der)
+    assert not verify_signature(lying, other_key.public_der)
 
 
 def test_hmac_sha256_rfc4231_vector():

@@ -11,7 +11,13 @@ import pytest
 from helpers import iface_info, make_key, make_packet, n
 from ndnshield import crypto
 from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
+from ndnshield.metrics import COUNTER_COLUMNS
 from ndnshield.nodes import (
+    CORRUPTED,
+    FAKE,
+    HASH_MISMATCH,
+    PENDING_KEY,
+    VALID,
     CollectionConsumer,
     CompromisedRouter,
     Producer,
@@ -247,9 +253,9 @@ def test_request_consumer_retries_then_fails_and_ignores_replaced_timer():
 
 
 def test_classify_hashes_each_key_once(monkeypatch):
-    """A consumer compares a packet's publisher digest with the digest of
-    the key it verifies under; that digest is computed once per DER, not
-    once per verify."""
+    """A consumer checks that a packet names the key it verifies under by
+    hashing the key's DER once per (packet, key): asking a packet about a
+    key again reuses the verdict."""
     consumer, _ = make_request_consumer()
     honest, other = make_key("honest"), make_key("adversary")
     packets = [make_packet("/victim/p%d" % i, key=honest) for i in range(5)]
@@ -261,12 +267,40 @@ def test_classify_hashes_each_key_once(monkeypatch):
         return real(data)
 
     monkeypatch.setattr(crypto, "sha256", counting_sha256)
-    crypto.public_key_digest.cache_clear()
     for pkt in packets * 2:
-        assert consumer.classify(pkt, honest.public_der) == "valid"
-    assert consumer.classify(packets[0], other.public_der) == "corrupted"
-    assert calls.count(honest.public_der) == 1
+        assert consumer.classify(pkt, honest.public_der) == VALID
+    for _ in range(2):
+        assert consumer.classify(packets[0], other.public_der) == CORRUPTED
+    assert calls.count(honest.public_der) == len(packets)
     assert calls.count(other.public_der) == 1
+
+
+def test_every_status_is_a_counter_column():
+    """`record_outcome` counts a status in the column it names."""
+    statuses = (VALID, CORRUPTED, FAKE, HASH_MISMATCH, PENDING_KEY)
+    assert set(statuses) <= set(COUNTER_COLUMNS)
+    consumer, _ = make_request_consumer()
+    for status in statuses:
+        consumer.record_outcome(status, make_packet("/victim/page", key=make_key("honest")))
+        assert consumer.stats[status] == 1
+
+
+def test_key_fetch_timeout_counts_each_parked_packet_once():
+    """Two delivered packets park on one key fetch that nobody answers: its
+    timeout counts each as received but unverifiable exactly once, and
+    each request as satisfied."""
+    a, b = n("/victim/a"), n("/victim/b")
+    consumer, net = make_request_consumer(names=[a, b], at_ms=[0, 0])
+    consumer.start()
+    net.run_until(MS)
+    for name in (a, b):
+        consumer.on_packet(0, _named_key_packet(str(name), "/keys/lost"), now=MS)
+    assert consumer.stats["key_interests_sent"] == 1
+    net.run_until(10_000 * MS)
+    assert consumer.stats["key_fetch_timeouts"] == 1
+    assert consumer.stats["received_unverifiable"] == 2
+    assert consumer.stats["requests_satisfied"] == 2
+    assert consumer.stats["received_valid"] == consumer.stats["received_corrupted"] == 0
 
 
 @pytest.mark.parametrize("first,second", [("/k/sub", "/k"), ("/k", "/k/sub")])
@@ -280,14 +314,14 @@ def test_nested_key_fetches_resolve_in_fetch_order(first, second):
         consumer.verify_delivery(pkt, None, lambda s, p: outcomes.append((s, p.payload)), 0)
     assert consumer.stats["key_interests_sent"] == 2
     consumer.on_packet(0, make_packet("/k/sub/cert", key=key, payload=key.public_der), now=1)
-    assert outcomes == [("valid", first.encode())]
+    assert outcomes == [(VALID, first.encode())]
     assert list(consumer._key_cache) == [n(first)]
     assert [f.name for f in consumer._key_fetches.values()] == [n(second)]
 
 
 @pytest.mark.parametrize("payload, status", [
-    ("own", "valid"), ("garbage", "corrupted"), ("other-key", "corrupted"),
-])
+    ("own", VALID), ("garbage", CORRUPTED), ("other-key", CORRUPTED),
+], ids=["own-valid", "garbage-corrupted", "other-key-corrupted"])
 def test_fetched_key_payload_decides_the_parked_packet(payload, status):
     """A packet parked on a key fetch is corrupted when the key packet's
     payload is not its publisher's key: bytes that are no key, or a key

@@ -289,3 +289,41 @@ def test_service_times_must_not_be_negative(key):
         f"$.defaults.{key}: must not be negative"]
     doc = minimal_doc(defaults={key: 0}, poisoning_defense={"verification": {"mode": "independent"}})
     build_sim(load_scenario(doc), seed=1).run()
+
+
+def _chain_flood(**changes):
+    """The canonical fixture with `changes` laid over it, each a dotted
+    path into the document (list indexes as digits) and its new value."""
+    doc = json.loads((FIXTURES / "chain_flood.json").read_text())
+    for dotted, value in changes.items():
+        *parents, last = dotted.split(".")
+        target = doc
+        for part in parents:
+            target = target[int(part)] if part.isdigit() else target[part]
+        target[last] = value
+    return doc
+
+
+_SCHEDULED = {"unique_under": "/victim/live", "at_ms": [-5]}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_chain_flood(**{"defaults.cs_capacity": -1}), "$.defaults.cs_capacity"),
+        (_chain_flood(**{"defaults.pit_capacity": -1}), "$.defaults.pit_capacity"),
+        (_chain_flood(**{"nodes.1.cs_capacity": -1}), "$.nodes[1].cs_capacity"),
+        (_chain_flood(**{"nodes.4.requests": _SCHEDULED}), "$.nodes[4].requests.at_ms[0]"),
+        (_chain_flood(**{"nodes.4.requests.start_ms": -50}), "$.nodes[4].requests.start_ms"),
+        (_chain_flood(**{"attacks.0.start_ms": -5}), "$.attacks[0].start_ms"),
+        (_consumer_of("file", start_ms=-1), "$.nodes[2].collection.start_ms"),
+    ],
+    ids=["default-cs-capacity", "default-pit-capacity", "router-cs-capacity", "request-at-ms",
+         "request-start", "attack-start", "collection-start"],
+)
+def test_negative_capacities_and_times_rejected_at_their_path(doc, path):
+    """A negative capacity or send time loaded and then failed inside the
+    run (an `IndexError` in CS eviction, every interest dropped as PIT
+    overflow, or an event scheduled into the past); each is refused at the
+    key that sets it."""
+    assert violations(doc) == [f"{path}: must not be negative"]
