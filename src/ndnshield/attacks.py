@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Annotated, Optional
 
 from .crypto import KeyPair, sign_packet
-from .nodes import NodeBase, encode_fragment_payload
+from .nodes import encode_fragment_payload
 from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
 from .schema import NonNegative, Positive
+from .simnet import NodeBase
 
 FLOOD_STATIC = "flood-static"
 FLOOD_DYNAMIC = "flood-dynamic"
@@ -48,7 +49,7 @@ class AttackSpec:
     name_pool: tuple[Name, ...] = ()  # flood-static / flood-unsat-keydigest
     dynamic_under: Optional[Name] = None  # flood-dynamic
     content_names: tuple[Name, ...] = ()  # poison-anticipate
-    jitter_ms: int = 50
+    jitter_ms: Annotated[int, NonNegative] = 50
     lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
 
     def __post_init__(self):
@@ -148,12 +149,12 @@ class Zombie(NodeBase):
         phase = self.rng.uniform(0, period)
         # Resolved once per spec: a zombie's links are fixed before it starts.
         rng, node_id, stats = self.rng, self.id, self.stats
-        send_from, iface = self.net.send_from, self.default_iface()
+        emit, iface = self.emit, self.default_iface()
 
         def send(seq: int) -> None:
             interest = gen_flood_interest(spec, rng, seq, zombie_id=node_id)
             stats["interests_sent"] += 1
-            send_from(node_id, iface, interest)
+            emit(iface, interest)
 
         self.net.periodic(spec.start_ms * MS + phase, period, spec.stop_ms * MS, send)
 
@@ -169,10 +170,9 @@ class Zombie(NodeBase):
                     attack=True,
                 )
                 self.stats["interests_sent"] += 1
-                self.net.send_from(self.id, self.default_iface(), interest)
+                self.emit(self.default_iface(), interest)
 
             self.net.at(spec.start_ms * MS + int(delay), send)
 
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        if isinstance(pkt, DataPacket):
-            self.stats["data_received"] += 1
+    def on_data(self, iface: int, data: DataPacket, now: int) -> None:
+        self.stats["data_received"] += 1

@@ -27,7 +27,7 @@ platform changes only how long a key or a signature takes.
 Every named data packet is made by one seal, `_seal`: it serialises the
 packet's image once, takes a signature over it, and appends the digest of
 the image plus that signature as the last name component. `sign_packet`
-seals with an RSA signature, `forge_packet` with given garbage bytes, so a
+seals with an RSA signature, `forge_packet` with garbage bytes, so a
 forged packet names its own bytes exactly as an honest one does. Both
 leave that content hash on the packet they return.
 
@@ -482,13 +482,12 @@ def sign_packet(
     return _seal(draft, key.sign)
 
 
-def forge_packet(
-    name: Name, payload: bytes, signature: bytes, key_der: bytes, key_digest: bytes
-) -> DataPacket:
-    """A poisoned packet that claims the producer key `key_der` (whose
-    digest is `key_digest`) but carries `signature` bytes no key made. Like
-    an honest packet, its name ends in the digest of its own bytes."""
-    draft = DataPacket(name, payload, b"", EmbeddedKey(key_der), key_digest, poisoned=True)
+def forge_packet(name: Name, payload: bytes, key_der: bytes, rng: Rng) -> DataPacket:
+    """A poisoned packet that claims the producer key `key_der` but carries
+    a signature of garbage bytes drawn from `rng`, as long as a real one.
+    Like an honest packet, its name ends in the digest of its own bytes."""
+    signature = rng.bytes(_MODULUS_BYTES)
+    draft = DataPacket(name, payload, b"", EmbeddedKey(key_der), sha256(key_der), poisoned=True)
     return _seal(draft, lambda image: signature)
 
 

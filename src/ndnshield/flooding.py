@@ -71,7 +71,7 @@ class FloodingConfig:
     # Prefixes tracked for throttling and push-back even where no hard
     # quota is enforced (quota keys are always watched).
     watched_prefixes: tuple[Name, ...] = ()
-    window_ms: int = 10_000
+    window_ms: Annotated[int, Positive] = 10_000
     min_throttle: float = 0.05
     pushback_cooldown_ms: int = 1000
     pushback_ttl: int = 8
@@ -384,7 +384,7 @@ class FloodingDefense:
         ttl = int(comps[-2])
         return prefix, rate, ttl
 
-    def on_expiry_feedback(self, expired_entries, now: int) -> list[tuple[int, Interest]]:
+    def on_expiry_feedback(self, now: int) -> list[tuple[int, Interest]]:
         """Emit push-back toward offenders for namespaces whose quota tripped
         within the statistics window (offender attribution needs expiry
         evidence, which lags a full interest lifetime behind the first hit);

@@ -1,5 +1,9 @@
 """Behavioral node models: consumers, producers, and compromised routers.
 
+Each is a `simnet.NodeBase` and handles only the packet kind it acts on:
+a producer interests, a consumer data, which it takes in its own
+`on_packet`. Every node sends through `emit`.
+
 Consumers verify every delivered packet, re-request around bad copies via
 the exclude filter, and (in the self-certifying modes) walk hash-linked
 fragment chains with a bounded window of concurrently pending interests.
@@ -27,7 +31,6 @@ from .crypto import (
     sign_packet,
     verify_signature,
 )
-from .metrics import COUNTER_COLUMNS
 from .packets import (
     INTEREST_LIFETIME_MS,
     MS,
@@ -45,6 +48,7 @@ from .packets import (
 from .poisoning import feedback_interest
 from .router import Router
 from .schema import NonEmpty, NonNegative, Positive
+from .simnet import NodeBase
 
 # What a consumer makes of a delivered packet, each the name of the
 # counter column it is counted in.
@@ -114,37 +118,6 @@ class StaticCollection:
 
 
 # ---------------------------------------------------------------------------
-# Node base
-# ---------------------------------------------------------------------------
-
-
-class NodeBase:
-    def __init__(self, node_id: str):
-        self.id = node_id
-        self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
-        self.ifaces: dict[int, object] = {}
-        self.net = None
-
-    def attach_iface(self, info) -> None:
-        self.ifaces[info.iface] = info
-
-    def role(self) -> str:
-        raise NotImplementedError
-
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        pass
-
-    def start(self) -> None:
-        pass
-
-    def gauges(self) -> dict[str, float]:
-        return {}
-
-    def default_iface(self) -> int:
-        return min(self.ifaces)
-
-
-# ---------------------------------------------------------------------------
 # Producer
 # ---------------------------------------------------------------------------
 
@@ -161,7 +134,7 @@ class Producer(NodeBase):
         key: KeyPair,
         *,
         dynamic_prefix: Optional[Name] = None,
-        payload_size: int = 1024,
+        payload_size: Annotated[int, NonNegative] = 1024,
         sign_service_us: Annotated[int, NonNegative] = 800,
         static_service_us: Annotated[int, NonNegative] = 10,
     ):
@@ -225,11 +198,9 @@ class Producer(NodeBase):
                 return fresh, self.sign_service_us
         return None
 
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        if not isinstance(pkt, Interest):
-            return
+    def on_interest(self, iface: int, interest: Interest, now: int) -> None:
         self.stats["interests_received"] += 1
-        result = self.serve(pkt, now)
+        result = self.serve(interest, now)
         if result is None:
             self.stats["interests_ignored"] += 1
             return
@@ -239,7 +210,7 @@ class Producer(NodeBase):
         self._busy_until = depart
         self.stats["produced_served"] += 1
         self.stats["producer_busy_us"] += service_us
-        self.net.after(depart - now, lambda: self.net.send_from(self.id, iface, data))
+        self.after(depart - now, lambda: self.emit(iface, data))
 
     def gauges(self) -> dict[str, float]:
         return {"producer_queue_us": max(0, self._busy_until - self.net.now) if self.net else 0}
@@ -270,7 +241,6 @@ class _Request:
     interest: Interest
     retries_left: int
     exclude: frozenset[bytes] = frozenset()  # components of rejected copies
-    expected: Optional[bytes] = None  # the content hash the interest names
     # When the request times out, and the sequence number its expiry runs
     # under: both set by `ConsumerBase._arm` when the interest is sent.
     deadline: int = 0
@@ -340,7 +310,7 @@ class ConsumerBase(NodeBase):
         self._pending[request.key] = request
         self.stats["interests_sent"] += 1
         for iface in ifaces:
-            self.net.send_from(self.id, iface, request.interest)
+            self.emit(iface, request.interest)
         self._arm(request)
 
     # -- deadlines -------------------------------------------------------------
@@ -447,7 +417,7 @@ class ConsumerBase(NodeBase):
         self._key_fetches[key_name.components] = fetch
         interest = Interest(key_name, self._nonce(), lifetime_ms=self.lifetime_ms)
         self.stats["key_interests_sent"] += 1
-        self.net.send_from(self.id, self.default_iface(), interest)
+        self.emit(self.default_iface(), interest)
         self._arm(fetch)
 
     def _maybe_resolve_key(self, pkt: DataPacket, now: int) -> bool:
@@ -472,11 +442,16 @@ class ConsumerBase(NodeBase):
             done(self.classify(parked, pkt.payload), parked)
         return True
 
+    # -- delivery ------------------------------------------------------------
+
+    def on_data(self, iface: int, data: DataPacket, now: int) -> None:
+        self.on_packet(iface, data, now)  # each consumer's own handler
+
     # -- feedback ------------------------------------------------------------
 
     def send_feedback(self, iface: int, pkt: DataPacket) -> None:
         self.stats["feedback_sent"] += 1
-        self.net.send_from(self.id, iface, feedback_interest(compute_content_hash(pkt), self._nonce()))
+        self.emit(iface, feedback_interest(compute_content_hash(pkt), self._nonce()))
 
     def record_outcome(self, status: str, pkt: DataPacket) -> None:
         self.stats[status] += 1
@@ -504,11 +479,11 @@ class RequestConsumer(ConsumerBase):
         *,
         names: Optional[Annotated[list[Name], NonEmpty]] = None,
         unique_under: Optional[Name] = None,
-        rate_per_s: float = 0.0,
+        rate_per_s: Annotated[float, Positive] = 0.0,
         start_ms: Annotated[int, NonNegative] = 0,
         stop_ms: int = 0,
         at_ms: Optional[list[Annotated[int, NonNegative]]] = None,
-        retries: int = 0,
+        retries: Annotated[int, NonNegative] = 0,
         mode: str = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
         lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
@@ -560,9 +535,7 @@ class RequestConsumer(ConsumerBase):
         targets = sorted(self.ifaces) if self.send_on_all_interfaces else [self.default_iface()]
         self._send(_Request(name, interest, retries_left), targets)
 
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        if not isinstance(pkt, DataPacket):
-            return
+    def on_packet(self, iface: int, pkt: DataPacket, now: int) -> None:
         if self._maybe_resolve_key(pkt, now):
             return
         request = self._claim(pkt)
@@ -697,7 +670,7 @@ class CollectionConsumer(ConsumerBase):
             exclude=exclude_filter,
             lifetime_ms=self.lifetime_ms,
         )
-        self._send(_Request(i, interest, retries_left, exclude, expected), [self.default_iface()])
+        self._send(_Request(i, interest, retries_left, exclude), [self.default_iface()])
 
     def _give_up(self, i: int) -> None:
         self._failed += 1
@@ -713,9 +686,7 @@ class CollectionConsumer(ConsumerBase):
             if j <= self.m:
                 self.known_hashes.setdefault(j, h)
 
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        if not isinstance(pkt, DataPacket):
-            return
+    def on_packet(self, iface: int, pkt: DataPacket, now: int) -> None:
         if self._maybe_resolve_key(pkt, now):
             return
         request = self._claim(pkt)
@@ -724,6 +695,7 @@ class CollectionConsumer(ConsumerBase):
         if request is None:
             return
         i = request.key
+        expected = request.interest.requested_hash()
 
         def accept() -> None:
             self._ok += 1
@@ -747,7 +719,7 @@ class CollectionConsumer(ConsumerBase):
             # advances on delivery so a slow key chain cannot stall the
             # whole fetch. The verdict still lands in the counters.
             accept()
-            self.verify_delivery(pkt, request.expected, self.record_outcome, now)
+            self.verify_delivery(pkt, expected, self.record_outcome, now)
             return
 
         def done(status: str, packet: DataPacket) -> None:
@@ -757,7 +729,7 @@ class CollectionConsumer(ConsumerBase):
             else:
                 reject(packet)
 
-        self.verify_delivery(pkt, request.expected, done, now)
+        self.verify_delivery(pkt, expected, done, now)
 
     def gauges(self) -> dict[str, float]:
         return {**super().gauges(), "fragments_ok": self._ok}
@@ -782,7 +754,6 @@ class CompromisedRouter(Router):
         target_prefix: Name,
         adversary_key: Optional[KeyPair] = None,
         honest_key_der: bytes = b"",
-        honest_key_digest: bytes = b"",
         rng=None,
         config=None,
     ):
@@ -791,14 +762,13 @@ class CompromisedRouter(Router):
             raise ValueError("poison mode must be corrupted or fake")
         if poison_mode == "fake" and adversary_key is None:
             raise ValueError("fake mode signs with an adversary key")
-        if poison_mode == "corrupted" and not (honest_key_der and honest_key_digest):
+        if poison_mode == "corrupted" and not honest_key_der:
             raise ValueError("corrupted mode impersonates an honest producer key")
         self.rng = rng
         self.poison_mode = poison_mode
         self.target_prefix = target_prefix
         self.adversary_key = adversary_key
         self.honest_key_der = honest_key_der
-        self.honest_key_digest = honest_key_digest
 
     def role(self) -> str:
         return "compromised-router"
@@ -810,10 +780,7 @@ class CompromisedRouter(Router):
         if self.poison_mode == "fake":
             pkt = sign_packet(base, payload, self.adversary_key, poisoned=True)
         else:
-            signature = self.rng.bytes(128)
-            pkt = forge_packet(
-                base, payload, signature, self.honest_key_der, self.honest_key_digest
-            )
+            pkt = forge_packet(base, payload, self.honest_key_der, self.rng)
         if requested_hash is not None:
             # Mimic the requested name exactly; the bytes cannot hash to it.
             pkt = replace(pkt, name=base.child(digest_component(requested_hash)))

@@ -33,7 +33,7 @@ from .packets import (
     control_interest,
     publisher_digest_matches,
 )
-from .schema import NonNegative
+from .schema import NonNegative, Positive
 
 MODE_OFF = "off"
 MODE_INDEPENDENT = "independent"
@@ -76,7 +76,7 @@ class VerifierConfig:
     v: float = 1.0
     group: tuple[str, ...] = ()
     group_key: bytes = b""
-    scan_interval_ms: int = 1000
+    scan_interval_ms: Annotated[int, Positive] = 1000
 
     def __post_init__(self):
         if self.mode not in VERIFIER_MODES:

@@ -1,11 +1,13 @@
 """The forwarding engine: content store, PIT, FIB, strategy, suppression.
 
-A router sends the moment it decides to, through its `emit(iface, pkt)`
-callable, and a drop is a counter increment in `stats` and nothing else.
-The network binds `emit` to `Network.send_from`, which only reserves the
-link and schedules the delivery, so no handler is re-entered from inside
-another; a router built without a network gets an `emit` that discards
-the packet, and tests substitute one that records it.
+A router is a `NodeBase`: the network delivers interests to `on_interest`
+and data to `on_data` (or `on_broadcast_data` on a shared segment). It
+sends the moment it decides to, through the `emit(iface, pkt)` that
+`Network.add_node` binds, and a drop is a counter increment in `stats`
+and nothing else. `emit` only reserves the link and schedules the
+delivery, so no handler is re-entered from inside another; a router
+built without a network discards what it sends, and tests substitute an
+`emit` that records it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Annotated, Callable, Optional
 
-from .metrics import COUNTER_COLUMNS
 from .packets import (
     FEEDBACK_PREFIX,
     MS,
@@ -31,6 +32,7 @@ from .packets import (
     matches_base,
 )
 from .schema import NonNegative
+from .simnet import IfaceInfo, NodeBase
 
 SRTT_GAIN = 0.125
 PROBE_RATIO_THRESHOLD = 0.5
@@ -477,19 +479,12 @@ class Pit:
 
 
 @dataclass
-class IfaceInfo:
-    iface: int
-    bandwidth_bps: float
-    link_key: bytes
-
-
-@dataclass
 class RouterConfig:
     pit_capacity: Annotated[int, NonNegative] = 0  # 0 = unbounded
     cs_capacity: Annotated[int, NonNegative] = 256
 
 
-class Router:
+class Router(NodeBase):
     """An NDN forwarder. One per node; mutated only by its event loop."""
 
     def __init__(
@@ -499,18 +494,13 @@ class Router:
         flooding=None,
         poisoning=None,
     ):
-        self.id = node_id
+        super().__init__(node_id)
         self.config = config or RouterConfig()
         self.cs = ContentStore(self.config.cs_capacity)
         self.pit = Pit()
         self.fib = Fib()
-        self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
         self.flooding = flooding
         self.poisoning = poisoning
-        self.ifaces: dict[int, IfaceInfo] = {}
-        # Injected on attach; defaults let the router run stand-alone in tests.
-        self.after: Callable[[int, Callable[[], None]], None] = lambda delay, fn: None
-        self.emit: Callable[[int, object], None] = lambda iface, pkt: None
         if self.flooding is not None:
             self.flooding.bind(self)
         if self.poisoning is not None:
@@ -519,20 +509,12 @@ class Router:
     # -- wiring -------------------------------------------------------------
 
     def attach_iface(self, info: IfaceInfo) -> None:
-        self.ifaces[info.iface] = info
+        super().attach_iface(info)
         if self.flooding is not None:
             self.flooding.on_iface_attached(info)
 
     def role(self) -> str:
         return "router"
-
-    # -- engine dispatch ------------------------------------------------------
-
-    def on_packet(self, iface: int, pkt, now: int) -> None:
-        if isinstance(pkt, Interest):
-            self.on_interest(iface, pkt, now)
-        else:
-            self.on_data(iface, pkt, now)
 
     # -- matching policy ----------------------------------------------------
 
@@ -761,9 +743,9 @@ class Router:
 
     def pit_sweep(self, now: int) -> None:
         """Periodic maintenance: expiry plus any push-back the defense owes."""
-        expired = self.expire_pit(now)
+        self.expire_pit(now)
         if self.flooding is not None:
-            for iface, interest in self.flooding.on_expiry_feedback(expired, now):
+            for iface, interest in self.flooding.on_expiry_feedback(now):
                 self.emit(iface, interest)
                 self.stats["pushback_sent"] += 1
 

@@ -490,8 +490,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
                 poison_mode=spec["poison_mode"],
                 target_prefix=spec["target_prefix"],
                 adversary_key=KeyPair.generate(rng.spawn(f"key:{node_id}")) if fake else None,
-                **({"honest_key_der": honest.key.public_der,
-                    "honest_key_digest": honest.key.digest} if honest else {}),
+                **({"honest_key_der": honest.key.public_der} if honest else {}),
                 rng=rng.spawn(f"router:{node_id}"),
                 config=spec["config"],
             )
@@ -557,7 +556,5 @@ def _preseed_packet(entry: PreseedEntry, producer: Producer, rng: Rng):
     payload = b"\x00" * producer.payload_size
     if not entry.corrupt:
         return sign_packet(entry.parsed, payload, producer.key)
-    signature = rng.spawn(f"preseed:{entry.name}").bytes(128)
-    return forge_packet(
-        entry.parsed, payload, signature, producer.key.public_der, producer.key.digest
-    )
+    return forge_packet(entry.parsed, payload, producer.key.public_der,
+                        rng.spawn(f"preseed:{entry.name}"))

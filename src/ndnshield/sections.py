@@ -16,7 +16,7 @@ from .attacks import build_keylocator_abuse_content
 from .crypto import KeyPair
 from .nodes import Producer, StaticCollection
 from .packets import Name, is_control_name
-from .schema import Invalid, Reader
+from .schema import Invalid, NonNegative, Reader
 from .simnet import LinkSpec
 
 
@@ -108,7 +108,7 @@ class CollectionEntry:
     name: str
     fragments: int
     window: int
-    payload_size_bytes: Optional[int] = None  # None: the producer's
+    payload_size_bytes: Optional[Annotated[int, NonNegative]] = None  # None: the producer's
 
     def __post_init__(self):
         for key in ("fragments", "window"):
@@ -135,7 +135,7 @@ class ProducerEntry:
     collections: tuple[CollectionEntry, ...] = ()
     static_names: tuple[str, ...] = ()
     dynamic_prefix: Optional[str] = None  # relative to prefix
-    payload_size_bytes: Optional[int] = None
+    payload_size_bytes: Optional[Annotated[int, NonNegative]] = None
     abuse: Optional[AbuseEntry] = None
 
     def __post_init__(self):

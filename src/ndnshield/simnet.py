@@ -17,18 +17,21 @@ Links are lossless store-and-forward queues; on shared segments
 transmissions serialize and every other endpoint hears each frame, which
 is what the overhear-suppression rule needs.
 
-Nodes transmit through `send_from` (a router through its `emit`, bound
-here to it). `send_from` only reserves the link and schedules the
-delivery; it never calls a handler, so a node may send at the point it
-decides to without another node's handler running in between. A
-delivery calls the receiving node's handler and nothing else.
+Every party, host or router, is a `NodeBase`. `add_node` binds each
+node's `emit(iface, pkt)` to `send_from` and its `after` to the clock,
+the same way for every node, and every node sends through its `emit`.
+`send_from` only reserves the link and schedules the delivery;
+it never calls a handler, so a node may send at the point it decides to
+without another node's handler running in between. A delivery calls the
+receiving node's handler and nothing else.
 
 Dispatch on the packet kind happens once per send: `send_from` tests
 whether the packet is an interest and queues the matching delivery
-function (`_deliver_interest`, which also counts the interest into the
-flow-balance audit, or `_deliver_data`), so a delivery does not test the
-kind again. Every send still goes through `at`, the one entry point of
-every event.
+function. `_deliver_interest` counts the interest into the flow-balance
+audit and calls `on_interest`; `_deliver_data` calls `on_data`, or
+`on_broadcast_data` on a shared segment for a node that has it. No
+handler tests the kind again. Every send still goes through `at`, the one
+entry point of every event.
 """
 
 from __future__ import annotations
@@ -39,8 +42,52 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from .metrics import COUNTER_COLUMNS
 from .packets import DataPacket, Interest, wire_size
-from .router import IfaceInfo, Router
+
+
+@dataclass
+class IfaceInfo:
+    iface: int
+    bandwidth_bps: float
+    link_key: bytes
+
+
+class NodeBase:
+    """A party on the network: it receives interests and data on its
+    interfaces, and sends through `emit(iface, pkt)` and schedules through
+    `after(delay_us, fn)`. `Network.add_node` binds both; a node built
+    without a network discards what it sends and never runs what it
+    schedules, and tests substitute ones that record."""
+
+    def __init__(self, node_id: str):
+        self.id = node_id
+        self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
+        self.ifaces: dict[int, IfaceInfo] = {}
+        self.net: Network | None = None
+        self.after: Callable[[int, Callable[[], None]], None] = lambda delay_us, fn: None
+        self.emit: Callable[[int, object], None] = lambda iface, pkt: None
+
+    def attach_iface(self, info: IfaceInfo) -> None:
+        self.ifaces[info.iface] = info
+
+    def role(self) -> str:
+        raise NotImplementedError
+
+    def on_interest(self, iface: int, interest: Interest, now: int) -> None:
+        pass
+
+    def on_data(self, iface: int, data: DataPacket, now: int) -> None:
+        pass
+
+    def start(self) -> None:
+        pass
+
+    def gauges(self) -> dict[str, float]:
+        return {}
+
+    def default_iface(self) -> int:
+        return min(self.ifaces)
 
 
 @dataclass
@@ -91,7 +138,7 @@ class Network:
         self._seq = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._until: float = math.inf  # end of the run; later events are never queued
-        self.nodes: dict[str, object] = {}
+        self.nodes: dict[str, NodeBase] = {}
         self.links: list[Link] = []
         # (node, iface) -> (link, receivers): every other endpoint of the
         # link in sorted order, as (node id, node, its own iface on the link,
@@ -106,15 +153,14 @@ class Network:
 
     # -- topology wiring -------------------------------------------------------
 
-    def add_node(self, node) -> None:
+    def add_node(self, node: NodeBase) -> None:
         if node.id in self.nodes:
             raise ValueError(f"duplicate node id {node.id!r}")
         self.nodes[node.id] = node
         node.net = self
+        node.after = self.after
+        node.emit = partial(self.send_from, node.id)
         self._iface_count[node.id] = 0
-        if isinstance(node, Router):
-            node.after = self.after
-            node.emit = partial(self.send_from, node.id)
 
     def add_link(self, spec: LinkSpec) -> Link:
         link = Link(spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
@@ -232,7 +278,7 @@ class Network:
         audit = self.audit_interests_in
         for receiver, node, iface, _ in receivers:
             audit[(receiver, iface)] += 1
-            node.on_packet(iface, interest, now)
+            node.on_interest(iface, interest, now)
 
     def _deliver_data(self, receivers: tuple, data: DataPacket) -> None:
         """Every receiver of a data frame; on a shared segment, through the
@@ -242,7 +288,7 @@ class Network:
             if on_broadcast:
                 node.on_broadcast_data(iface, data, now)
             else:
-                node.on_packet(iface, data, now)
+                node.on_data(iface, data, now)
 
     # -- main loop -------------------------------------------------------------------------
 
@@ -258,9 +304,7 @@ class Network:
         heap = self._heap = [event for event in self._heap if event[0] <= until_us]
         heapq.heapify(heap)
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if hasattr(node, "start"):
-                self.at(self.now, node.start)
+            self.at(self.now, self.nodes[node_id].start)
         pop = heapq.heappop
         while heap:
             self.now, _, fn = pop(heap)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from ndnshield.crypto import KeyPair, sign_packet
 from ndnshield.packets import Name, parse_name
 from ndnshield.rand import Rng
-from ndnshield.router import IfaceInfo, Router
+from ndnshield.router import Router
+from ndnshield.simnet import IfaceInfo
 
 _KEYS: dict[str, KeyPair] = {}
 

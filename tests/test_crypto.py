@@ -547,10 +547,9 @@ def test_rsa_check_runs_once_per_packet_and_key(key, other_key, monkeypatch):
     packets = {
         sign_packet(parse_name("/v/1"), b"one", key): [True, False, False],
         sign_packet(parse_name("/v/2"), b"two", key): [True, False, False],
-        forge_packet(parse_name("/v/3"), b"three", b"\1" * 128, other_key.public_der,
-                     other_key.digest): [False] * 3,
-        forge_packet(parse_name("/v/4"), b"four", b"\1" * 128, garbage, sha256(garbage)):
+        forge_packet(parse_name("/v/3"), b"three", other_key.public_der, Rng(3, "forge")):
             [False] * 3,
+        forge_packet(parse_name("/v/4"), b"four", garbage, Rng(4, "forge")): [False] * 3,
     }
     asked = (key.public_der, other_key.public_der, garbage)
     for _ in range(3):
@@ -568,7 +567,7 @@ def test_signer_and_verifier_memos_leave_packet_value_alone(key, other_key):
     neither they nor the verdicts kept for two keys change the packet's
     value."""
     signed = sign_packet(parse_name("/m/1"), b"payload", key)
-    forged = forge_packet(parse_name("/m/2"), b"payload", b"\x5a" * 128, key.public_der, key.digest)
+    forged = forge_packet(parse_name("/m/2"), b"payload", key.public_der, Rng(2, "forge"))
 
     def rebuilt(pkt):
         return DataPacket(
@@ -624,7 +623,7 @@ def test_signing_image_excludes_hash_component_and_signature(key):
 
 
 def test_forged_packet_fails_verification(key):
-    forged = forge_packet(parse_name("/a"), b"junk", b"\x00" * 128, key.public_der, key.digest)
+    forged = forge_packet(parse_name("/a"), b"junk", key.public_der, Rng(1, "forge"))
     assert not verify_signature(forged, key.public_der)
     assert forged.poisoned
     assert forged.publisher_key_digest == sha256(key.public_der)  # it names the key it claims

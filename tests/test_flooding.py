@@ -183,11 +183,11 @@ def test_pushback_emitted_once_per_cooldown():
     ns = n("/victim")
     _resolve_synthetic(defense, router, ns.components, 0, satisfied=0, expired=50, now=S)
     _trip_quota(defense, router, ns, 0, now=S)
-    first = defense.on_expiry_feedback([], now=S)
+    first = defense.on_expiry_feedback(now=S)
     assert len(first) == 1 and first[0][0] == 0
     # Within the cooldown nothing more is emitted toward that ingress.
     _trip_quota(defense, router, ns, 0, now=S + 100 * MS)
-    assert defense.on_expiry_feedback([], now=S + 100 * MS) == []
+    assert defense.on_expiry_feedback(now=S + 100 * MS) == []
 
 
 def test_pushback_goes_out_in_textual_name_order():
@@ -200,7 +200,7 @@ def test_pushback_goes_out_in_textual_name_order():
     for ns in (nested, slash):  # tripped in byte order
         _resolve_synthetic(defense, router, ns.components, 0, satisfied=0, expired=50, now=S)
         _trip_quota(defense, router, ns, 0, now=S)
-    out = defense.on_expiry_feedback([], now=S)
+    out = defense.on_expiry_feedback(now=S)
     assert [(iface, defense.parse_pushback(msg)[0]) for iface, msg in out] == [
         (0, slash),
         (0, nested),

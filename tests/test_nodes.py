@@ -10,6 +10,7 @@ import pytest
 
 from helpers import iface_info, make_key, make_packet, n
 from ndnshield import crypto
+from ndnshield.attacks import Zombie
 from ndnshield.crypto import compute_content_hash, forge_packet, sign_packet, verify_signature
 from ndnshield.metrics import COUNTER_COLUMNS
 from ndnshield.nodes import (
@@ -34,7 +35,8 @@ from ndnshield.packets import (
     interest_matches,
 )
 from ndnshield.rand import Rng
-from ndnshield.simnet import Network
+from ndnshield.router import Router
+from ndnshield.simnet import LinkSpec, Network
 
 MS = 1000
 
@@ -109,7 +111,7 @@ def make_producer(**kw) -> tuple[Producer, StubNet]:
     )
     producer.add_static_item(n("/victim/page"), b"static-body")
     net = StubNet()
-    producer.net = net
+    net.add_node(producer)
     return producer, net
 
 
@@ -158,7 +160,7 @@ def test_producer_dynamic_signs_at_cost():
 def test_producer_service_queue_backs_up():
     producer, net = make_producer()
     for k in range(3):
-        producer.on_packet(0, Interest(n("/victim/live/q%d" % k), k), now=0)
+        producer.on_interest(0, Interest(n("/victim/live/q%d" % k), k), now=0)
     net.flush()
     departures = [t for t, *_ in net.sent]
     assert departures == [800, 1600, 2400]
@@ -167,7 +169,7 @@ def test_producer_service_queue_backs_up():
 
 def test_producer_prefix_mismatch_ignored():
     producer, _ = make_producer()
-    producer.on_packet(0, Interest(n("/elsewhere/x"), 1), now=0)
+    producer.on_interest(0, Interest(n("/elsewhere/x"), 1), now=0)
     assert producer.stats["interests_ignored"] == 1
     assert producer.stats["produced_served"] == 0
 
@@ -183,7 +185,7 @@ def make_request_consumer(**kw):
     consumer = RequestConsumer("c", Rng(3, "c"), **defaults)
     consumer.attach_iface(iface_info(0))
     net = StubNet()
-    consumer.net = net
+    net.add_node(consumer)
     return consumer, net
 
 
@@ -359,7 +361,7 @@ def chained_consumer(mode="combined", m=10, u=4, **kw):
     )
     consumer.attach_iface(iface_info(0))
     net = StubNet()
-    consumer.net = net
+    net.add_node(consumer)
     consumer.start()
     net.run_until(0)  # the first window goes out
     return consumer, packets, net
@@ -394,12 +396,12 @@ def test_window_bound_respected():
     assert len(consumer._pending) == 4
 
 
-def test_sscid_mode_never_accepts_wrong_bytes():
+def test_sscid_mode_never_accepts_wrong_bytes(monkeypatch):
     consumer, packets, net = chained_consumer(mode="s-scid", m=3, u=1)
-    (i, pending) = next(iter(consumer._pending.items()))
     wrong = make_packet("/victim/file/1", key=make_key("honest"), payload=b"wrong-bytes")
-    # Force-feed a wrong packet as if a lazy cache served it.
-    consumer._pending[i].interest = Interest(n("/victim/file/1"), 1)
+    # Force-feed a wrong packet as if a lazy cache served it: the request,
+    # whose interest names the digest of fragment 1, claims it anyway.
+    monkeypatch.setattr("ndnshield.nodes.interest_matches", lambda pkt, interest: True)
     consumer.on_packet(0, wrong, now=0)
     assert consumer.stats["received_hash_mismatch"] == 1
     assert consumer.stats["fragments_completed"] == 0
@@ -408,7 +410,7 @@ def test_sscid_mode_never_accepts_wrong_bytes():
 def test_corrupted_copy_triggers_exclude_retry():
     consumer, packets, net = chained_consumer(mode="plain", m=2, u=1, max_retries=3)
     key = make_key("honest")
-    bad = forge_packet(n("/victim/file/1"), b"junk", b"\x00" * 128, key.public_der, key.digest)
+    bad = forge_packet(n("/victim/file/1"), b"junk", key.public_der, Rng(5, "forge"))
     consumer.on_packet(0, bad, now=0)
     assert consumer.stats["received_corrupted"] == 1
     assert consumer.stats["feedback_sent"] == 1
@@ -628,7 +630,6 @@ def make_compromised(mode="fake"):
         target_prefix=n("/victim"),
         adversary_key=make_key("adversary"),
         honest_key_der=honest.public_der,
-        honest_key_digest=honest.digest,
         rng=Rng(13, "evil"),
     )
     from helpers import record_sends
@@ -681,3 +682,44 @@ def test_non_target_interest_forwarded_normally():
     node.on_interest(0, other, now=0)
     assert node.sent == [(1, other)]
     assert node.stats["poison_injected"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Wiring
+# ---------------------------------------------------------------------------
+
+
+def test_every_role_is_wired_alike_and_takes_only_its_kind():
+    """`add_node` wires every role the same way, and a delivery calls the
+    handler of its packet's kind: an interest delivered to a consumer or a
+    zombie and data delivered to a producer change no counter, and the
+    producer answers through the `emit` that `add_node` bound."""
+    key = make_key("honest")
+    producer = Producer("p", n("/victim"), key)
+    producer.add_static_item(n("/victim/page"), b"body")
+    consumer = RequestConsumer("c", Rng(3, "c"), names=[n("/victim/page")], at_ms=[20])
+    zombie = Zombie("z", Rng(4, "z"), [])
+    evil = CompromisedRouter("x", poison_mode="fake", target_prefix=n("/evil"),
+                             adversary_key=make_key("adversary"), rng=Rng(5, "x"))
+    router = Router("r")
+    net = Network(Rng(1, "net"))
+    for node in (producer, consumer, zombie, evil, router):
+        net.add_node(node)
+    for peer in ("p", "c", "z", "x"):
+        net.add_link(LinkSpec(endpoints=("r", peer), bandwidth_bps=1e8, delay_us=MS))
+    router.fib.add(n("/victim"), [net.iface_to("r", "p")])
+    answers = []
+    bound = producer.emit
+    producer.emit = lambda iface, pkt: (answers.append(pkt), bound(iface, pkt))
+
+    for peer in ("c", "z"):
+        net.send_from("r", net.iface_to("r", peer), Interest(n("/victim/page"), 7))
+    net.send_from("r", net.iface_to("r", "p"), make_packet("/victim/page", key=key))
+    fresh = dict.fromkeys(COUNTER_COLUMNS, 0)
+    untouched = []
+    net.at(10 * MS, lambda: untouched.extend(
+        node.stats == fresh for node in (consumer, zombie, producer)))
+    net.run(until_us=100 * MS)
+    assert untouched == [True, True, True]
+    assert [pkt.base_name() for pkt in answers] == [n("/victim/page")]
+    assert consumer.stats["received_valid"] == consumer.stats["requests_satisfied"] == 1

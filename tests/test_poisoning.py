@@ -74,7 +74,7 @@ def fake_packet(name="/victim/x"):
 def corrupted_packet(name="/victim/x"):
     """Claims the honest key but carries a garbage signature."""
     key = make_key("honest")
-    return forge_packet(n(name), b"garbage-payload", b"\x5a" * 128, key.public_der, key.digest)
+    return forge_packet(n(name), b"garbage-payload", key.public_der, Rng(5, "forge"))
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,21 @@ def _consumer_of(collection, **keys):
         (_with_attack(lifetime_ms=-5), "$.attacks[0].lifetime_ms"),
         # A consumer cycles through its names: it needs at least one.
         (_with_node(2, requests={"names": [], "at_ms": [1]}), "$.nodes[2].requests.names"),
+        # A zero scan interval requeued its tick at the same instant forever.
+        (minimal_doc(poisoning_defense={"verification": {"mode": "independent",
+                                                         "scan_interval_ms": 0}}),
+         "$.poisoning_defense.verification.scan_interval_ms"),
+        # A zero window turned the flooding defense into a bare quota.
+        (minimal_doc(flooding_defense={"window_ms": 0}), "$.flooding_defense.window_ms"),
+        (_with_node(2, requests={"names": ["/v/a"], "rate_per_s": -1, "stop_ms": 50}),
+         "$.nodes[2].requests.rate_per_s"),
     ],
     ids=["verifier-v", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
          "name-pool", "attack-rate", "window-ms", "pit-capacity", "trust", "defaults",
          "fib-hop-unlinked", "default-lifetime", "flooding-timeout", "sweep-interval",
          "default-content-size", "flooding-content-size", "request-lifetime",
-         "collection-lifetime", "attack-lifetime", "empty-request-names"],
+         "collection-lifetime", "attack-lifetime", "empty-request-names", "scan-interval",
+         "window-ms-zero", "request-rate"],
 )
 def test_bad_input_rejected_at_its_path(doc, path):
     errs = violations(doc)
@@ -317,13 +326,22 @@ _SCHEDULED = {"unique_under": "/victim/live", "at_ms": [-5]}
         (_chain_flood(**{"nodes.4.requests.start_ms": -50}), "$.nodes[4].requests.start_ms"),
         (_chain_flood(**{"attacks.0.start_ms": -5}), "$.attacks[0].start_ms"),
         (_consumer_of("file", start_ms=-1), "$.nodes[2].collection.start_ms"),
+        (_chain_flood(**{"defaults.payload_size_bytes": -1}), "$.defaults.payload_size_bytes"),
+        (_with_node(0, payload_size_bytes=-1), "$.nodes[0].payload_size_bytes"),
+        (_with_node(0, collections=[{"name": "file", "fragments": 2, "window": 1,
+                                     "payload_size_bytes": -1}]),
+         "$.nodes[0].collections[0].payload_size_bytes"),
+        (_chain_flood(**{"nodes.4.requests.retries": -1}), "$.nodes[4].requests.retries"),
+        (_chain_flood(**{"attacks.0.jitter_ms": -1}), "$.attacks[0].jitter_ms"),
     ],
     ids=["default-cs-capacity", "default-pit-capacity", "router-cs-capacity", "request-at-ms",
-         "request-start", "attack-start", "collection-start"],
+         "request-start", "attack-start", "collection-start", "default-payload-size",
+         "producer-payload-size", "collection-payload-size", "request-retries", "attack-jitter"],
 )
 def test_negative_capacities_and_times_rejected_at_their_path(doc, path):
     """A negative capacity or send time loaded and then failed inside the
     run (an `IndexError` in CS eviction, every interest dropped as PIT
-    overflow, or an event scheduled into the past); each is refused at the
-    key that sets it."""
+    overflow, or an event scheduled into the past), and a negative size,
+    retry count or jitter loaded and ran as something else (empty payloads,
+    no retry, no spread); each is refused at the key that sets it."""
     assert violations(doc) == [f"{path}: must not be negative"]

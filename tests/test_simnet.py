@@ -7,8 +7,7 @@ import pytest
 from helpers import make_packet, n
 from ndnshield.packets import Interest
 from ndnshield.rand import Rng
-from ndnshield.simnet import LinkSpec, Network
-from ndnshield.nodes import NodeBase
+from ndnshield.simnet import LinkSpec, Network, NodeBase
 
 MS = 1000
 
@@ -24,8 +23,10 @@ class Recorder(NodeBase):
     def role(self):
         return "consumer"
 
-    def on_packet(self, iface, pkt, now):
+    def on_interest(self, iface, pkt, now):
         self.received.append((now, iface, pkt))
+
+    on_data = on_interest
 
     def on_broadcast_data(self, iface, data, now):
         self.overheard.append((now, iface, data))
