@@ -12,8 +12,7 @@ replayable from a scenario seed.
 No third-party library is used. Where the libcrypto that CPython's
 `_hashlib` links is present, reached through ctypes, each Miller-Rabin
 round of key generation takes its one 512-bit exponentiation from its
-`BN_mod_exp`, and a key, once checked by `EVP_PKEY_check`, signs through
-`EVP_DigestSign`. Where it is missing, both run on builtin `pow`, signing
+`BN_mod_exp`, and a key signs through `EVP_DigestSign`. Where it is missing, both run on builtin `pow`, signing
 by the Chinese remainder theorem. Verification is plain Python on every
 platform. It reads only the key form `KeyPair` builds, since a publisher
 is named by the digest of a DER the model made: a DER is a key only if
@@ -23,6 +22,13 @@ byte depends on the path: `pow` and `BN_mod_exp` give the same integer,
 and a PKCS#1 v1.5 signature is deterministic, the one integer EM^d mod n,
 so any correct signer gives the same bytes (RFC 8017 §8.2.1, §9.2). The
 platform changes only how long a key or a signature takes.
+
+A key is checked once, when it is built, the same way on both paths: its
+CRT values must satisfy the identities RSA needs of them, and a signature
+it makes over a fixed message must verify under its published (n, e).
+Primality is not tested again: `_is_probable_prime` has already run 40
+Miller-Rabin rounds on each prime, where OpenSSL's key check would run
+its own on both for some 9 ms per key.
 
 Every named data packet is made by one seal, `_seal`: it serialises the
 packet's image once, takes a signature over it, and appends the digest of
@@ -152,9 +158,6 @@ class _LibCrypto:
             ("BN_mod_exp", c_int, [ptr, ptr, ptr, ptr, ptr]),
             ("d2i_PrivateKey", ptr, [c_int, ptr, ctypes.POINTER(c_char_p), ctypes.c_long]),
             ("EVP_PKEY_free", None, [ptr]),
-            ("EVP_PKEY_CTX_new", ptr, [ptr, ptr]),
-            ("EVP_PKEY_CTX_free", None, [ptr]),
-            ("EVP_PKEY_check", c_int, [ptr]),
             ("EVP_sha256", ptr, []),
             ("EVP_MD_CTX_new", ptr, []),
             ("EVP_MD_CTX_free", None, [ptr]),
@@ -193,9 +196,9 @@ class _LibCrypto:
 
     def signer(self, private_der: bytes) -> Callable[[bytes], bytes]:
         """Signing with SHA-256 and PKCS#1 v1.5 padding (RSA's default in
-        `EVP_DigestSign`) under the RSAPrivateKey DER `private_der`, once
-        `EVP_PKEY_check` has passed it: the check `RSA_check_key` makes.
-        Each signature copies a context set up once for the key, which
+        `EVP_DigestSign`) under the RSAPrivateKey DER `private_der`, which
+        `KeyPair._build` checks. Each signature copies a context set up
+        once for the key, which
         spares a signature the algorithm fetches of `EVP_DigestSignInit`.
         Key and context are freed when the returned function goes."""
         import ctypes
@@ -205,12 +208,6 @@ class _LibCrypto:
         pkey = lib.d2i_PrivateKey(_EVP_PKEY_RSA, None, ctypes.byref(cursor), len(private_der))
         if not pkey:
             raise ValueError("OpenSSL could not load the RSA private key")
-        check = lib.EVP_PKEY_CTX_new(pkey, None)
-        valid = bool(check) and lib.EVP_PKEY_check(check) == 1
-        lib.EVP_PKEY_CTX_free(check)
-        if not valid:
-            lib.EVP_PKEY_free(pkey)
-            raise ValueError("the RSA key failed OpenSSL's key check")
         template = lib.EVP_MD_CTX_new()
         if not (template and lib.EVP_DigestSignInit(template, None, lib.EVP_sha256(), None, pkey) == 1):
             self._free_key(template, pkey)
@@ -415,19 +412,26 @@ class KeyPair:
         n, e = p * q, RSA_EXPONENT
         d = pow(e, -1, (p - 1) * (q - 1))
         d_p, d_q, q_inv = d % (p - 1), d % (q - 1), pow(q, -1, p)
+        # The identities a key check tests, bar primality (see the module
+        # docstring).
+        if (e * d % math.lcm(p - 1, q - 1), e * d_p % (p - 1), e * d_q % (q - 1),
+                q * q_inv % p) != (1, 1, 1, 1):
+            raise ValueError("the RSA key's CRT values are inconsistent")
         lib = _libcrypto()
         if lib is not None:
             # RSAPrivateKey (RFC 8017 §A.1.2), version 0.
             private_der = _der(_SEQUENCE, *map(_der_uint, (0, n, e, d, p, q, d_p, d_q, q_inv)))
             sign = lib.signer(private_der)
         else:
-            # The identities OpenSSL's key check would test, bar primality.
-            if (e * d % math.lcm(p - 1, q - 1), e * d_p % (p - 1), e * d_q % (q - 1),
-                    q * q_inv % p) != (1, 1, 1, 1):
-                raise ValueError("the RSA key's CRT values are inconsistent")
             sign = _pow_signer(p, q, d_p, d_q, q_inv)
+        # Pairwise self-test: the signer must sign for the published key.
+        if not _rsa_check((n, e), sign(_SELF_TEST), sha256(_SELF_TEST)):
+            raise ValueError("the RSA key failed its pairwise self-test")
         public_der = _spki_der(n, e)
         return cls(public_der=public_der, digest=sha256(public_der), sign=sign)
+
+
+_SELF_TEST = b"ndnshield key self-test"
 
 
 # Keys drawn from fresh streams, by stream key: the key and the stream

@@ -33,7 +33,7 @@ from typing import Annotated, Optional
 
 from .crypto import link_mac_ok, with_link_mac
 from .packets import INTEREST_LIFETIME_MS, MS, PUSHBACK_PREFIX, Interest, Name, control_interest
-from .schema import Positive
+from .schema import NonNegative, Positive
 
 # Rejection reasons, each the name of the counter column it is counted in.
 REJ_EGRESS_QUOTA = "rej_egress-quota"
@@ -72,9 +72,9 @@ class FloodingConfig:
     # quota is enforced (quota keys are always watched).
     watched_prefixes: tuple[Name, ...] = ()
     window_ms: Annotated[int, Positive] = 10_000
-    min_throttle: float = 0.05
-    pushback_cooldown_ms: int = 1000
-    pushback_ttl: int = 8
+    min_throttle: Annotated[float, NonNegative] = 0.05
+    pushback_cooldown_ms: Annotated[int, NonNegative] = 1000
+    pushback_ttl: Annotated[int, Positive] = 8
     interest_timeout_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
     avg_content_size_bytes: Annotated[int, Positive] = 1500
     outgoing_quota_override: Optional[int] = None

@@ -122,6 +122,10 @@ class Name:
             return "/"
         return "/" + "/".join(_escape_component(c) for c in self.components)
 
+    def __hash__(self) -> int:
+        # The generated hash would wrap the components in a 1-tuple first.
+        return hash(self.components)
+
     def __len__(self) -> int:
         return len(self.components)
 
@@ -492,39 +496,43 @@ def compute_content_hash(pkt: DataPacket) -> bytes:
     return digest
 
 
-def excluded_by(data: DataPacket, interest: Interest) -> bool:
-    """True when the interest's exclude filter rules this packet out."""
-    if interest.exclude is None:
-        return False
-    if len(data.name) <= len(interest.name):
-        return False  # no component beyond the prefix to test
-    return interest.exclude.excludes(data.name.components[len(interest.name)])
-
-
 def matches_base(data: DataPacket, interest: Interest) -> bool:
-    """Prefix and exclude clauses only; what a lazy forwarder checks."""
-    return interest.name.is_prefix_of(data.name) and not excluded_by(data, interest)
-
-
-def publisher_digest_matches(data: DataPacket, interest: Interest) -> bool:
-    """The dynamic self-certifying clause: requested key digest must agree."""
-    if interest.publisher_key_digest is None:
-        return True
-    return interest.publisher_key_digest == data.publisher_key_digest
+    """Prefix and exclude clauses only; what a lazy forwarder checks. The
+    exclude filter tests the data name's component right after the prefix,
+    if it has one."""
+    prefix = interest.name.components
+    comps = data.name.components
+    k = len(prefix)
+    if comps[:k] != prefix:
+        return False
+    exclude = interest.exclude
+    return exclude is None or len(comps) == k or not exclude.excludes(comps[k])
 
 
 def content_hash_matches(data: DataPacket, interest: Interest) -> bool:
-    """The static self-certifying clause: trailing digest component must agree."""
-    wanted = interest.requested_hash()
-    if wanted is None:
-        return True
-    return wanted == compute_content_hash(data)
+    """The static self-certifying clause: a trailing digest component of
+    the interest's name must be the data's content hash."""
+    comps = interest.name.components
+    if comps:
+        last = comps[-1]
+        if len(last) == DIGEST_COMPONENT_LEN and last[0] == DIGEST_COMPONENT_TAG:
+            return last[1:] == compute_content_hash(data)
+    return True
 
 
 def interest_matches(data: DataPacket, interest: Interest) -> bool:
-    """Full matching predicate: prefix, key digest, exclude, content hash."""
-    return (
-        matches_base(data, interest)
-        and publisher_digest_matches(data, interest)
-        and content_hash_matches(data, interest)
-    )
+    """Full matching predicate: prefix, exclude, then the dynamic
+    self-certifying clause (a requested publisher key digest must agree),
+    then the static one."""
+    prefix = interest.name.components
+    comps = data.name.components
+    k = len(prefix)
+    if comps[:k] != prefix:
+        return False
+    exclude = interest.exclude
+    if exclude is not None and len(comps) > k and exclude.excludes(comps[k]):
+        return False
+    wanted = interest.publisher_key_digest
+    if wanted is not None and wanted != data.publisher_key_digest:
+        return False
+    return content_hash_matches(data, interest)

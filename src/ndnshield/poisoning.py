@@ -31,7 +31,6 @@ from .packets import (
     Interest,
     content_hash_matches,
     control_interest,
-    publisher_digest_matches,
 )
 from .schema import NonNegative, Positive
 
@@ -137,10 +136,14 @@ class PoisoningGuard:
     def scid_check(self, data: DataPacket, interest: Interest) -> Optional[str]:
         """None to pass, otherwise the counter column of the clause that
         rejects the packet. Neither check verifies a signature; both are
-        hash comparisons."""
-        if self.config.enforce_dscid and not publisher_digest_matches(data, interest):
-            return "drop_scid_d"
-        if self.config.enforce_sscid and not content_hash_matches(data, interest):
+        hash comparisons: a publisher key digest the interest requests
+        must be the data's, and so must a content hash its name ends in."""
+        config = self.config
+        if config.enforce_dscid:
+            wanted = interest.publisher_key_digest
+            if wanted is not None and wanted != data.publisher_key_digest:
+                return "drop_scid_d"
+        if config.enforce_sscid and not content_hash_matches(data, interest):
             return "drop_scid_s"
         return None
 
@@ -189,7 +192,9 @@ class PoisoningGuard:
         """Periodic pass over unverified cached packets; keeps long-lived
         entries inside the sampling pool."""
         for entry in self.router.cs.entries():
-            if entry.verified or entry.content_hash in self._inflight:
+            # An entry already known to be another group member's draws
+            # nothing, so it is passed over without the call.
+            if entry.verified or entry.mine is False or entry.content_hash in self._inflight:
                 continue
             if self.select_for_verification(entry):
                 self._schedule_verification(entry.content_hash)

@@ -322,6 +322,9 @@ def _consumer(chk: Check, node: dict, path: str, producers: dict, inherited: dic
             chk.fail(rpath, f"needs exactly one of {one} / {other}")
     if "rate_per_s" in req and "stop_ms" not in req:
         chk.fail(rpath, "rate_per_s needs stop_ms")
+    elif "rate_per_s" in req and kwargs.get("stop_ms", 0) <= kwargs.get("start_ms", 0):
+        # An empty window would load and send nothing.
+        chk.fail(f"{rpath}.stop_ms", "request start must precede stop")
     if kwargs.get("mode") not in (None, MODE_PLAIN, MODE_DSCID):
         chk.fail(f"{rpath}.mode", "request mode is plain or d-scid")
     if kwargs.get("mode") == MODE_DSCID and "trusted_producer" not in req:

@@ -19,19 +19,28 @@ is what the overhear-suppression rule needs.
 
 Every party, host or router, is a `NodeBase`. `add_node` binds each
 node's `emit(iface, pkt)` to `send_from` and its `after` to the clock,
-the same way for every node, and every node sends through its `emit`.
-`send_from` only reserves the link and schedules the delivery;
-it never calls a handler, so a node may send at the point it decides to
-without another node's handler running in between. A delivery calls the
-receiving node's handler and nothing else.
+the same way for every node, and every node sends through its `emit`;
+`send_from` is the one seam a test double overrides. `send_from` only
+reserves the link and schedules the delivery; it never calls a handler,
+so a node may send at the point it decides to without another node's
+handler running in between. A delivery calls the receiving node's
+handler and nothing else.
+
+What stays fixed per port is resolved once: `add_link` builds one
+`_Port` per (node, iface), and a send reads only that record (see
+`_Port`). A send takes a sequence number and queues its delivery
+directly, as `at` would, without the past-time check (an arrival is
+never before now); every other event goes through `at`, `push` or
+`periodic`. A point-to-point sender queues behind its own earlier
+frames on the port; a shared segment is reserved on its link. The
+flow-balance audits are views of the ports' counts.
 
 Dispatch on the packet kind happens once per send: `send_from` tests
 whether the packet is an interest and queues the matching delivery
-function. `_deliver_interest` counts the interest into the flow-balance
-audit and calls `on_interest`; `_deliver_data` calls `on_data`, or
-`on_broadcast_data` on a shared segment for a node that has it. No
-handler tests the kind again. Every send still goes through `at`, the one
-entry point of every event.
+function. `_deliver_interest` counts the interest into the receiving
+port's audit and calls `on_interest`; `_deliver_data` calls `on_data`,
+or `on_broadcast_data` on a shared segment for a node that has it. No
+handler tests the kind again.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ class NodeBase:
 
     def attach_iface(self, info: IfaceInfo) -> None:
         self.ifaces[info.iface] = info
+        self._default_iface = min(self.ifaces)
 
     def role(self) -> str:
         raise NotImplementedError
@@ -87,7 +97,8 @@ class NodeBase:
         return {}
 
     def default_iface(self) -> int:
-        return min(self.ifaces)
+        """The lowest-numbered interface."""
+        return self._default_iface
 
 
 @dataclass
@@ -107,26 +118,35 @@ class Link:
             raise ValueError("point-to-point link needs exactly 2 endpoints")
         self.spec = spec
         self.key = key
-        self._busy: dict[str, int] = {}  # per-sender for p2p
-        self._busy_shared = 0  # whole medium for broadcast
+        # A shared segment is held from a frame's start until everyone has
+        # heard it, so a deferred sender only starts after that.
+        self.busy_until = 0
 
-    def reserve(self, sender: str, ser_us: int, now: int) -> int:
-        """Reserve the medium for one frame; returns its arrival time at
-        the receivers."""
-        spec = self.spec
-        if spec.broadcast:
-            # The medium is held through propagation so a deferred sender
-            # only starts after everyone has heard the previous frame.
-            start = max(now, self._busy_shared)
-            arrival = self._busy_shared = start + ser_us + spec.delay_us
-        else:
-            busy = self._busy
-            start = busy.get(sender, now)
-            if start < now:
-                start = now
-            busy[sender] = start + ser_us
-            arrival = start + ser_us + spec.delay_us
-        return arrival
+
+class _Port:
+    """What a send from one (node, iface) needs, resolved when the link is
+    built: the link, the receivers (each as (node, its own iface on the
+    link, whether it takes data through `on_broadcast_data`, its port)),
+    the link's rate and delay, when this sender's own queue onto a
+    point-to-point link drains, the link's serialization time per wire
+    size, and the port's two flow-balance counts."""
+
+    __slots__ = (
+        "link", "receivers", "bandwidth_bps", "delay_us", "broadcast", "busy_until",
+        "ser_us", "interests_in", "data_out",
+    )
+
+    def __init__(self, link: Link, ser_us: dict[int, int]):
+        spec = link.spec
+        self.link = link
+        self.receivers: tuple = ()
+        self.bandwidth_bps = spec.bandwidth_bps
+        self.delay_us = spec.delay_us
+        self.broadcast = spec.broadcast
+        self.busy_until = 0
+        self.ser_us = ser_us  # wire size -> microseconds, shared by the link's ports
+        self.interests_in = 0
+        self.data_out = 0
 
 
 class Network:
@@ -140,16 +160,9 @@ class Network:
         self._until: float = math.inf  # end of the run; later events are never queued
         self.nodes: dict[str, NodeBase] = {}
         self.links: list[Link] = []
-        # (node, iface) -> (link, receivers): every other endpoint of the
-        # link in sorted order, as (node id, node, its own iface on the link,
-        # whether it takes data through `on_broadcast_data`).
-        self._ports: dict[tuple[str, int], tuple[Link, tuple]] = {}
+        self._ports: dict[str, dict[int, _Port]] = {}  # node -> iface -> port
         self._iface_to: dict[tuple[str, str], int] = {}  # (node, peer) -> lowest iface
-        self._iface_count: dict[str, int] = {}
         self._started = False
-        # Flow-balance audit: per (node, iface) interests in and data out.
-        self.audit_interests_in: dict[tuple[str, int], int] = {}
-        self.audit_data_out: dict[tuple[str, int], int] = {}
 
     # -- topology wiring -------------------------------------------------------
 
@@ -160,32 +173,44 @@ class Network:
         node.net = self
         node.after = self.after
         node.emit = partial(self.send_from, node.id)
-        self._iface_count[node.id] = 0
+        self._ports[node.id] = {}
 
     def add_link(self, spec: LinkSpec) -> Link:
         link = Link(spec, key=self.rng.spawn(f"link:{len(self.links)}").bytes(32))
         self.links.append(link)
-        ifaces = []
-        own_iface: dict[str, int] = {}  # an endpoint's first iface on this link
+        ser_us: dict[int, int] = {}
+        ports = []
+        own: dict[str, tuple[int, _Port]] = {}  # an endpoint's first iface on this link
         for endpoint in spec.endpoints:
-            node = self.nodes[endpoint]
-            iface = self._iface_count[endpoint]
-            self._iface_count[endpoint] = iface + 1
-            ifaces.append(iface)
-            own_iface.setdefault(endpoint, iface)
+            node_ports = self._ports[endpoint]
+            iface = len(node_ports)
+            port = node_ports[iface] = _Port(link, ser_us)
+            ports.append((endpoint, port))
+            own.setdefault(endpoint, (iface, port))
             for peer in spec.endpoints:
                 self._iface_to.setdefault((endpoint, peer), iface)
-            node.attach_iface(IfaceInfo(iface, spec.bandwidth_bps, link.key))
-        receivers_of = [
-            (r, self.nodes[r], own_iface[r],
-             spec.broadcast and hasattr(self.nodes[r], "on_broadcast_data"))
-            for r in sorted(spec.endpoints)
-        ]
-        for sender, iface in zip(spec.endpoints, ifaces):
-            receivers = tuple(receiver for receiver in receivers_of if receiver[0] != sender)
-            self._ports[(sender, iface)] = (link, receivers)
-            self.audit_interests_in[(sender, iface)] = self.audit_data_out[(sender, iface)] = 0
+            self.nodes[endpoint].attach_iface(IfaceInfo(iface, spec.bandwidth_bps, link.key))
+        receivers_of = []  # every endpoint, in sorted order
+        for r in sorted(spec.endpoints):
+            node = self.nodes[r]
+            iface, port = own[r]
+            on_broadcast = spec.broadcast and hasattr(node, "on_broadcast_data")
+            receivers_of.append((r, (node, iface, on_broadcast, port)))
+        for sender, port in ports:
+            port.receivers = tuple(receiver for r, receiver in receivers_of if r != sender)
         return link
+
+    @property
+    def audit_interests_in(self) -> dict[tuple[str, int], int]:
+        """Flow-balance audit: interests delivered per (node, iface)."""
+        return {(node_id, iface): port.interests_in
+                for node_id, ports in self._ports.items() for iface, port in ports.items()}
+
+    @property
+    def audit_data_out(self) -> dict[tuple[str, int], int]:
+        """Flow-balance audit: data packets sent per (node, iface)."""
+        return {(node_id, iface): port.data_out
+                for node_id, ports in self._ports.items() for iface, port in ports.items()}
 
     def iface_to(self, node_id: str, peer_id: str) -> int:
         """The lowest-numbered interface of node_id on a link shared with peer."""
@@ -259,32 +284,51 @@ class Network:
     # -- transmission ---------------------------------------------------------------
 
     def send_from(self, sender: str, iface: int, pkt) -> None:
-        port = self._ports.get((sender, iface))
-        if port is None:
-            raise KeyError(f"node {sender!r} has no interface {iface}")
-        link, receivers = port
+        """Queue the delivery of `pkt` from `sender`'s interface `iface` to
+        every other endpoint of its link, at the time the frame has been
+        serialized behind the frames before it and has crossed the link.
+        Like an `at` call, it takes a sequence number even when the arrival
+        falls after the end of the run and nothing is queued."""
+        try:
+            port = self._ports[sender][iface]
+        except KeyError:
+            raise KeyError(f"node {sender!r} has no interface {iface}") from None
         if isinstance(pkt, Interest):
             if pkt.scope is not None and pkt.scope <= 1:
                 raise ValueError("scope 0/1 interests never leave the originating host")
             deliver = self._deliver_interest
         else:
-            self.audit_data_out[(sender, iface)] += 1
+            port.data_out += 1
             deliver = self._deliver_data
-        ser_us = math.ceil(wire_size(pkt) * 8 * 1e6 / link.spec.bandwidth_bps)
-        self.at(link.reserve(sender, ser_us, self.now), partial(deliver, receivers, pkt))
+        size = wire_size(pkt)
+        try:
+            ser_us = port.ser_us[size]
+        except KeyError:
+            ser_us = port.ser_us[size] = math.ceil(size * 8 * 1e6 / port.bandwidth_bps)
+        now = self.now
+        if port.broadcast:
+            link = port.link
+            start = link.busy_until if link.busy_until > now else now
+            arrival = link.busy_until = start + ser_us + port.delay_us
+        else:
+            start = port.busy_until if port.busy_until > now else now
+            port.busy_until = start + ser_us
+            arrival = start + ser_us + port.delay_us
+        self._seq = seq = self._seq + 1
+        if arrival <= self._until:
+            heapq.heappush(self._heap, (arrival, seq, partial(deliver, port.receivers, pkt)))
 
     def _deliver_interest(self, receivers: tuple, interest: Interest) -> None:
         now = self.now
-        audit = self.audit_interests_in
-        for receiver, node, iface, _ in receivers:
-            audit[(receiver, iface)] += 1
+        for node, iface, _, port in receivers:
+            port.interests_in += 1
             node.on_interest(iface, interest, now)
 
     def _deliver_data(self, receivers: tuple, data: DataPacket) -> None:
         """Every receiver of a data frame; on a shared segment, through the
         broadcast handler of those that have one."""
         now = self.now
-        for _, node, iface, on_broadcast in receivers:
+        for node, iface, on_broadcast, _ in receivers:
             if on_broadcast:
                 node.on_broadcast_data(iface, data, now)
             else:
@@ -317,10 +361,9 @@ class Network:
         """(node, iface, data_out, interests_in) wherever a router or
         producer pushed more data out an interface than it was asked for."""
         bad = []
-        for (node_id, iface), data_out in sorted(self.audit_data_out.items()):
-            node = self.nodes[node_id]
-            if node.role() in ("router", "compromised-router", "producer"):
-                asked = self.audit_interests_in[(node_id, iface)]
-                if data_out > asked:
-                    bad.append((node_id, iface, data_out, asked))
+        for node_id in sorted(self._ports):
+            if self.nodes[node_id].role() in ("router", "compromised-router", "producer"):
+                for iface, port in sorted(self._ports[node_id].items()):
+                    if port.data_out > port.interests_in:
+                        bad.append((node_id, iface, port.data_out, port.interests_in))
         return bad

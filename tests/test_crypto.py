@@ -168,21 +168,48 @@ def test_keys_sign_through_libcrypto_on_linux():
     assert key.sign.__qualname__ == "_LibCrypto.signer.<locals>.sign"
 
 
+def _paths():
+    """The signer paths this platform has: libcrypto where `_hashlib` links
+    it, and builtin `pow` everywhere."""
+    return ["pow"] if crypto._libcrypto() is None else ["libcrypto", "pow"]
+
+
+def _on_path(patch: pytest.MonkeyPatch, path: str) -> None:
+    if path == "pow":
+        patch.setattr(crypto, "_libcrypto", lambda: None)
+
+
 def test_libcrypto_signer_checks_the_key():
-    """The libcrypto signer runs OpenSSL's key check on the key it loads,
-    so a key whose CRT values disagree is refused, not used."""
-    lib = crypto._libcrypto()
-    if lib is None:
-        pytest.skip("this Python's _hashlib has no OpenSSL calls")
-    key, p, q = _build_with_primes(Rng(3, "key-check"))
-    e = crypto.RSA_EXPONENT
-    d = pow(e, -1, (p - 1) * (q - 1))
-    values = [0, p * q, e, d, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p)]
-    private_der = crypto._der(0x30, *map(crypto._der_uint, values))
-    assert lib.signer(private_der)(b"m") == key.sign(b"m")
-    values[6] += 2  # d mod (p - 1) no longer
-    with pytest.raises(ValueError, match="key check"):
-        lib.signer(crypto._der(0x30, *map(crypto._der_uint, values)))
+    """`KeyPair._build` refuses a key whose CRT values disagree, on either
+    signer path, before any signer is loaded: here q^-1 mod p is off by
+    one."""
+    real_pow = pow
+
+    def skewed_pow(base, exp, mod=None):
+        result = real_pow(base, exp, mod)
+        return result + 1 if exp == -1 and mod % 2 else result  # only q^-1 mod p
+
+    for path in _paths():
+        with pytest.MonkeyPatch.context() as patch:
+            _on_path(patch, path)
+            assert KeyPair._build(Rng(3, "key-check")).sign(b"m")
+            patch.setattr(crypto, "pow", skewed_pow, raising=False)
+            with pytest.raises(ValueError, match="CRT values are inconsistent"):
+                KeyPair._build(Rng(3, "key-check"))
+
+
+def test_build_refuses_a_signer_for_another_key(other_key):
+    """The pairwise self-test: a signer that signs for another key than
+    the one `KeyPair._build` publishes is refused, on either path."""
+    for path in _paths():
+        with pytest.MonkeyPatch.context() as patch:
+            _on_path(patch, path)
+            if path == "pow":
+                patch.setattr(crypto, "_pow_signer", lambda *values: other_key.sign)
+            else:
+                patch.setattr(crypto._LibCrypto, "signer", lambda self, der: other_key.sign)
+            with pytest.raises(ValueError, match="pairwise self-test"):
+                KeyPair._build(Rng(3, "key-check"))
 
 
 def test_base_passing_the_gcd_check_falls_through_to_miller_rabin():

@@ -28,14 +28,18 @@ from ndnshield.packets import (
     NameParseError,
     canonical_serialize,
     component_digest,
+    compute_content_hash,
+    content_hash_matches,
     digest_component,
     encode_interest,
     interest_matches,
     is_control_name,
     is_digest_component,
+    matches_base,
     parse_name,
     wire_size,
 )
+from ndnshield.poisoning import PoisoningConfig, PoisoningGuard
 from ndnshield.packets import _escape_component, _unescape_component, _unescape_escaped
 
 components = st.binary(min_size=1, max_size=32)
@@ -460,6 +464,92 @@ def test_matching_monotone_in_options(name, digest, exclude, strip_hash):
             Interest(interest_name, 1, None, None),
         ):
             assert interest_matches(data, relaxed)
+
+
+# The composed definitions of the matching clauses, each a stated rule
+# built on the name helpers; the one-pass predicates must agree with them.
+
+
+def _prefix_rule(data: DataPacket, interest: Interest) -> bool:
+    return interest.name.is_prefix_of(data.name)
+
+
+def _exclude_rule(data: DataPacket, interest: Interest) -> bool:
+    """The exclude filter, if any, passes the data name's component right
+    after the interest's prefix, if it has one."""
+    k = len(interest.name)
+    return (interest.exclude is None or len(data.name) <= k
+            or not interest.exclude.excludes(data.name.components[k]))
+
+
+def _publisher_rule(data: DataPacket, interest: Interest) -> bool:
+    wanted = interest.publisher_key_digest
+    return wanted is None or wanted == data.publisher_key_digest
+
+
+def _content_hash_rule(data: DataPacket, interest: Interest) -> bool:
+    comps = interest.name.components
+    if not comps or not is_digest_component(comps[-1]):
+        return True
+    return component_digest(comps[-1]) == compute_content_hash(data)
+
+
+_ALPHABET = st.sampled_from([b"a", b"b", b"ab", digest_component(b"\x01" * 32)])
+
+
+@st.composite
+def _match_cases(draw):
+    """A data packet and an interest likely to share a prefix: the
+    interest's name is a prefix of the data's, sometimes with one component
+    changed, dropped or added, and sometimes ending in a digest component
+    (the data's content hash or another)."""
+    data = DataPacket(
+        name=Name(tuple(draw(st.lists(_ALPHABET, max_size=5)))),
+        payload=draw(st.binary(max_size=4)),
+        signature=b"sig",
+        key_locator=EmbeddedKey(b"key"),
+        publisher_key_digest=draw(st.sampled_from([b"\x77" * 32, b"\x78" * 32])),
+    )
+    comps = list(data.name.components[: draw(st.integers(0, len(data.name)))])
+    edit = draw(st.sampled_from(["none", "change", "drop", "add"]))
+    if edit == "change" and comps:
+        comps[draw(st.integers(0, len(comps) - 1))] = draw(_ALPHABET)
+    elif edit == "drop" and comps:
+        del comps[draw(st.integers(0, len(comps) - 1))]
+    elif edit == "add":
+        comps.insert(draw(st.integers(0, len(comps))), draw(_ALPHABET))
+    if draw(st.booleans()):
+        digest = compute_content_hash(data) if draw(st.booleans()) else b"\x02" * 32
+        comps.append(digest_component(digest))
+    exclude = draw(st.one_of(
+        st.none(),
+        st.frozensets(_ALPHABET, max_size=2).map(ExplicitExclude),
+        st.lists(_ALPHABET, max_size=2).map(BloomExclude.from_components),
+        st.just(BloomExclude.all_ones()),
+    ))
+    key_digest = draw(st.sampled_from([None, b"\x77" * 32, b"\x78" * 32]))
+    return data, Interest(Name(tuple(comps)), 1, publisher_key_digest=key_digest, exclude=exclude)
+
+
+@given(_match_cases(), st.booleans(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_predicates_equal_their_composed_rules(case, dscid, sscid):
+    """`matches_base`, `content_hash_matches`, `interest_matches` and
+    `PoisoningGuard.scid_check` each read the names once; each gives what
+    the rules above, composed, give."""
+    data, interest = case
+    base = _prefix_rule(data, interest) and _exclude_rule(data, interest)
+    assert matches_base(data, interest) == base
+    assert content_hash_matches(data, interest) == _content_hash_rule(data, interest)
+    assert interest_matches(data, interest) == (
+        base and _publisher_rule(data, interest) and _content_hash_rule(data, interest))
+    guard = PoisoningGuard(PoisoningConfig(enforce_dscid=dscid, enforce_sscid=sscid), rng=None)
+    expected = None
+    if dscid and not _publisher_rule(data, interest):
+        expected = "drop_scid_d"
+    elif sscid and not _content_hash_rule(data, interest):
+        expected = "drop_scid_s"
+    assert guard.scid_check(data, interest) == expected
 
 
 _NAME_TEXT = st.text(

@@ -345,3 +345,36 @@ def test_negative_capacities_and_times_rejected_at_their_path(doc, path):
     retry count or jitter loaded and ran as something else (empty payloads,
     no retry, no spread); each is refused at the key that sets it."""
     assert violations(doc) == [f"{path}: must not be negative"]
+
+
+@pytest.mark.parametrize(
+    "key, bad, message, least",
+    [
+        ("pushback_cooldown_ms", -1, "must not be negative", 0),
+        ("pushback_ttl", -1, "must be positive", 1),
+        ("min_throttle", -1.0, "must not be negative", 0.0),
+    ],
+)
+def test_pushback_knobs_are_bounded(key, bad, message, least):
+    """A negative push-back cooldown or TTL loaded and multiplied the
+    push-backs a defended router sends (on the 2 s chain fixture r1's
+    namespace-quota rejects rose from 171 to 800); each knob is refused
+    below its least sensible value, which loads."""
+    assert violations(minimal_doc(flooding_defense={key: bad})) == [
+        f"$.flooding_defense.{key}: {message}"]
+    load_scenario(minimal_doc(flooding_defense={key: least}))
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_with_node(2, requests={"names": ["/v/a"], "rate_per_s": 5, "start_ms": 10,
+                                 "stop_ms": 10}), "$.nodes[2].requests.stop_ms"),
+        (_chain_flood(**{"nodes.4.requests.stop_ms": -5}), "$.nodes[4].requests.stop_ms"),
+    ],
+    ids=["empty-window", "chain-stop-before-start"],
+)
+def test_rate_consumer_start_must_precede_stop(doc, path):
+    """A rate-driven consumer whose window is empty loaded and silently
+    sent nothing; it is refused at its stop time, as an attack is."""
+    assert violations(doc) == [f"{path}: request start must precede stop"]

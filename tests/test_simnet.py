@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_packet, n
-from ndnshield.packets import Interest
+from ndnshield.packets import DataPacket, EmbeddedKey, Interest, Name, wire_size
 from ndnshield.rand import Rng
 from ndnshield.simnet import LinkSpec, Network, NodeBase
 
@@ -311,3 +316,122 @@ def test_rng_uniformity_smoke():
     for _ in range(8000):
         buckets[rng.randrange(8)] += 1
     assert min(buckets) > 800  # crude sanity: no bucket starved
+
+
+# ---------------------------------------------------------------------------
+# Send timing against an oracle
+# ---------------------------------------------------------------------------
+
+
+class _Reserve:
+    """The medium reservation `send_from` must reproduce, stated plainly:
+    a point-to-point link queues each sender's frames behind its own
+    earlier ones; a shared segment is held from a frame's start until
+    every endpoint has heard it."""
+
+    def __init__(self, spec: LinkSpec):
+        self.spec = spec
+        self.busy: dict[str, int] = {}  # per sender, point-to-point
+        self.busy_shared = 0
+
+    def arrival(self, sender: str, size: int, now: int) -> int:
+        ser_us = math.ceil(size * 8 * 1e6 / self.spec.bandwidth_bps)
+        if self.spec.broadcast:
+            start = max(now, self.busy_shared)
+            self.busy_shared = start + ser_us + self.spec.delay_us
+            return self.busy_shared
+        start = max(now, self.busy.get(sender, now))
+        self.busy[sender] = start + ser_us
+        return start + ser_us + self.spec.delay_us
+
+
+class _Logger(NodeBase):
+    def __init__(self, node_id, log):
+        super().__init__(node_id)
+        self.log = log
+
+    def role(self):
+        return "router"
+
+    def on_interest(self, iface, pkt, now):
+        self.log.append((now, self.id, iface, "interest", pkt.nonce))
+
+    def on_data(self, iface, pkt, now):
+        self.log.append((now, self.id, iface, "data", pkt.payload))
+
+    def on_broadcast_data(self, iface, pkt, now):
+        self.log.append((now, self.id, iface, "overheard", pkt.payload))
+
+
+_NODES = ("n0", "n1", "n2", "n3")
+
+
+@st.composite
+def _topologies(draw):
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        broadcast = draw(st.booleans())
+        count = draw(st.integers(2, 4)) if broadcast else 2
+        endpoints = tuple(draw(st.permutations(_NODES))[:count])
+        bandwidth = draw(st.one_of(st.integers(1_001, 99_999_999).map(lambda b: float(b | 1)),
+                                   st.floats(1e4, 1e9)))
+        specs.append(LinkSpec(endpoints, bandwidth, draw(st.integers(0, 3 * MS)), broadcast))
+    return specs
+
+
+@given(
+    specs=_topologies(),
+    sends=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 20), st.booleans(), st.integers(0, 400),
+                  st.integers(0, 6 * MS)),
+        min_size=1, max_size=30,
+    ),
+    until=st.integers(1 * MS, 12 * MS),
+)
+@settings(max_examples=150, deadline=None)
+def test_arrivals_and_delivery_order_equal_the_reservation_oracle(specs, sends, until):
+    """Whatever the links and the sends, every frame arrives when the
+    plain reservation above puts it, deliveries run in (arrival, send
+    order), each receiver in sorted order, and the flow-balance audit
+    counts every interest delivered and every data packet sent."""
+    log = []
+    net = Network(Rng(1, "net"))
+    for node_id in _NODES:
+        net.add_node(_Logger(node_id, log))
+    ports = []  # (node, iface, link index) in the order the network numbers them
+    next_iface = dict.fromkeys(_NODES, 0)
+    for index, spec in enumerate(specs):
+        net.add_link(spec)
+        for node_id in spec.endpoints:
+            ports.append((node_id, next_iface[node_id], index))
+            next_iface[node_id] += 1
+    oracles = [_Reserve(spec) for spec in specs]
+    expected, interests_in, data_out = [], Counter(), Counter()
+    order = sorted(range(len(sends)), key=lambda i: (sends[i][4], i))
+    for i in order:
+        pick, extra, is_interest, length, at = sends[i]
+        node_id, iface, index = ports[pick % len(ports)]
+        spec = specs[index]
+        if is_interest:
+            pkt = Interest(Name((b"x" * (1 + extra),)), nonce=i)
+            kind, tag = "interest", i
+        else:
+            pkt = DataPacket(Name((b"d",)), bytes([i]) * length, b"s" * (1 + extra),
+                             EmbeddedKey(b"k"), bytes(32))
+            kind, tag = ("overheard" if spec.broadcast else "data"), pkt.payload
+        net.at(at, lambda n=node_id, f=iface, p=pkt: net.send_from(n, f, p))
+        if at > until:
+            continue  # the send itself never runs
+        if not is_interest:
+            data_out[(node_id, iface)] += 1
+        arrival = oracles[index].arrival(node_id, wire_size(pkt), at)
+        for receiver in sorted(spec.endpoints):
+            if receiver != node_id and arrival <= until:
+                own = next(f for r, f, x in ports if r == receiver and x == index)
+                expected.append(((arrival, order.index(i)), (arrival, receiver, own, kind, tag)))
+                if is_interest:
+                    interests_in[(receiver, own)] += 1
+    net.run(until_us=until)
+    assert log == [entry for _, entry in sorted(expected, key=lambda e: e[0])]
+    for audit, counts in ((net.audit_interests_in, interests_in), (net.audit_data_out, data_out)):
+        assert audit == {(node_id, iface): counts[(node_id, iface)] for node_id, iface, _ in ports}
