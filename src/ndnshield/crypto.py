@@ -12,15 +12,16 @@ replayable from a scenario seed.
 No third-party library is used. Where the libcrypto that CPython's
 `_hashlib` links is present, reached through ctypes, each Miller-Rabin
 round of key generation takes its one 512-bit exponentiation from its
-`BN_mod_exp`, and a key signs through `EVP_DigestSign`. Where it is missing, both run on builtin `pow`, signing
-by the Chinese remainder theorem. Verification is plain Python on every
-platform. It reads only the key form `KeyPair` builds, since a publisher
-is named by the digest of a DER the model made: a DER is a key only if
-`_spki_der` re-encodes the modulus it holds to those very bytes. Then
-`pow(s, e, n)` is compared byte for byte with the expected encoding. No
-byte depends on the path: `pow` and `BN_mod_exp` give the same integer,
-and a PKCS#1 v1.5 signature is deterministic, the one integer EM^d mod n,
-so any correct signer gives the same bytes (RFC 8017 §8.2.1, §9.2). The
+`BN_mod_exp`, and a key signs through `EVP_DigestSign`. Where it is
+missing, both run on builtin `pow`, signing by the Chinese remainder
+theorem. Verification is plain Python on every platform. It reads only
+the key form `KeyPair` builds, since a publisher is named by the digest
+of a DER the model made: a DER is a key only if `_spki_der` re-encodes
+the modulus it holds to those very bytes. Then `pow(s, e, n)` is
+compared byte for byte with the expected encoding. No byte depends on
+the path: `pow` and `BN_mod_exp` give the same integer, and a PKCS#1
+v1.5 signature is deterministic, the one integer EM^d mod n, so any
+correct signer gives the same bytes (RFC 8017 §8.2.1, §9.2). The
 platform changes only how long a key or a signature takes.
 
 A key is checked once, when it is built, the same way on both paths: its
@@ -198,8 +199,8 @@ class _LibCrypto:
         """Signing with SHA-256 and PKCS#1 v1.5 padding (RSA's default in
         `EVP_DigestSign`) under the RSAPrivateKey DER `private_der`, which
         `KeyPair._build` checks. Each signature copies a context set up
-        once for the key, which
-        spares a signature the algorithm fetches of `EVP_DigestSignInit`.
+        once for the key, which spares a signature the algorithm fetches
+        of `EVP_DigestSignInit`.
         Key and context are freed when the returned function goes."""
         import ctypes
 

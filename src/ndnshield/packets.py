@@ -521,16 +521,10 @@ def content_hash_matches(data: DataPacket, interest: Interest) -> bool:
 
 
 def interest_matches(data: DataPacket, interest: Interest) -> bool:
-    """Full matching predicate: prefix, exclude, then the dynamic
+    """Full matching predicate: prefix and exclude, then the dynamic
     self-certifying clause (a requested publisher key digest must agree),
     then the static one."""
-    prefix = interest.name.components
-    comps = data.name.components
-    k = len(prefix)
-    if comps[:k] != prefix:
-        return False
-    exclude = interest.exclude
-    if exclude is not None and len(comps) > k and exclude.excludes(comps[k]):
+    if not matches_base(data, interest):
         return False
     wanted = interest.publisher_key_digest
     if wanted is not None and wanted != data.publisher_key_digest:
