@@ -408,7 +408,7 @@ def test_arrivals_and_delivery_order_equal_the_reservation_oracle(specs, sends, 
     oracles = [_Reserve(spec) for spec in specs]
     expected, interests_in, data_out = [], Counter(), Counter()
     order = sorted(range(len(sends)), key=lambda i: (sends[i][4], i))
-    for i in order:
+    for rank, i in enumerate(order):
         pick, extra, is_interest, length, at = sends[i]
         node_id, iface, index = ports[pick % len(ports)]
         spec = specs[index]
@@ -428,7 +428,7 @@ def test_arrivals_and_delivery_order_equal_the_reservation_oracle(specs, sends, 
         for receiver in sorted(spec.endpoints):
             if receiver != node_id and arrival <= until:
                 own = next(f for r, f, x in ports if r == receiver and x == index)
-                expected.append(((arrival, order.index(i)), (arrival, receiver, own, kind, tag)))
+                expected.append(((arrival, rank), (arrival, receiver, own, kind, tag)))
                 if is_interest:
                     interests_in[(receiver, own)] += 1
     net.run(until_us=until)
