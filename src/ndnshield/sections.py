@@ -65,6 +65,8 @@ class LinkEntry:
             raise Invalid("endpoints", "p2p links have exactly 2 endpoints")
         if len(self.endpoints) < 2:
             raise Invalid("endpoints", "broadcast links have at least 2 endpoints")
+        if len(set(self.endpoints)) != len(self.endpoints):
+            raise Invalid("endpoints", "must list each node once")
         if self.bandwidth_mbps <= 0:
             raise Invalid("bandwidth_mbps", "must be positive")
         if self.delay_ms < 0:

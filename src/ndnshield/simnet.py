@@ -41,10 +41,18 @@ function. `_deliver_interest` counts the interest into the receiving
 port's audit and calls `on_interest`; `_deliver_data` calls `on_data`,
 or `on_broadcast_data` on a shared segment for a node that has it. No
 handler tests the kind again.
+
+The event loop runs with the cyclic garbage collector paused, so it
+never re-scans a large, long-lived PIT. That is safe because no event
+makes a reference cycle: reference counting frees whatever a run
+discards, and the cycles a run does leave, one closure per schedule
+(`every`, `periodic`), do not grow with the run's length.
+`tests/test_golden.py` checks that.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from dataclasses import dataclass
@@ -340,7 +348,8 @@ class Network:
         """Start every node and process events up to `until_us`. A network
         runs once: a second call would start every node again. Events due
         after `until_us` are dropped: those already queued now, later ones
-        as they are scheduled."""
+        as they are scheduled. The cyclic garbage collector is paused while
+        events run, and left as the caller had it."""
         if self._started:
             raise RuntimeError("Network.run called twice; build a new network instead")
         self._started = True
@@ -350,9 +359,15 @@ class Network:
         for node_id in sorted(self.nodes):
             self.at(self.now, self.nodes[node_id].start)
         pop = heapq.heappop
-        while heap:
-            self.now, _, fn = pop(heap)
-            fn()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                self.now, _, fn = pop(heap)
+                fn()
+        finally:
+            if collecting:
+                gc.enable()
         self.now = until_us
 
     # -- invariants -------------------------------------------------------------------------

@@ -54,10 +54,15 @@ collapse on defended routers), and at every metrics tick a node's stats
 are the counter columns in order and each gauge it reports has a CSV
 column or is one of the few known to have none yet. A collection
 consumer settles its fetch at most once.
+
+`Network.run` pauses the cyclic garbage collector, so a reference cycle
+made per event would hold memory until the run ends: every arm, run for
+its duration and for half of it, must leave the same number of cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -75,7 +80,7 @@ from ndnshield.flooding import FloodingDefense
 from ndnshield.metrics import COLUMNS, COUNTER_COLUMNS, MetricsCollector, load_csv
 from ndnshield.nodes import CollectionConsumer
 from ndnshield.router import Router
-from ndnshield.scenario import load_scenario
+from ndnshield.scenario import build_sim, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "src" / "ndnshield" / "scenarios" / "chain_flood.json"
@@ -623,3 +628,27 @@ def test_collection_consumer_finishes_once(key, monkeypatch):
     _run_every_arm(DOCS[key]())
     assert calls, "some consumer finished its fetch"
     assert max(calls.values()) == 1
+
+
+def _cycles_left_by_run(scenario, arm) -> int:
+    sim = build_sim(scenario, scenario.seed, arm)
+    gc.collect()  # what set-up left
+    gc.disable()  # as inside `Network.run`, and on through the closing sample
+    try:
+        sim.run()
+    finally:
+        gc.enable()
+    return gc.collect()  # `sim` is alive: these are cycles the run left
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_no_event_makes_a_reference_cycle(key):
+    """The cycles a run leaves are the self-rescheduling closures, one per
+    schedule (`Network.every`, `Network.periodic`), and the one ctypes
+    array type signing makes; a cycle made per event would grow with the
+    run's length and hold memory for as long as the collector is paused."""
+    doc = DOCS[key]()
+    scenario = load_scenario(doc)
+    half = load_scenario({**doc, "duration_ms": doc["duration_ms"] // 2})
+    for arm in scenario.arm_names() or [None]:
+        assert _cycles_left_by_run(scenario, arm) == _cycles_left_by_run(half, arm), arm

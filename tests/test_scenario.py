@@ -88,6 +88,17 @@ def test_link_endpoint_must_exist():
     assert any("nobody" in e for e in violations(doc))
 
 
+@pytest.mark.parametrize("link", [{"endpoints": ["r", "r"]},
+                                  {"endpoints": ["c", "r", "c"], "kind": "broadcast"}],
+                         ids=["p2p", "broadcast"])
+def test_link_lists_each_node_once(link):
+    """A node listed twice on one link would get interfaces that nothing
+    hears."""
+    doc = minimal_doc()
+    doc["links"].append({"bandwidth_mbps": 1, "delay_ms": 1, **link})
+    assert violations(doc) == ["$.links[2].endpoints: must list each node once"]
+
+
 def test_consumer_needs_exactly_one_workload():
     doc = minimal_doc()
     doc["nodes"][2] = {"id": "c", "role": "consumer"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 from collections import Counter
 
@@ -300,6 +302,30 @@ def test_second_run_rejected():
     with pytest.raises(RuntimeError):
         net.run(until_us=20 * MS)
     assert starts == [0]  # the node was started once, by the first run
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_pauses_the_collector_and_restores_it(enabled, raises):
+    """Events run with the cyclic collector off; afterwards it is as the
+    caller had it, also when an event raises."""
+    net = Network(Rng(3, "net"))
+    during = []
+
+    def event():
+        during.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("event failed")
+
+    net.at(5 * MS, event)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            net.run(until_us=10 * MS)
+        assert during == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_rng_streams_independent():
