@@ -67,7 +67,7 @@ def compute_outgoing_quota(
 
 @dataclass
 class FloodingConfig:
-    namespace_quotas: dict[Name, int] = field(default_factory=dict)
+    namespace_quotas: dict[Name, Annotated[int, Positive]] = field(default_factory=dict)
     # Prefixes tracked for throttling and push-back even where no hard
     # quota is enforced (quota keys are always watched).
     watched_prefixes: tuple[Name, ...] = ()

@@ -47,7 +47,7 @@ from .packets import (
 )
 from .poisoning import feedback_interest
 from .router import Router
-from .schema import NonEmpty, NonNegative, Positive
+from .schema import NonEmpty, NonNegative, OneOf, Positive
 from .simnet import NodeBase
 
 # What a consumer makes of a delivered packet, each the name of the
@@ -468,9 +468,9 @@ class ConsumerBase(NodeBase):
 
 class RequestConsumer(ConsumerBase):
     """Issues interests on a schedule: either explicit send times or a
-    fixed rate between start and stop. Names come from a cycled list or a
-    generator of unique names (to defeat caching when measuring network
-    health)."""
+    fixed rate between start and stop. Names come from exactly one of a
+    cycled list (`names`) or a generator of unique names (`unique_under`,
+    to defeat caching when measuring network health)."""
 
     def __init__(
         self,
@@ -484,16 +484,12 @@ class RequestConsumer(ConsumerBase):
         stop_ms: int = 0,
         at_ms: Optional[list[Annotated[int, NonNegative]]] = None,
         retries: Annotated[int, NonNegative] = 0,
-        mode: str = MODE_PLAIN,
+        mode: Annotated[str, OneOf(MODE_PLAIN, MODE_DSCID)] = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
         lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
         send_on_all_interfaces: bool = False,
     ):
         super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
-        if mode not in (MODE_PLAIN, MODE_DSCID):
-            raise ValueError("request consumers support plain and d-scid modes")
-        if (names is None) == (unique_under is None):
-            raise ValueError("provide exactly one of names / unique_under")
         self.names = names
         self.unique_under = unique_under
         self.rate_per_s = rate_per_s
@@ -579,7 +575,7 @@ class CollectionConsumer(ConsumerBase):
         base: Name,
         fragment_count: int,
         window: int,
-        mode: str = MODE_PLAIN,
+        mode: Annotated[str, OneOf(*CONSUMER_MODES)] = MODE_PLAIN,
         trusted_key_digest: Optional[bytes] = None,
         first_hash: Optional[bytes] = None,
         start_ms: Annotated[int, NonNegative] = 0,
@@ -588,8 +584,6 @@ class CollectionConsumer(ConsumerBase):
         exclude_cap: int = 16,
     ):
         super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
-        if mode not in CONSUMER_MODES:
-            raise ValueError(f"unknown consumer mode {mode!r}")
         if mode == MODE_SSCID and first_hash is None:
             raise ValueError("s-scid mode needs the first fragment's hash out of band")
         if mode in (MODE_DSCID, MODE_COMBINED) and trusted_key_digest is None:
@@ -750,7 +744,7 @@ class CompromisedRouter(Router):
         self,
         node_id: str,
         *,
-        poison_mode: str,
+        poison_mode: Annotated[str, OneOf("corrupted", "fake")],
         target_prefix: Name,
         adversary_key: Optional[KeyPair] = None,
         honest_key_der: bytes = b"",
@@ -758,8 +752,6 @@ class CompromisedRouter(Router):
         config=None,
     ):
         super().__init__(node_id, config=config)
-        if poison_mode not in ("corrupted", "fake"):
-            raise ValueError("poison mode must be corrupted or fake")
         if poison_mode == "fake" and adversary_key is None:
             raise ValueError("fake mode signs with an adversary key")
         if poison_mode == "corrupted" and not honest_key_der:

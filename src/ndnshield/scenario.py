@@ -24,17 +24,15 @@ from .crypto import KeyPair, forge_packet, sign_packet
 from .flooding import FloodingConfig, FloodingDefense
 from .metrics import MetricsCollector
 from .nodes import (
-    CONSUMER_MODES,
     MODE_COMBINED,
     MODE_DSCID,
-    MODE_PLAIN,
     MODE_SSCID,
     CollectionConsumer,
     CompromisedRouter,
     Producer,
     RequestConsumer,
 )
-from .packets import MS, Name
+from .packets import MS
 from .poisoning import (
     MODE_DISJOINT_HMAC,
     MODE_OFF,
@@ -46,7 +44,7 @@ from .poisoning import (
 )
 from .rand import Rng
 from .router import Router, RouterConfig
-from .schema import BAD, Positive, fields_of
+from .schema import BAD, NonNegative, Positive, fields_of
 from .sections import (
     ANY_ROUTER,
     PRODUCER,
@@ -135,7 +133,7 @@ class Scenario:
     name: str
     duration_ms: Annotated[int, Positive]
     metrics_tick_ms: Annotated[int, Positive] = 100
-    seed: int = 1
+    seed: Annotated[int, NonNegative] = 1
     arms: dict[str, dict] = field(default_factory=dict)
     # The base document (None) and each arm, validated.
     plans: dict[Optional[str], _Plan] = field(default_factory=dict, repr=False)
@@ -208,6 +206,10 @@ def _validate(doc: dict) -> Scenario:
                 if not any({router, hop} <= set(link.endpoints) for link in links):
                     path = f"$.fib.{router}[{idx}].next_hops"
                     chk.fail(path, f"no link joins {router!r} to {hop!r}")
+    for path, node_id, role, _ in nodes if "links" in sections else ():
+        # Consumers and zombies send on the interface their first link gives them.
+        if role in ("consumer", "zombie") and not any(node_id in link.endpoints for link in links):
+            chk.fail(path, f"no link joins {node_id!r} to the network")
     defenses = (
         _flooding(chk, doc.get("flooding_defense"), inherited),
         _poisoning(chk, doc.get("poisoning_defense"), inherited),
@@ -274,7 +276,9 @@ def _router(chk: Check, node: dict, path: str, node_id: str, role: str, inherite
             defenses: tuple):
     own, required = {"id": Any, "role": Any}, ()
     if role == "compromised-router":
-        own.update(poison_mode=str, target_prefix=Name, impersonate=Annotated[str, PRODUCER])
+        hints = fields_of(CompromisedRouter)[0]
+        own.update(poison_mode=hints["poison_mode"], target_prefix=hints["target_prefix"],
+                   impersonate=Annotated[str, PRODUCER])
         required = ("poison_mode", "target_prefix")
     kwargs = chk.fields(node, path, RouterConfig, extra=own, required=required,
                         base=_inherit(inherited, RouterConfig))
@@ -282,8 +286,6 @@ def _router(chk: Check, node: dict, path: str, node_id: str, role: str, inherite
     config = RouterConfig(**kwargs)
     if role == "router":
         return config, *(None if select is None else select(node_id) for select in defenses)
-    if spec.get("poison_mode") not in ("corrupted", "fake"):
-        chk.fail(f"{path}.poison_mode", "must be corrupted or fake")
     if spec.get("poison_mode") == "corrupted" and "impersonate" not in spec:
         chk.fail(path, "corrupted mode requires impersonate")
     return {**spec, "config": config}
@@ -303,8 +305,6 @@ def _consumer(chk: Check, node: dict, path: str, producers: dict, inherited: dic
             extra={"producer": Annotated[str, PRODUCER], "collection": str},
             required=("producer", "collection"), base=_inherit(inherited, CollectionConsumer),
         ) or {}
-        if "mode" in kwargs and kwargs["mode"] not in CONSUMER_MODES:
-            chk.fail(f"{cpath}.mode", f"unknown mode {kwargs['mode']!r}")
         producer, collection = kwargs.pop("producer", None), kwargs.pop("collection", None)
         served = producers.get(producer)
         if served and collection is not None and not served[0].serves(collection):
@@ -325,8 +325,6 @@ def _consumer(chk: Check, node: dict, path: str, producers: dict, inherited: dic
     elif "rate_per_s" in req and kwargs.get("stop_ms", 0) <= kwargs.get("start_ms", 0):
         # An empty window would load and send nothing.
         chk.fail(f"{rpath}.stop_ms", "request start must precede stop")
-    if kwargs.get("mode") not in (None, MODE_PLAIN, MODE_DSCID):
-        chk.fail(f"{rpath}.mode", "request mode is plain or d-scid")
     if kwargs.get("mode") == MODE_DSCID and "trusted_producer" not in req:
         chk.fail(rpath, "d-scid mode requires trusted_producer")
     return kwargs.pop("trusted_producer", None), None, kwargs
@@ -374,9 +372,6 @@ def _flooding(chk: Check, block, inherited: dict):
     routers = _selector(chk, kwargs, path, "routers")
     quota_routers = _selector(chk, kwargs, path, "quota_routers")
     quotas = kwargs.get("namespace_quotas", {})
-    for prefix, quota in quotas.items():
-        if quota < 1:
-            chk.fail(f"{path}.namespace_quotas.{prefix}", "quota must be a positive integer")
     config = FloodingConfig(**kwargs, watched_prefixes=tuple(quotas))
     watch_only = replace(config, namespace_quotas={})
 

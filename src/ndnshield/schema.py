@@ -9,8 +9,11 @@ the first.
 
 The types understood are bool, int, float (which accepts an int), str,
 `Name` (read from its text), lists, tuples, dicts, Optional, dataclasses
-(read from objects, recursively) and `Annotated[T, check]`, where
-`check.check(reader, value, path)` adds a check of its own.
+(read from objects, recursively) and `Annotated[T, check, ...]`, where
+each `check.check(reader, value, path)` adds a check of its own: `Positive`,
+`NonNegative`, `NonEmpty`, `OneOf(*choices)` or a caller's. A rule on a
+value is stated once, on the field or parameter that the value fills, and
+reported at the value's path.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ class Positive:
     def check(reader: "Reader", value, path: str) -> None:
         if value <= 0:
             reader.fail(path, "must be positive")
+
+
+class OneOf:
+    """Type metadata: the value must be one of `choices`."""
+
+    def __init__(self, *choices):
+        self.choices = choices
+
+    def check(self, reader: "Reader", value, path: str) -> None:
+        if value not in self.choices:
+            reader.fail(path, f"must be one of {', '.join(map(str, self.choices))}")
 
 
 class NonNegative:
@@ -125,7 +139,8 @@ class Reader:
         if origin is Annotated:
             value = self.typed(value, args[0], path)
             if value is not BAD:
-                args[1].check(self, value, path)
+                for check in args[1:]:
+                    check.check(self, value, path)
             return value
         if origin in (Union, types.UnionType):  # Optional[X]
             return None if value is None else self.typed(value, args[0], path)

@@ -2,9 +2,12 @@
 
 Links, FIB routes, pre-seeded cache entries and producers' catalogs are
 read (by `schema.Reader`, see `scenario`) into the dataclasses below:
-their fields are the sections' keys, and their own checks raise
-`schema.Invalid` at the key that fails. Node ids are annotated with the
-roles they may name, and checked once every node's role is known.
+their fields are the sections' keys. A rule on one value is type metadata
+on its field (`Positive`, `OneOf`, ...); a rule across fields is the
+dataclass's own check, which raises `schema.Invalid` at the key that
+fails and runs only once every field has passed its own. Node ids are
+annotated with the roles they may name, and checked once every node's
+role is known.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .attacks import build_keylocator_abuse_content
 from .crypto import KeyPair
 from .nodes import Producer, StaticCollection
 from .packets import Name, is_control_name
-from .schema import Invalid, NonNegative, Reader
+from .schema import Invalid, NonEmpty, NonNegative, OneOf, Positive, Reader
 from .simnet import LinkSpec
 
 
@@ -54,23 +57,17 @@ class Check(Reader):
 @dataclass
 class LinkEntry:
     endpoints: Annotated[list[str], ANY_NODE]
-    bandwidth_mbps: float
-    delay_ms: float
-    kind: str = "p2p"
+    bandwidth_mbps: Annotated[float, Positive]
+    delay_ms: Annotated[float, NonNegative]
+    kind: Annotated[str, OneOf("p2p", "broadcast")] = "p2p"
 
     def __post_init__(self):
-        if self.kind not in ("p2p", "broadcast"):
-            raise Invalid("kind", "kind is p2p or broadcast")
         if self.kind == "p2p" and len(self.endpoints) != 2:
             raise Invalid("endpoints", "p2p links have exactly 2 endpoints")
         if len(self.endpoints) < 2:
             raise Invalid("endpoints", "broadcast links have at least 2 endpoints")
         if len(set(self.endpoints)) != len(self.endpoints):
             raise Invalid("endpoints", "must list each node once")
-        if self.bandwidth_mbps <= 0:
-            raise Invalid("bandwidth_mbps", "must be positive")
-        if self.delay_ms < 0:
-            raise Invalid("delay_ms", "must be non-negative")
 
     def spec(self) -> LinkSpec:
         return LinkSpec(
@@ -84,13 +81,11 @@ class LinkEntry:
 @dataclass
 class RouteEntry:
     prefix: Name
-    next_hops: Annotated[list[str], ANY_NODE]
+    next_hops: Annotated[list[str], ANY_NODE, NonEmpty]
 
     def __post_init__(self):
         if is_control_name(self.prefix):
             raise Invalid("prefix", "reserved namespaces are never routed")
-        if not self.next_hops:
-            raise Invalid("next_hops", "must not be empty")
 
 
 @dataclass
@@ -108,25 +103,16 @@ class PreseedEntry:
 @dataclass
 class CollectionEntry:
     name: str
-    fragments: int
-    window: int
+    fragments: Annotated[int, Positive]
+    window: Annotated[int, Positive]
     payload_size_bytes: Optional[Annotated[int, NonNegative]] = None  # None: the producer's
-
-    def __post_init__(self):
-        for key in ("fragments", "window"):
-            if getattr(self, key) < 1:
-                raise Invalid(key, "must be >= 1")
 
 
 @dataclass
 class AbuseEntry:
     target_producer: Annotated[str, PRODUCER]
-    count: int
+    count: Annotated[int, Positive]
     collection: str
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise Invalid("count", "must be >= 1")
 
 
 @dataclass

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndnshield import crypto
 from ndnshield.crypto import KeyPair, verify_signature
@@ -13,6 +16,7 @@ from ndnshield.nodes import CompromisedRouter
 from ndnshield.packets import Interest, Name
 from ndnshield.rand import Rng
 from ndnshield.scenario import ScenarioError, build_sim, load_scenario
+from test_golden import DOCS
 
 FIXTURES = Path(__file__).parent.parent / "src" / "ndnshield" / "scenarios"
 
@@ -301,6 +305,53 @@ def test_bad_input_rejected_at_its_path(doc, path):
     assert [e.split(": ")[0] for e in errs] == [path], errs
 
 
+def _with_link(**keys):
+    doc = minimal_doc()
+    doc["links"][0].update(keys)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, violation",
+    [
+        (_with_node(2, requests={"names": ["/v/a"], "at_ms": [1], "mode": "s-scid"}),
+         "$.nodes[2].requests.mode: must be one of plain, d-scid"),
+        (_consumer_of("file", mode="bogus"),
+         "$.nodes[2].collection.mode: must be one of plain, s-scid, d-scid, combined"),
+        (_with_nodes({"id": "x", "role": "compromised-router", "poison_mode": "evil",
+                      "target_prefix": "/v"}),
+         "$.nodes[3].poison_mode: must be one of corrupted, fake"),
+        (_with_link(kind="quantum"), "$.links[0].kind: must be one of p2p, broadcast"),
+        (_with_link(bandwidth_mbps=0), "$.links[0].bandwidth_mbps: must be positive"),
+        (_with_link(delay_ms=-1), "$.links[0].delay_ms: must not be negative"),
+        (minimal_doc(fib={"r": [{"prefix": "/v", "next_hops": []}]}),
+         "$.fib.r[0].next_hops: must not be empty"),
+        (_with_node(0, collections=[{"name": "file", "fragments": 0, "window": 1}]),
+         "$.nodes[0].collections[0].fragments: must be positive"),
+        (_with_node(0, collections=[{"name": "file", "fragments": 2, "window": 0}]),
+         "$.nodes[0].collections[0].window: must be positive"),
+        (_with_node(0, abuse={"target_producer": "p", "count": 0, "collection": "k"}),
+         "$.nodes[0].abuse.count: must be positive"),
+        (minimal_doc(flooding_defense={"namespace_quotas": {"/v": 0}}),
+         "$.flooding_defense.namespace_quotas./v: must be positive"),
+        (minimal_doc(seed=-1), "$.seed: must not be negative"),
+    ],
+    ids=["request-mode", "collection-mode", "poison-mode", "link-kind", "link-bandwidth",
+         "link-delay", "empty-next-hops", "fragments", "window", "abuse-count",
+         "namespace-quota", "seed"],
+)
+def test_each_rule_refused_once_with_its_message(doc, violation):
+    """Each rule is type metadata on the field or parameter it bounds, and
+    is reported once, at the value's path. A negative seed loaded, and
+    then failed in `Rng` at build time."""
+    assert violations(doc) == [violation]
+
+
+def test_an_entry_reports_each_bad_bound():
+    assert violations(_with_link(bandwidth_mbps=0, delay_ms=-1)) == [
+        "$.links[0].bandwidth_mbps: must be positive", "$.links[0].delay_ms: must not be negative"]
+
+
 @pytest.mark.parametrize("key", ["sign_service_us", "static_service_us", "verify_service_us"])
 def test_service_times_must_not_be_negative(key):
     """A negative service time would schedule into the past, so it is
@@ -389,3 +440,81 @@ def test_rate_consumer_start_must_precede_stop(doc, path):
     """A rate-driven consumer whose window is empty loaded and silently
     sent nothing; it is refused at its stop time, as an attack is."""
     assert violations(doc) == [f"{path}: request start must precede stop"]
+
+
+@pytest.mark.parametrize(
+    "doc, violation",
+    [
+        (minimal_doc(links=minimal_doc()["links"][1:]),
+         "$.nodes[2]: no link joins 'c' to the network"),
+        (_with_nodes({"id": "z", "role": "zombie"}), "$.nodes[3]: no link joins 'z' to the network"),
+    ],
+    ids=["consumer", "zombie"],
+)
+def test_consumer_or_zombie_on_no_link_is_refused(doc, violation):
+    """A consumer or zombie that no link joins loaded and built, and then
+    `Sim.run` raised `AttributeError` when it first sent."""
+    assert violations(doc) == [violation]
+
+
+_DELETE = object()
+_MUTATIONS = (_DELETE, "x", 0, -1, [], {})
+
+
+def _positions(value, at=()):
+    """The path of every value inside `value`, containers included."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield at + (key,)
+            yield from _positions(child, at + (key,))
+
+
+def _mutant(doc: dict, at: tuple, new) -> dict:
+    doc = copy.deepcopy(doc)
+    *parents, last = at
+    target = doc
+    for key in parents:
+        target = target[key]
+    if new is _DELETE:
+        del target[last]
+    else:
+        target[last] = copy.deepcopy(new)
+    return doc
+
+
+def _refused_at_a_path_or_runs(doc: dict) -> None:
+    """Either the loader refuses `doc` with every violation at a `$` path,
+    or every arm builds and runs its first 300 ms."""
+    try:
+        scenario = load_scenario(doc)
+    except ScenarioError as exc:
+        assert exc.violations and all(v.startswith(("$.", "$:")) for v in exc.violations), exc
+        return
+    for arm in scenario.arm_names() or [None]:
+        sim = build_sim(scenario, scenario.seed, arm)
+        sim.duration_ms = min(sim.duration_ms, 300)
+        sim.run()
+
+
+def test_every_mutant_of_the_fixture_is_refused_or_runs():
+    """Every value in the canonical fixture, containers included, deleted or
+    replaced by a string, zero, -1 or an empty list or object. Huge values
+    are left out: they need stated upper limits first."""
+    doc = json.loads((FIXTURES / "chain_flood.json").read_text())
+    failed = []
+    for at in _positions(doc):
+        for new in _MUTATIONS:
+            try:
+                _refused_at_a_path_or_runs(_mutant(doc, at, new))
+            except Exception as exc:  # each failing mutant is listed
+                failed.append((at, "delete" if new is _DELETE else new, repr(exc)))
+    assert not failed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutants_of_the_golden_documents_are_refused_or_run(data):
+    """A fixed sample of the same mutations over every golden document."""
+    doc = DOCS[data.draw(st.sampled_from(sorted(DOCS)))]()
+    at = data.draw(st.sampled_from(list(_positions(doc))))
+    _refused_at_a_path_or_runs(_mutant(doc, at, data.draw(st.sampled_from(_MUTATIONS))))
