@@ -10,13 +10,12 @@ pre-poison caches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Annotated, Optional
 
 from .crypto import KeyPair, sign_packet
 from .nodes import encode_fragment_payload
 from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
-from .schema import NonNegative, Positive
+from .schema import NonNegative, Positive, Record
 from .simnet import NodeBase
 
 FLOOD_STATIC = "flood-static"
@@ -38,8 +37,7 @@ FLOOD_KINDS = (
 ATTACK_KINDS = FLOOD_KINDS + (KEYLOCATOR_ABUSE, POISON_INJECT, POISON_ANTICIPATE)
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(Record, frozen=True):
     kind: str
     zombies: tuple[str, ...]
     target_prefix: Name

@@ -6,24 +6,49 @@
     ndnshield bench-crypto [--size BYTES]
 
 The output directory can also be set with the NDNSHIELD_OUT environment
-variable, which overrides --out.
+variable, which overrides --out. `run` and `validate` report a document's
+violations at their `$.` paths (exit 1); an unreadable file exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from .experiment import bench_crypto, load_scenario_file, run_experiment
+from .rand import MAX_SEED
 from .scenario import ScenarioError
 
 
+def _integer(low: int, high: float = math.inf):
+    """An argparse type: an integer from `low` to `high`, else a usage error."""
+
+    def parse(text: str) -> int:
+        if text.removeprefix("-").isdigit() and low <= int(text) <= high:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in {low}..{high}")
+
+    return parse
+
+
+def _load(path: str):
+    """(scenario, 0), or (None, exit status) once the reason is printed."""
+    try:
+        return load_scenario_file(path), 0
+    except ScenarioError as exc:
+        print(f"{path}: INVALID", *(f"  {violation}" for violation in exc.violations), sep="\n")
+        return None, 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})", file=sys.stderr)
+        return None, 2
+
+
 def _cmd_run(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    out = Path(os.environ.get("NDNSHIELD_OUT", args.out))
+    scenario, out = args.loaded, Path(os.environ.get("NDNSHIELD_OUT", args.out))
     summary = run_experiment(scenario, replicates=args.replicates, out_dir=out, base_seed=args.seed)
     for arm, block in summary["arms"].items():
         agg = block["aggregate"]
@@ -37,13 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as exc:
-        print(f"{args.scenario}: INVALID")
-        for violation in exc.violations:
-            print(f"  {violation}")
-        return 1
+    scenario = args.loaded
     nodes = len(scenario.doc["nodes"])
     arms = ", ".join(scenario.arm_names()) or "-"
     print(f"{args.scenario}: OK ({nodes} nodes, duration {scenario.duration_ms} ms, arms: {arms})")
@@ -83,8 +102,9 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario and write metrics CSVs")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--replicates", type=int, default=1)
+    p_run.add_argument("--seed", type=_integer(0, MAX_SEED), default=None,
+                       help="override the scenario seed")
+    p_run.add_argument("--replicates", type=_integer(1), default=1)
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -96,7 +116,7 @@ def main(argv=None) -> int:
     p_suite.set_defaults(fn=_cmd_suite)
 
     p_bench = sub.add_parser("bench-crypto", help="hash vs signature verification throughput")
-    p_bench.add_argument("--size", type=int, default=1500)
+    p_bench.add_argument("--size", type=_integer(1), default=1500)
     p_bench.set_defaults(fn=_cmd_bench_crypto)
 
     # Everything after `suite` goes straight to pytest.
@@ -105,6 +125,10 @@ def main(argv=None) -> int:
         args.pytest_args = extras
     elif extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.command in ("run", "validate"):  # both read and report a document alike
+        args.loaded, status = _load(args.scenario)
+        if args.loaded is None:
+            return status
     return args.fn(args)
 
 

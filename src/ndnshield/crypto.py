@@ -55,7 +55,6 @@ import hmac as _hmac
 import math
 import struct
 import weakref
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .packets import (
@@ -68,6 +67,7 @@ from .packets import (
     digest_component,
 )
 from .rand import Rng
+from .schema import Record
 
 RSA_BITS = 1024
 RSA_EXPONENT = 3
@@ -374,15 +374,17 @@ def _pow_signer(p: int, q: int, d_p: int, d_q: int, q_inv: int) -> Callable[[byt
     return sign
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record, frozen=True, not_compared=("sign",), not_shown=("sign",)):
     """An RSA signing identity; digest identifies the producer on the wire.
     `sign(message)` is the RSASSA-PKCS1-v1_5 SHA-256 signature of
-    `message`, `RSA_BITS // 8` bytes long."""
+    `message`, `RSA_BITS // 8` bytes long; `locator` embeds the public key."""
 
     public_der: bytes
     digest: bytes
-    sign: Callable[[bytes], bytes] = field(repr=False, compare=False)
+    sign: Callable[[bytes], bytes]
+
+    def __post_init__(self):
+        object.__setattr__(self, "locator", EmbeddedKey(self.public_der))
 
     @classmethod
     def generate(cls, rng: Rng) -> "KeyPair":
@@ -464,7 +466,7 @@ def _seal(draft: DataPacket, sign: Callable[[bytes], bytes]) -> DataPacket:
     signature = sign(image)
     content_hash = sha256(image + struct.pack(">I", len(signature)) + signature)
     name = draft.name.child(digest_component(content_hash))
-    pkt = replace(draft, name=name, signature=signature)
+    pkt = draft.replace(name=name, signature=signature)
     object.__setattr__(pkt, "_content_hash", content_hash)
     return pkt
 
@@ -482,7 +484,7 @@ def sign_packet(
     Every data packet on the wire carries its content hash as the final
     name component, so the full name self-certifies the bytes it names.
     """
-    locator = key_locator if key_locator is not None else EmbeddedKey(key.public_der)
+    locator = key_locator if key_locator is not None else key.locator
     draft = DataPacket(name, payload, b"", locator, key.digest, poisoned=poisoned)
     return _seal(draft, key.sign)
 

@@ -10,7 +10,7 @@ from typing import Optional
 from .crypto import KeyPair, sha256, sign_packet, signing_image, verify_bytes
 from .metrics import aggregate_replicates, summarize_run
 from .packets import Name, canonical_serialize
-from .rand import Rng
+from .rand import MAX_SEED, Rng
 from .scenario import Scenario, Sim, build_sim, load_scenario
 
 
@@ -29,9 +29,11 @@ def run_experiment(
     """Run every arm of a scenario `replicates` times (seed = base + index),
     write one metrics CSV per (arm, replicate) and a summary.json with
     means and 95% confidence intervals across replicates."""
+    seed0 = scenario.seed if base_seed is None else base_seed
+    if replicates < 1 or not 0 <= seed0 <= MAX_SEED - replicates + 1:
+        raise ValueError(f"need replicates >= 1, seeds in 0..{MAX_SEED}; got {replicates} from {seed0}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed0 = scenario.seed if base_seed is None else base_seed
     arms = scenario.arm_names() or [None]
     summary: dict = {"scenario": scenario.name, "base_seed": seed0, "arms": {}}
     for arm in arms:

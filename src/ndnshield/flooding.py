@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import Annotated, Optional
 
 from .crypto import link_mac_ok, with_link_mac
 from .packets import INTEREST_LIFETIME_MS, MS, PUSHBACK_PREFIX, Interest, Name, control_interest
-from .schema import NonNegative, Positive
+from .schema import Factory, NonNegative, Positive, Record
 
 # Rejection reasons, each the name of the counter column it is counted in.
 REJ_EGRESS_QUOTA = "rej_egress-quota"
@@ -65,9 +64,8 @@ def compute_outgoing_quota(
     return max(1, quota)
 
 
-@dataclass
-class FloodingConfig:
-    namespace_quotas: dict[Name, Annotated[int, Positive]] = field(default_factory=dict)
+class FloodingConfig(Record):
+    namespace_quotas: dict[Name, Annotated[int, Positive]] = Factory(dict)
     # Prefixes tracked for throttling and push-back even where no hard
     # quota is enforced (quota keys are always watched).
     watched_prefixes: tuple[Name, ...] = ()

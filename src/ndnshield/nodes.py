@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Annotated, Callable, Optional
 
 from .crypto import (
@@ -47,7 +46,7 @@ from .packets import (
 )
 from .poisoning import feedback_interest
 from .router import Router
-from .schema import NonEmpty, NonNegative, OneOf, Positive
+from .schema import Factory, NonEmpty, NonNegative, OneOf, Positive, Record
 from .simnet import NodeBase
 
 # What a consumer makes of a delivered packet, each the name of the
@@ -103,8 +102,7 @@ def build_collection(base: Name, bodies: list[bytes], window: int, key: KeyPair)
     return packets
 
 
-@dataclass
-class StaticCollection:
+class StaticCollection(Record):
     base: Name
     window: int
     packets: list[DataPacket]
@@ -221,20 +219,16 @@ class Producer(NodeBase):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PendingKeyFetch:
+class _PendingKeyFetch(Record):
     name: Name
-    packets: list[tuple[DataPacket, Callable[[str, DataPacket], None]]] = field(
-        default_factory=list
-    )
+    packets: list[tuple[DataPacket, Callable[[str, DataPacket], None]]] = Factory(list)
     # The deadline, as for `_Request`; fetches started earlier have the
     # lower `seq` and resolve first.
     deadline: int = 0
     seq: int = 0
 
 
-@dataclass
-class _Request:
+class _Request(Record):
     """A pending request: its interest and how it is re-issued."""
 
     key: Name | int  # what the request is pending under
@@ -245,6 +239,10 @@ class _Request:
     # under: both set by `ConsumerBase._arm` when the interest is sent.
     deadline: int = 0
     seq: int = 0
+
+    def __init__(self, key, interest, retries_left, exclude=frozenset(), deadline=0, seq=0):
+        self.key, self.interest, self.retries_left = key, interest, retries_left
+        self.exclude, self.deadline, self.seq = exclude, deadline, seq
 
 
 class ConsumerBase(NodeBase):
@@ -775,7 +773,7 @@ class CompromisedRouter(Router):
             pkt = forge_packet(base, payload, self.honest_key_der, self.rng)
         if requested_hash is not None:
             # Mimic the requested name exactly; the bytes cannot hash to it.
-            pkt = replace(pkt, name=base.child(digest_component(requested_hash)))
+            pkt = pkt.replace(name=base.child(digest_component(requested_hash)))
         return pkt
 
     def on_interest(self, iface: int, interest: Interest, now: int) -> None:

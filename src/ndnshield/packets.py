@@ -9,12 +9,11 @@ per key of `crypto.verify_signature`) are computed once and kept in the
 packet's `__dict__`, outside its fields, so they take no part in
 equality, hashing or repr.
 
-`Interest` keeps the dataclass's equality, hashing and repr, but its
-constructor is written by hand: one interest is made per request and per
-flood packet, and the generated `__init__` (one frozen `__setattr__` per
-field, then `__post_init__`) took 2.7 µs per interest against 1.6 µs for
-this one (CPython 3.11, 2-core host). It runs the same three checks and
-fills the instance `__dict__` in one update.
+Each type declares its fields as a `schema.Record`, one annotated line per
+field. `Name`, `Interest` and `DataPacket`, made per packet, write their
+constructors: each runs its checks and sets the fields at once (1.6 µs per
+interest, against 2.7 µs generated by `dataclasses`; CPython 3.11, 2-core
+host). `Name` keeps nothing else on the instance, so it has `__slots__`.
 
 The wire encoding is deliberately simple (32-bit big-endian counts and
 lengths throughout) so that signatures and content hashes are bit-exact
@@ -28,9 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Union
+
+from .schema import Record
 
 MAX_COMPONENT_LEN = 255
 MAX_COMPONENTS = 33  # 32 ordinary components plus an appended digest component
@@ -91,20 +91,24 @@ def _unescape_escaped(text: str) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record, frozen=True):
     """An ordered list of opaque byte-string components."""
 
-    components: tuple[bytes, ...] = ()
+    __slots__ = ("components",)
+    components: tuple[bytes, ...]
 
-    def __post_init__(self):
-        if len(self.components) > MAX_COMPONENTS:
-            raise NameParseError(f"too many components ({len(self.components)})")
-        for comp in self.components:
+    def __init__(self, components=()):
+        if len(components) > MAX_COMPONENTS:
+            raise NameParseError(f"too many components ({len(components)})")
+        for comp in components:
             if not comp:
                 raise NameParseError("empty name component")
             if len(comp) > MAX_COMPONENT_LEN:
                 raise NameParseError(f"component longer than {MAX_COMPONENT_LEN} bytes")
+        object.__setattr__(self, "components", components)
+
+    def __reduce__(self):  # copies and pickles, past the refused assignment
+        return Name, (self.components,)
 
     @classmethod
     def parse(cls, text: str) -> "Name":
@@ -122,8 +126,10 @@ class Name:
             return "/"
         return "/" + "/".join(_escape_component(c) for c in self.components)
 
+    def __eq__(self, other) -> bool:
+        return self.components == other.components if other.__class__ is Name else NotImplemented
+
     def __hash__(self) -> int:
-        # The generated hash would wrap the components in a 1-tuple first.
         return hash(self.components)
 
     def __len__(self) -> int:
@@ -206,8 +212,7 @@ def bloom_probe_indices(component: bytes) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ExplicitExclude:
+class ExplicitExclude(Record, frozen=True):
     """Excludes exactly the listed components."""
 
     components: frozenset[bytes]
@@ -216,8 +221,7 @@ class ExplicitExclude:
         return component in self.components
 
 
-@dataclass(frozen=True)
-class BloomExclude:
+class BloomExclude(Record, frozen=True):
     """Fixed-geometry Bloom filter over components (m=256 bits, k=4)."""
 
     bits: bytes  # 32 bytes, bit i = byte i//8, mask 1 << (i % 8)
@@ -250,13 +254,11 @@ Exclude = Union[ExplicitExclude, BloomExclude]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddedKey:
+class EmbeddedKey(Record, frozen=True):
     key_der: bytes
 
 
-@dataclass(frozen=True)
-class KeyName:
+class KeyName(Record, frozen=True):
     name: Name
 
 
@@ -266,10 +268,8 @@ KeyLocator = Union[EmbeddedKey, KeyName]
 _NONCE_LIMIT = 1 << 64
 
 
-@dataclass(frozen=True, init=False)
-class Interest:
-    """An interest. The constructor's parameters are the fields, in the
-    same order and with the same defaults (see the module docstring)."""
+class Interest(Record, frozen=True, not_compared=("attack",)):
+    """An interest; its constructor takes the fields, in order, with their defaults."""
 
     name: Name
     nonce: int
@@ -279,35 +279,20 @@ class Interest:
     scope: Optional[int] = None  # None means unlimited propagation
     lifetime_ms: int = INTEREST_LIFETIME_MS
     # Ground-truth provenance for metrics; never serialized to the wire.
-    attack: bool = field(default=False, compare=False)
+    attack: bool = False
 
-    def __init__(
-        self,
-        name: Name,
-        nonce: int,
-        publisher_key_digest: Optional[bytes] = None,
-        exclude: Optional[Exclude] = None,
-        answer_origin: AnswerOrigin = AnswerOrigin.ANY,
-        scope: Optional[int] = None,
-        lifetime_ms: int = INTEREST_LIFETIME_MS,
-        attack: bool = False,
-    ):
+    def __init__(self, name, nonce, publisher_key_digest=None, exclude=None,
+                 answer_origin=AnswerOrigin.ANY, scope=None, lifetime_ms=INTEREST_LIFETIME_MS,
+                 attack=False):
         if not 0 <= nonce < _NONCE_LIMIT:
             raise ValueError("nonce must fit in 64 bits")
         if scope is not None and not 0 <= scope <= 255:
             raise ValueError("scope must be in 0..255")
         if publisher_key_digest is not None and len(publisher_key_digest) != 32:
             raise ValueError("publisher key digest must be 32 bytes")
-        self.__dict__.update(
-            name=name,
-            nonce=nonce,
-            publisher_key_digest=publisher_key_digest,
-            exclude=exclude,
-            answer_origin=answer_origin,
-            scope=scope,
-            lifetime_ms=lifetime_ms,
-            attack=attack,
-        )
+        self.__dict__.update(name=name, nonce=nonce, publisher_key_digest=publisher_key_digest,
+                             exclude=exclude, answer_origin=answer_origin, scope=scope,
+                             lifetime_ms=lifetime_ms, attack=attack)
 
     def requested_hash(self) -> Optional[bytes]:
         """The content digest demanded by a trailing digest-typed component."""
@@ -316,19 +301,22 @@ class Interest:
         return None
 
 
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(Record, frozen=True, not_compared=("poisoned",)):
     name: Name
     payload: bytes
     signature: bytes
     key_locator: KeyLocator
     publisher_key_digest: bytes
     # Ground-truth provenance for metrics; never serialized to the wire.
-    poisoned: bool = field(default=False, compare=False)
+    poisoned: bool = False
 
-    def __post_init__(self):
-        if len(self.publisher_key_digest) != 32:
+    def __init__(self, name, payload, signature, key_locator, publisher_key_digest,
+                 poisoned=False):
+        if len(publisher_key_digest) != 32:
             raise ValueError("publisher key digest must be 32 bytes")
+        self.__dict__.update(name=name, payload=payload, signature=signature,
+                             key_locator=key_locator, publisher_key_digest=publisher_key_digest,
+                             poisoned=poisoned)
 
     def base_name(self) -> Name:
         """The name without the trailing digest-typed component, if present."""

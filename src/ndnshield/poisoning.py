@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Annotated, Optional
 
 from .crypto import (
@@ -32,7 +31,7 @@ from .packets import (
     content_hash_matches,
     control_interest,
 )
-from .schema import NonNegative, Positive
+from .schema import Factory, NonNegative, Positive, Record
 
 MODE_OFF = "off"
 MODE_INDEPENDENT = "independent"
@@ -69,8 +68,7 @@ def disjoint_residue(mode: str, content_hash: bytes, group_key: bytes, n: int) -
     raise ValueError("residues apply to disjoint modes only")
 
 
-@dataclass
-class VerifierConfig:
+class VerifierConfig(Record):
     mode: str = MODE_OFF
     v: float = 1.0
     group: tuple[str, ...] = ()
@@ -91,15 +89,13 @@ class VerifierConfig:
                 raise ValueError("keyed mode requires a shared group key")
 
 
-@dataclass
-class NeighborFeedbackConfig:
+class NeighborFeedbackConfig(Record):
     enabled: bool = False
     p: float = 0.5  # probability of acting on a received warning
     cooldown_ms: int = 10_000
 
 
-@dataclass
-class ConsumerFeedbackConfig:
+class ConsumerFeedbackConfig(Record):
     enabled: bool = False
     alpha: float = 0.05  # trust gain per positive retrieval
     beta: float = 0.5  # trust multiplier per negative report
@@ -107,13 +103,12 @@ class ConsumerFeedbackConfig:
     window_ms: int = 10_000
 
 
-@dataclass
-class PoisoningConfig:
+class PoisoningConfig(Record):
     enforce_dscid: bool = False
     enforce_sscid: bool = False
-    verifier: VerifierConfig = field(default_factory=VerifierConfig)
-    neighbor: NeighborFeedbackConfig = field(default_factory=NeighborFeedbackConfig)
-    consumer: ConsumerFeedbackConfig = field(default_factory=ConsumerFeedbackConfig)
+    verifier: VerifierConfig = Factory(VerifierConfig)
+    neighbor: NeighborFeedbackConfig = Factory(NeighborFeedbackConfig)
+    consumer: ConsumerFeedbackConfig = Factory(ConsumerFeedbackConfig)
     verify_service_us: Annotated[int, NonNegative] = 80
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
+MAX_SEED = 2**64 - 1  # a seed is drawn on as 8 bytes
+
 
 class Rng:
     """Counter-mode generator over BLAKE2b with labelled substreams."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Annotated, Callable, Optional
 
@@ -31,7 +30,7 @@ from .packets import (
     is_control_name,
     matches_base,
 )
-from .schema import NonNegative
+from .schema import Factory, NonNegative, Record
 from .simnet import IfaceInfo, NodeBase
 
 SRTT_GAIN = 0.125
@@ -43,8 +42,7 @@ PROBE_RATIO_THRESHOLD = 0.5
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FibStats:
+class FibStats(Record):
     forwarded: int = 0
     satisfied: int = 0
     srtt_us: Optional[float] = None
@@ -60,11 +58,10 @@ class FibStats:
             self.srtt_us += SRTT_GAIN * (rtt_us - self.srtt_us)
 
 
-@dataclass
-class FibEntry:
+class FibEntry(Record):
     prefix: Name
     interfaces: list[int]
-    stats: dict[int, FibStats] = field(default_factory=dict)
+    stats: dict[int, FibStats] = Factory(dict)
 
     def __post_init__(self):
         for iface in self.interfaces:
@@ -130,8 +127,8 @@ def strategy_choose(entry: FibEntry, arrival: Optional[int] = None) -> list[int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CsEntry:
+class CsEntry(Record):
+    __slots__ = ("packet", "content_hash", "trust", "verified", "last_access", "mine", "seq")
     packet: DataPacket
     content_hash: bytes
     trust: float
@@ -139,8 +136,12 @@ class CsEntry:
     last_access: int
     # Whether disjoint verification assigns this entry to this router;
     # worked out by `PoisoningGuard` the first time it considers the entry.
-    mine: Optional[bool] = None
-    seq: int = 0  # of the entry's newest heap record
+    mine: Optional[bool]
+    seq: int  # of the entry's newest heap record
+
+    def __init__(self, packet, content_hash, trust, verified, last_access, mine=None, seq=0):
+        self.packet, self.content_hash, self.trust = packet, content_hash, trust
+        self.verified, self.last_access, self.mine, self.seq = verified, last_access, mine, seq
 
 
 _HASH = attrgetter("content_hash")
@@ -347,8 +348,9 @@ def _entries_under(node: dict) -> list[CsEntry]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class PitEntry:
+class PitEntry(Record):
+    __slots__ = ("key", "interest", "nonces", "incoming", "outgoing", "expiry", "fib", "attack",
+                 "namespace", "seq")
     # (name components, answers from cache, publisher key digest, exclude):
     # interests that differ in any of these may need different answers.
     key: tuple
@@ -360,8 +362,21 @@ class PitEntry:
     fib: FibEntry  # the entry the interest was forwarded by
     attack: bool  # change only through Pit.mark_attack once inserted
     # Components of the longest watched prefix, set by the flooding defense.
-    namespace: Optional[tuple[bytes, ...]] = None
-    seq: int = 0  # of the entry's heap record, set by Pit.insert
+    namespace: Optional[tuple[bytes, ...]]
+    seq: int  # of the entry's heap record, set by Pit.insert
+
+    def __init__(self, key, interest, nonces, incoming, outgoing, expiry, fib, attack,
+                 namespace=None, seq=0):
+        self.key = key
+        self.interest = interest
+        self.nonces = nonces
+        self.incoming = incoming
+        self.outgoing = outgoing
+        self.expiry = expiry
+        self.fib = fib
+        self.attack = attack
+        self.namespace = namespace
+        self.seq = seq
 
     @property
     def name(self) -> Name:
@@ -478,8 +493,7 @@ class Pit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RouterConfig:
+class RouterConfig(Record):
     pit_capacity: Annotated[int, NonNegative] = 0  # 0 = unbounded
     cs_capacity: Annotated[int, NonNegative] = 256
 

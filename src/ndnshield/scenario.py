@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import json
 import typing
-from dataclasses import dataclass, field, replace
 from typing import Annotated, Any, Optional
 
 from .attacks import KEYLOCATOR_ABUSE, POISON_INJECT, AttackSpec, Zombie
@@ -42,9 +41,9 @@ from .poisoning import (
     PoisoningGuard,
     VerifierConfig,
 )
-from .rand import Rng
+from .rand import MAX_SEED, Rng
 from .router import Router, RouterConfig
-from .schema import BAD, NonNegative, Positive, fields_of
+from .schema import BAD, AtMost, Factory, NonNegative, Positive, Record, fields_of
 from .sections import (
     ANY_ROUTER,
     PRODUCER,
@@ -112,8 +111,7 @@ def _merge_patch(base: Any, patch: Any) -> Any:
     return copy.deepcopy(patch)
 
 
-@dataclass
-class _Plan:
+class _Plan(Record):
     """One validated document: the objects build_sim builds from."""
 
     duration_ms: int
@@ -127,16 +125,15 @@ class _Plan:
     attacks: list[AttackSpec]
 
 
-@dataclass
-class Scenario:
+class Scenario(Record, not_shown=("plans",)):
     doc: dict
     name: str
     duration_ms: Annotated[int, Positive]
     metrics_tick_ms: Annotated[int, Positive] = 100
-    seed: Annotated[int, NonNegative] = 1
-    arms: dict[str, dict] = field(default_factory=dict)
+    seed: Annotated[int, NonNegative, AtMost(MAX_SEED)] = 1
+    arms: dict[str, dict] = Factory(dict)
     # The base document (None) and each arm, validated.
-    plans: dict[Optional[str], _Plan] = field(default_factory=dict, repr=False)
+    plans: dict[Optional[str], _Plan] = Factory(dict)
 
     def arm_doc(self, arm: Optional[str]) -> dict:
         if arm is None:
@@ -373,7 +370,7 @@ def _flooding(chk: Check, block, inherited: dict):
     quota_routers = _selector(chk, kwargs, path, "quota_routers")
     quotas = kwargs.get("namespace_quotas", {})
     config = FloodingConfig(**kwargs, watched_prefixes=tuple(quotas))
-    watch_only = replace(config, namespace_quotas={})
+    watch_only = config.replace(namespace_quotas={})
 
     def select(node_id: str) -> Optional[FloodingConfig]:
         if routers is not None and node_id not in routers:
@@ -412,7 +409,7 @@ def _poisoning(chk: Check, block, inherited: dict):
         if kwargs["verifier"] is None:
             return None
     config = PoisoningConfig(**kwargs)
-    unverified = replace(config, verifier=VerifierConfig())
+    unverified = config.replace(verifier=VerifierConfig())
 
     def select(node_id: str) -> Optional[PoisoningConfig]:
         if routers is not None and node_id not in routers:
@@ -425,8 +422,7 @@ def _poisoning(chk: Check, block, inherited: dict):
     return select
 
 
-@dataclass
-class Sim:
+class Sim(Record):
     """A built, runnable simulation instance."""
 
     net: Network
@@ -464,7 +460,7 @@ def build_sim(scenario: Scenario, seed: int, arm: Optional[str] = None) -> Sim:
     def guard(config: PoisoningConfig, node_id: str) -> PoisoningGuard:
         if config.verifier.mode == MODE_DISJOINT_HMAC:
             group_key = rng.spawn("verifier-group").bytes(32)
-            config = replace(config, verifier=replace(config.verifier, group_key=group_key))
+            config = config.replace(verifier=config.verifier.replace(group_key=group_key))
         return PoisoningGuard(config, rng.spawn(f"poison:{node_id}"))
 
     # Build every node in document order.

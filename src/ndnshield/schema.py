@@ -1,31 +1,34 @@
 """Typed reading of JSON documents into the objects they configure.
 
-A section of a document is read against the fields of a dataclass, or the
+A section of a document is read against the fields of a `Record`, or the
 annotated parameters of a class's constructor. Its keys are those names,
 each value must have its annotated type, and whatever the section leaves
-out keeps the default that the dataclass or the constructor states.
+out keeps the default that the record type or the constructor states.
 Violations are collected, each with its `$.` path, instead of stopping at
 the first.
 
 The types understood are bool, int, float (which accepts an int), str,
-`Name` (read from its text), lists, tuples, dicts, Optional, dataclasses
+`Name` (read from its text), lists, tuples, dicts, Optional, records
 (read from objects, recursively) and `Annotated[T, check, ...]`, where
 each `check.check(reader, value, path)` adds a check of its own: `Positive`,
-`NonNegative`, `NonEmpty`, `OneOf(*choices)` or a caller's. A rule on a
-value is stated once, on the field or parameter that the value fills, and
-reported at the value's path.
+`NonNegative`, `AtMost(limit)`, `NonEmpty`, `OneOf(*choices)` or a
+caller's. A rule on a value is stated once, on the field or parameter that
+the value fills, and reported at the value's path.
+
+A type declares its fields as a `Record`: one annotated class attribute per
+field, in order, set to its default if any (`Factory(make)`: made afresh).
+The base reads the names as the class is made and generates no code, which
+keeps `dataclasses` and `inspect` out of start-up.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import inspect
 import types
 import typing
 from typing import Annotated, Any, Union
 
-from .packets import Name
+from . import packets  # for `Name`, which is defined after packets imports `Record`
 
 BAD = object()  # what a value that failed its check reads as
 
@@ -69,29 +72,99 @@ class NonEmpty:
 
 
 class Invalid(ValueError):
-    """A dataclass's own check failing on the value of one of its fields."""
+    """A record's own check failing on the value of one of its fields."""
 
     def __init__(self, key: str, message: str):
         super().__init__(message)
         self.key = key
 
 
+class Record:
+    """Keyword or positional construction (then any `__post_init__`), `replace`,
+    equality and repr over the declared fields. Class keywords: `frozen` (no
+    assignment, hashed by the fields); `not_compared`, `not_shown` field names."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False, not_compared=(), not_shown=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._defaults = {k: v for k, v in vars(cls).items() if k in cls._fields and k not in slots}
+        cls._compared = tuple(k for k in cls._fields if k not in not_compared)
+        cls._shown = tuple(k for k in cls._fields if k not in not_shown)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._immutable
+        elif "__hash__" not in cls.__dict__:
+            cls.__hash__ = None  # mutable and compared by value
+
+    def __init__(self, *args, **kwargs):
+        cls, given = type(self), dict(zip(self._fields, args), **kwargs)
+        if len(given) < len(args) + len(kwargs) or not given.keys() <= set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
+        for key in cls._fields:  # one at a time: filling `__dict__` would slow later reads
+            if key not in given:
+                if key not in cls._defaults:
+                    raise TypeError(f"{cls.__name__}() is missing {key!r}")
+                default = cls._defaults[key]
+                given[key] = default.make() if isinstance(default, Factory) else default
+            object.__setattr__(self, key, given[key])
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def replace(self, **changes):
+        """A new instance, made by the constructor, with `changes` to the fields."""
+        return type(self)(**{**{key: getattr(self, key) for key in self._fields}, **changes})
+
+    def _compared_values(self) -> tuple:
+        return tuple([getattr(self, key) for key in self._compared])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._compared_values() == other._compared_values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared_values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Factory(Record, frozen=True):
+    """A field default made afresh for each instance, by `make()`."""
+
+    make: Any
+
+
+class AtMost(Record, frozen=True):
+    """Type metadata: the value must not exceed `limit`."""
+
+    limit: int
+
+    def check(self, reader: "Reader", value, path: str) -> None:
+        if value > self.limit:
+            reader.fail(path, f"must be at most {self.limit}")
+
+
 @functools.cache
 def fields_of(target) -> tuple[dict[str, Any], tuple[str, ...]]:
-    """The fields of a dataclass, or the annotated parameters of a class's
+    """The fields of a record type, or the annotated parameters of a class's
     constructor, as name -> type; and the names of those with no default."""
-    if dataclasses.is_dataclass(target):
+    if issubclass(target, Record):
         hints = typing.get_type_hints(target, include_extras=True)
-        fields = [f for f in dataclasses.fields(target) if f.init]
-        return {f.name: hints[f.name] for f in fields}, tuple(
-            f.name
-            for f in fields
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        )
-    hints = typing.get_type_hints(target.__init__, include_extras=True)
-    params = {k: p for k, p in inspect.signature(target).parameters.items() if k in hints}
-    required = tuple(k for k, p in params.items() if p.default is p.empty)
-    return {k: hints[k] for k in params}, required
+        names, defaults = target._fields, target._defaults
+    else:
+        init = target.__init__
+        hints = typing.get_type_hints(init, include_extras=True)
+        code, n = init.__code__, init.__code__.co_argcount - 1  # positional, after self
+        names = code.co_varnames[1 : 1 + n + code.co_kwonlyargcount]
+        defaults = {*names[n - len(init.__defaults__ or ()) : n], *(init.__kwdefaults__ or ())}
+    names = [k for k in names if k in hints]
+    return {k: hints[k] for k in names}, tuple(k for k in names if k not in defaults)
 
 
 @functools.cache
@@ -157,11 +230,11 @@ class Reader:
             else:
                 out = origin(self.typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
             return out if len(self.errors) == before else BAD
-        if hint is Name:
+        if hint is packets.Name:
             if not isinstance(value, str):
                 return self.typed(value, str, path)
-            return self.call(path, Name.parse, value)
-        if dataclasses.is_dataclass(hint):
+            return self.call(path, packets.Name.parse, value)
+        if isinstance(hint, type) and issubclass(hint, Record):
             out = self.parse(value, path, hint)
             return BAD if out is None else out
         if not isinstance(value, (int, float) if hint is float else hint) or (

@@ -1,10 +1,10 @@
 """The scenario sections that have no config type of their own.
 
 Links, FIB routes, pre-seeded cache entries and producers' catalogs are
-read (by `schema.Reader`, see `scenario`) into the dataclasses below:
-their fields are the sections' keys. A rule on one value is type metadata
-on its field (`Positive`, `OneOf`, ...); a rule across fields is the
-dataclass's own check, which raises `schema.Invalid` at the key that
+read (by `schema.Reader`, see `scenario`) into the records below: their
+fields are the sections' keys. A rule on one value is type metadata on
+its field (`Positive`, `OneOf`, ...); a rule across fields is the
+record's own check, which raises `schema.Invalid` at the key that
 fails and runs only once every field has passed its own. Node ids are
 annotated with the roles they may name, and checked once every node's
 role is known.
@@ -12,19 +12,17 @@ role is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Annotated, Optional
 
 from .attacks import build_keylocator_abuse_content
 from .crypto import KeyPair
 from .nodes import Producer, StaticCollection
 from .packets import Name, is_control_name
-from .schema import Invalid, NonEmpty, NonNegative, OneOf, Positive, Reader
+from .schema import Invalid, NonEmpty, NonNegative, OneOf, Positive, Reader, Record
 from .simnet import LinkSpec
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(Record, frozen=True):
     """Type metadata for node ids: each must name a node in one of `roles`
     (any node, when no role is given)."""
 
@@ -54,8 +52,7 @@ class Check(Reader):
         self.roles: dict[str, str] = {}
 
 
-@dataclass
-class LinkEntry:
+class LinkEntry(Record):
     endpoints: Annotated[list[str], ANY_NODE]
     bandwidth_mbps: Annotated[float, Positive]
     delay_ms: Annotated[float, NonNegative]
@@ -78,8 +75,7 @@ class LinkEntry:
         )
 
 
-@dataclass
-class RouteEntry:
+class RouteEntry(Record):
     prefix: Name
     next_hops: Annotated[list[str], ANY_NODE, NonEmpty]
 
@@ -88,8 +84,7 @@ class RouteEntry:
             raise Invalid("prefix", "reserved namespaces are never routed")
 
 
-@dataclass
-class PreseedEntry:
+class PreseedEntry(Record):
     routers: Annotated[list[str], ANY_ROUTER]
     producer: Annotated[str, PRODUCER]
     name: str
@@ -100,23 +95,20 @@ class PreseedEntry:
         self.parsed = Name.parse(self.name)
 
 
-@dataclass
-class CollectionEntry:
+class CollectionEntry(Record):
     name: str
     fragments: Annotated[int, Positive]
     window: Annotated[int, Positive]
     payload_size_bytes: Optional[Annotated[int, NonNegative]] = None  # None: the producer's
 
 
-@dataclass
-class AbuseEntry:
+class AbuseEntry(Record):
     target_producer: Annotated[str, PRODUCER]
     count: Annotated[int, Positive]
     collection: str
 
 
-@dataclass
-class ProducerEntry:
+class ProducerEntry(Record):
     id: str
     role: str
     prefix: Name

@@ -55,16 +55,15 @@ from __future__ import annotations
 import gc
 import heapq
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 from .metrics import COUNTER_COLUMNS
 from .packets import DataPacket, Interest, wire_size
+from .schema import Record
 
 
-@dataclass
-class IfaceInfo:
+class IfaceInfo(Record):
     iface: int
     bandwidth_bps: float
     link_key: bytes
@@ -109,8 +108,7 @@ class NodeBase:
         return self._default_iface
 
 
-@dataclass
-class LinkSpec:
+class LinkSpec(Record):
     endpoints: tuple[str, ...]
     bandwidth_bps: float
     delay_us: int

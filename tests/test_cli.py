@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ndnshield.cli import main
+from test_golden import output_digests
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE = SRC / "ndnshield" / "scenarios" / "chain_flood.json"
@@ -79,17 +82,25 @@ def test_bench_crypto_runs(capsys):
     assert "ratio" in out
 
 
-def _loaded_after_import(package: str, *argv: str) -> str:
-    """The modules of `package` loaded in a fresh interpreter once it has
-    imported the CLI and, given `argv`, run `ndnshield` with it."""
-    code = ("import sys, ndnshield, ndnshield.experiment, ndnshield.cli; "
-            f"argv = {list(argv)!r}; argv and ndnshield.cli.main(argv); "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+def _in_fresh_interpreter(show: str, *argv: str, blocked: str = "") -> str:
+    """What `show` evaluates to in a fresh interpreter that has blocked the
+    import of `blocked` (if given), imported the CLI and, given `argv`, run
+    `ndnshield` with it."""
+    code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r}.split())); "
+            "import ndnshield, ndnshield.experiment, ndnshield.cli; "
+            f"argv = {list(argv)!r}; argv and ndnshield.cli.main(argv); print({show})")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     return done.stdout.splitlines()[-1]
+
+
+def _loaded_after_import(package: str, *argv: str) -> str:
+    """The modules of `package` loaded in a fresh interpreter once it has
+    imported the CLI and, given `argv`, run `ndnshield` with it."""
+    return _in_fresh_interpreter(
+        f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})", *argv)
 
 
 def test_import_leaves_numpy_unloaded():
@@ -110,3 +121,64 @@ def test_run_leaves_cryptography_unloaded(tmp_path):
     assert _loaded_after_import("cryptography") == "[]"
     run = ["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]
     assert _loaded_after_import("cryptography", *run) == "[]"
+
+
+@pytest.mark.parametrize("package", ["dataclasses", "inspect"])
+def test_no_generated_code_at_import_or_run(package, tmp_path):
+    """The types declare their fields to `schema.Record`, which generates no
+    code: neither the import nor a run loads `dataclasses` or the `inspect`
+    it would import, which cost start-up two thirds of the package import."""
+    assert _loaded_after_import(package) == "[]"
+    run = ["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]
+    assert _loaded_after_import(package, *run) == "[]"
+
+
+def test_run_without_hashlib_takes_the_pow_signer_and_writes_the_same_bytes(tmp_path):
+    """Where `_hashlib` is missing, key generation and signing run on
+    builtin pow; the output is byte for byte a normal run's."""
+    doc = json.loads(FIXTURE.read_text())
+    doc["duration_ms"] = 2000
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(doc))
+    crypto = "ndnshield.crypto"
+    signers = (f"sorted({{key.sign.__qualname__ for key, _ in {crypto}._FRESH_KEYS.values()}}), "
+               f"{crypto}._libcrypto() is None")
+    blocked = _in_fresh_interpreter(signers, "run", str(cut), "--out", str(tmp_path / "blocked"),
+                                    blocked="_hashlib")
+    assert blocked == "['_pow_signer.<locals>.sign'] True"
+    assert main(["run", str(cut), "--out", str(tmp_path / "normal")]) == 0
+    assert output_digests(tmp_path / "blocked") == output_digests(tmp_path / "normal")
+
+
+SEEDS = "is not an integer in 0..18446744073709551615"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", str(FIXTURE), "--seed", "-1"], f"argument --seed: '-1' {SEEDS}"),
+    (["run", str(FIXTURE), "--seed", str(2 ** 64)], f"argument --seed: '{2 ** 64}' {SEEDS}"),
+    (["run", str(FIXTURE), "--replicates", "0"], "--replicates: '0' is not an integer in 1..inf"),
+    (["bench-crypto", "--size", "0"], "argument --size: '0' is not an integer in 1..inf"),
+], ids=["negative-seed", "huge-seed", "no-replicates", "empty-packet"])
+def test_option_out_of_range_is_a_usage_error(argv, error, capsys):
+    """Each crashed inside the run (`OverflowError` in `Rng`, `IndexError`
+    aggregating no replicates, `ZeroDivisionError` timing empty packets)."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_run_and_validate_report_a_bad_document_alike(command, tmp_path, capsys):
+    """Violations at their `$.` paths and exit 1; an unreadable file exits
+    2. `run` printed a `ScenarioError` traceback for the first, and both
+    commands a `FileNotFoundError` one for the second."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "x", "duration_ms": 0, "nodes": [], "links": []}))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(bad), *out]) == 1
+    assert capsys.readouterr().out == f"{bad}: INVALID\n  $.duration_ms: must be positive\n"
+    missing = tmp_path / "missing.json"
+    assert main([command, str(missing), *out]) == 2
+    assert capsys.readouterr().err == f"{missing}: cannot read (No such file or directory)\n"
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
 from ndnshield.experiment import run_experiment
 from ndnshield.packets import wire_size
 from ndnshield.scenario import build_sim, load_scenario
@@ -99,3 +101,14 @@ def test_one_interest_latency_hand_computed():
     ser_d = math.ceil(wire_size(data_pkt) * 8 * 1e6 / bandwidth)
     expected = hops * (ser_i + prop_us) + service_us + hops * (ser_d + prop_us)
     assert arrivals[0] == expected
+
+
+@pytest.mark.parametrize("replicates, seed", [(0, 1), (2, 2 ** 64 - 1), (1, -1)])
+def test_run_experiment_refuses_no_replicates_or_a_seed_out_of_range(replicates, seed, tmp_path):
+    """No replicates made `aggregate_replicates` raise `IndexError`, and a
+    seed outside 0..2**64-1 an `OverflowError` in `Rng`, both after the
+    output directory was made."""
+    with pytest.raises(ValueError, match=f"got {replicates} from {seed}$"):
+        run_experiment(load_scenario(clean_doc()), replicates=replicates, out_dir=tmp_path / "o",
+                       base_seed=seed)
+    assert not (tmp_path / "o").exists()

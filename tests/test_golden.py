@@ -607,6 +607,27 @@ def test_every_reported_stat_has_a_column(key, monkeypatch):
     assert reported - set(COLUMNS) <= UNCOLUMNED
 
 
+# Columns that no golden document makes non-zero. A run that reaches one
+# removes it from here; a new counter that none reaches fails the test.
+DEAD_COLUMNS = {
+    "rej_egress-quota", "rej_ingress-limit", "drop_no_route", "drop_scid_s", "drop_scope",
+    "verify_unresolvable", "warnings_suppressed", "warnings_bad_mac", "pushback_bad_mac",
+    "received_fake", "received_hash_mismatch", "accepted_poisoned", "fragments_failed",
+}
+
+
+def test_dead_columns_are_the_known_ones():
+    """Every arm of every golden document is run once; the CSV columns
+    that stay zero in all of their rows are exactly `DEAD_COLUMNS`."""
+    live = set()
+    for make in DOCS.values():
+        scenario = load_scenario(make())
+        for arm in scenario.arm_names() or [None]:
+            for row in run_simulation(scenario, scenario.seed, arm).collector.rows:
+                live.update(column for column, value in zip(COLUMNS, row) if value != 0)
+    assert set(COLUMNS) - live == DEAD_COLUMNS
+
+
 COLLECTION_DOCS = sorted(
     key for key, make in DOCS.items() if any("collection" in node for node in make()["nodes"])
 )

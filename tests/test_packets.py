@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import inspect
+import pickle
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +39,9 @@ from ndnshield.packets import (
     parse_name,
     wire_size,
 )
+from ndnshield.nodes import _Request
 from ndnshield.poisoning import PoisoningConfig, PoisoningGuard
+from ndnshield.router import CsEntry, PitEntry
 from ndnshield.packets import _escape_component, _unescape_component, _unescape_escaped
 
 components = st.binary(min_size=1, max_size=32)
@@ -117,6 +119,14 @@ def test_escaping_round_trip():
 @given(names)
 def test_name_text_round_trip(name):
     assert parse_name(str(name)) == name
+
+
+def test_name_is_immutable_and_copies():
+    """A slotted name refuses assignment, yet copies and pickles whole."""
+    name = parse_name("/a/b")
+    with pytest.raises(AttributeError):
+        name.components = ()
+    assert copy.deepcopy(name) == pickle.loads(pickle.dumps(name)) == name
 
 
 def test_prefix_basics():
@@ -269,7 +279,7 @@ def test_serialized_image_is_injective(a, other, taken):
     assert (
         canonical_serialize(pa, include_signature=False)
         == canonical_serialize(pb, include_signature=False)
-    ) == (replace(pa, signature=b"") == replace(pb, signature=b""))
+    ) == (pa.replace(signature=b"") == pb.replace(signature=b""))
 
 
 def test_to_be_signed_image_excludes_signature():
@@ -629,16 +639,24 @@ def test_interest_constructor_accepts_the_bounds():
     assert Interest(Name.parse("/a"), 1, publisher_key_digest=b"\x00" * 32)
 
 
+def _assert_init_parameters_are_the_fields(cls):
+    """A written constructor takes exactly the declared fields, in field
+    order, so the two lists cannot drift apart; a class that declares
+    defaults (one without `__slots__`) declares the constructor's."""
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == list(cls._fields)
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    declared = {p.name: p.default for p in params if p.default is not p.empty}
+    assert cls._defaults == ({} if "__slots__" in vars(cls) else declared)
+
+
 def test_interest_init_parameters_are_the_fields():
-    """The constructor takes exactly the dataclass fields, in field order,
-    with the fields' defaults, so the two lists cannot drift apart."""
-    params = list(inspect.signature(Interest.__init__).parameters.values())[1:]
-    fields = dataclasses.fields(Interest)
-    assert [p.name for p in params] == [f.name for f in fields]
-    for p, f in zip(params, fields):
-        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-        assert p.default == (inspect.Parameter.empty if f.default is dataclasses.MISSING
-                             else f.default)
+    _assert_init_parameters_are_the_fields(Interest)
+
+
+@pytest.mark.parametrize("cls", [Name, DataPacket, CsEntry, PitEntry, _Request])
+def test_written_init_parameters_are_the_fields(cls):
+    _assert_init_parameters_are_the_fields(cls)
 
 
 INTEREST_VALUES = st.builds(
@@ -657,18 +675,18 @@ INTEREST_VALUES = st.builds(
 @given(INTEREST_VALUES, st.booleans())
 @settings(max_examples=100)
 def test_interest_value_semantics_are_the_fields(interest, flip_attack):
-    """Equality, hashing and repr are those of the dataclass fields: every
+    """Equality, hashing and repr are those of the declared fields: every
     field but `attack` takes part in equality and hashing, and all of them
     are in the repr, in field order."""
-    fields = dataclasses.fields(Interest)
-    values = {f.name: getattr(interest, f.name) for f in fields}
-    assert list(vars(interest))[: len(fields)] == [f.name for f in fields]
-    compared = tuple(values[f.name] for f in fields if f.compare)
+    fields = Interest._fields
+    values = {name: getattr(interest, name) for name in fields}
+    assert list(vars(interest))[: len(fields)] == list(fields)
+    compared = tuple(values[name] for name in fields if name != "attack")
     assert hash(interest) == hash(compared)
     assert repr(interest) == "Interest(" + ", ".join(
         f"{name}={value!r}" for name, value in values.items()) + ")"
     twin = Interest(**{**values, "attack": values["attack"] ^ flip_attack})
     assert twin == interest and hash(twin) == hash(interest)
-    assert replace(interest, nonce=(interest.nonce + 1) % 2 ** 64) != interest
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert interest.replace(nonce=(interest.nonce + 1) % 2 ** 64) != interest
+    with pytest.raises(AttributeError):
         interest.nonce = 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -518,9 +517,9 @@ def cs_packets() -> tuple:
     so that three packets share one full name under different hashes."""
     signed = tuple(make_packet(name, payload=bytes([i])) for i, name in enumerate(_CS_NAMES))
     return signed + (
-        replace(signed[10], name=n("/p/q"), payload=b"prefix"),
-        replace(signed[1], payload=b"copy 1"),
-        replace(signed[1], payload=b"copy 2"),
+        signed[10].replace(name=n("/p/q"), payload=b"prefix"),
+        signed[1].replace(payload=b"copy 1"),
+        signed[1].replace(payload=b"copy 2"),
     )
 
 

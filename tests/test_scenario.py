@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -335,15 +336,16 @@ def _with_link(**keys):
         (minimal_doc(flooding_defense={"namespace_quotas": {"/v": 0}}),
          "$.flooding_defense.namespace_quotas./v: must be positive"),
         (minimal_doc(seed=-1), "$.seed: must not be negative"),
+        (minimal_doc(seed=2 ** 64), "$.seed: must be at most 18446744073709551615"),
     ],
     ids=["request-mode", "collection-mode", "poison-mode", "link-kind", "link-bandwidth",
          "link-delay", "empty-next-hops", "fragments", "window", "abuse-count",
-         "namespace-quota", "seed"],
+         "namespace-quota", "seed", "huge-seed"],
 )
 def test_each_rule_refused_once_with_its_message(doc, violation):
     """Each rule is type metadata on the field or parameter it bounds, and
-    is reported once, at the value's path. A negative seed loaded, and
-    then failed in `Rng` at build time."""
+    is reported once, at the value's path. A seed outside 0..2**64-1
+    loaded, and then failed in `Rng` at build time."""
     assert violations(doc) == [violation]
 
 
@@ -516,5 +518,28 @@ def test_every_mutant_of_the_fixture_is_refused_or_runs():
 def test_mutants_of_the_golden_documents_are_refused_or_run(data):
     """A fixed sample of the same mutations over every golden document."""
     doc = DOCS[data.draw(st.sampled_from(sorted(DOCS)))]()
+    at = data.draw(st.sampled_from(list(_positions(doc))))
+    _refused_at_a_path_or_runs(_mutant(doc, at, data.draw(st.sampled_from(_MUTATIONS))))
+
+
+def _benchmark_workloads() -> dict:
+    """perfbench's workload builders, by name, from its `workloads.py`,
+    loaded from the file (read only) so that nothing joins `sys.path`."""
+    path = FIXTURES.parent.parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutants_of_the_benchmark_workloads_are_refused_or_run(data):
+    """A fixed sample of the same mutations over the three benchmark
+    workload documents, which are larger than the golden ones."""
+    doc = WORKLOADS[data.draw(st.sampled_from(sorted(WORKLOADS)))]()
     at = data.draw(st.sampled_from(list(_positions(doc))))
     _refused_at_a_path_or_runs(_mutant(doc, at, data.draw(st.sampled_from(_MUTATIONS))))
