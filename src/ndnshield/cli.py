@@ -129,6 +129,11 @@ def main(argv=None) -> int:
         args.loaded, status = _load(args.scenario)
         if args.loaded is None:
             return status
+    if args.command == "run":  # the last replicate's seed, from --seed or the document
+        seed = args.loaded.seed if args.seed is None else args.seed
+        if seed + args.replicates - 1 > MAX_SEED:
+            p_run.error(f"argument --replicates: seeds {seed}..{seed + args.replicates - 1} "
+                        f"are not all in 0..{MAX_SEED}")
     return args.fn(args)
 
 

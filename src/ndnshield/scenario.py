@@ -197,9 +197,11 @@ def _validate(doc: dict) -> Scenario:
     inherited = {name: block[key] for key in DEFAULTS if key in block for name in DEFAULTS[key]}
     links = [link.spec() for link in sections.get("links", [])]
     fib = sections.get("fib", {})
-    for router, routes in fib.items() if "links" in sections else ():
+    for router, routes in fib.items():
         for idx, route in enumerate(routes):
-            for hop in route.next_hops:
+            if route.prefix in [earlier.prefix for earlier in routes[:idx]]:
+                chk.fail(f"$.fib.{router}[{idx}].prefix", "repeats an earlier route's prefix")
+            for hop in route.next_hops if "links" in sections else ():
                 if not any({router, hop} <= set(link.endpoints) for link in links):
                     path = f"$.fib.{router}[{idx}].next_hops"
                     chk.fail(path, f"no link joins {router!r} to {hop!r}")

@@ -223,10 +223,12 @@ class Reader:
                 return self.fail(path, f"expected {wanted}, got {type(value).__name__}")
             before = len(self.errors)
             if origin is dict:
-                out = {
-                    self.typed(k, args[0], f"{path}.{k}"): self.typed(v, args[1], f"{path}.{k}")
-                    for k, v in value.items()
-                }
+                out, first = {}, {}  # read key -> the first text that read as it
+                for k, v in value.items():
+                    key = self.typed(k, args[0], f"{path}.{k}")
+                    if key is not BAD and first.setdefault(key, k) != k:
+                        self.fail(f"{path}.{k}", f"repeats the key {first[key]!r}")
+                    out[key] = self.typed(v, args[1], f"{path}.{k}")
             else:
                 out = origin(self.typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
             return out if len(self.errors) == before else BAD

@@ -1,6 +1,12 @@
-"""Shared fixtures-by-hand for the unit suites."""
+"""Shared fixtures-by-hand for the unit suites, and a fresh interpreter to
+run the CLI or a script in."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ndnshield.crypto import KeyPair, sign_packet
 from ndnshield.packets import Name, parse_name
@@ -8,6 +14,8 @@ from ndnshield.rand import Rng
 from ndnshield.router import Router
 from ndnshield.simnet import IfaceInfo
 
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "src" / "ndnshield" / "scenarios" / "chain_flood.json"
 _KEYS: dict[str, KeyPair] = {}
 
 
@@ -42,3 +50,22 @@ def make_router(n_ifaces: int = 3, **kwargs) -> Router:
 
 def n(text: str) -> Name:
     return parse_name(text)
+
+
+def _in_fresh_interpreter(*argv: str, show: str = "", blocked: str = "", env=None) -> str:
+    """The standard output of a fresh interpreter, with `src/` on its path and
+    the `env` variables set, that blocks the import of the modules named in
+    `blocked`, imports the CLI, runs `argv` (a script's path, or arguments
+    of `ndnshield`, which must exit 0) and then prints `show`, if given."""
+    run = ("import runpy; runpy.run_path(argv[0], run_name='__main__')"
+           if argv and argv[0].endswith(".py") else "assert not (argv and ndnshield.cli.main(argv))")
+    code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r}.split())); "
+            f"import ndnshield, ndnshield.experiment, ndnshield.cli; argv = {list(argv)!r}; {run}"
+            + (f"; print({show})" if show else ""))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": path, **(env or {})}
+    env.pop("NDNSHIELD_OUT", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    return done.stdout

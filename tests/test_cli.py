@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import FIXTURE, _in_fresh_interpreter
 from ndnshield.cli import main
-from test_golden import output_digests
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-FIXTURE = SRC / "ndnshield" / "scenarios" / "chain_flood.json"
 
 
 def small_scenario(tmp_path) -> Path:
@@ -82,72 +76,25 @@ def test_bench_crypto_runs(capsys):
     assert "ratio" in out
 
 
-def _in_fresh_interpreter(show: str, *argv: str, blocked: str = "") -> str:
-    """What `show` evaluates to in a fresh interpreter that has blocked the
-    import of `blocked` (if given), imported the CLI and, given `argv`, run
-    `ndnshield` with it."""
-    code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r}.split())); "
-            "import ndnshield, ndnshield.experiment, ndnshield.cli; "
-            f"argv = {list(argv)!r}; argv and ndnshield.cli.main(argv); print({show})")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    return done.stdout.splitlines()[-1]
-
-
 def _loaded_after_import(package: str, *argv: str) -> str:
     """The modules of `package` loaded in a fresh interpreter once it has
     imported the CLI and, given `argv`, run `ndnshield` with it."""
-    return _in_fresh_interpreter(
-        f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})", *argv)
+    show = f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})"
+    return _in_fresh_interpreter(*argv, show=show).splitlines()[-1]
 
 
-def test_import_leaves_numpy_unloaded():
-    """numpy costs a run about a third of its start-up; nothing on the
-    path of `ndnshield run` may import it."""
-    assert _loaded_after_import("numpy") == "[]"
-
-
-def test_import_leaves_ctypes_unloaded():
-    """Key generation loads ctypes on first use, not at import."""
-    assert _loaded_after_import("ctypes") == "[]"
-
-
-def test_run_leaves_cryptography_unloaded(tmp_path):
-    """The package signs through libcrypto and verifies in plain Python;
-    `cryptography` is a test oracle only, loaded neither by the import nor
-    by a run that generates keys, signs and verifies."""
-    assert _loaded_after_import("cryptography") == "[]"
+@pytest.mark.parametrize("package, after", [
+    ("numpy", "run"),  # a test dependency, a third of the start-up it would cost
+    ("cryptography", "run"),  # a test oracle: the package signs through libcrypto
+    ("dataclasses", "run"),  # the types declare their fields to `schema.Record`,
+    ("inspect", "run"),  # which generates no code: two thirds of the import
+    ("ctypes", "import"),  # key generation loads it on first use
+])
+def test_never_loaded(package, after, tmp_path):
+    """Neither the import of the CLI nor, after "run", a run that generates
+    keys, signs and verifies loads `package`."""
     run = ["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]
-    assert _loaded_after_import("cryptography", *run) == "[]"
-
-
-@pytest.mark.parametrize("package", ["dataclasses", "inspect"])
-def test_no_generated_code_at_import_or_run(package, tmp_path):
-    """The types declare their fields to `schema.Record`, which generates no
-    code: neither the import nor a run loads `dataclasses` or the `inspect`
-    it would import, which cost start-up two thirds of the package import."""
-    assert _loaded_after_import(package) == "[]"
-    run = ["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]
-    assert _loaded_after_import(package, *run) == "[]"
-
-
-def test_run_without_hashlib_takes_the_pow_signer_and_writes_the_same_bytes(tmp_path):
-    """Where `_hashlib` is missing, key generation and signing run on
-    builtin pow; the output is byte for byte a normal run's."""
-    doc = json.loads(FIXTURE.read_text())
-    doc["duration_ms"] = 2000
-    cut = tmp_path / "cut.json"
-    cut.write_text(json.dumps(doc))
-    crypto = "ndnshield.crypto"
-    signers = (f"sorted({{key.sign.__qualname__ for key, _ in {crypto}._FRESH_KEYS.values()}}), "
-               f"{crypto}._libcrypto() is None")
-    blocked = _in_fresh_interpreter(signers, "run", str(cut), "--out", str(tmp_path / "blocked"),
-                                    blocked="_hashlib")
-    assert blocked == "['_pow_signer.<locals>.sign'] True"
-    assert main(["run", str(cut), "--out", str(tmp_path / "normal")]) == 0
-    assert output_digests(tmp_path / "blocked") == output_digests(tmp_path / "normal")
+    assert _loaded_after_import(package, *(run if after == "run" else [])) == "[]"
 
 
 SEEDS = "is not an integer in 0..18446744073709551615"
@@ -158,10 +105,16 @@ SEEDS = "is not an integer in 0..18446744073709551615"
     (["run", str(FIXTURE), "--seed", str(2 ** 64)], f"argument --seed: '{2 ** 64}' {SEEDS}"),
     (["run", str(FIXTURE), "--replicates", "0"], "--replicates: '0' is not an integer in 1..inf"),
     (["bench-crypto", "--size", "0"], "argument --size: '0' is not an integer in 1..inf"),
-], ids=["negative-seed", "huge-seed", "no-replicates", "empty-packet"])
+    (["run", str(FIXTURE), "--seed", str(2 ** 64 - 1), "--replicates", "2"],
+     f"--replicates: seeds {2 ** 64 - 1}..{2 ** 64} are not all in 0..{2 ** 64 - 1}"),
+    (["run", str(FIXTURE), "--replicates", str(2 ** 64)],  # the document's seed is 7
+     f"--replicates: seeds 7..{2 ** 64 + 6} are not all in 0..{2 ** 64 - 1}"),
+], ids=["negative-seed", "huge-seed", "no-replicates", "empty-packet", "last-seed-of-option",
+        "last-seed-of-document"])
 def test_option_out_of_range_is_a_usage_error(argv, error, capsys):
     """Each crashed inside the run (`OverflowError` in `Rng`, `IndexError`
-    aggregating no replicates, `ZeroDivisionError` timing empty packets)."""
+    aggregating no replicates, `ZeroDivisionError` timing empty packets,
+    `ValueError` on a last replicate's seed past 2**64-1)."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2

@@ -44,8 +44,8 @@ verifier residue):
     and are replaced by newer requests for the same name.
   * neighbor_warnings (c12): the corrupted ring purged by MAC'd warnings.
 
-The cross-process test runs the CLI under two hash seeds and compares the
-bytes, so no output depends on set or dict iteration over hashed keys.
+That no byte depends on the string hash seed is checked in
+`test_equivalence.py`, on the fixture at its full length.
 
 Two invariants are checked while the documents run: after every PIT sweep
 the flooding defense's pending counts equal what the live PIT entries
@@ -65,15 +65,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import serialization
 
+from helpers import FIXTURE
 from ndnshield import crypto
 from ndnshield.experiment import run_experiment, run_simulation
 from ndnshield.flooding import FloodingDefense
@@ -82,8 +80,6 @@ from ndnshield.nodes import CollectionConsumer
 from ndnshield.router import Router
 from ndnshield.scenario import build_sim, load_scenario
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURE = ROOT / "src" / "ndnshield" / "scenarios" / "chain_flood.json"
 LINK = {"bandwidth_mbps": 100, "delay_ms": 1}
 
 
@@ -488,23 +484,6 @@ def test_summary_recomputes_from_its_csv(key, tmp_path):
         for replicate in block["replicates"]:
             written = tmp_path / replicate.pop("csv")
             assert summary_from_csv(written) == replicate
-
-
-def test_cli_bytes_independent_of_hash_seed(tmp_path):
-    scenario = tmp_path / "chain_flood_5s.json"
-    scenario.write_text(json.dumps(chain_flood_doc()))
-    digests = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / f"out{hash_seed}"
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                           os.environ.get("PYTHONPATH")]))}
-        env.pop("NDNSHIELD_OUT", None)
-        subprocess.run([sys.executable, "-m", "ndnshield.cli", "run", str(scenario),
-                        "--out", str(out)], env=env, check=True, capture_output=True)
-        digests.append(output_digests(out))
-    assert digests[0] == digests[1]
-    assert len(digests[0]) == 3  # both arms' CSVs and the summary
 
 
 def _run_every_arm(doc: dict) -> None:

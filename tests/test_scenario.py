@@ -337,15 +337,21 @@ def _with_link(**keys):
          "$.flooding_defense.namespace_quotas./v: must be positive"),
         (minimal_doc(seed=-1), "$.seed: must not be negative"),
         (minimal_doc(seed=2 ** 64), "$.seed: must be at most 18446744073709551615"),
+        (minimal_doc(fib={"r": [{"prefix": "/v", "next_hops": ["p"]},
+                                {"prefix": "/%76", "next_hops": ["c"]}]}),
+         "$.fib.r[1].prefix: repeats an earlier route's prefix"),
+        (minimal_doc(flooding_defense={"namespace_quotas": {"/v": 5, "/%76": 6}}),
+         "$.flooding_defense.namespace_quotas./%76: repeats the key '/v'"),
     ],
     ids=["request-mode", "collection-mode", "poison-mode", "link-kind", "link-bandwidth",
          "link-delay", "empty-next-hops", "fragments", "window", "abuse-count",
-         "namespace-quota", "seed", "huge-seed"],
+         "namespace-quota", "seed", "huge-seed", "repeated-route", "repeated-quota"],
 )
 def test_each_rule_refused_once_with_its_message(doc, violation):
     """Each rule is type metadata on the field or parameter it bounds, and
     is reported once, at the value's path. A seed outside 0..2**64-1
-    loaded, and then failed in `Rng` at build time."""
+    loaded, and then failed in `Rng` at build time; a second route or
+    quota for one prefix silently replaced the first."""
     assert violations(doc) == [violation]
 
 
