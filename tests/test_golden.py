@@ -20,6 +20,14 @@ pass: a mismatch means the simulator's behaviour changed.
     forward each interest to one shared router, which drops the later
     copy as a duplicate nonce, so which of them is served and which
     overhears depends on the order the segment delivers to them.
+  * keydigest_flood, exclude_flood: the fixture cut to 5 s, both arms,
+    with the paper's other two unsatisfiable-interest floods in place of
+    the nonce flood. A router that does not enforce D-SCID answers a
+    key-digest interest for /victim from any cached /victim content, and
+    an exclude interest makes each CS lookup test every cached entry
+    under /victim against its Bloom filter. Neither flood fills a PIT, so
+    the defended arm's CSV equals the undefended one's. Their digests were
+    taken before finished runs were freed without the cyclic collector.
   * pushback: two zombies and two honest consumers whose interests live
     700, 1500 and 2500 ms, so PIT entries expire out of insertion order
     while the namespace quota trips and push-back travels up the chain.
@@ -91,6 +99,23 @@ def chain_flood_doc() -> dict:
     doc = json.loads(FIXTURE.read_text())
     doc["duration_ms"] = 5000
     return doc
+
+
+def _chain_flood_of_kind(tag: str) -> dict:
+    """The fixture cut to 5 s, both arms, with its zombie's flood kind
+    changed to `flood-unsat-<tag>`."""
+    doc = chain_flood_doc()
+    doc["name"] = f"golden-{tag}-flood"
+    doc["attacks"][0]["kind"] = f"flood-unsat-{tag}"
+    return doc
+
+
+def keydigest_flood_doc() -> dict:
+    return _chain_flood_of_kind("keydigest")
+
+
+def exclude_flood_doc() -> dict:
+    return _chain_flood_of_kind("exclude")
 
 
 def dynamic_flood_doc() -> dict:
@@ -353,6 +378,8 @@ DOCS = {
     "neighbor_warnings": neighbor_warnings_doc,
     "pushback": pushback_doc,
     "chain_flood": chain_flood_doc,
+    "keydigest_flood": keydigest_flood_doc,
+    "exclude_flood": exclude_flood_doc,
     "dynamic_flood": dynamic_flood_doc,
     "poisoned_cs": poisoned_cs_doc,
 }
@@ -401,6 +428,22 @@ GOLDEN = {
             "047aade90e10b74b20a943b0db035726ce15e23c809ef3b923e9aeab7a29c33f",
         "chain-flood_undefended_rep0.csv":
             "602f36a535fd8ede45065790688f737266064dfc0f2a8cdc55d489effcf5b409",
+    },
+    "keydigest_flood": {
+        "golden-keydigest-flood_defended_rep0.csv":
+            "32b8265f8d0ff4eebc68986a34505dc48fe4a144a6aa9fe328e20ff5a4dc72c8",
+        "golden-keydigest-flood_summary.json":
+            "fc8f4d71fdcdca44a8f7bbd26526b6db1c0a28e7e6787f525a92891f4a854e55",
+        "golden-keydigest-flood_undefended_rep0.csv":
+            "32b8265f8d0ff4eebc68986a34505dc48fe4a144a6aa9fe328e20ff5a4dc72c8",
+    },
+    "exclude_flood": {
+        "golden-exclude-flood_defended_rep0.csv":
+            "5a8069f14f20ea7ffcd1fe6abc6a5ea74802c932c5e2ced38d9da80c60bf1d78",
+        "golden-exclude-flood_summary.json":
+            "decf08278ae2e13f6193619677b12e3ec84ab0191bd52c9cf7d1d74b7aeea592",
+        "golden-exclude-flood_undefended_rep0.csv":
+            "5a8069f14f20ea7ffcd1fe6abc6a5ea74802c932c5e2ced38d9da80c60bf1d78",
     },
     "dynamic_flood": {
         "golden-dynamic-flood_base_rep0.csv":
