@@ -46,9 +46,7 @@ def run_experiment(
             rep_summary = summarize_run(sim.collector)
             rep_summary["csv"] = csv_path.name
             per_rep.append(rep_summary)
-            # The network outlives `sim` until the cyclic collector runs: its
-            # nodes refer back to it.
-            del sim
+            del sim  # frees this run's network before the next one is built
         summary["arms"][arm_label] = {
             "replicates": per_rep,
             "aggregate": aggregate_replicates(per_rep),

@@ -527,6 +527,12 @@ class Router(NodeBase):
         if self.flooding is not None:
             self.flooding.on_iface_attached(info)
 
+    def detach(self) -> None:
+        super().detach()
+        for defense in (self.flooding, self.poisoning):
+            if defense is not None:
+                defense.router = None
+
     def role(self) -> str:
         return "router"
 

@@ -435,8 +435,11 @@ class Sim(Record):
     duration_ms: int
 
     def run(self) -> "Sim":
+        """Run the network and take the closing sample; then close the
+        network, so that dropping the Sim frees it by reference counting."""
         self.net.run(self.duration_ms * MS)
         self.collector.sample(self.net.now)  # closing sample at end time
+        self.net.close()
         return self
 
     def node(self, node_id: str):

@@ -13,7 +13,8 @@ The types understood are bool, int, float (which accepts an int), str,
 each `check.check(reader, value, path)` adds a check of its own: `Positive`,
 `NonNegative`, `AtMost(limit)`, `NonEmpty`, `OneOf(*choices)` or a
 caller's. A rule on a value is stated once, on the field or parameter that
-the value fills, and reported at the value's path.
+the value fills, and reported at the value's path. A NaN or an infinity,
+which Python's `json` reads, is refused whatever the type.
 
 A type declares its fields as a `Record`: one annotated class attribute per
 field, in order, set to its default if any (`Factory(make)`: made afresh).
@@ -24,6 +25,7 @@ keeps `dataclasses` and `inspect` out of start-up.
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 from typing import Annotated, Any, Union
@@ -38,7 +40,7 @@ class Positive:
 
     @staticmethod
     def check(reader: "Reader", value, path: str) -> None:
-        if value <= 0:
+        if not value > 0:  # so that a NaN fails too
             reader.fail(path, "must be positive")
 
 
@@ -58,7 +60,7 @@ class NonNegative:
 
     @staticmethod
     def check(reader: "Reader", value, path: str) -> None:
-        if value < 0:
+        if not value >= 0:
             reader.fail(path, "must not be negative")
 
 
@@ -146,7 +148,7 @@ class AtMost(Record, frozen=True):
     limit: int
 
     def check(self, reader: "Reader", value, path: str) -> None:
-        if value > self.limit:
+        if not value <= self.limit:
             reader.fail(path, f"must be at most {self.limit}")
 
 
@@ -206,6 +208,8 @@ class Reader:
 
     def typed(self, value, hint, path: str):
         """`value` read as the type `hint` names, or BAD."""
+        if isinstance(value, float) and not math.isfinite(value):
+            return self.fail(path, "must be a finite number")
         origin, args = _parts(hint)
         if hint is Any:
             return value

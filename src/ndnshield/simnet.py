@@ -20,11 +20,11 @@ is what the overhear-suppression rule needs.
 Every party, host or router, is a `NodeBase`. `add_node` binds each
 node's `emit(iface, pkt)` to `send_from` and its `after` to the clock,
 the same way for every node, and every node sends through its `emit`;
-`send_from` is the one seam a test double overrides. `send_from` only
-reserves the link and schedules the delivery; it never calls a handler,
-so a node may send at the point it decides to without another node's
-handler running in between. A delivery calls the receiving node's
-handler and nothing else.
+`send_from` is the one seam a test double overrides. `close` undoes the
+binding once the run is over. `send_from` only reserves the link and
+schedules the delivery; it never calls a handler, so a node may send at
+the point it decides to without another node's handler running in
+between. A delivery calls the receiving node's handler and nothing else.
 
 What stays fixed per port is resolved once: `add_link` builds one
 `_Port` per (node, iface), and a send reads only that record (see
@@ -41,13 +41,6 @@ function. `_deliver_interest` counts the interest into the receiving
 port's audit and calls `on_interest`; `_deliver_data` calls `on_data`,
 or `on_broadcast_data` on a shared segment for a node that has it. No
 handler tests the kind again.
-
-The event loop runs with the cyclic garbage collector paused, so it
-never re-scans a large, long-lived PIT. That is safe because no event
-makes a reference cycle: reference counting frees whatever a run
-discards, and the cycles a run does leave, one closure per schedule
-(`every`, `periodic`), do not grow with the run's length.
-`tests/test_golden.py` checks that.
 """
 
 from __future__ import annotations
@@ -69,20 +62,33 @@ class IfaceInfo(Record):
     link_key: bytes
 
 
+def _never(delay_us: int, fn: Callable[[], None]) -> None:
+    pass
+
+
+def _discard(iface: int, pkt) -> None:
+    pass
+
+
 class NodeBase:
     """A party on the network: it receives interests and data on its
     interfaces, and sends through `emit(iface, pkt)` and schedules through
     `after(delay_us, fn)`. `Network.add_node` binds both; a node built
-    without a network discards what it sends and never runs what it
-    schedules, and tests substitute ones that record."""
+    without a network, or detached from one, discards what it sends and
+    never runs what it schedules, and tests substitute ones that record."""
 
     def __init__(self, node_id: str):
         self.id = node_id
         self.stats = dict.fromkeys(COUNTER_COLUMNS, 0)
         self.ifaces: dict[int, IfaceInfo] = {}
+        NodeBase.detach(self)
+
+    def detach(self) -> None:
+        """Drop every reference to the network: from now on the node
+        discards what it sends and never runs what it schedules."""
         self.net: Network | None = None
-        self.after: Callable[[int, Callable[[], None]], None] = lambda delay_us, fn: None
-        self.emit: Callable[[int, object], None] = lambda iface, pkt: None
+        self.after: Callable[[int, Callable[[], None]], None] = _never
+        self.emit: Callable[[int, object], None] = _discard
 
     def attach_iface(self, info: IfaceInfo) -> None:
         self.ifaces[info.iface] = info
@@ -153,6 +159,41 @@ class _Port:
         self.ser_us = ser_us  # wire size -> microseconds, shared by the link's ports
         self.interests_in = 0
         self.data_out = 0
+
+
+class _Periodic:
+    """One `Network.periodic` source, queued one fire at a time: each fire
+    calls fn(k) and queues the next under its reserved number. It refers
+    to itself only through the queue, which a finished run has emptied."""
+
+    __slots__ = ("net", "fn", "seq", "count", "period", "k", "t")
+
+    def __init__(self, net: "Network", fn: Callable[[int], None], seq: int, count: int,
+                 start: float, period: float):
+        self.net, self.fn, self.seq, self.count = net, fn, seq, count
+        self.period, self.k, self.t = period, 0, start
+
+    def __call__(self) -> None:
+        k = self.k
+        self.fn(k)
+        self.k = k = k + 1
+        self.t = t = self.t + self.period
+        if k < self.count:
+            self.net.push(int(t), self.seq + k, self)
+
+
+class _Every:
+    """One `Network.every` source: each tick calls fn(now) and queues the
+    next `interval_us` later."""
+
+    __slots__ = ("net", "interval_us", "fn")
+
+    def __init__(self, net: "Network", interval_us: int, fn: Callable[[int], None]):
+        self.net, self.interval_us, self.fn = net, interval_us, fn
+
+    def __call__(self) -> None:
+        self.fn(self.net.now)
+        self.net.after(self.interval_us, self)
 
 
 class Network:
@@ -265,27 +306,13 @@ class Network:
         while t < stop_us:
             count += 1
             t += period
-        seq = self.reserve(count)
-        k = 0
-        t = start
-
-        def fire() -> None:
-            nonlocal k, t
-            fn(k)
-            k += 1
-            t += period
-            if k < count:
-                self.push(int(t), seq + k, fire)
-
         if count:
-            self.push(int(start), seq, fire)
+            seq = self.reserve(count)
+            self.push(int(start), seq, _Periodic(self, fn, seq, count, start, period))
 
     def every(self, interval_us: int, fn: Callable[[int], None]) -> None:
-        def tick():
-            fn(self.now)
-            self.after(interval_us, tick)
-
-        self.after(interval_us, tick)
+        """Call fn(now) every `interval_us`, the first time `interval_us` from now."""
+        self.after(interval_us, _Every(self, interval_us, fn))
 
     # -- transmission ---------------------------------------------------------------
 
@@ -347,7 +374,10 @@ class Network:
         runs once: a second call would start every node again. Events due
         after `until_us` are dropped: those already queued now, later ones
         as they are scheduled. The cyclic garbage collector is paused while
-        events run, and left as the caller had it."""
+        events run, so it never re-scans a large, long-lived PIT, and left
+        as the caller had it. No event makes a reference cycle, so
+        reference counting frees whatever the run discards; once `close`
+        has run, it frees the whole network too."""
         if self._started:
             raise RuntimeError("Network.run called twice; build a new network instead")
         self._started = True
@@ -367,6 +397,20 @@ class Network:
             if collecting:
                 gc.enable()
         self.now = until_us
+
+    def close(self) -> None:
+        """Break the reference cycles through a network that has run and
+        been sampled for the last time: each node drops its references to
+        the network (`detach`), and each port its receivers, which refer
+        to the ports of the link's other ends. The nodes, their stats and
+        the ports' audit counts stay readable. Then dropping the last
+        reference to the network frees it and every node without the
+        cyclic collector."""
+        for node in self.nodes.values():
+            node.detach()
+        for ports in self._ports.values():
+            for port in ports.values():
+                port.receivers = ()
 
     # -- invariants -------------------------------------------------------------------------
 

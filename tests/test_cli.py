@@ -46,6 +46,17 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "INVALID" in out and "mystery" in out
 
 
+def test_validate_refuses_a_nan(tmp_path, capsys):
+    """Python's `json` reads `NaN`; a link rate of NaN loaded, `validate`
+    printed OK, and `run` crashed in the flooding defense's quota."""
+    doc = FIXTURE.read_text().replace('"bandwidth_mbps": 100', '"bandwidth_mbps": NaN', 1)
+    bad = tmp_path / "nan.json"
+    bad.write_text(doc)
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "$.links[0].bandwidth_mbps: must be a finite number" in out
+
+
 def test_run_writes_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NDNSHIELD_OUT", raising=False)
     scenario = small_scenario(tmp_path)

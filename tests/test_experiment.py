@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
+from ndnshield import experiment
 from ndnshield.experiment import run_experiment
 from ndnshield.packets import wire_size
 from ndnshield.scenario import build_sim, load_scenario
@@ -112,3 +115,26 @@ def test_run_experiment_refuses_no_replicates_or_a_seed_out_of_range(replicates,
         run_experiment(load_scenario(clean_doc()), replicates=replicates, out_dir=tmp_path / "o",
                        base_seed=seed)
     assert not (tmp_path / "o").exists()
+
+
+def test_each_finished_run_is_freed_before_the_next_is_built(tmp_path, monkeypatch):
+    """With the cyclic collector paused throughout, every (arm, replicate)
+    run's network is freed by reference counting before the next run is
+    built, so one process holds one network at a time."""
+    built = []
+
+    def checked_build_sim(*args):
+        assert all(ref() is None for ref in built), f"run {len(built) - 1} is alive"
+        sim = build_sim(*args)
+        built.append(weakref.ref(sim.net))
+        return sim
+
+    monkeypatch.setattr(experiment, "build_sim", checked_build_sim)
+    scenario = load_scenario(clean_doc(arms={"fast": {"duration_ms": 1000}, "slow": {}}))
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(scenario, replicates=3, out_dir=tmp_path)
+    finally:
+        gc.enable()
+    assert len(built) == 6 and all(ref() is None for ref in built)

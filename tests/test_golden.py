@@ -23,11 +23,13 @@ pass: a mismatch means the simulator's behaviour changed.
   * keydigest_flood, exclude_flood: the fixture cut to 5 s, both arms,
     with the paper's other two unsatisfiable-interest floods in place of
     the nonce flood. A router that does not enforce D-SCID answers a
-    key-digest interest for /victim from any cached /victim content, and
-    an exclude interest makes each CS lookup test every cached entry
-    under /victim against its Bloom filter. Neither flood fills a PIT, so
-    the defended arm's CSV equals the undefended one's. Their digests were
-    taken before finished runs were freed without the cyclic collector.
+    key-digest interest for /victim from any cached /victim content. The
+    exclude interests all carry one name and one filter, so the first
+    router collapses them into one pending entry, and each makes a CS
+    lookup test every cached entry under /victim against the filter.
+    Neither flood fills a PIT, so the defended arm's CSV equals the
+    undefended one's. Their digests were taken before finished runs were
+    freed without the cyclic collector.
   * pushback: two zombies and two honest consumers whose interests live
     700, 1500 and 2500 ms, so PIT entries expire out of insertion order
     while the namespace quota trips and push-back travels up the chain.
@@ -63,16 +65,18 @@ are the counter columns in order and each gauge it reports has a CSV
 column or is one of the few known to have none yet. A collection
 consumer settles its fetch at most once.
 
-`Network.run` pauses the cyclic garbage collector, so a reference cycle
-made per event would hold memory until the run ends: every arm, run for
-its duration and for half of it, must leave the same number of cycles.
+`Network.run` pauses the cyclic garbage collector, so a finished run must
+be freed by reference counting alone: once the `Sim` of any arm is
+dropped, its network and every node are gone without a collection.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -673,25 +677,52 @@ def test_collection_consumer_finishes_once(key, monkeypatch):
     assert max(calls.values()) == 1
 
 
-def _cycles_left_by_run(scenario, arm) -> int:
-    sim = build_sim(scenario, scenario.seed, arm)
-    gc.collect()  # what set-up left
-    gc.disable()  # as inside `Network.run`, and on through the closing sample
+def _collected() -> list:
+    """What a `gc.collect()` finds unreachable, kept for inspection."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        sim.run()
+        gc.collect()
+        return list(gc.garbage)
     finally:
-        gc.enable()
-    return gc.collect()  # `sim` is alive: these are cycles the run left
+        gc.garbage.clear()
+        gc.set_debug(0)
+
+
+def _only_ctypes_array_types(garbage: list) -> bool:
+    """Whether every object in `garbage` is a ctypes array type or is
+    reached, within `garbage`, from one."""
+    within = {id(obj) for obj in garbage}
+    stack = [obj for obj in garbage if isinstance(obj, type) and issubclass(obj, ctypes.Array)]
+    seen = set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            stack.extend(ref for ref in gc.get_referents(obj) if id(ref) in within)
+    return seen == within
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_no_event_makes_a_reference_cycle(key):
-    """The cycles a run leaves are the self-rescheduling closures, one per
-    schedule (`Network.every`, `Network.periodic`), and the one ctypes
-    array type signing makes; a cycle made per event would grow with the
-    run's length and hold memory for as long as the collector is paused."""
-    doc = DOCS[key]()
-    scenario = load_scenario(doc)
-    half = load_scenario({**doc, "duration_ms": doc["duration_ms"] // 2})
+    """A finished run leaves no reference cycle. With the cyclic collector
+    paused from build to drop, as it is inside `Network.run`, dropping the
+    `Sim` frees its network, its collector and every node by reference
+    counting alone. A collection then finds at most the ctypes array types
+    that signing makes (ctypes caches them only through weak proxies).
+    A cycle made per event, or left by a finished run, would hold its
+    memory for as long as the collector is paused, and through every
+    later run of `run_experiment`."""
+    scenario = load_scenario(DOCS[key]())
     for arm in scenario.arm_names() or [None]:
-        assert _cycles_left_by_run(scenario, arm) == _cycles_left_by_run(half, arm), arm
+        gc.collect()  # what earlier tests left
+        gc.disable()
+        try:
+            sim = build_sim(scenario, scenario.seed, arm).run()
+            refs = [weakref.ref(obj) for obj in (sim.net, sim.collector, *sim.net.nodes.values())]
+            del sim
+            alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+            garbage = _collected()
+        finally:
+            gc.enable()
+        assert not alive, arm
+        assert _only_ctypes_array_types(garbage), (arm, Counter(type(obj).__name__ for obj in garbage))

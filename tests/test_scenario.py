@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -466,7 +467,7 @@ def test_consumer_or_zombie_on_no_link_is_refused(doc, violation):
 
 
 _DELETE = object()
-_MUTATIONS = (_DELETE, "x", 0, -1, [], {})
+_MUTATIONS = (_DELETE, "x", 0, -1, [], {}, math.nan, math.inf, -math.inf)
 
 
 def _positions(value, at=()):
@@ -506,8 +507,9 @@ def _refused_at_a_path_or_runs(doc: dict) -> None:
 
 def test_every_mutant_of_the_fixture_is_refused_or_runs():
     """Every value in the canonical fixture, containers included, deleted or
-    replaced by a string, zero, -1 or an empty list or object. Huge values
-    are left out: they need stated upper limits first."""
+    replaced by a string, zero, -1, an empty list or object, a NaN or an
+    infinity of either sign. Huge finite values are left out: they need
+    stated upper limits first."""
     doc = json.loads((FIXTURES / "chain_flood.json").read_text())
     failed = []
     for at in _positions(doc):
