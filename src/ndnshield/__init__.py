@@ -8,7 +8,6 @@ submodules hold the full API.
 
 from .crypto import KeyPair, compute_content_hash, sign_packet, verify_signature
 from .packets import (
-    AnswerOrigin,
     BloomExclude,
     DataPacket,
     EmbeddedKey,
@@ -24,7 +23,6 @@ from .rand import Rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerOrigin",
     "BloomExclude",
     "DataPacket",
     "EmbeddedKey",

@@ -15,7 +15,7 @@ from typing import Annotated, Optional
 from .crypto import KeyPair, sign_packet
 from .nodes import encode_fragment_payload
 from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
-from .schema import NonNegative, Positive, Record
+from .schema import Invalid, NonNegative, OneOf, Positive, Record
 from .simnet import NodeBase
 
 FLOOD_STATIC = "flood-static"
@@ -38,10 +38,10 @@ ATTACK_KINDS = FLOOD_KINDS + (KEYLOCATOR_ABUSE, POISON_INJECT, POISON_ANTICIPATE
 
 
 class AttackSpec(Record, frozen=True):
-    kind: str
+    kind: Annotated[str, OneOf(*ATTACK_KINDS)]
     zombies: tuple[str, ...]
     target_prefix: Name
-    rate_per_s: float = 1.0
+    rate_per_s: Annotated[float, Positive] = 1.0
     start_ms: Annotated[int, NonNegative] = 0
     stop_ms: int = 1
     name_pool: tuple[Name, ...] = ()  # flood-static / flood-unsat-keydigest
@@ -51,12 +51,8 @@ class AttackSpec(Record, frozen=True):
     lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.rate_per_s <= 0:
-            raise ValueError("attack rate must be positive")
         if self.start_ms >= self.stop_ms:
-            raise ValueError("attack start must precede stop")
+            raise Invalid("stop_ms", "attack start must precede stop")
         if self.kind == FLOOD_STATIC and not self.name_pool:
             raise ValueError("flood-static needs a pool of existing content names")
         if self.kind == FLOOD_DYNAMIC and self.dynamic_under is None:

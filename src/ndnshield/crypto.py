@@ -142,12 +142,18 @@ class _LibCrypto:
     Calls share nothing they write: each allocates its own BIGNUMs and
     contexts and frees them before it returns, since ctypes releases the
     GIL during a foreign call and shared scratch would race between
-    threads. A key's signing context is set up once and only read."""
+    threads. A key's signing context is set up once and only read.
+
+    So are the ctypes types of the two output buffers in use, a signature
+    and a key-generation exponentiation modulo a half-size prime. ctypes
+    keeps such a type only through a weak proxy, and each type it makes
+    afresh is a reference cycle that only the cyclic collector frees."""
 
     def __init__(self, path: str):
         import ctypes
 
         self._lib = lib = ctypes.CDLL(path)
+        self._arrays = {n: ctypes.c_char * n for n in (_MODULUS_BYTES, _MODULUS_BYTES // 2)}
         ptr, c_int, c_char_p = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
         for name, restype, argtypes in (
             ("BN_new", ptr, []),
@@ -186,7 +192,7 @@ class _LibCrypto:
             b, e, m, r = bns
             if not (ctx and all(bns) and lib.BN_mod_exp(r, b, e, m, ctx)):
                 raise RuntimeError("an OpenSSL BN call failed")
-            out = ctypes.create_string_buffer(size)
+            out = (self._arrays.get(size) or ctypes.c_char * size)()
             if lib.BN_bn2binpad(r, out, size) != size:
                 raise RuntimeError("OpenSSL BN_bn2binpad failed")
             return int.from_bytes(out.raw, "big")
@@ -215,9 +221,10 @@ class _LibCrypto:
             raise RuntimeError("OpenSSL could not set up RSA signing")
         md_new, md_free, md_copy, digest_sign = (
             lib.EVP_MD_CTX_new, lib.EVP_MD_CTX_free, lib.EVP_MD_CTX_copy_ex, lib.EVP_DigestSign)
+        signature_buffer = self._arrays[_MODULUS_BYTES]
 
         def sign(message: bytes) -> bytes:
-            out = ctypes.create_string_buffer(_MODULUS_BYTES)
+            out = signature_buffer()
             size = ctypes.c_size_t(_MODULUS_BYTES)
             ctx = md_new()
             try:

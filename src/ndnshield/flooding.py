@@ -75,8 +75,8 @@ class FloodingConfig(Record):
     pushback_ttl: Annotated[int, Positive] = 8
     interest_timeout_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS
     avg_content_size_bytes: Annotated[int, Positive] = 1500
-    outgoing_quota_override: Optional[int] = None
-    incoming_limit_override: Optional[int] = None
+    outgoing_quota_override: Optional[Annotated[int, Positive]] = None
+    incoming_limit_override: Optional[Annotated[int, Positive]] = None
 
 
 class TokenBucket:
@@ -99,15 +99,15 @@ class TokenBucket:
         self.tokens = min(self.burst, self.tokens + self.rate * (now - self.last) / 1e6)
         self.last = now
 
-    def take(self, now: int, rng=None, rate_per_s: Optional[float] = None) -> bool:
+    def take(self, now: int, rng, rate_per_s: float) -> bool:
+        """Refill at the old rate up to `now`, then take a token at `rate_per_s`."""
         self.refill(now)
-        if rate_per_s is not None:
-            self.rate = rate_per_s
+        self.rate = rate_per_s
         if self.tokens >= 1.0:
             self.tokens -= 1.0
             return True
         p = max(0.0, self.tokens)
-        if rng is not None and p > 0.0 and rng.random() < p:
+        if p > 0.0 and rng.random() < p:
             self.tokens -= 1.0
             return True
         return False

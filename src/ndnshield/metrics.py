@@ -39,7 +39,7 @@ COUNTER_COLUMNS = [
     "drop_unsolicited",
     "drop_scid_s",
     "drop_scid_d",
-    "drop_scope",
+    "drop_scope",  # set by nothing; dropping the column moves CSV bytes, so it waits for a repin
     "cs_hits",
     "cs_misses",
     "data_received",

@@ -19,7 +19,6 @@ prefix with freshly minted poisoned content instead of forwarding them.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from typing import Annotated, Callable, Optional
 
 from .crypto import (
@@ -274,7 +273,6 @@ class ConsumerBase(NodeBase):
         self.trusted_key_digest = trusted_key_digest
         self.lifetime_ms = lifetime_ms
         self._pending: dict[Name | int, _Request] = {}
-        self.copies_by_iface: Counter = Counter()
         self._key_cache: dict[Name, bytes] = {}
         # Pending key fetches by key name components, so arriving data finds
         # the fetches it answers by looking up each prefix of its name.
@@ -536,11 +534,9 @@ class RequestConsumer(ConsumerBase):
         if request is None:
             for name in self._past:
                 if name.is_prefix_of(pkt.name):
-                    self.copies_by_iface[iface] += 1
                     self.stats["copies_received"] += 1
                     break
             return
-        self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
         self._past.add(request.key)  # the name it was pending under
 
@@ -578,8 +574,8 @@ class CollectionConsumer(ConsumerBase):
         first_hash: Optional[bytes] = None,
         start_ms: Annotated[int, NonNegative] = 0,
         lifetime_ms: Annotated[int, Positive] = INTEREST_LIFETIME_MS,
-        max_retries: int = 3,
-        exclude_cap: int = 16,
+        max_retries: Annotated[int, NonNegative] = 3,
+        exclude_cap: Annotated[int, NonNegative] = 16,
     ):
         super().__init__(node_id, rng, trusted_key_digest=trusted_key_digest, lifetime_ms=lifetime_ms)
         if mode == MODE_SSCID and first_hash is None:
@@ -682,7 +678,6 @@ class CollectionConsumer(ConsumerBase):
         if self._maybe_resolve_key(pkt, now):
             return
         request = self._claim(pkt)
-        self.copies_by_iface[iface] += 1
         self.stats["copies_received"] += 1
         if request is None:
             return

@@ -2,6 +2,12 @@
 and the matching predicate.
 
 Interests and data packets are the only two packet kinds on the wire.
+An interest varies by its name, nonce, publisher key digest and exclude
+filter, the options the modelled attacks and defenses use. Its name alone
+decides whether it is scoped: one in the control namespace
+(`is_control_name`) is a one-hop interest, encoded with scope 2, and no
+other interest carries a scope.
+
 Everything here is an immutable value: safe to share across simulation
 instances and cheap to use as dict keys. Values derived from a packet and
 needed on every hop (`wire_size`, `compute_content_hash`, and the verdict
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from enum import Enum
 from typing import Iterator, Optional, Union
 
 from .schema import Record
@@ -191,11 +196,6 @@ def component_digest(component: bytes) -> bytes:
     return component[1:]
 
 
-class AnswerOrigin(Enum):
-    ANY = 0
-    PRODUCER_ONLY = 1
-
-
 # ---------------------------------------------------------------------------
 # Exclude filters
 # ---------------------------------------------------------------------------
@@ -275,24 +275,18 @@ class Interest(Record, frozen=True, not_compared=("attack",)):
     nonce: int
     publisher_key_digest: Optional[bytes] = None
     exclude: Optional[Exclude] = None
-    answer_origin: AnswerOrigin = AnswerOrigin.ANY
-    scope: Optional[int] = None  # None means unlimited propagation
     lifetime_ms: int = INTEREST_LIFETIME_MS
     # Ground-truth provenance for metrics; never serialized to the wire.
     attack: bool = False
 
     def __init__(self, name, nonce, publisher_key_digest=None, exclude=None,
-                 answer_origin=AnswerOrigin.ANY, scope=None, lifetime_ms=INTEREST_LIFETIME_MS,
-                 attack=False):
+                 lifetime_ms=INTEREST_LIFETIME_MS, attack=False):
         if not 0 <= nonce < _NONCE_LIMIT:
             raise ValueError("nonce must fit in 64 bits")
-        if scope is not None and not 0 <= scope <= 255:
-            raise ValueError("scope must be in 0..255")
         if publisher_key_digest is not None and len(publisher_key_digest) != 32:
             raise ValueError("publisher key digest must be 32 bytes")
         self.__dict__.update(name=name, nonce=nonce, publisher_key_digest=publisher_key_digest,
-                             exclude=exclude, answer_origin=answer_origin, scope=scope,
-                             lifetime_ms=lifetime_ms, attack=attack)
+                             exclude=exclude, lifetime_ms=lifetime_ms, attack=attack)
 
     def requested_hash(self) -> Optional[bytes]:
         """The content digest demanded by a trailing digest-typed component."""
@@ -343,9 +337,10 @@ def is_control_name(name: Name) -> bool:
 
 
 def control_interest(name: Name, nonce: int) -> Interest:
-    """A control interest: scope 2 (one link, never forwarded) and a
-    one-second lifetime."""
-    return Interest(name=name, nonce=nonce, scope=2, lifetime_ms=1000)
+    """A control interest (`name` is a control name): a one-second
+    lifetime, and scope 2 on the wire (one link, never forwarded), which
+    its name alone implies."""
+    return Interest(name=name, nonce=nonce, lifetime_ms=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +389,7 @@ def canonical_serialize(
 _FLAG_KEY_DIGEST = 0x01
 _FLAG_EXCLUDE = 0x02
 _FLAG_SCOPE = 0x04
+_CONTROL_SCOPE = 2  # the scope a control interest carries on the wire
 
 
 def encode_interest(interest: Interest) -> bytes:
@@ -405,7 +401,8 @@ def encode_interest(interest: Interest) -> bytes:
         flags |= _FLAG_KEY_DIGEST
     if interest.exclude is not None:
         flags |= _FLAG_EXCLUDE
-    if interest.scope is not None:
+    scoped = is_control_name(interest.name)
+    if scoped:
         flags |= _FLAG_SCOPE
     out.append(flags)
     if interest.publisher_key_digest is not None:
@@ -417,9 +414,9 @@ def encode_interest(interest: Interest) -> bytes:
         else:
             out.append(1)
             out += interest.exclude.bits
-    out.append(interest.answer_origin.value)
-    if interest.scope is not None:
-        out.append(interest.scope)
+    out.append(0)  # answer origin: any
+    if scoped:
+        out.append(_CONTROL_SCOPE)
     out += struct.pack(">I", interest.lifetime_ms)
     return bytes(out)
 
@@ -446,8 +443,8 @@ def wire_size(pkt: Union[Interest, DataPacket]) -> int:
                     size += 1 + _name_size(exclude.components)
                 else:
                     size += 1 + len(exclude.bits)
-            if pkt.scope is not None:
-                size += 1
+            if is_control_name(pkt.name):
+                size += 1  # scope
         else:
             # name, payload, locator tag 1, locator, key digest, signature
             locator = pkt.key_locator

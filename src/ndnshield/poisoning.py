@@ -31,7 +31,7 @@ from .packets import (
     content_hash_matches,
     control_interest,
 )
-from .schema import Factory, NonNegative, Positive, Record
+from .schema import AtMost, Factory, Invalid, NonNegative, OneOf, Positive, Record
 
 MODE_OFF = "off"
 MODE_INDEPENDENT = "independent"
@@ -69,38 +69,39 @@ def disjoint_residue(mode: str, content_hash: bytes, group_key: bytes, n: int) -
 
 
 class VerifierConfig(Record):
-    mode: str = MODE_OFF
+    mode: Annotated[str, OneOf(*VERIFIER_MODES)] = MODE_OFF
     v: float = 1.0
     group: tuple[str, ...] = ()
     group_key: bytes = b""
     scan_interval_ms: Annotated[int, Positive] = 1000
 
     def __post_init__(self):
-        if self.mode not in VERIFIER_MODES:
-            raise ValueError(f"unknown verification mode {self.mode!r}")
         if self.mode == MODE_INDEPENDENT and self.v < 1:
-            raise ValueError("independent mode requires v >= 1")
+            raise Invalid("v", "independent mode requires v >= 1")
         if self.mode in (MODE_DISJOINT_PLAIN, MODE_DISJOINT_HMAC):
             if not self.group:
-                raise ValueError("disjoint modes require a router group")
+                raise Invalid("group", "disjoint modes require a router group")
             if self.v < len(self.group):
-                raise ValueError("disjoint modes require v >= group size")
+                raise Invalid("v", "disjoint modes require v >= group size")
             if self.mode == MODE_DISJOINT_HMAC and not self.group_key:
                 raise ValueError("keyed mode requires a shared group key")
 
 
+UnitInterval = Annotated[float, NonNegative, AtMost(1)]  # a value in [0, 1]
+
+
 class NeighborFeedbackConfig(Record):
     enabled: bool = False
-    p: float = 0.5  # probability of acting on a received warning
-    cooldown_ms: int = 10_000
+    p: UnitInterval = 0.5  # probability of acting on a received warning
+    cooldown_ms: Annotated[int, NonNegative] = 10_000
 
 
 class ConsumerFeedbackConfig(Record):
     enabled: bool = False
-    alpha: float = 0.05  # trust gain per positive retrieval
-    beta: float = 0.5  # trust multiplier per negative report
-    threshold: int = 3  # distinct reports within window forcing verification
-    window_ms: int = 10_000
+    alpha: UnitInterval = 0.05  # trust gain per positive retrieval
+    beta: UnitInterval = 0.5  # trust multiplier per negative report
+    threshold: Annotated[int, Positive] = 3  # distinct reports within window forcing verification
+    window_ms: Annotated[int, Positive] = 10_000
 
 
 class PoisoningConfig(Record):

@@ -22,7 +22,6 @@ from .packets import (
     MS,
     PUSHBACK_PREFIX,
     WARNING_PREFIX,
-    AnswerOrigin,
     DataPacket,
     Interest,
     Name,
@@ -351,8 +350,8 @@ def _entries_under(node: dict) -> list[CsEntry]:
 class PitEntry(Record):
     __slots__ = ("key", "interest", "nonces", "incoming", "outgoing", "expiry", "fib", "attack",
                  "namespace", "seq")
-    # (name components, answers from cache, publisher key digest, exclude):
-    # interests that differ in any of these may need different answers.
+    # (name components, publisher key digest, exclude): interests that
+    # differ in any of these may need different answers.
     key: tuple
     interest: Interest  # representative; collapsed interests share the key
     nonces: set[int]
@@ -554,23 +553,9 @@ class Router(NodeBase):
         if is_control_name(interest.name):
             self._on_control_interest(iface, interest, now)
             return
-        from_cache = interest.answer_origin is AnswerOrigin.ANY
-        if interest.scope is not None and interest.scope <= 2:
-            # Reached us over a link: may be answered locally, never forwarded.
-            if from_cache:
-                hit = self.cs.lookup(interest, now, self._match_full)
-                if hit is not None:
-                    self._serve_from_cache(iface, hit)
-                    return
-            stats["drop_scope"] += 1
-            return
 
         pit = self.pit
-        # The answer origin enters the key as a bool, since an enum member
-        # hashes in Python code on every dict operation.
-        key = (
-            interest.name.components, from_cache, interest.publisher_key_digest, interest.exclude
-        )
+        key = (interest.name.components, interest.publisher_key_digest, interest.exclude)
         entry = pit.get(key)
         if entry is not None:
             if entry.expiry <= now:
@@ -581,11 +566,10 @@ class Router(NodeBase):
                 stats["drop_duplicate_nonce"] += 1
                 return
 
-        if from_cache:
-            hit = self.cs.lookup(interest, now, self._match_full)
-            if hit is not None:
-                self._serve_from_cache(iface, hit)
-                return
+        hit = self.cs.lookup(interest, now, self._match_full)
+        if hit is not None:
+            self._serve_from_cache(iface, hit)
+            return
         stats["cs_misses"] += 1
 
         if entry is not None:

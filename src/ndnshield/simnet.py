@@ -327,8 +327,6 @@ class Network:
         except KeyError:
             raise KeyError(f"node {sender!r} has no interface {iface}") from None
         if isinstance(pkt, Interest):
-            if pkt.scope is not None and pkt.scope <= 1:
-                raise ValueError("scope 0/1 interests never leave the originating host")
             deliver = self._deliver_interest
         else:
             port.data_out += 1

@@ -13,6 +13,7 @@ from ndnshield.attacks import (
 from ndnshield.crypto import verify_signature
 from ndnshield.packets import BloomExclude, KeyName, interest_matches
 from ndnshield.rand import Rng
+from ndnshield.schema import Invalid, Reader
 
 
 def spec(kind, **kw):
@@ -29,16 +30,20 @@ def spec(kind, **kw):
 
 
 def test_spec_validation():
+    """The constructor checks the rules across fields; a rule on one value
+    is type metadata, checked where a document is read."""
     with pytest.raises(ValueError):
         spec("flood-static")  # needs a name pool
     with pytest.raises(ValueError):
         spec("flood-dynamic")  # needs the dynamic namespace
-    with pytest.raises(ValueError):
-        spec("flood-unsat-nonce", rate_per_s=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(Invalid, match="start must precede stop") as err:
         spec("flood-unsat-nonce", start_ms=5, stop_ms=5)
-    with pytest.raises(ValueError):
-        spec("no-such-kind")
+    assert err.value.key == "stop_ms"
+    reader = Reader()
+    fields = {"kind": "no-such-kind", "zombies": ["z1"], "target_prefix": "/victim",
+              "rate_per_s": 0, "stop_ms": 1000}
+    assert reader.parse(fields, "$", AttackSpec) is None
+    assert [e.split(": ")[0] for e in reader.errors] == ["$.kind", "$.rate_per_s"]
 
 
 def test_unsat_nonce_names_never_repeat():

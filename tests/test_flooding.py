@@ -11,7 +11,7 @@ from ndnshield.flooding import (
     TokenBucket,
     compute_outgoing_quota,
 )
-from ndnshield.packets import Interest, Name
+from ndnshield.packets import Interest, Name, is_control_name
 from ndnshield.rand import Rng
 from ndnshield.router import Router, RouterConfig
 
@@ -211,7 +211,7 @@ def test_pushback_round_trip_and_rate_install():
     router, defense = make_defended_router(quotas={"/victim": 10})
     ns = n("/victim")
     msg = defense.build_pushback(ns, rate_per_s=12.5, ttl=8, iface=0)
-    assert msg.scope == 2
+    assert is_control_name(msg.name)
     prefix, rate, ttl = defense.parse_pushback(msg)
     assert prefix == ns and rate == pytest.approx(12.5) and ttl == 8
 
@@ -242,9 +242,7 @@ def test_forged_pushback_ignored():
     router, defense = make_defended_router(quotas={"/victim": 10})
     ns = n("/victim")
     msg = defense.build_pushback(ns, rate_per_s=5.0, ttl=8, iface=0)
-    forged = Interest(
-        Name(msg.name.components[:-1] + (b"\x00" * 32,)), msg.nonce, scope=2, lifetime_ms=1000
-    )
+    forged = Interest(Name(msg.name.components[:-1] + (b"\x00" * 32,)), msg.nonce, lifetime_ms=1000)
     router2, defense2 = make_defended_router(quotas={"/victim": 10})
     _resolve_synthetic(defense2, router2, ns.components, 1, satisfied=0, expired=80, now=S)
     assert defense2.handle_pushback(0, forged, now=S) == []
@@ -282,7 +280,7 @@ def test_offender_rule_spares_honest_peer():
 
 
 def test_token_bucket_refills_deterministically():
-    bucket = TokenBucket(10.0, 1.0, now=0)
-    assert bucket.take(0)
-    assert not bucket.take(0)
-    assert bucket.take(100 * MS)  # 0.1 s at 10/s refills one token
+    bucket, rng = TokenBucket(10.0, 1.0, now=0), Rng(1, "bucket")
+    assert bucket.take(0, rng, 10.0)
+    assert not bucket.take(0, rng, 10.0)  # no partial token: nothing drawn
+    assert bucket.take(100 * MS, rng, 10.0)  # 0.1 s at 10/s refills one token

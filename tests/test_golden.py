@@ -72,7 +72,6 @@ dropped, its network and every node are gone without a collection.
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import hashlib
 import json
@@ -688,30 +687,15 @@ def _collected() -> list:
         gc.set_debug(0)
 
 
-def _only_ctypes_array_types(garbage: list) -> bool:
-    """Whether every object in `garbage` is a ctypes array type or is
-    reached, within `garbage`, from one."""
-    within = {id(obj) for obj in garbage}
-    stack = [obj for obj in garbage if isinstance(obj, type) and issubclass(obj, ctypes.Array)]
-    seen = set()
-    while stack:
-        obj = stack.pop()
-        if id(obj) not in seen:
-            seen.add(id(obj))
-            stack.extend(ref for ref in gc.get_referents(obj) if id(ref) in within)
-    return seen == within
-
-
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_no_event_makes_a_reference_cycle(key):
     """A finished run leaves no reference cycle. With the cyclic collector
     paused from build to drop, as it is inside `Network.run`, dropping the
     `Sim` frees its network, its collector and every node by reference
-    counting alone. A collection then finds at most the ctypes array types
-    that signing makes (ctypes caches them only through weak proxies).
-    A cycle made per event, or left by a finished run, would hold its
-    memory for as long as the collector is paused, and through every
-    later run of `run_experiment`."""
+    counting alone, and a collection then finds nothing at all. A cycle
+    made per event, or left by a finished run, would hold its memory for
+    as long as the collector is paused, and through every later run of
+    `run_experiment`."""
     scenario = load_scenario(DOCS[key]())
     for arm in scenario.arm_names() or [None]:
         gc.collect()  # what earlier tests left
@@ -725,4 +709,4 @@ def test_no_event_makes_a_reference_cycle(key):
         finally:
             gc.enable()
         assert not alive, arm
-        assert _only_ctypes_array_types(garbage), (arm, Counter(type(obj).__name__ for obj in garbage))
+        assert not garbage, (arm, Counter(type(obj).__name__ for obj in garbage))

@@ -17,7 +17,6 @@ from ndnshield.packets import (
     MAX_COMPONENTS,
     PUSHBACK_PREFIX,
     WARNING_PREFIX,
-    AnswerOrigin,
     BloomExclude,
     DataPacket,
     EmbeddedKey,
@@ -311,8 +310,18 @@ wire_names = st.lists(
 ).map(lambda cs: Name(tuple(cs)))
 
 
-@given(
+# Names of every length, and control names under each control prefix.
+wire_and_control_names = st.one_of(
     wire_names,
+    st.tuples(
+        st.sampled_from([WARNING_PREFIX, FEEDBACK_PREFIX, PUSHBACK_PREFIX]),
+        st.lists(components, max_size=MAX_COMPONENTS - 2),
+    ).map(lambda parts: Name(parts[0].components + tuple(parts[1]))),
+)
+
+
+@given(
+    wire_and_control_names,
     st.integers(min_value=0, max_value=2 ** 64 - 1),
     st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
     st.one_of(
@@ -321,16 +330,17 @@ wire_names = st.lists(
         .map(ExplicitExclude),
         st.binary(min_size=32, max_size=32).map(BloomExclude),
     ),
-    st.sampled_from(AnswerOrigin),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=255)),
     st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
 @settings(max_examples=200)
-def test_interest_wire_size_is_encoded_length(
-    name, nonce, digest, exclude, origin, scope, lifetime
-):
-    interest = Interest(name, nonce, digest, exclude, origin, scope, lifetime)
-    assert wire_size(interest) == len(encode_interest(interest))
+def test_interest_wire_size_is_encoded_length(name, nonce, digest, exclude, lifetime):
+    """The size is the encoded length, and the encoding carries the scope
+    flag exactly when the name is a control name."""
+    interest = Interest(name, nonce, digest, exclude, lifetime)
+    encoded = encode_interest(interest)
+    assert wire_size(interest) == len(encoded)
+    flags = encoded[4 + 4 * len(name.components) + sum(map(len, name.components)) + 8]
+    assert bool(flags & 0x04) == is_control_name(name)
 
 
 @given(
@@ -376,25 +386,28 @@ def test_data_wire_golden_vector():
 
 
 def test_interest_wire_golden_vector():
-    interest = Interest(
-        name=Name((b"x",)),
-        nonce=0x0102030405060708,
-        publisher_key_digest=None,
-        exclude=None,
-        answer_origin=AnswerOrigin.ANY,
-        scope=2,
-        lifetime_ms=4000,
-    )
-    expected = b"".join([
+    """An ordinary interest has no scope; a control interest has scope 2."""
+    plain = Interest(name=Name((b"x",)), nonce=0x0102030405060708, lifetime_ms=4000)
+    assert encode_interest(plain) == b"".join([
         struct.pack(">I", 1),                      # name component count
         struct.pack(">I", 1), b"x",
         struct.pack(">Q", 0x0102030405060708),     # nonce
+        b"\x00",                                   # flags: none
+        b"\x00",                                   # answer origin: any
+        struct.pack(">I", 4000),                   # lifetime
+    ])
+    control = Interest(name=Name((b"ndn", b"feedback", b"x")), nonce=9, lifetime_ms=1000)
+    assert encode_interest(control) == b"".join([
+        struct.pack(">I", 3),                      # name component count
+        struct.pack(">I", 3), b"ndn",
+        struct.pack(">I", 8), b"feedback",
+        struct.pack(">I", 1), b"x",
+        struct.pack(">Q", 9),                      # nonce
         b"\x04",                                   # flags: scope present
         b"\x00",                                   # answer origin: any
         b"\x02",                                   # scope
-        struct.pack(">I", 4000),                   # lifetime
+        struct.pack(">I", 1000),                   # lifetime
     ])
-    assert encode_interest(interest) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +632,6 @@ def test_wire_size_memo_leaves_packet_value_alone():
     [
         ({"nonce": -1}, "nonce"),
         ({"nonce": 2 ** 64}, "nonce"),
-        ({"scope": -1}, "scope"),
-        ({"scope": 256}, "scope"),
         ({"publisher_key_digest": b"\x00" * 31}, "key digest"),
         ({"publisher_key_digest": b"\x00" * 33}, "key digest"),
     ],
@@ -634,8 +645,6 @@ def test_interest_constructor_rejects_bad_fields(kwargs, message):
 def test_interest_constructor_accepts_the_bounds():
     for nonce in (0, 2 ** 64 - 1):
         assert Interest(Name.parse("/a"), nonce).nonce == nonce
-    for scope in (0, 255, None):
-        assert Interest(Name.parse("/a"), 1, scope=scope).scope == scope
     assert Interest(Name.parse("/a"), 1, publisher_key_digest=b"\x00" * 32)
 
 
@@ -665,8 +674,6 @@ INTEREST_VALUES = st.builds(
     st.integers(0, 2 ** 64 - 1),
     st.none() | st.binary(min_size=32, max_size=32),
     st.none() | st.builds(ExplicitExclude, st.frozensets(components, max_size=3)),
-    st.sampled_from(AnswerOrigin),
-    st.none() | st.integers(0, 255),
     st.integers(1, 10_000),
     st.booleans(),
 )

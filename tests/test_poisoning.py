@@ -6,7 +6,7 @@ import pytest
 
 from helpers import iface_info, make_key, make_packet, n
 from ndnshield.crypto import compute_content_hash, forge_packet, hmac_sha256, ls32, sha256
-from ndnshield.packets import Interest, Name, digest_component
+from ndnshield.packets import Interest, Name, digest_component, is_control_name
 from ndnshield.poisoning import (
     ConsumerFeedbackConfig,
     NeighborFeedbackConfig,
@@ -283,7 +283,7 @@ def test_invalid_cached_packet_evicted_and_warned():
     assert len(emitted) == 3  # one warning per interface
     assert router.stats["verify_invalid"] == 1
     for iface, warning in emitted:
-        assert warning.scope == 2
+        assert is_control_name(warning.name)
         assert warning.name.components[:2] == (b"ndn", b"warning")
 
 
@@ -336,9 +336,7 @@ def test_forged_warning_leaves_cache_untouched():
     bad = corrupted_packet()
     router.cs.insert(bad, now=0)
     h = compute_content_hash(bad)
-    forged = Interest(
-        Name((b"ndn", b"warning", h, b"\x00" * 32)), 1, scope=2
-    )
+    forged = Interest(Name((b"ndn", b"warning", h, b"\x00" * 32)), 1)
     router.on_interest(0, forged, now=0)
     timers.flush()
     assert len(router.cs) == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_key, make_packet, make_router, n
-from ndnshield.packets import AnswerOrigin, BloomExclude, ExplicitExclude, Interest, Name
+from ndnshield.packets import BloomExclude, ExplicitExclude, Interest, Name
 from ndnshield.router import (
     ContentStore,
     Fib,
@@ -138,15 +138,6 @@ def test_cache_hit_answers_without_pit_entry():
     assert len(router.pit) == 0
 
 
-def test_producer_only_bypasses_cache():
-    router = setup_router()
-    router.cs.insert(make_packet("/victim/x"), now=0)
-    wanted = interest("/victim/x", answer_origin=AnswerOrigin.PRODUCER_ONLY)
-    router.on_interest(0, wanted, now=10)
-    assert router.sent == [(5, wanted)]
-    assert len(router.pit) == 1
-
-
 def test_no_route_drop():
     router = setup_router()
     router.on_interest(0, interest("/elsewhere/x"), now=0)
@@ -179,7 +170,6 @@ def test_option_fingerprint_separates_entries():
 
 _PIT_KEY_PARTS = dict(
     comps=st.lists(st.sampled_from([b"a", b"b"]), max_size=2),
-    origin=st.sampled_from(list(AnswerOrigin)),
     key_digest=st.sampled_from([None, b"\x01" * 32, b"\x02" * 32]),
     # A fresh exclude object per interest, so equal excludes are not the
     # same object; an empty explicit exclude is not the absent one, and a
@@ -196,13 +186,13 @@ _PIT_KEY_PARTS = dict(
 @given(first=st.fixed_dictionaries(_PIT_KEY_PARTS), second=st.fixed_dictionaries(_PIT_KEY_PARTS))
 def test_interests_collapse_iff_name_and_options_are_equal(first, second):
     """Two interests share a PIT entry if and only if their name components,
-    answer origin, publisher key digest and exclude are all equal."""
+    publisher key digest and exclude are all equal."""
     router = make_router(n_ifaces=6)
     router.fib.add(Name(()), [5])
     for iface, parts in enumerate((first, second)):
         wanted = Interest(
             Name(tuple(parts["comps"])), 1 + iface, publisher_key_digest=parts["key_digest"],
-            exclude=parts["exclude"], answer_origin=parts["origin"],
+            exclude=parts["exclude"],
         )
         router.on_interest(iface, wanted, now=iface)
     same = first == second
@@ -671,7 +661,7 @@ def pit_data_packet():
 
 def _pit_entry(name: str, variant: int, now: int, lifetime_us: int, attack: bool):
     key_digest = bytes([variant]) * 32 if variant else None
-    return PitEntry(key=(n(name).components, True, key_digest, None), interest=interest(name),
+    return PitEntry(key=(n(name).components, key_digest, None), interest=interest(name),
                     nonces={1}, incoming={0: now}, outgoing={1: now},
                     expiry=now + lifetime_us, fib=FibEntry(n("/p"), [1]), attack=attack)
 

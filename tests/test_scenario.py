@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndnshield import crypto
+from ndnshield.attacks import ATTACK_KINDS
 from ndnshield.crypto import KeyPair, verify_signature
 from ndnshield.nodes import CompromisedRouter
 from ndnshield.packets import Interest, Name
@@ -253,7 +254,13 @@ def _consumer_of(collection, **keys):
     "doc, path",
     [
         (minimal_doc(poisoning_defense={"verification": {"mode": "independent", "v": 0.5}}),
-         "$.poisoning_defense.verification"),
+         "$.poisoning_defense.verification.v"),
+        (minimal_doc(poisoning_defense={"verification": {"mode": "disjoint-plain", "v": 0.5,
+                                                         "group": ["r"]}}),
+         "$.poisoning_defense.verification.v"),
+        (minimal_doc(poisoning_defense={"verification": {"mode": "disjoint-plain", "v": 2}}),
+         "$.poisoning_defense.verification.group"),
+        (_with_attack(start_ms=50, stop_ms=50), "$.attacks[0].stop_ms"),
         (_consumer_of("nope"), "$.nodes[2].collection.collection"),
         (_with_nodes({"id": "x", "role": "compromised-router", "poison_mode": "corrupted",
                       "target_prefix": "/v", "impersonate": "ghost"}), "$.nodes[3].impersonate"),
@@ -295,7 +302,7 @@ def _consumer_of(collection, **keys):
         (_with_node(2, requests={"names": ["/v/a"], "rate_per_s": -1, "stop_ms": 50}),
          "$.nodes[2].requests.rate_per_s"),
     ],
-    ids=["verifier-v", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
+    ids=["verifier-v", "verifier-v-group", "verifier-group", "attack-window", "missing-collection", "impersonate", "abuse-target", "dynamic-prefix",
          "name-pool", "attack-rate", "window-ms", "pit-capacity", "trust", "defaults",
          "fib-hop-unlinked", "default-lifetime", "flooding-timeout", "sweep-interval",
          "default-content-size", "flooding-content-size", "request-lifetime",
@@ -343,10 +350,41 @@ def _with_link(**keys):
          "$.fib.r[1].prefix: repeats an earlier route's prefix"),
         (minimal_doc(flooding_defense={"namespace_quotas": {"/v": 5, "/%76": 6}}),
          "$.flooding_defense.namespace_quotas./%76: repeats the key '/v'"),
+        (_with_attack(kind="bogus"), f"$.attacks[0].kind: must be one of {', '.join(ATTACK_KINDS)}"),
+        (_with_attack(rate_per_s=0), "$.attacks[0].rate_per_s: must be positive"),
+        (minimal_doc(poisoning_defense={"verification": {"mode": "bogus"}}),
+         "$.poisoning_defense.verification.mode: "
+         "must be one of off, independent, disjoint-plain, disjoint-hmac"),
+        (minimal_doc(poisoning_defense={"neighbor_feedback": {"p": 7}}),
+         "$.poisoning_defense.neighbor_feedback.p: must be at most 1"),
+        (minimal_doc(poisoning_defense={"neighbor_feedback": {"p": -0.5}}),
+         "$.poisoning_defense.neighbor_feedback.p: must not be negative"),
+        (minimal_doc(poisoning_defense={"neighbor_feedback": {"cooldown_ms": -3}}),
+         "$.poisoning_defense.neighbor_feedback.cooldown_ms: must not be negative"),
+        (minimal_doc(poisoning_defense={"consumer_feedback": {"alpha": 1.5}}),
+         "$.poisoning_defense.consumer_feedback.alpha: must be at most 1"),
+        (minimal_doc(poisoning_defense={"consumer_feedback": {"beta": -2}}),
+         "$.poisoning_defense.consumer_feedback.beta: must not be negative"),
+        (minimal_doc(poisoning_defense={"consumer_feedback": {"threshold": -1}}),
+         "$.poisoning_defense.consumer_feedback.threshold: must be positive"),
+        (minimal_doc(poisoning_defense={"consumer_feedback": {"window_ms": 0}}),
+         "$.poisoning_defense.consumer_feedback.window_ms: must be positive"),
+        (_consumer_of("file", max_retries=-1),
+         "$.nodes[2].collection.max_retries: must not be negative"),
+        (_consumer_of("file", exclude_cap=-1),
+         "$.nodes[2].collection.exclude_cap: must not be negative"),
+        (minimal_doc(flooding_defense={"outgoing_quota_override": 0}),
+         "$.flooding_defense.outgoing_quota_override: must be positive"),
+        (minimal_doc(flooding_defense={"incoming_limit_override": -4}),
+         "$.flooding_defense.incoming_limit_override: must be positive"),
     ],
     ids=["request-mode", "collection-mode", "poison-mode", "link-kind", "link-bandwidth",
          "link-delay", "empty-next-hops", "fragments", "window", "abuse-count",
-         "namespace-quota", "seed", "huge-seed", "repeated-route", "repeated-quota"],
+         "namespace-quota", "seed", "huge-seed", "repeated-route", "repeated-quota",
+         "attack-kind", "attack-rate-zero", "verifier-mode", "neighbor-p-above-one",
+         "neighbor-p-negative", "neighbor-cooldown", "consumer-alpha", "consumer-beta",
+         "consumer-threshold", "consumer-window", "collection-retries", "collection-exclude-cap",
+         "outgoing-quota-override", "incoming-limit-override"],
 )
 def test_each_rule_refused_once_with_its_message(doc, violation):
     """Each rule is type metadata on the field or parameter it bounds, and

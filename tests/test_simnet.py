@@ -95,12 +95,6 @@ def test_fifo_back_to_back():
     assert times == [2 * MS, 3 * MS]  # second waits one serialization slot
 
 
-def test_scope_zero_never_transmitted():
-    net, a, b, _ = two_nodes()
-    with pytest.raises(ValueError):
-        net.send_from("a", 0, Interest(n("/x"), 1, scope=1))
-
-
 def test_broadcast_reaches_all_other_endpoints():
     net, a, b, others = two_nodes(extra=2)
     net.send_from("a", 0, Interest(n("/q"), 7))
