@@ -14,7 +14,16 @@ from typing import Annotated, Optional
 
 from .crypto import KeyPair, sign_packet
 from .nodes import encode_fragment_payload
-from .packets import INTEREST_LIFETIME_MS, MS, BloomExclude, DataPacket, Interest, KeyName, Name
+from .packets import (
+    INTEREST_LIFETIME_MS,
+    MS,
+    BloomExclude,
+    DataPacket,
+    Interest,
+    KeyName,
+    Name,
+    is_control_name,
+)
 from .schema import Invalid, NonNegative, OneOf, Positive, Record
 from .simnet import NodeBase
 
@@ -53,6 +62,14 @@ class AttackSpec(Record, frozen=True):
     def __post_init__(self):
         if self.start_ms >= self.stop_ms:
             raise Invalid("stop_ms", "attack start must precede stop")
+        # Routers take an interest in the control namespace as a control
+        # message, so an attack aimed there would vanish with no counter.
+        named = [("target_prefix", self.target_prefix), ("dynamic_under", self.dynamic_under)]
+        named += [(f"name_pool[{i}]", name) for i, name in enumerate(self.name_pool)]
+        named += [(f"content_names[{i}]", name) for i, name in enumerate(self.content_names)]
+        for key, name in named:
+            if name is not None and is_control_name(name):
+                raise Invalid(key, "reserved namespace")
         if self.kind == FLOOD_STATIC and not self.name_pool:
             raise ValueError("flood-static needs a pool of existing content names")
         if self.kind == FLOOD_DYNAMIC and self.dynamic_under is None:

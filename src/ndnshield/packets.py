@@ -217,6 +217,15 @@ class ExplicitExclude(Record, frozen=True):
 
     components: frozenset[bytes]
 
+    # Written out, as the generic ones cost 2-3 times more and an exclude
+    # is part of every PIT key; equal only to an exclude of this class.
+    def __eq__(self, other):
+        return (self.components == other.components if other.__class__ is ExplicitExclude
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.components)
+
     def excludes(self, component: bytes) -> bool:
         return component in self.components
 
@@ -229,6 +238,12 @@ class BloomExclude(Record, frozen=True):
     def __post_init__(self):
         if len(self.bits) != BLOOM_BITS // 8:
             raise ValueError("bloom filter must be exactly 256 bits")
+
+    def __eq__(self, other):  # as ExplicitExclude's
+        return self.bits == other.bits if other.__class__ is BloomExclude else NotImplemented
+
+    def __hash__(self):
+        return hash(self.bits)
 
     @classmethod
     def from_components(cls, components) -> "BloomExclude":

@@ -348,15 +348,18 @@ def _entries_under(node: dict) -> list[CsEntry]:
 
 
 class PitEntry(Record):
-    __slots__ = ("key", "interest", "nonces", "incoming", "outgoing", "expiry", "fib", "attack",
-                 "namespace", "seq")
+    __slots__ = ("key", "interest", "nonces", "incoming", "outgoing", "sent_at", "expiry", "fib",
+                 "attack", "namespace", "seq")
     # (name components, publisher key digest, exclude): interests that
     # differ in any of these may need different answers.
     key: tuple
     interest: Interest  # representative; collapsed interests share the key
-    nonces: set[int]
-    incoming: dict[int, int]  # iface -> arrival time
-    outgoing: dict[int, int]  # iface -> forward time
+    # Every nonce seen, once a second one arrives; until then None, and
+    # the only nonce is the representative's.
+    nonces: Optional[set[int]]
+    incoming: list[int]  # ifaces the interest came in on, in arrival order, each once
+    outgoing: list[int]  # the upstreams it was forwarded to, each once
+    sent_at: int  # when it was forwarded to all of them
     expiry: int
     fib: FibEntry  # the entry the interest was forwarded by
     attack: bool  # change only through Pit.mark_attack once inserted
@@ -364,13 +367,14 @@ class PitEntry(Record):
     namespace: Optional[tuple[bytes, ...]]
     seq: int  # of the entry's heap record, set by Pit.insert
 
-    def __init__(self, key, interest, nonces, incoming, outgoing, expiry, fib, attack,
+    def __init__(self, key, interest, nonces, incoming, outgoing, sent_at, expiry, fib, attack,
                  namespace=None, seq=0):
         self.key = key
         self.interest = interest
         self.nonces = nonces
         self.incoming = incoming
         self.outgoing = outgoing
+        self.sent_at = sent_at
         self.expiry = expiry
         self.fib = fib
         self.attack = attack
@@ -385,7 +389,11 @@ class PitEntry(Record):
 class Pit:
     """Pending interests by key, with an index by name components, a count
     of attack entries, and expiry through a lazily invalidated heap of
-    (expiry, insertion seq, entry) records:
+    (expiry, insertion seq, entry) records.
+
+    The name index maps a name's components to its sole entry, or, while
+    two or more keys share the name, to a {key: entry} dict in insertion
+    order. The heap keeps these rules:
 
     * every live entry has exactly one record, pushed on insert (an entry's
       expiry never changes), and keeps that record's seq;
@@ -399,7 +407,7 @@ class Pit:
 
     def __init__(self):
         self._entries: dict[tuple, PitEntry] = {}
-        self._by_name: dict[tuple[bytes, ...], dict[tuple, PitEntry]] = {}
+        self._by_name: dict[tuple[bytes, ...], PitEntry | dict[tuple, PitEntry]] = {}
         self._attack = 0
         self._heap: list[tuple[int, int, PitEntry]] = []
         self._seq = 0
@@ -428,7 +436,13 @@ class Pit:
         entries = self._entries
         if entries.setdefault(key, entry) is not entry:
             raise KeyError(f"PIT already holds an entry for {key!r}")
-        self._by_name.setdefault(key[0], {})[key] = entry
+        by_name = self._by_name
+        sharer = by_name.setdefault(key[0], entry)
+        if sharer is not entry:
+            if type(sharer) is dict:
+                sharer[key] = entry
+            else:
+                by_name[key[0]] = {sharer.key: sharer, key: entry}
         if entry.attack:
             self._attack += 1
         self._seq = entry.seq = self._seq + 1
@@ -447,11 +461,15 @@ class Pit:
         del self._entries[entry.key]
         if entry.attack:
             self._attack -= 1
+        by_name = self._by_name
         comps = entry.key[0]
-        bucket = self._by_name[comps]
-        del bucket[entry.key]
-        if not bucket:
-            del self._by_name[comps]
+        bucket = by_name[comps]
+        if bucket is entry:
+            del by_name[comps]
+        else:
+            del bucket[entry.key]
+            if len(bucket) == 1:
+                (by_name[comps],) = bucket.values()
 
     def _bound_heap(self) -> None:
         if len(self._heap) > 2 * len(self._entries):
@@ -465,8 +483,11 @@ class Pit:
         by_name = self._by_name
         for i in range(len(comps) + 1):
             bucket = by_name.get(comps[:i])
-            if bucket:
-                found.extend(bucket.values())
+            if bucket is not None:
+                if type(bucket) is dict:
+                    found.extend(bucket.values())
+                else:
+                    found.append(bucket)
         return found
 
     def pop_expired(self, now: int) -> list[PitEntry]:
@@ -562,7 +583,9 @@ class Router(NodeBase):
                 pit.remove(entry)
                 self._expire_entry(entry, now)
                 entry = None
-            elif interest.nonce in entry.nonces:
+            elif interest.nonce == entry.interest.nonce or (
+                entry.nonces is not None and interest.nonce in entry.nonces
+            ):
                 stats["drop_duplicate_nonce"] += 1
                 return
 
@@ -577,10 +600,14 @@ class Router(NodeBase):
             # An interface counts as pending once per entry, as resolving
             # the entry releases it once.
             if iface not in entry.incoming:
-                entry.incoming[iface] = now
+                entry.incoming.append(iface)
                 if self.flooding is not None:
                     self.flooding.note_collapsed(entry, iface, now)
-            entry.nonces.add(interest.nonce)
+            # The nonce is new: the duplicate test above let it through.
+            if entry.nonces is None:
+                entry.nonces = {entry.interest.nonce, interest.nonce}
+            else:
+                entry.nonces.add(interest.nonce)
             if interest.attack:
                 pit.mark_attack(entry)
             stats["interests_collapsed"] += 1
@@ -608,13 +635,21 @@ class Router(NodeBase):
             stats["drop_pit_full"] += 1
             return
 
+        # `strategy_choose` and `admit` build a fresh list, so the entry can
+        # keep it. Two next hops on one shared segment give one face twice
+        # on a probe: it is sent twice but pending once.
+        if len(upstreams) > 1 and upstreams[0] == upstreams[1]:
+            outgoing = upstreams[:1]
+        else:
+            outgoing = upstreams
         attack = interest.attack
         entry = PitEntry(
             key,
             interest,
-            {interest.nonce},
-            {iface: now},
-            dict.fromkeys(upstreams, now),
+            None,
+            [iface],
+            outgoing,
+            now,
             now + interest.lifetime_ms * MS,
             fib_entry,
             attack,
@@ -698,7 +733,7 @@ class Router(NodeBase):
         if arrival_iface in entry.outgoing:
             st = fib_stats[arrival_iface]
             st.satisfied += 1
-            st.observe_rtt(now - entry.outgoing[arrival_iface])
+            st.observe_rtt(now - entry.sent_at)
         else:
             # Satisfied by an overheard copy: credit the path we chose.
             for out_iface in entry.outgoing:

@@ -590,8 +590,8 @@ def test_defense_counts_match_the_live_pit(key, monkeypatch):
             return
         out, inn, ns, ns_in = Counter(), Counter(), Counter(), Counter()
         for entry in router.pit.entries():
-            out.update(entry.outgoing.keys())
-            inn.update(entry.incoming.keys())
+            out.update(entry.outgoing)
+            inn.update(entry.incoming)
             if entry.namespace is not None:
                 ns[entry.namespace] += 1
                 ns_in.update((entry.namespace, iface) for iface in entry.incoming)

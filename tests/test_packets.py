@@ -41,6 +41,7 @@ from ndnshield.packets import (
 from ndnshield.nodes import _Request
 from ndnshield.poisoning import PoisoningConfig, PoisoningGuard
 from ndnshield.router import CsEntry, PitEntry
+from ndnshield.schema import Record
 from ndnshield.packets import _escape_component, _unescape_component, _unescape_escaped
 
 components = st.binary(min_size=1, max_size=32)
@@ -187,6 +188,30 @@ def test_bloom_mostly_rejects_absent():
     ex = BloomExclude.from_components([b"present"])
     hits = sum(ex.excludes(b"absent-%d" % i) for i in range(200))
     assert hits <= 2  # k=4 probes against 4 set bits: false positives are rare
+
+
+# Fresh objects, so equal excludes are not the same object; the two classes
+# share field values (a Bloom filter's bits as an explicit component).
+_EXCLUDES = st.one_of(
+    st.frozensets(st.sampled_from([b"a", b"b", bytes(32)]), max_size=2).map(ExplicitExclude),
+    st.sampled_from([bytes(32), b"\xff" * 32]).map(BloomExclude),
+    st.sampled_from([bytes(32), b"\xff" * 32]).map(lambda bits: ExplicitExclude(frozenset({bits}))),
+)
+
+
+@given(_EXCLUDES, _EXCLUDES)
+@settings(max_examples=200, deadline=None)
+def test_exclude_equality_is_the_record_fields_equality(a, b):
+    """The written `__eq__`/`__hash__` of both exclude classes agree with
+    `Record`'s generic ones: equal when the class and the field are, so a
+    Bloom filter never equals an explicit exclude."""
+    generic = Record.__eq__(a, b)
+    if generic is NotImplemented:
+        generic = a is b
+    assert (a == b) is (b == a) is generic
+    assert (a != b) is not generic
+    if generic:
+        assert hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import functools
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_key, make_packet, make_router, n
+from ndnshield.attacks import FLOOD_UNSAT_NONCE, AttackSpec, gen_flood_interest
 from ndnshield.packets import BloomExclude, ExplicitExclude, Interest, Name
 from ndnshield.router import (
     ContentStore,
@@ -20,6 +23,7 @@ from ndnshield.router import (
     PitEntry,
     strategy_choose,
 )
+from ndnshield.rand import Rng
 
 MS = 1000
 LIFETIME_US = 4000 * MS
@@ -127,6 +131,76 @@ def test_duplicate_nonce_dropped():
     router.on_interest(1, interest("/victim/x", nonce=42), now=10)
     assert router.stats["drop_duplicate_nonce"] == 1
     assert router.sent == []
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_duplicate_nonces_match_an_oracle_of_every_nonce(arrivals):
+    """Interests of one key, on drawn interfaces with drawn nonces, are
+    dropped as duplicates and collapsed exactly as an oracle that
+    remembers every nonce seen says: before the first collapse, while the
+    entry keeps only its representative's nonce, and after it."""
+    router = setup_router()
+    seen: set[int] = set()
+    ifaces: list[int] = []  # of the interests let through, in arrival order
+    duplicates = collapsed = 0
+    for now, (iface, nonce) in enumerate(arrivals):
+        router.on_interest(iface, interest("/victim/x", nonce=nonce), now=now)
+        if nonce in seen:
+            duplicates += 1
+        else:
+            collapsed += bool(seen)
+            seen.add(nonce)
+            if iface not in ifaces:
+                ifaces.append(iface)
+        assert router.stats["drop_duplicate_nonce"] == duplicates
+        assert router.stats["interests_collapsed"] == collapsed
+        (entry,) = router.pit.entries()
+        assert entry.incoming == ifaces
+        assert entry.nonces == (None if len(seen) == 1 else seen)
+    assert [iface for iface, _ in router.sent] == [5]
+
+
+def test_a_face_reached_twice_is_sent_twice_but_pending_once():
+    """Two next hops on one shared segment give a route the same face
+    twice. A probe sends on it twice, but the entry holds it once, so an
+    overheard copy of the data credits it once."""
+    router = setup_router()
+    route = router.fib.add(n("/seg"), [5, 5])
+    route.stats[5].forwarded = 8  # a ratio of 1/10: the strategy probes
+    router.on_interest(0, interest("/seg/x"), now=0)
+    assert [iface for iface, _ in router.sent] == [5, 5]
+    (entry,) = router.pit.entries()
+    assert entry.outgoing == [5]
+    router.on_broadcast_data(0, make_packet("/seg/x"), now=2 * MS)
+    assert router.stats["overheard_suppressions"] == 1
+    assert (route.stats[5].forwarded, route.stats[5].satisfied) == (10, 1)
+
+
+def test_pit_entry_memory_is_bounded():
+    """A forwarded flood interest costs its router under 800 traced bytes,
+    the interest itself, made beforehand, aside: each entry keeps plain
+    lists of its faces and no nonce set until a collapse (about 570 B on
+    CPython 3.10 to 3.13, against 1,322 B with per-entry dicts and sets)."""
+    router = make_router(n_ifaces=2)
+    router.fib.add(n("/victim"), [1])
+    router.emit = lambda iface, pkt: None
+    spec = AttackSpec(FLOOD_UNSAT_NONCE, ("z",), n("/victim"), stop_ms=3000)
+    rng = Rng(3, "pit-memory")
+    flood = [gen_flood_interest(spec, rng, seq) for seq in range(3000)]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for now, wanted in enumerate(flood):
+            router.on_interest(0, wanted, now=now)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(router.pit) == len(flood)
+    assert grown / len(flood) < 800, grown / len(flood)
 
 
 def test_cache_hit_answers_without_pit_entry():
@@ -662,7 +736,7 @@ def pit_data_packet():
 def _pit_entry(name: str, variant: int, now: int, lifetime_us: int, attack: bool):
     key_digest = bytes([variant]) * 32 if variant else None
     return PitEntry(key=(n(name).components, key_digest, None), interest=interest(name),
-                    nonces={1}, incoming={0: now}, outgoing={1: now},
+                    nonces=None, incoming=[0], outgoing=[1], sent_at=now,
                     expiry=now + lifetime_us, fib=FibEntry(n("/p"), [1]), attack=attack)
 
 
@@ -733,6 +807,10 @@ def test_pit_index_matches_scan_oracle(ops):
         assert all(g is e for g, e in zip(pit.entries(), live))
         assert pit.attack_count() == sum(1 for e in live if e.attack)
         assert len(pit._heap) <= 2 * len(pit)
+        # The name index holds a dict only for a name two live keys share.
+        shared = Counter(e.key[0] for e in live)
+        assert {c: type(b) is dict for c, b in pit._by_name.items()} == {
+            c: count > 1 for c, count in shared.items()}
 
 
 def test_pit_duplicate_key_raises_and_changes_nothing():

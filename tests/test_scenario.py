@@ -352,6 +352,13 @@ def _with_link(**keys):
          "$.flooding_defense.namespace_quotas./%76: repeats the key '/v'"),
         (_with_attack(kind="bogus"), f"$.attacks[0].kind: must be one of {', '.join(ATTACK_KINDS)}"),
         (_with_attack(rate_per_s=0), "$.attacks[0].rate_per_s: must be positive"),
+        (_with_attack(target_prefix="/ndn/warning"), "$.attacks[0].target_prefix: reserved namespace"),
+        (_with_attack(name_pool=["/v/a", "/ndn/pushback/x"]),
+         "$.attacks[0].name_pool[1]: reserved namespace"),
+        (_with_attack(kind="flood-dynamic", dynamic_under="/ndn/feedback/live"),
+         "$.attacks[0].dynamic_under: reserved namespace"),
+        (_with_attack(kind="poison-anticipate", content_names=["/v/a", "/ndn/warning"]),
+         "$.attacks[0].content_names[1]: reserved namespace"),
         (minimal_doc(poisoning_defense={"verification": {"mode": "bogus"}}),
          "$.poisoning_defense.verification.mode: "
          "must be one of off, independent, disjoint-plain, disjoint-hmac"),
@@ -381,7 +388,8 @@ def _with_link(**keys):
     ids=["request-mode", "collection-mode", "poison-mode", "link-kind", "link-bandwidth",
          "link-delay", "empty-next-hops", "fragments", "window", "abuse-count",
          "namespace-quota", "seed", "huge-seed", "repeated-route", "repeated-quota",
-         "attack-kind", "attack-rate-zero", "verifier-mode", "neighbor-p-above-one",
+         "attack-kind", "attack-rate-zero", "attack-control-target", "attack-control-pool",
+         "attack-control-dynamic", "attack-control-content", "verifier-mode", "neighbor-p-above-one",
          "neighbor-p-negative", "neighbor-cooldown", "consumer-alpha", "consumer-beta",
          "consumer-threshold", "consumer-window", "collection-retries", "collection-exclude-cap",
          "outgoing-quota-override", "incoming-limit-override"],
