@@ -62,6 +62,7 @@ from .packets import (
     EmbeddedKey,
     KeyLocator,
     Name,
+    _pack_name,
     canonical_serialize,
     compute_content_hash,
     digest_component,
@@ -111,22 +112,26 @@ def constant_time_equal(a: bytes, b: bytes) -> bool:
     return _hmac.compare_digest(a, b)
 
 
-def link_mac(key: bytes, body: Name) -> bytes:
+def link_mac(key: bytes, components: tuple[bytes, ...]) -> bytes:
     """The MAC a control interest carries as its last component: HMAC-SHA256
-    under the link's key over the textual form of the name before it."""
-    return hmac_sha256(key, str(body).encode())
+    under the link's key over the wire encoding of the name before it, as
+    `_pack_name` writes it (a 4-byte count, then each component's 4-byte
+    length and bytes). No two names share an encoding."""
+    out = bytearray()
+    _pack_name(out, components)
+    return hmac_sha256(key, out)
 
 
 def with_link_mac(key: bytes, body: Name) -> Name:
     """The name of a control interest: `body` with its link MAC appended."""
-    return body.child(link_mac(key, body))
+    return body.child(link_mac(key, body.components))
 
 
 def link_mac_ok(key: bytes, name: Name) -> bool:
     """Whether a control interest's last component is the link MAC of the
     name before it, compared in constant time."""
     comps = name.components
-    return constant_time_equal(comps[-1], link_mac(key, Name(comps[:-1])))
+    return constant_time_equal(comps[-1], link_mac(key, comps[:-1]))
 
 
 def ls32(digest: bytes) -> int:

@@ -130,18 +130,22 @@ class MetricsCollector:
 
     # -- persistence ---------------------------------------------------------
 
-    def csv_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    def _write(self, out) -> None:
+        """The header and every row, CRLF-terminated, to a text file
+        opened with `newline=""`."""
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(COLUMNS)
         writer.writerows(self.rows)
-        out.flush()
-        return buf.getvalue()
+
+    def csv_bytes(self) -> bytes:
+        out = io.StringIO(newline="")
+        self._write(out)
+        return out.getvalue().encode("utf-8")
 
     def write_csv(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.csv_bytes())
+        """Stream the CSV to `path`, with the bytes `csv_bytes` returns."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            self._write(fh)
 
     # -- convenient views ------------------------------------------------------
 

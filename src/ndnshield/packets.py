@@ -31,6 +31,7 @@ against. Nothing decodes wire bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Iterator, Optional, Union
@@ -204,8 +205,11 @@ BLOOM_BITS = 256
 BLOOM_HASHES = 4
 
 
+@functools.lru_cache(maxsize=4096)
 def bloom_probe_indices(component: bytes) -> tuple[int, ...]:
-    """The k bit positions probed for a component (first 8 digest bytes)."""
+    """The k bit positions probed for a component (first 8 digest bytes).
+    They depend on its bytes alone, so each recent component is hashed
+    once, however many lookups test it against a filter."""
     h = hashlib.sha256(component).digest()
     return tuple(
         int.from_bytes(h[2 * i : 2 * i + 2], "big") % BLOOM_BITS for i in range(BLOOM_HASHES)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import attrgetter
 from typing import Annotated, Optional
 
 from .crypto import (
@@ -185,13 +186,22 @@ class PoisoningGuard:
             self._schedule_verification(entry.content_hash)
 
     def scan(self, now: int) -> None:
-        """Periodic pass over unverified cached packets; keeps long-lived
-        entries inside the sampling pool."""
-        for entry in self.router.cs.entries():
-            # An entry already known to be another group member's draws
-            # nothing, so it is passed over without the call.
-            if entry.verified or entry.mine is False or entry.content_hash in self._inflight:
-                continue
+        """Periodic pass over unverified cached packets, in content-hash
+        order; keeps long-lived entries inside the sampling pool.
+
+        The candidates are picked before any is drawn for, and only they
+        are sorted. That visits what a walk over every entry would: a
+        draw changes `mine` and `_inflight` for its own entry only. An
+        entry already known to be another group member's draws nothing,
+        so it is passed over without the call."""
+        inflight = self._inflight
+        candidates = [
+            entry for entry in self.router.cs.unordered()
+            if not entry.verified and entry.mine is not False
+            and entry.content_hash not in inflight
+        ]
+        candidates.sort(key=attrgetter("content_hash"))
+        for entry in candidates:
             if self.select_for_verification(entry):
                 self._schedule_verification(entry.content_hash)
 
@@ -237,15 +247,14 @@ class PoisoningGuard:
 
     # -- neighbour warnings -----------------------------------------------------------
 
-    def _warning_interest(self, content_hash: bytes, iface: int) -> Interest:
-        body = WARNING_PREFIX.child(content_hash)  # raw 32-byte digest component
-        name = with_link_mac(self.router.ifaces[iface].link_key, body)
-        return control_interest(name, self.rng.u64())
-
     def _emit_warnings(self, content_hash: bytes) -> None:
-        for iface in sorted(self.router.ifaces):
-            self.router.emit(iface, self._warning_interest(content_hash, iface))
-            self.router.stats["warnings_sent"] += 1
+        """Warn every neighbour; only the link MAC differs by face."""
+        body = WARNING_PREFIX.child(content_hash)  # raw 32-byte digest component
+        router = self.router
+        for iface in sorted(router.ifaces):
+            name = with_link_mac(router.ifaces[iface].link_key, body)
+            router.emit(iface, control_interest(name, self.rng.u64()))
+            router.stats["warnings_sent"] += 1
 
     def handle_warning(self, iface: int, interest: Interest, now: int) -> None:
         comps = interest.name.components

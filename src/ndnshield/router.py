@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from operator import attrgetter
-from typing import Annotated, Callable, Optional
+from typing import Annotated, Callable, Iterable, Optional
 
 from .packets import (
     FEEDBACK_PREFIX,
@@ -73,7 +73,9 @@ class Fib:
         self._longest = 0  # component count of the longest installed prefix
 
     def add(self, prefix: Name, interfaces: list[int]) -> FibEntry:
-        entry = FibEntry(prefix, list(interfaces))
+        """Route `prefix` to `interfaces`, each kept once in first-seen
+        order: two next hops on one shared segment are one face."""
+        entry = FibEntry(prefix, list(dict.fromkeys(interfaces)))
         self._entries[prefix.components] = entry
         self._longest = max(self._longest, len(prefix.components))
         return entry
@@ -190,6 +192,11 @@ class ContentStore:
 
     def entries(self) -> list[CsEntry]:
         return [self._by_hash[h] for h in sorted(self._by_hash)]
+
+    def unordered(self) -> Iterable[CsEntry]:
+        """Every entry, in no particular order; a live view, so the store
+        must not change while it is read."""
+        return self._by_hash.values()
 
     def get(self, content_hash: bytes) -> Optional[CsEntry]:
         return self._by_hash.get(content_hash)
@@ -636,19 +643,14 @@ class Router(NodeBase):
             return
 
         # `strategy_choose` and `admit` build a fresh list, so the entry can
-        # keep it. Two next hops on one shared segment give one face twice
-        # on a probe: it is sent twice but pending once.
-        if len(upstreams) > 1 and upstreams[0] == upstreams[1]:
-            outgoing = upstreams[:1]
-        else:
-            outgoing = upstreams
+        # keep it.
         attack = interest.attack
         entry = PitEntry(
             key,
             interest,
             None,
             [iface],
-            outgoing,
+            upstreams,
             now,
             now + interest.lifetime_ms * MS,
             fib_entry,

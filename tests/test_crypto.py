@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 import math
+import struct
 import sys
 
 import pytest
@@ -18,12 +20,15 @@ from ndnshield.crypto import (
     compute_content_hash,
     forge_packet,
     hmac_sha256,
+    link_mac,
+    link_mac_ok,
     ls32,
     sha256,
     sign_packet,
     signing_image,
     verify_bytes,
     verify_signature,
+    with_link_mac,
 )
 from ndnshield.packets import (
     DataPacket,
@@ -673,6 +678,39 @@ def test_hmac_sha256_rfc4231_vector():
     # RFC 4231 test case 2.
     out = hmac_sha256(b"Jefe", b"what do ya want for nothing?")
     assert out.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+
+
+def _link_mac_oracle(key, components):
+    """HMAC-SHA256 over a name's wire form, written out with `struct`."""
+    wire = struct.pack(">I", len(components)) + b"".join(
+        struct.pack(">I", len(comp)) + comp for comp in components
+    )
+    return hmac.new(key, wire, hashlib.sha256).digest()
+
+
+def test_link_mac_golden_vector():
+    key = bytes(range(32))
+    comps = (b"ndn", b"warning", b"\xab" * 32)
+    mac = "d9dd08a5adb9b8eb786aacbca496f5f03efdefce18a7ebea9712d694d94d01e1"
+    assert link_mac(key, comps).hex() == mac
+    assert _link_mac_oracle(key, comps).hex() == mac
+    name = with_link_mac(key, Name(comps))
+    assert name.components == comps + (bytes.fromhex(mac),)
+    assert link_mac_ok(key, name)
+    assert not link_mac_ok(bytes(32), name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.binary(min_size=1, max_size=64),
+       comps=st.lists(st.binary(min_size=1, max_size=40), max_size=6).map(tuple))
+def test_link_mac_is_the_hmac_of_the_wire_name(key, comps):
+    assert link_mac(key, comps) == _link_mac_oracle(key, comps)
+
+
+def test_link_mac_tells_apart_names_of_one_concatenation():
+    key = b"k" * 32
+    macs = {link_mac(key, comps) for comps in ((b"ab", b"c"), (b"a", b"bc"), (b"abc",))}
+    assert len(macs) == 3
 
 
 def test_ls32():

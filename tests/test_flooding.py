@@ -11,7 +11,8 @@ from ndnshield.flooding import (
     TokenBucket,
     compute_outgoing_quota,
 )
-from ndnshield.packets import Interest, Name, is_control_name
+from ndnshield.crypto import hmac_sha256
+from ndnshield.packets import Interest, Name, control_interest, is_control_name
 from ndnshield.rand import Rng
 from ndnshield.router import Router, RouterConfig
 
@@ -248,6 +249,20 @@ def test_forged_pushback_ignored():
     assert defense2.handle_pushback(0, forged, now=S) == []
     assert defense2.rate_caps() == {}
     assert router2.stats["pushback_bad_mac"] == 1
+
+
+def test_pushback_macd_over_its_text_is_refused():
+    """A MAC over the name's textual form, as control names once carried,
+    is not the link MAC: the push-back is counted bad and installs nothing."""
+    router, defense = make_defended_router(quotas={"/victim": 10})
+    ns = n("/victim")
+    body = Name(defense.build_pushback(ns, rate_per_s=5.0, ttl=8, iface=0).name.components[:-1])
+    text_mac = hmac_sha256(router.ifaces[0].link_key, str(body).encode())
+    router2, defense2 = make_defended_router(quotas={"/victim": 10})
+    _resolve_synthetic(defense2, router2, ns.components, 1, satisfied=0, expired=80, now=S)
+    assert defense2.handle_pushback(0, control_interest(body.child(text_mac), 1), now=S) == []
+    assert defense2.rate_caps() == {}
+    assert router2.stats["pushback_bad_mac"] == 1 and router2.stats["pushback_received"] == 0
 
 
 def test_rate_cap_enforced_per_ingress():

@@ -56,6 +56,13 @@ def test_csv_header_and_fixed_columns(tmp_path):
         assert len(row) == len(COLUMNS)
 
 
+def test_written_csv_is_csv_bytes(tmp_path):
+    sim, path = run_small(tmp_path)
+    written = path.read_bytes()
+    assert written == sim.collector.csv_bytes()
+    assert written.count(b"\r\n") == written.count(b"\n") == len(sim.collector.rows) + 1
+
+
 def test_csv_no_nans_and_ratio_bounds(tmp_path):
     _, path = run_small(tmp_path)
     header, rows = load_csv(path)

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import iface_info, make_key, make_packet, n
-from ndnshield.crypto import compute_content_hash, forge_packet, hmac_sha256, ls32, sha256
-from ndnshield.packets import Interest, Name, digest_component, is_control_name
+from ndnshield.crypto import (
+    compute_content_hash,
+    forge_packet,
+    hmac_sha256,
+    ls32,
+    sha256,
+    with_link_mac,
+)
+from ndnshield.packets import (
+    WARNING_PREFIX,
+    Interest,
+    Name,
+    control_interest,
+    digest_component,
+    is_control_name,
+)
 from ndnshield.poisoning import (
     ConsumerFeedbackConfig,
     NeighborFeedbackConfig,
@@ -64,6 +82,12 @@ def guarded_router(
     emitted = []
     router.emit = lambda iface, pkt: emitted.append((iface, pkt))
     return router, guard, timers, emitted
+
+
+def warning_on(router, content_hash, iface):
+    """The warning about `content_hash` that `router` sends on `iface`."""
+    body = WARNING_PREFIX.child(content_hash)
+    return control_interest(with_link_mac(router.ifaces[iface].link_key, body), nonce=1)
 
 
 def fake_packet(name="/victim/x"):
@@ -215,6 +239,68 @@ def test_scan_computes_each_residue_once(monkeypatch):
     assert rng_state == ref_rng_state  # after the same rng draws
 
 
+def _reference_scan(guard):
+    """The scan as a walk over every cached entry in content-hash order."""
+    for entry in guard.router.cs.entries():
+        if entry.verified or entry.mine is False or entry.content_hash in guard._inflight:
+            continue
+        if guard.select_for_verification(entry):
+            guard._schedule_verification(entry.content_hash)
+
+
+@functools.cache
+def _scan_pool():
+    """Twelve cheap cached packets with distinct content hashes."""
+    der = make_key("honest").public_der
+    return [forge_packet(n(f"/victim/{i}"), b"p%d" % i, der, Rng(i, "pool")) for i in range(12)]
+
+
+_SCAN_ENTRY = st.fixed_dictionaries({
+    "verified": st.booleans(),
+    "mine": st.sampled_from([None, True, False]),
+    "inflight": st.booleans(),
+    "trust": st.floats(0.0, 1.0),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    verifier=st.sampled_from([
+        ("independent", 1.0), ("independent", 3.0),
+        ("disjoint-plain", 3.0), ("disjoint-hmac", 3.0), ("disjoint-hmac", 7.5),
+    ]),
+    feedback=st.booleans(),
+    seed=st.integers(0, 2**16),
+    states=st.lists(_SCAN_ENTRY, max_size=12),
+)
+def test_scan_draws_as_a_walk_over_every_entry(verifier, feedback, seed, states):
+    """The scan schedules the same hashes, in the same order, leaves the
+    same `mine` on every entry and the rng in the same state as a walk over
+    `cs.entries()`, whatever the entries' verified, `mine`, in-flight and
+    trust values."""
+    mode, v = verifier
+
+    def run(scan):
+        router, guard, _, _ = guarded_router(
+            mode=mode, v=v, group=("q", "r", "s"), group_key=b"\x42" * 32,
+            consumer=ConsumerFeedbackConfig(enabled=feedback),
+        )
+        guard.rng = Rng(seed, "scan")
+        for packet, state in zip(_scan_pool(), states):
+            router.cs.insert(packet, now=0, trust=state["trust"])
+            entry = router.cs.newest
+            entry.verified, entry.mine = state["verified"], state["mine"]
+            if state["inflight"]:
+                guard._inflight.add(entry.content_hash)
+        scheduled = []
+        guard._schedule_verification = lambda h, on_valid=None: (
+            scheduled.append(h), guard._inflight.add(h))
+        scan(guard)
+        return scheduled, [e.mine for e in router.cs.entries()], guard.rng.state()
+
+    assert run(lambda guard: guard.scan(now=MS)) == run(_reference_scan)
+
+
 def test_verified_entries_never_reselected():
     router, guard, timers, _ = guarded_router(mode="independent", v=1.0)
     pkt = make_packet("/victim/x", key=make_key("honest"))
@@ -302,7 +388,7 @@ def test_warning_for_uncached_hash_discarded():
     other, other_guard, _, other_emitted = guarded_router(
         "s", neighbor=NeighborFeedbackConfig(enabled=True, p=1.0)
     )
-    warning = other_guard._warning_interest(b"\x11" * 32, iface=0)
+    warning = warning_on(other, b"\x11" * 32, iface=0)
     router.on_interest(0, warning, now=0)  # same link key by fixture construction
     timers.flush()
     assert router.stats["warnings_received"] == 1
@@ -343,6 +429,22 @@ def test_forged_warning_leaves_cache_untouched():
     assert router.stats["warnings_bad_mac"] == 1
 
 
+def test_warning_macd_over_its_text_is_refused():
+    """A MAC over the name's textual form, as control names once carried,
+    is not the link MAC: the warning is counted bad and changes nothing."""
+    router, guard, timers, _ = guarded_router(
+        neighbor=NeighborFeedbackConfig(enabled=True, p=1.0)
+    )
+    bad = corrupted_packet()
+    router.cs.insert(bad, now=0)
+    body = WARNING_PREFIX.child(compute_content_hash(bad))
+    text_mac = hmac_sha256(router.ifaces[0].link_key, str(body).encode())
+    router.on_interest(0, control_interest(body.child(text_mac), nonce=1), now=0)
+    timers.flush()
+    assert len(router.cs) == 1
+    assert router.stats["warnings_bad_mac"] == 1 and router.stats["warnings_received"] == 0
+
+
 def test_valid_packet_suppresses_repeat_warnings():
     router, guard, timers, _ = guarded_router(
         neighbor=NeighborFeedbackConfig(enabled=True, p=1.0, cooldown_ms=10_000)
@@ -351,7 +453,7 @@ def test_valid_packet_suppresses_repeat_warnings():
     router.cs.insert(good, now=0)
     h = compute_content_hash(good)
     peer, peer_guard, _, _ = guarded_router("peer")
-    warning = peer_guard._warning_interest(h, iface=0)
+    warning = warning_on(peer, h, iface=0)
     router.on_interest(0, warning, now=0)
     timers.flush()
     assert router.cs.entries()[0].verified

@@ -161,20 +161,27 @@ def test_duplicate_nonces_match_an_oracle_of_every_nonce(arrivals):
     assert [iface for iface, _ in router.sent] == [5]
 
 
-def test_a_face_reached_twice_is_sent_twice_but_pending_once():
+def test_a_face_reached_twice_is_sent_once():
     """Two next hops on one shared segment give a route the same face
-    twice. A probe sends on it twice, but the entry holds it once, so an
-    overheard copy of the data credits it once."""
+    twice. The route keeps it once, so even a failing face, where the
+    strategy would probe a second path, gets one copy of the interest,
+    counted once, and an overheard copy of the data credits it once."""
     router = setup_router()
     route = router.fib.add(n("/seg"), [5, 5])
-    route.stats[5].forwarded = 8  # a ratio of 1/10: the strategy probes
+    assert route.interfaces == [5]
+    route.stats[5].forwarded = 8  # a ratio of 1/10
     router.on_interest(0, interest("/seg/x"), now=0)
-    assert [iface for iface, _ in router.sent] == [5, 5]
+    assert [iface for iface, _ in router.sent] == [5]
+    assert router.stats["interests_forwarded"] == 1
     (entry,) = router.pit.entries()
     assert entry.outgoing == [5]
     router.on_broadcast_data(0, make_packet("/seg/x"), now=2 * MS)
     assert router.stats["overheard_suppressions"] == 1
-    assert (route.stats[5].forwarded, route.stats[5].satisfied) == (10, 1)
+    assert (route.stats[5].forwarded, route.stats[5].satisfied) == (9, 1)
+
+
+def test_fib_keeps_each_face_once_in_first_seen_order():
+    assert Fib().add(n("/p"), [3, 1, 3, 2, 1]).interfaces == [3, 1, 2]
 
 
 def test_pit_entry_memory_is_bounded():
